@@ -5,9 +5,10 @@ run explicitly with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_perf_serve.py -m perf -q
 
-CI runs the same workload through ``run_serve_bench.py --preset ci --faults
-drop,reorder --guard`` (the ``serve-smoke`` job), which also enforces the
-``max_serve_p99_latency_ms`` ceiling stored in ``BENCH_motion.json``.
+CI runs the same workload through ``python -m repro.harness bench serve
+--preset ci --faults drop,reorder --guard`` (the ``serve-smoke`` job), which
+also enforces the ``max_serve_p99_latency_ms`` ceiling stored in
+``BENCH_motion.json``.
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.spec import PipelineSpec
-
-from run_serve_bench import DEFAULT_P99_CEILING_MS, PRESETS, benchmark_serving
+from repro.harness.bench import SERVE_PRESETS
+from repro.harness.stream_perf import benchmark_serving
+from repro.harness.trajectory import DEFAULT_FLOORS
 
 pytestmark = pytest.mark.perf
 
 
 def test_ci_preset_under_p99_ceiling():
-    cameras, frames, width, height = PRESETS["ci"]
+    cameras, frames, width, height = SERVE_PRESETS["ci"]
     entry = benchmark_serving(
         PipelineSpec(),
         cameras=cameras,
@@ -48,7 +50,7 @@ def test_ci_preset_under_p99_ceiling():
     assert entry["fault_totals"]["reordered"] > 0
     # Client-observed ack latency stays under the stored ceiling.
     assert entry["result_acks"] > 0
-    assert entry["latency_p99_ms"] <= DEFAULT_P99_CEILING_MS, (
+    assert entry["latency_p99_ms"] <= DEFAULT_FLOORS["max_serve_p99_latency_ms"], (
         f"p99 {entry['latency_p99_ms']:.1f} ms over ceiling"
     )
     # Graceful drain settled the shared SoC pool exactly.

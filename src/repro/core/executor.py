@@ -55,10 +55,8 @@ SCHEDULING_POLICIES = ("fair", "energy")
 
 #: Frame transports: ``auto`` picks shared memory when worker processes are
 #: in play and the in-process transport otherwise; ``shm`` / ``inproc``
-#: force one; ``pickle`` selects the legacy ``ProcessPoolExecutor``
-#: whole-sequence fallback in :meth:`EuphratesPipeline.run_dataset` (it is
-#: not a valid executor transport).
-TRANSPORTS = ("auto", "shm", "inproc", "pickle")
+#: force one.
+TRANSPORTS = ("auto", "shm", "inproc")
 
 _SLOT_HEADER_BYTES = 16
 _SLOT_FREE = 0
@@ -1180,11 +1178,6 @@ class ShardedExecutor:
         isolate_failures: bool = False,
     ) -> None:
         spec = ExecutionSpec(workers=workers, transport=transport)  # validates
-        if spec.transport == "pickle":
-            raise ValueError(
-                "transport='pickle' selects the legacy run_dataset fallback; "
-                "the executor supports 'auto', 'shm' and 'inproc'"
-            )
         self.schedule = schedule or ShardSchedule()
         self.pipeline = pipeline
         self.workers = spec.workers

@@ -88,8 +88,9 @@ class EuphratesPipeline:
 
     def __getstate__(self):
         # The cached ISP/extrapolator are lazily rebuilt and carry large
-        # frame buffers; shipping them to worker processes would bloat every
-        # pickled run_dataset job for state the worker resets anyway.
+        # frame buffers; shipping them to the sharded executor's worker
+        # processes would bloat the pickled pipeline for state the workers
+        # rebuild anyway.
         state = self.__dict__.copy()
         state["_isp"] = None
         state["_extrapolator"] = None
@@ -290,9 +291,6 @@ class EuphratesPipeline:
         sequences run on a :class:`~repro.core.executor.ShardedExecutor`:
         each shard worker owns its sessions end-to-end and frames cross the
         process boundary over the shared-memory transport, never pickled.
-        ``transport="pickle"`` selects the legacy ``ProcessPoolExecutor``
-        fallback instead (sequences rebuilt in-worker from their generator
-        configs where available).
 
         Results come back in dataset order, with per-frame telemetry, and
         extrapolation-op totals are aggregated — bit-identical to the serial
@@ -312,12 +310,9 @@ class EuphratesPipeline:
         if max_workers is None or max_workers <= 1 or len(sequences) <= 1:
             return [self.run(sequence) for sequence in sequences]
 
-        workers = min(max_workers, len(sequences))
-        if transport == "pickle":
-            return self._run_dataset_legacy(sequences, workers)
         executor = ShardedExecutor(
             self,
-            workers=workers,
+            workers=min(max_workers, len(sequences)),
             transport=transport,
             schedule=ShardSchedule(keep_telemetry=True),
         )
@@ -326,30 +321,6 @@ class EuphratesPipeline:
         finally:
             executor.close()
         return [result for result, _stats in outcomes]
-
-    def _run_dataset_legacy(
-        self, sequences: List["VideoSequence"], workers: int
-    ) -> List[SequenceResult]:
-        """Whole-sequence ``ProcessPoolExecutor`` fallback (``transport="pickle"``).
-
-        Jobs ship a sequence *handle* — the generator config when the
-        sequence remembers one — so synthetic frame stacks are rebuilt
-        in-worker instead of being pickled through the pool.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(
-                pool.map(
-                    _run_sequence_job,
-                    [(self, _sequence_handle(sequence)) for sequence in sequences],
-                )
-            )
-        results = []
-        for result, extrapolation_ops in outcomes:
-            self.total_extrapolation_ops += extrapolation_ops
-            results.append(result)
-        return results
 
     def run_dataset_result(
         self,
@@ -387,38 +358,3 @@ class EuphratesPipeline:
     ) -> float:
         """Compatibility alias for :func:`repro.core.session.measure_disagreement`."""
         return measure_disagreement(inferred, predicted, cls.DISAGREEMENT_IOU_FLOOR)
-
-
-def _sequence_handle(sequence: "VideoSequence"):
-    """Smallest picklable stand-in for a sequence in a legacy pool job.
-
-    Synthetic sequences remember their :class:`SequenceConfig`; shipping
-    the config (a few hundred bytes) and regenerating in-worker avoids
-    pickling the whole frame stack.  Sequences without a config — or whose
-    recorded config no longer matches (someone renamed/retrimmed the
-    object) — fall back to shipping the sequence itself.
-    """
-    config = getattr(sequence, "source_config", None)
-    if (
-        config is not None
-        and config.name == sequence.name
-        and config.num_frames == sequence.num_frames
-        and config.frame_width == sequence.width
-        and config.frame_height == sequence.height
-    ):
-        return ("config", config)
-    return ("sequence", sequence)
-
-
-def _run_sequence_job(payload):
-    """Top-level worker for the legacy pool path of :meth:`run_dataset`."""
-    pipeline, (kind, data) = payload
-    if kind == "config":
-        from ..video.synthetic import SequenceGenerator
-
-        sequence = SequenceGenerator(data).generate()
-    else:
-        sequence = data
-    pipeline.total_extrapolation_ops = 0.0
-    result = pipeline.run(sequence)
-    return result, pipeline.total_extrapolation_ops

@@ -81,7 +81,7 @@ class PipelineSpec:
     #: Exhaustive search instead of the three-step search.
     exhaustive_search: bool = False
     #: Exhaustive-search candidate-scan policy
-    #: (``full``/``spiral``/``pruned``/``histogram``).
+    #: (``full``/``pruned``/``histogram``).
     search_policy: str = "pruned"
     #: SAD kernel backend: ``numpy`` (the default and the bit-exact oracle)
     #: or ``numba`` (compiled; degrades to numpy when Numba is absent).
@@ -111,8 +111,7 @@ class PipelineSpec:
     #: everything in-process (the bit-identical serial path).
     workers: int = 1
     #: Frame transport between client and shards: ``auto`` (shared memory
-    #: when workers > 1), ``shm``, ``inproc``, or ``pickle`` (the legacy
-    #: whole-sequence ProcessPoolExecutor fallback in ``run_dataset``).
+    #: when workers > 1), ``shm`` or ``inproc``.
     transport: str = "auto"
 
     def __post_init__(self) -> None:

@@ -17,7 +17,7 @@ makes the case for first-class concurrent-stream support).  The
   transport, never pickled);
 * per-stream and aggregate throughput/latency statistics are tracked from
   the executor's per-frame records, feeding
-  ``benchmarks/run_stream_bench.py``; with an attached energy model
+  ``python -m repro.harness bench stream``; with an attached energy model
   (``soc`` + ``network``) each stream's frames are priced on the modeled
   SoC as they are processed — including amortised weight traffic across
   batched I-frames — and a :class:`~repro.soc.frame_cost.SharedSoCPool`

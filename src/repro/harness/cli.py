@@ -18,6 +18,9 @@ Examples::
     # CI smoke profile (1 sequence per dataset):
     PYTHONPATH=src python -m repro.harness run-all --smoke --workers 2
 
+    # Append a perf entry to BENCH_motion.json and enforce its floors:
+    PYTHONPATH=src python -m repro.harness bench motion --preset ci --guard
+
 All results are deterministic for a given (seed, dataset profile):
 ``--workers 1`` takes exactly the sequential code path, and constant-window
 results are identical at any worker count (adaptive-window runs chain
@@ -32,6 +35,7 @@ import sys
 from typing import List, Optional, Sequence
 
 from ..core.spec import PipelineSpec
+from .bench import add_bench_parser, cmd_bench
 from .reporting import format_artifact, write_artifact_json
 from .runner import (
     DatasetSpec,
@@ -252,6 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     PipelineSpec.add_cli_options(serve_parser)
 
+    add_bench_parser(subparsers)
     return parser
 
 
@@ -498,6 +503,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return cmd_profile(args)
     if args.command == "serve":
         return cmd_serve(args)
+    if args.command == "bench":
+        return cmd_bench(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

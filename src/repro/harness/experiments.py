@@ -598,7 +598,6 @@ def search_policy_comparison(
     reference = None
     for policy in (
         SearchPolicy.FULL,
-        SearchPolicy.SPIRAL,
         SearchPolicy.PRUNED,
         SearchPolicy.HISTOGRAM,
     ):

@@ -6,9 +6,10 @@ search, denoise blend, extrapolation and backend inference — by submitting
 synthetic camera frames through a real :class:`~repro.core.session.EuphratesSession`.
 Two consumers share the machinery:
 
-* ``benchmarks/run_pipeline_bench.py`` appends dated ``pipeline`` entries to
-  the ``BENCH_motion.json`` trajectory (end-to-end fps at 720p/1080p for
-  I-heavy and E-heavy schedules, plus floor-guarded health ratios);
+* ``python -m repro.harness bench pipeline`` appends dated ``pipeline``
+  entries to the ``BENCH_motion.json`` trajectory (end-to-end fps at
+  720p/1080p for I-heavy and E-heavy schedules, plus floor-guarded health
+  ratios);
 * ``python -m repro.harness profile`` prints the per-stage wall-clock
   breakdown table assembled from the ``FrameTelemetry`` stage timings.
 
@@ -22,14 +23,18 @@ from __future__ import annotations
 import time
 import tracemalloc
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
+
+import numpy as np
 
 from ..core.backends import tracking_backend_for
 from ..core.profiler import STAGE_NAMES, StageProfiler
 from ..core.types import FrameKind
 from ..core.spec import PipelineSpec
+from ..isp.denoise import TemporalDenoiseConfig, TemporalDenoiseStage
+from ..isp.reference import reference_motion_compensated_blend
 from ..video.synthetic import SequenceConfig, SequenceGenerator
-from .perf import RESOLUTIONS
+from .perf import RESOLUTIONS, TIMING_PASSES
 
 #: Schedule name -> constant extrapolation window.  ``i_heavy`` runs
 #: inference on every frame (conventional SoC); ``e_heavy`` amortises one
@@ -215,6 +220,62 @@ def benchmark_pipeline(
     }
 
 
+def measure_blend_speedup(spec: PipelineSpec, height: int, width: int, seed: int) -> dict:
+    """Same-run speedup of the dispatched blend over the scalar reference.
+
+    Measures the *steady-state* call exactly as a session pays it: the raw
+    uint8 frame handed straight to the kernel, a preallocated output buffer
+    and the stage's warmed gather-staging pool — the allocating first-call
+    path would understate the speedup the session actually sees.  Each side
+    is the best of :data:`~repro.harness.perf.TIMING_PASSES` interleaved
+    calls; the two outputs must be bit-identical.
+    """
+    sequence = make_sequence(height, width, 4, seed=seed)
+    frames = [frame for _, frame in sequence.iter_frames()]
+    stage = TemporalDenoiseStage(
+        TemporalDenoiseConfig(block_matching=spec.block_matching_config()),
+        reuse_output_buffers=True,
+    )
+    stage.process(frames[0])
+    stage.process(frames[1])
+    current = np.asarray(frames[2])
+    current_f64 = np.asarray(current, dtype=np.float64)
+    previous = stage._previous_denoised.copy()
+    motion = stage._matcher.estimate(current, stage._previous_reference)
+    config = stage.config
+    out = np.empty(current.shape, dtype=np.float64)
+
+    def optimized():
+        return stage._motion_compensated_blend(current, previous, motion, out=out)
+
+    def reference():
+        return reference_motion_compensated_blend(
+            current_f64,
+            previous,
+            motion,
+            blend_strength=config.blend_strength,
+            max_normalised_sad=config.max_normalised_sad,
+        )
+
+    def elapsed(callable_) -> float:
+        start = time.perf_counter()
+        callable_()
+        return time.perf_counter() - start
+
+    optimized()  # warm the gather-staging pool, like the session's steady state
+    optimized_s = reference_s = float("inf")
+    for _ in range(TIMING_PASSES):
+        optimized_s = min(optimized_s, elapsed(optimized))
+        reference_s = min(reference_s, elapsed(reference))
+    if not np.array_equal(optimized(), reference()):
+        raise AssertionError("dispatched blend diverged from the scalar reference")
+    return {
+        "optimized_s": optimized_s,
+        "reference_s": reference_s,
+        "speedup": reference_s / optimized_s if optimized_s > 0 else 0.0,
+    }
+
+
 # ----------------------------------------------------------------------
 # Per-stage profile table (the ``profile`` subcommand)
 # ----------------------------------------------------------------------
@@ -286,6 +347,7 @@ __all__ = [
     "benchmark_pipeline",
     "format_profile_table",
     "make_sequence",
+    "measure_blend_speedup",
     "measure_eframe_alloc_mb",
     "profile_report",
     "run_session_timed",

@@ -42,6 +42,7 @@ import itertools
 import json
 import math
 import random
+import tempfile
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -742,3 +743,58 @@ def best_at_baseline_accuracy(
         if eligible:
             return min(eligible, key=lambda r: (r.energy_per_frame_mj, -r.fps))
     return min(results, key=lambda r: (r.energy_per_frame_mj, -r.fps))
+
+
+def benchmark_tune(fidelity_preset: str, seed: int, workers: Optional[int]) -> dict:
+    """One grid sweep of the ``ci`` space plus a resume pass: a trajectory entry.
+
+    The entry records the measured frontier, the lowest modeled
+    energy-per-frame at >= the seed (default-spec) configuration's accuracy,
+    and how many points the immediate resume pass against the same store
+    evaluated — anything but zero means the store stopped deduplicating work.
+    """
+    with tempfile.TemporaryDirectory(prefix="tune-bench-") as tmp:
+        store_path = Path(tmp) / "store.jsonl"
+        sweep = dict(
+            preset=fidelity_preset,
+            strategy="grid",
+            seed=seed,
+            store_path=store_path,
+            max_workers=workers,
+        )
+        report = run_tune("ci", **sweep)
+        resumed = run_tune("ci", resume=True, **sweep)
+        store = TuneStore(store_path)
+        store.load()
+        fidelity = TUNE_PRESETS[fidelity_preset]
+        baseline = store.get(point_key(PipelineSpec(), fidelity, seed))
+        best = best_at_baseline_accuracy(store.results(), baseline)
+    entry = {
+        "benchmark": "tune",
+        "space": "ci",
+        "strategy": "grid",
+        "seed": seed,
+        "fidelity": fidelity.to_dict(),
+        "candidates": report.artifact.metadata["candidates"],
+        "evaluated": report.evaluated,
+        "resume_reevaluated": resumed.evaluated,
+        "frontier_points": len(report.frontier),
+        "frontier": [
+            {
+                "config": result.describe,
+                "spec": list(result.spec_args),
+                "accuracy": round(result.accuracy, 4),
+                "energy_per_frame_mj": round(result.energy_per_frame_mj, 3),
+                "fps": round(result.fps, 1),
+            }
+            for result in report.frontier
+        ],
+    }
+    if baseline is not None:
+        entry["baseline_accuracy"] = round(baseline.accuracy, 4)
+        entry["baseline_energy_per_frame_mj"] = round(baseline.energy_per_frame_mj, 3)
+    if best is not None:
+        entry["best_energy_per_frame_mj"] = round(best.energy_per_frame_mj, 3)
+        entry["best_config"] = best.describe
+        entry["best_accuracy"] = round(best.accuracy, 4)
+    return entry

@@ -35,7 +35,6 @@ from ..motion.block_matching import BlockMatcher, BlockMatchingConfig
 from ..motion.kernels import KernelScratch, resolve_kernel_backend
 from ..motion.motion_field import MotionField
 from . import kernels
-from .framebuffer import DEFAULT_FRAME_FORMAT, FixedPointFormat
 
 
 @dataclass(frozen=True)
@@ -52,20 +51,15 @@ class TemporalDenoiseConfig:
     #: Whether the stage's local SRAM is double buffered so MV write-back can
     #: overlap with the rest of the pipeline (Sec. 4.2).
     double_buffered_sram: bool = True
-    #: Run block matching on 8-bit quantized luma, like the real ISP whose
-    #: frame buffer stores 8-bit pixels.  Keeps the matcher on its
-    #: exact-integer fast path; the denoising blend itself stays in float.
-    quantize_matching: bool = True
-    #: Matching domain used when ``quantize_matching`` is off: float luma is
-    #: snapped onto this fixed-point lattice (default Q8.4 — 16x finer than
-    #: the 8-bit path) so the matcher still rides the exact integer kernel
-    #: instead of the ~1x-scalar float64 gather path.  ``None`` restores the
-    #: legacy raw-float matching domain.
-    matching_format: Optional[FixedPointFormat] = DEFAULT_FRAME_FORMAT
 
 
 class TemporalDenoiseStage:
-    """Motion-estimating, motion-compensating temporal denoiser."""
+    """Motion-estimating, motion-compensating temporal denoiser.
+
+    Block matching runs on 8-bit quantized luma, like the real ISP whose
+    frame buffer stores 8-bit pixels; that keeps the matcher on its
+    exact-integer fast path.  The denoising blend itself stays in float.
+    """
 
     ops_per_pixel = 4.0
 
@@ -137,12 +131,7 @@ class TemporalDenoiseStage:
         ]
         self._current_f64 = np.empty(shape, dtype=np.float64)
         self._float_scratch = np.empty(shape, dtype=np.float64)
-        if self.config.quantize_matching:
-            self._reference_buffer = np.empty(shape, dtype=np.uint8)
-        elif self.config.matching_format is not None:
-            self._reference_buffer = np.empty(shape, dtype=np.float64)
-        else:
-            self._reference_buffer = None
+        self._reference_buffer = np.empty(shape, dtype=np.uint8)
 
     def _next_blend_buffer(self) -> np.ndarray:
         """The ping-pong buffer that is *not* the previous frame's output."""
@@ -154,34 +143,24 @@ class TemporalDenoiseStage:
     # Matching domain
     # ------------------------------------------------------------------
     def _matching_reference(self, frame: np.ndarray) -> np.ndarray:
-        """The representation of ``frame`` handed to the block matcher."""
-        if self.config.quantize_matching:
-            return np.clip(np.rint(frame), 0.0, 255.0).astype(np.uint8)
-        if self.config.matching_format is not None:
-            return self.config.matching_format.quantize(frame)
-        return frame
+        """The 8-bit representation of ``frame`` handed to the block matcher."""
+        return np.clip(np.rint(frame), 0.0, 255.0).astype(np.uint8)
 
     def _matching_reference_reused(self, frame: np.ndarray) -> np.ndarray:
         """:meth:`_matching_reference` into the scratch reference buffer.
 
         Safe because the previous reference is never read again once the
-        current frame's motion field has been estimated.  The uint8 path's
+        current frame's motion field has been estimated.  The
         ``copyto(casting="unsafe")`` is the same C-truncation ``astype``
         performs, applied to already-rounded, already-clipped values.
         """
-        if self.config.quantize_matching:
-            np.rint(frame, out=self._float_scratch)
-            if not self.output_in_unit8_range:
-                # Rounded in-range values are already in [0, 255]; the clip
-                # pass only matters when some frame arrived as raw float.
-                np.clip(self._float_scratch, 0.0, 255.0, out=self._float_scratch)
-            np.copyto(self._reference_buffer, self._float_scratch, casting="unsafe")
-            return self._reference_buffer
-        if self.config.matching_format is not None:
-            return self.config.matching_format.quantize(
-                frame, out=self._reference_buffer
-            )
-        return frame
+        np.rint(frame, out=self._float_scratch)
+        if not self.output_in_unit8_range:
+            # Rounded in-range values are already in [0, 255]; the clip
+            # pass only matters when some frame arrived as raw float.
+            np.clip(self._float_scratch, 0.0, 255.0, out=self._float_scratch)
+        np.copyto(self._reference_buffer, self._float_scratch, casting="unsafe")
+        return self._reference_buffer
 
     def _current_matching_reference(self, raw: np.ndarray, current: np.ndarray) -> np.ndarray:
         """Matching-domain view of the frame being denoised.
@@ -191,7 +170,7 @@ class TemporalDenoiseStage:
         integer SAD path without the rint/clip/astype round-trip the float
         view would pay.
         """
-        if self.config.quantize_matching and raw.dtype == np.uint8:
+        if raw.dtype == np.uint8:
             return raw
         return self._matching_reference(current)
 

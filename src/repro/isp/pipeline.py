@@ -126,10 +126,7 @@ class ISPPipeline:
         # The pipeline always commits a quantized (or copied) frame, so the
         # denoise stage can safely recycle its output buffers across frames.
         self.denoise_stage = TemporalDenoiseStage(
-            TemporalDenoiseConfig(
-                block_matching=self.config.block_matching,
-                matching_format=frame_format,
-            ),
+            TemporalDenoiseConfig(block_matching=self.config.block_matching),
             reuse_output_buffers=True,
         )
         #: Number of frames processed since construction / reset.

@@ -25,8 +25,7 @@ from .kernels import (
     resolve_kernel_backend,
 )
 from .motion_field import MacroblockGrid, MotionField
-from .reference import scalar_estimate
-from .sad import sum_of_absolute_differences
+from .reference import scalar_estimate, sum_of_absolute_differences
 
 __all__ = [
     "BlockMatcher",

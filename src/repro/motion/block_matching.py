@@ -22,18 +22,19 @@ which return bit-identical motion fields (same argmin, same SAD — the
 pruning rules only ever skip candidates that provably cannot *strictly*
 improve a block's best SAD, which is exactly the full scan's update rule):
 
-* ``FULL`` — evaluate every block at every offset; the original scan.
-* ``SPIRAL`` — visit offsets in the same nearest-to-zero spiral order, but
-  skip blocks whose best SAD already hit 0 (SAD is non-negative, so no
-  candidate can strictly beat a perfect match) and stop outright once every
-  block is perfect.
-* ``PRUNED`` — spiral plus a partial-sum lower-bound pass: a block is
-  evaluated at an offset only when the triangle-inequality bound
+* ``FULL`` — evaluate every block at every offset, in nearest-to-zero
+  spiral order; the original scan.
+* ``PRUNED`` — the same spiral order, but skip blocks whose best SAD
+  already hit 0 (SAD is non-negative, so no candidate can strictly beat a
+  perfect match), stop outright once every block is perfect, and evaluate
+  a block at an offset only when the triangle-inequality bound
   ``|sum(block) - sum(reference)|`` is still below its best SAD.  The bound
   costs O(1) per block per offset from summed-area tables, versus ``L^2``
   for the SAD it avoids.  Requires the kernel's exact-integer mode (where
-  the bound is computed exactly); on genuinely fractional float frames it
-  degrades to ``SPIRAL`` behaviour.
+  the bound is computed exactly); on genuinely fractional float frames only
+  the SAD-0 skip remains.
+* ``HISTOGRAM`` — ``PRUNED`` with candidates visited in global-SAD-score
+  order (see :class:`SearchPolicy`).
 
 Both strategies return a :class:`~repro.motion.motion_field.MotionField`
 holding forward motion vectors (previous frame -> current frame) and the SAD
@@ -65,7 +66,6 @@ class SearchPolicy(Enum):
     """Candidate-scan policy of the exhaustive search (result-identical)."""
 
     FULL = "full"
-    SPIRAL = "spiral"
     PRUNED = "pruned"
     #: Pruned scan that visits candidates ranked by a *global SAD histogram*
     #: (ascending whole-frame partial-sum score) instead of the fixed
@@ -73,9 +73,9 @@ class SearchPolicy(Enum):
     #: bit-identical to the full scan; visiting globally promising offsets
     #: first tightens every block's best SAD early, which makes the pruning
     #: rules skip more candidates on panning scenes whose true motion sits
-    #: far from the window centre.  Degrades to ``SPIRAL`` behaviour on
-    #: genuinely fractional float frames (no exact integer tables to rank
-    #: with), exactly like ``PRUNED`` does.
+    #: far from the window centre.  Degrades to the spiral order and the
+    #: SAD-0 skip alone on genuinely fractional float frames (no exact
+    #: integer tables to rank with), exactly like ``PRUNED`` does.
     HISTOGRAM = "histogram"
 
 
@@ -275,7 +275,7 @@ class BlockMatcher:
     def _exhaustive(self, kernel: SadKernel) -> Tuple[np.ndarray, np.ndarray]:
         """Candidate scan over the window, with policy-dependent pruning.
 
-        All policies return bit-identical fields.  The full/spiral/pruned
+        All policies return bit-identical fields.  The full and pruned
         policies visit candidates in the same nearest-to-zero order and
         update only on *strict* SAD improvement, so their pruning rules
         (skip a block whose best SAD is 0; skip a block whose partial-sum
@@ -299,7 +299,7 @@ class BlockMatcher:
 
         # The histogram policy ranks candidates by their global partial-sum
         # SAD score; it needs the exact-integer tables and degrades to the
-        # spiral order (and spiral behaviour) on fractional float frames.
+        # spiral order on fractional float frames.
         ranked = policy is SearchPolicy.HISTOGRAM and kernel.supports_lower_bound
         ranks = np.arange(len(offsets), dtype=np.int64)
         if ranked:
@@ -309,7 +309,6 @@ class BlockMatcher:
         if kernel.supports_fused:
             policy_code = {
                 SearchPolicy.FULL: kernels_numba.POLICY_FULL,
-                SearchPolicy.SPIRAL: kernels_numba.POLICY_SPIRAL,
                 SearchPolicy.PRUNED: kernels_numba.POLICY_LOWER_BOUND,
                 SearchPolicy.HISTOGRAM: kernels_numba.POLICY_LOWER_BOUND,
             }[policy]

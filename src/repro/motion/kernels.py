@@ -34,7 +34,7 @@ Two execution modes, picked automatically per frame pair:
   (:mod:`repro.motion.reference`).  Bit-identical, at float64 bandwidth.
 
 On top of the two full-grid primitives the kernel exposes the pruning
-primitives that make the spiral/pruned exhaustive-search policies cheap:
+primitives that make the pruned/histogram exhaustive-search policies cheap:
 :meth:`sad_subset` evaluates one offset for a *subset* of macroblocks, and
 :meth:`lower_bound_uniform` computes the partial-sum (triangle-inequality)
 SAD lower bound ``|sum(block) - sum(reference patch)| <= SAD`` for every

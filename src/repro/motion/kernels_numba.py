@@ -2,11 +2,11 @@
 
 This module is the optional ``numba`` kernel backend selected through
 ``PipelineSpec(kernel_backend="numba")``.  It compiles the SAD hot loops of
-:mod:`repro.motion.kernels` — the uniform/per-block/subset SAD primitives,
-the partial-sum lower bound, and the per-macroblock SAD map — plus one
-**fused exhaustive-search driver** that runs a whole pruned/histogram/spiral
-scan per macroblock in a single compiled call, eliminating the remaining
-per-candidate Python dispatch of the NumPy driver.
+:mod:`repro.motion.kernels` — the uniform/per-block/subset SAD primitives
+and the partial-sum lower bound — plus one **fused exhaustive-search
+driver** that runs a whole full/pruned/histogram scan per macroblock in a
+single compiled call, eliminating the remaining per-candidate Python
+dispatch of the NumPy driver.
 
 Scope and bit-identity contract:
 
@@ -67,8 +67,7 @@ def _jit(func):
 #: Fused-driver policy codes (kept in sync with
 #: :class:`repro.motion.block_matching.SearchPolicy` by the dispatcher).
 POLICY_FULL = 0
-POLICY_SPIRAL = 1
-POLICY_LOWER_BOUND = 2
+POLICY_LOWER_BOUND = 1
 
 
 @_jit
@@ -140,23 +139,6 @@ def lower_bound_uniform(block_sums, window_sums, d, block, dy, dx, out):
 
 
 @_jit
-def sad_map(current, reference, block_size, out):
-    """Per-macroblock zero-displacement SAD between two aligned frames."""
-    rows, cols = out.shape[0], out.shape[1]
-    for r in range(rows):
-        for c in range(cols):
-            total = np.int64(0)
-            for i in range(block_size):
-                yy = r * block_size + i
-                for j in range(block_size):
-                    xx = c * block_size + j
-                    a = np.int64(current[yy, xx])
-                    b = np.int64(reference[yy, xx])
-                    total += a - b if a >= b else b - a
-            out[r, c] = total
-
-
-@_jit
 def fused_exhaustive(
     current_blocks,
     padded,
@@ -176,7 +158,7 @@ def fused_exhaustive(
     """One-call exhaustive search over every macroblock and candidate.
 
     ``dys``/``dxs`` give the candidate offsets *in visit order* (spiral for
-    full/spiral/pruned, SAD-histogram order for the histogram policy);
+    full/pruned, SAD-histogram order for the histogram policy);
     ``ranks`` carries each candidate's spiral rank, which is the canonical
     tie-break: the winning candidate is the (SAD, spiral-rank) lexicographic
     minimum, exactly what the NumPy spiral scan with strict-improvement
@@ -185,10 +167,10 @@ def fused_exhaustive(
     block stop as soon as no remaining candidate could still win a rank tie.
 
     ``policy`` selects the pruning rules (:data:`POLICY_FULL` evaluates
-    everything, :data:`POLICY_SPIRAL` adds the SAD-0 skip,
-    :data:`POLICY_LOWER_BOUND` adds the partial-sum bound against
-    ``window_sums``).  Outputs: per-block best offset and integer SAD, plus
-    per-offset evaluation counts.  Returns ``(evaluated, lower_bound_checks)``.
+    everything, :data:`POLICY_LOWER_BOUND` adds the SAD-0 skip and the
+    partial-sum bound against ``window_sums``).  Outputs: per-block best
+    offset and integer SAD, plus per-offset evaluation counts.  Returns
+    ``(evaluated, lower_bound_checks)``.
     """
     rows, cols = current_blocks.shape[0], current_blocks.shape[1]
     block = current_blocks.shape[2]

@@ -9,7 +9,8 @@ perf microbenchmarks measure the vectorized engine against.
 
 Frames passed in must already be padded to a multiple of the block size
 (callers go through :func:`scalar_estimate`, which pads the same way the
-matcher does).
+matcher does).  :func:`sum_of_absolute_differences` is the matching metric
+itself on one block pair.
 """
 
 from __future__ import annotations
@@ -20,6 +21,20 @@ from typing import Tuple
 import numpy as np
 
 from .motion_field import MacroblockGrid, MotionField
+
+
+def sum_of_absolute_differences(block_a: np.ndarray, block_b: np.ndarray) -> float:
+    """Return the SAD between two equally-sized pixel blocks.
+
+    Both blocks are interpreted as luma intensities in ``[0, 255]``.  The SAD
+    is the paper's block-matching metric (Sec. 2.3) and also drives the
+    motion-vector confidence of Eq. 2.
+    """
+    if block_a.shape != block_b.shape:
+        raise ValueError(
+            f"SAD requires equally shaped blocks, got {block_a.shape} vs {block_b.shape}"
+        )
+    return float(np.abs(block_a.astype(np.float64) - block_b.astype(np.float64)).sum())
 
 
 def _block_sad(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.isp.denoise import TemporalDenoiseConfig, TemporalDenoiseStage
 from repro.isp.framebuffer import DEFAULT_FRAME_FORMAT, FixedPointFormat
 from repro.isp.pipeline import ISPConfig, ISPPipeline
 from repro.isp.sensor import CameraSensor
@@ -114,24 +113,6 @@ class TestQuantizedStages:
 
 
 class TestPipelineRidesIntegerKernel:
-    def test_denoise_float_matching_uses_fixed_point_lattice(self):
-        """quantize_matching=False no longer falls onto the float64 gather."""
-        rng = np.random.default_rng(3)
-        stage = TemporalDenoiseStage(TemporalDenoiseConfig(quantize_matching=False))
-        stage.process(rng.uniform(0, 255, (64, 96)))
-        stage.process(rng.uniform(0, 255, (64, 96)))
-        assert stage._matcher.last_kernel_exact
-        assert stage._matcher.last_kernel_scale == DEFAULT_FRAME_FORMAT.scale
-
-    def test_denoise_legacy_float_domain_still_available(self):
-        rng = np.random.default_rng(4)
-        stage = TemporalDenoiseStage(
-            TemporalDenoiseConfig(quantize_matching=False, matching_format=None)
-        )
-        stage.process(rng.uniform(0, 255, (64, 96)))
-        stage.process(rng.uniform(0, 255, (64, 96)))
-        assert not stage._matcher.last_kernel_exact
-
     def test_raw_path_motion_estimation_is_exact_integer(self):
         rng = np.random.default_rng(5)
         sensor = CameraSensor(seed=1)

@@ -245,7 +245,7 @@ class TestBackendEquivalence:
     def test_flat_frame_early_exit_accounting(self, active_numba):
         """The fused driver's work accounting matches the numpy driver's."""
         flat = np.full((32, 32), 200, dtype=np.uint8)
-        for policy in (SearchPolicy.SPIRAL, SearchPolicy.PRUNED, SearchPolicy.HISTOGRAM):
+        for policy in (SearchPolicy.PRUNED, SearchPolicy.HISTOGRAM):
             matcher, field = _estimate(flat, flat, policy, "numba", 8, 3)
             assert field.max_magnitude() == 0.0
             stats = matcher.last_search_stats

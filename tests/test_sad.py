@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.motion.sad import normalized_sad, sad_map, sum_of_absolute_differences
+from repro.motion import sum_of_absolute_differences
 
 
 class TestSAD:
@@ -29,51 +29,3 @@ class TestSAD:
         assert sum_of_absolute_differences(a, b) == pytest.approx(
             sum_of_absolute_differences(b, a)
         )
-
-
-class TestNormalizedSAD:
-    def test_maximum_difference_is_one(self):
-        a = np.zeros((8, 8))
-        b = np.full((8, 8), 255.0)
-        assert normalized_sad(a, b) == pytest.approx(1.0)
-
-    def test_identical_is_zero(self):
-        a = np.full((8, 8), 42.0)
-        assert normalized_sad(a, a) == 0.0
-
-    def test_bounded(self):
-        rng = np.random.default_rng(1)
-        a = rng.uniform(0, 255, (16, 16))
-        b = rng.uniform(0, 255, (16, 16))
-        assert 0.0 <= normalized_sad(a, b) <= 1.0
-
-
-class TestSADMap:
-    def test_per_block_values(self):
-        current = np.zeros((8, 8))
-        reference = np.zeros((8, 8))
-        reference[:4, :4] = 2.0  # only the top-left 4x4 block differs
-        result = sad_map(current, reference, 4)
-        assert result.shape == (2, 2)
-        assert result[0, 0] == 32.0
-        assert result[0, 1] == 0.0
-        assert result[1, 0] == 0.0
-        assert result[1, 1] == 0.0
-
-    def test_rejects_mismatched_shapes(self):
-        with pytest.raises(ValueError):
-            sad_map(np.zeros((8, 8)), np.zeros((8, 4)), 4)
-
-    def test_non_multiple_frames_are_edge_padded(self):
-        """Partial edge blocks count as full blocks, like the BlockMatcher."""
-        current = np.zeros((10, 10))
-        reference = np.full((10, 10), 1.0)
-        result = sad_map(current, reference, 4)
-        assert result.shape == (3, 3)
-        # Edge padding replicates the last row/column, so every padded block
-        # still differs by 1.0 per pixel over a full 4x4 block.
-        assert np.all(result == 16.0)
-
-    def test_rejects_non_positive_block(self):
-        with pytest.raises(ValueError):
-            sad_map(np.zeros((8, 8)), np.zeros((8, 8)), 0)

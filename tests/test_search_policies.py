@@ -1,6 +1,6 @@
 """Equivalence tests for the exhaustive-search candidate-scan policies.
 
-The spiral and pruned policies must return *bit-identical* motion fields to
+The pruned and histogram policies must return *bit-identical* motion fields to
 the full scan and to the scalar reference oracle — same argmin, same SAD —
 because their pruning rules only skip candidates that provably cannot
 strictly improve a block's best SAD.  These property tests drive all three
@@ -123,10 +123,10 @@ class TestPolicyEquivalence:
         for _matcher, field in fields.values():
             assert field.max_magnitude() == 0.0
             assert np.all(field.sad == 0.0)
-        # The spiral early-exit fires after the seeding (0, 0) evaluation:
+        # The SAD-0 early exit fires after the seeding (0, 0) evaluation:
         # all 224 remaining offsets are skipped, and the accounting says so.
         # The histogram policy pins (0, 0) first too, so it exits the same way.
-        for policy in (SearchPolicy.SPIRAL, SearchPolicy.PRUNED, SearchPolicy.HISTOGRAM):
+        for policy in (SearchPolicy.PRUNED, SearchPolicy.HISTOGRAM):
             stats = fields[policy][0].last_search_stats
             assert stats.candidates_evaluated == stats.candidates_total // 225
             assert stats.offsets_skipped == 224
@@ -142,11 +142,11 @@ class TestPolicyWorkAccounting:
         current = canvas[2 : 98, 3 : 131].astype(np.uint8)
         fields = _policy_fields(current, previous, 16, 7)
         full_stats = fields[SearchPolicy.FULL][0].last_search_stats
-        spiral_stats = fields[SearchPolicy.SPIRAL][0].last_search_stats
         pruned_stats = fields[SearchPolicy.PRUNED][0].last_search_stats
+        histogram_stats = fields[SearchPolicy.HISTOGRAM][0].last_search_stats
         assert full_stats.candidates_evaluated == full_stats.candidates_total
-        assert spiral_stats.candidates_evaluated < full_stats.candidates_total
-        assert pruned_stats.candidates_evaluated <= spiral_stats.candidates_evaluated
+        assert pruned_stats.candidates_evaluated < full_stats.candidates_total
+        assert histogram_stats.candidates_evaluated < full_stats.candidates_total
         assert pruned_stats.lower_bound_checks > 0
 
     def test_full_policy_operation_count_matches_analytical(self):
@@ -161,8 +161,8 @@ class TestPolicyWorkAccounting:
         assert matcher.last_operation_count == expected
 
     def test_search_policy_accepts_strings(self):
-        config = BlockMatchingConfig(search_policy="spiral")
-        assert config.search_policy is SearchPolicy.SPIRAL
+        config = BlockMatchingConfig(search_policy="histogram")
+        assert config.search_policy is SearchPolicy.HISTOGRAM
         with pytest.raises(ValueError):
             BlockMatchingConfig(search_policy="bogus")
 
@@ -185,11 +185,10 @@ class TestSearchPolicyComparison:
             policy: (fraction, ops, identical, backend)
             for policy, fraction, ops, identical, backend in rows
         }
-        assert set(by_policy) == {"full", "spiral", "pruned", "histogram"}
+        assert set(by_policy) == {"full", "pruned", "histogram"}
         assert all(identical for _f, _o, identical, _b in by_policy.values())
         # The numba backend was not requested, so numpy must have run.
         assert all(backend == "numpy" for _f, _o, _i, backend in by_policy.values())
         assert by_policy["full"][0] == 1.0
         assert by_policy["pruned"][1] < by_policy["full"][1]
-        assert by_policy["spiral"][1] < by_policy["full"][1]
         assert by_policy["histogram"][1] < by_policy["full"][1]

@@ -108,6 +108,10 @@ class TestServerFaults:
                 handle=1, stream="rude", width=seq_obj.width, height=seq_obj.height
             )
             _stream_all(rude, 1, seq_obj, range(10))
+            # Closing with acks left unread resets the connection, and a
+            # reset discards whatever the server has not read yet; a STATS
+            # round trip first proves all ten frames were accepted.
+            rude.stats()
             rude.close()  # vanish mid-stream: no BYE
 
             with ServeClient("127.0.0.1", server.port) as polite:

@@ -46,7 +46,7 @@ def run_streamed(spec, backend, sequence, **submit_kwargs):
         PipelineSpec(extrapolation_window=4, sub_roi_grid=(1, 1)),
         PipelineSpec(extrapolation_window="adaptive"),
         PipelineSpec(extrapolation_window=2, exhaustive_search=True, search_policy="full"),
-        PipelineSpec(extrapolation_window=2, exhaustive_search=True, search_policy="spiral"),
+        PipelineSpec(extrapolation_window=2, exhaustive_search=True, search_policy="histogram"),
         PipelineSpec(extrapolation_window=2, exhaustive_search=True, search_policy="pruned"),
     ],
     ids=lambda spec: spec.describe(),

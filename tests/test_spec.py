@@ -73,13 +73,13 @@ class TestFromKwargs:
             block_size=8,
             search_range=3,
             exhaustive_search=True,
-            search_policy="spiral",
+            search_policy="histogram",
             sub_roi_grid=(1, 1),
             expose_motion_vectors=False,
         )
         assert spec.extrapolation_window == "adaptive"
         assert spec.block_size == 8
-        assert spec.search_policy == "spiral"
+        assert spec.search_policy == "histogram"
         assert not spec.expose_motion_vectors
 
     def test_unknown_kwarg_is_a_type_error(self):
@@ -170,7 +170,7 @@ class TestBuild:
             block_size=32,
             search_range=5,
             exhaustive_search=True,
-            search_policy="spiral",
+            search_policy="histogram",
             kernel_backend="numba",
             sub_roi_grid=(1, 2),
             expose_motion_vectors=False,
@@ -180,7 +180,7 @@ class TestBuild:
         assert config.block_matching.block_size == 32
         assert config.block_matching.search_range == 5
         assert config.block_matching.strategy is SearchStrategy.EXHAUSTIVE
-        assert config.block_matching.search_policy is SearchPolicy.SPIRAL
+        assert config.block_matching.search_policy is SearchPolicy.HISTOGRAM
         assert config.block_matching.kernel_backend == "numba"
         assert config.extrapolation.sub_roi_grid == (1, 2)
         assert not config.expose_motion_vectors
