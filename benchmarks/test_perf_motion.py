@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.harness.perf import benchmark_motion_estimation, synthetic_luma_sequence
-from repro.harness.trajectory import DEFAULT_FLOORS
 from repro.motion.block_matching import BlockMatcher, BlockMatchingConfig
 from repro.motion.reference import scalar_estimate
 
@@ -35,7 +34,7 @@ def test_vectorized_tss_at_least_10x_scalar_at_720p():
     assert entry["speedup"] >= 10.0, f"only {entry['speedup']:.1f}x"
 
 
-def test_pruned_es_meets_its_floor_at_720p():
+def test_pruned_es_at_least_2x_full_es_at_720p():
     """The search-policy acceptance floor: pruning must pay for itself."""
     payload = benchmark_motion_estimation(
         resolutions={"720p": (720, 1280)},
@@ -44,8 +43,7 @@ def test_pruned_es_meets_its_floor_at_720p():
         include_fixed_point=False,
     )
     entry = payload["results"][0]
-    floor = DEFAULT_FLOORS["min_es_pruned_speedup_vs_full_720p"]
-    assert entry["es_pruned_speedup_vs_full"] >= floor, (
+    assert entry["es_pruned_speedup_vs_full"] >= 2.0, (
         f"only {entry['es_pruned_speedup_vs_full']:.1f}x"
     )
     # Pruning skips most of the window on matchable content.

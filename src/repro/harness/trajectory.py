@@ -6,11 +6,12 @@ to the trajectory document::
     {"schema": 2, "floors": {"<key>": <number>, ...}, "entries": [...]}
 
 :func:`stamp` records the provenance that makes an entry reproducible
-(date, preset, git SHA, CPU model, core count, Python/numpy versions, and
-the kernel backend both requested and active), and :func:`check_floors`
-checks an entry against every stored floor from the one :data:`FLOORS`
-table.  The ``floors`` object in the committed file is authoritative;
-:data:`DEFAULT_FLOORS` only seeds a fresh file.
+(date, preset, git SHA — marked ``-dirty`` for uncommitted code — CPU
+model, core count, Python/numpy versions, and the kernel backend both
+requested and active), and :func:`check_floors` checks an entry against
+every stored floor from the one :data:`FLOORS` table.  The ``floors``
+object in the committed file is authoritative; :data:`DEFAULT_FLOORS`
+only seeds a fresh file.
 """
 
 from __future__ import annotations
@@ -153,14 +154,32 @@ def append_entry(path: Path, entry: dict) -> dict:
     return document
 
 
-def _git_sha() -> str:
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True, timeout=10
+#: The ``repro`` package directory: the code every bench measures.
+PACKAGE_DIR = Path(__file__).resolve().parents[1]
+
+
+def git_sha(package_dir: Path = PACKAGE_DIR) -> str:
+    """HEAD of the checkout holding ``package_dir``, ``-dirty`` if it differs.
+
+    The suffix marks a package directory whose files differ from HEAD, so an
+    entry measured on uncommitted code never names a commit that lacks it.
+    Files outside the package (the trajectory itself, docs) do not count.
+    """
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["git", *args], cwd=package_dir, capture_output=True, text=True, timeout=10
         )
+
+    try:
+        head = git("rev-parse", "HEAD")
+        status = git("status", "--porcelain", "--", ".")
     except (OSError, subprocess.SubprocessError):
         return "unknown"
-    return completed.stdout.strip() if completed.returncode == 0 else "unknown"
+    if head.returncode != 0 or status.returncode != 0:
+        return "unknown"
+    sha = head.stdout.strip()
+    return f"{sha}-dirty" if status.stdout.strip() else sha
 
 
 def _cpu_model() -> str:
@@ -179,7 +198,7 @@ def stamp(entry: dict, preset: str, kernel_backend: str) -> dict:
         {
             "date": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
             "preset": preset,
-            "git_sha": _git_sha(),
+            "git_sha": git_sha(),
             "cpu_model": _cpu_model(),
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
@@ -247,6 +266,7 @@ __all__ = [
     "append_entry",
     "applicable_floors",
     "check_floors",
+    "git_sha",
     "load_trajectory",
     "stamp",
 ]

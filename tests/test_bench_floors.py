@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from repro.harness.trajectory import (
     FLOORS,
     append_entry,
     check_floors,
+    git_sha,
     load_trajectory,
     stamp,
 )
@@ -203,6 +206,43 @@ class TestProvenance:
         assert entry["preset"] == "ci"
         assert entry["kernel_backend"] == "numba"
         assert entry["kernel_backend_active"] == resolve_kernel_backend("numba")
+
+    @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+    def test_git_sha_marks_uncommitted_package_code_dirty(self, tmp_path):
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=tmp_path,
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout.strip()
+
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "kernel.py").write_text("SPEED = 1\n")
+        (tmp_path / "BENCH.json").write_text("{}\n")
+        git("init", "-q")
+        git("add", ".")
+        git("commit", "-q", "-m", "seed")
+        head = git("rev-parse", "HEAD")
+        assert git_sha(package) == head
+
+        # Appending to the trajectory does not change the measured code.
+        (tmp_path / "BENCH.json").write_text('{"entries": []}\n')
+        assert git_sha(package) == head
+
+        (package / "kernel.py").write_text("SPEED = 2\n")
+        assert git_sha(package) == f"{head}-dirty"
+        git("commit", "-q", "-am", "faster")
+        assert git_sha(package) == git("rev-parse", "HEAD")
+
+        (package / "new_kernel.py").write_text("SPEED = 3\n")
+        assert git_sha(package).endswith("-dirty")
+
+    def test_git_sha_outside_a_checkout_is_unknown(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        assert git_sha(tmp_path) == "unknown"
 
 
 class TestBenchCommand:
