@@ -48,8 +48,9 @@ def test_ci_preset_under_p99_ceiling():
     # Drops became sealed gaps, visible in the fault counters.
     assert entry["fault_totals"]["gaps"] > 0
     assert entry["fault_totals"]["reordered"] > 0
+    # Every processed frame was acked; BYE answers only after its acks.
+    assert entry["result_acks"] == entry["frames_processed"]
     # Client-observed ack latency stays under the stored ceiling.
-    assert entry["result_acks"] > 0
     assert entry["latency_p99_ms"] <= DEFAULT_FLOORS["max_serve_p99_latency_ms"], (
         f"p99 {entry['latency_p99_ms']:.1f} ms over ceiling"
     )

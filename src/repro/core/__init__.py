@@ -45,6 +45,7 @@ from .executor import (
     ShardSchedule,
     StreamFailedError,
     StreamShard,
+    StreamStats,
 )
 from .ingest import (
     AdmissionError,
@@ -52,17 +53,12 @@ from .ingest import (
     IngestCore,
     ProtocolError,
     ReorderWindow,
-    StreamFaults,
 )
 from .pipeline import EuphratesConfig, EuphratesPipeline
 from .server import EuphratesServer, ServeClient, ServerThread
-from .session import EuphratesSession, SessionClosedError, SessionStats, StreamOracle
+from .session import EuphratesSession, SessionClosedError, StreamOracle
 from .spec import PipelineSpec
-from .streaming import (
-    MultiplexerReport,
-    StreamMultiplexer,
-    StreamStats,
-)
+from .streaming import MultiplexerReport, StreamMultiplexer
 
 __all__ = [
     "BoundingBox",
@@ -93,7 +89,6 @@ __all__ = [
     "EuphratesPipeline",
     "EuphratesSession",
     "SessionClosedError",
-    "SessionStats",
     "StreamOracle",
     "PipelineSpec",
     "StreamMultiplexer",
@@ -114,7 +109,6 @@ __all__ = [
     "IngestCore",
     "ProtocolError",
     "ReorderWindow",
-    "StreamFaults",
     "EuphratesServer",
     "ServeClient",
     "ServerThread",

@@ -34,18 +34,18 @@ import pickle
 import time
 import traceback
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from multiprocessing import get_all_start_methods, get_context, shared_memory
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .profiler import stage_seconds
 from .types import Detection, FrameKind, FrameTelemetry, SequenceResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..video.sequence import VideoSequence
     from .pipeline import EuphratesPipeline
-    from .session import SessionStats
 
 
 #: Scheduling policies: ``fair`` is the round-robin fair-share scheduler;
@@ -141,6 +141,107 @@ class FrameRecord:
     busy_s: float
     wait_s: float
     telemetry: Optional[FrameTelemetry]
+
+
+#: :class:`StreamStats` counters the serving layers increment, reported
+#: under ``faults`` by :meth:`StreamStats.as_dict`.
+_FAULT_KEYS = (
+    "duplicates",
+    "late_drops",
+    "reordered",
+    "gaps",
+    "overload_drops",
+    "degraded_submits",
+    "frame_errors",
+    "acks_shed",
+)
+
+
+@dataclass
+class StreamStats:
+    """The one per-stream stats record (the executor's registry entry).
+
+    The executor counts submits and folds every :class:`FrameRecord`; the
+    multiplexer tracks queue depth; the ingest core and the server count
+    their faults on the same object.  :meth:`as_dict` is the one shape
+    every report (STATS, BYE_OK, ``bench stream`` rows) is built from.
+    """
+
+    name: str
+    frames_submitted: int = 0
+    frames_processed: int = 0
+    inference_frames: int = 0
+    extrapolation_frames: int = 0
+    #: Frames processed under duress (telemetry carried a degradation tag:
+    #: ``dropped-frame-gap``, ``deferred-inference``, ``queue-degrade``...).
+    degraded_frames: int = 0
+    #: Seconds spent inside ``session.submit`` for this stream.
+    busy_s: float = 0.0
+    #: Seconds frames spent queued before the scheduler picked them.
+    wait_s: float = 0.0
+    max_queue_depth: int = 0
+    #: Per-stage wall-clock seconds accumulated from frame telemetry
+    #: (keys from :data:`repro.core.profiler.STAGE_NAMES`).
+    stage_s: Dict[str, float] = field(default_factory=dict)
+    #: Reorder-window faults: dropped repeats, arrivals behind the
+    #: delivery point, out-of-order arrivals, and sealed gaps (overload
+    #: drops seal one too).
+    duplicates: int = 0
+    late_drops: int = 0
+    reordered: int = 0
+    gaps: int = 0
+    #: Ready-queue overload: frames shed (``drop-oldest``) and frames
+    #: submitted with inference deferred (``degrade``).
+    overload_drops: int = 0
+    degraded_submits: int = 0
+    #: FRAME messages refused (dimensions differ from the HELLO).
+    frame_errors: int = 0
+    #: RESULT acks shed on a full connection outbox.
+    acks_shed: int = 0
+
+    @property
+    def pending(self) -> int:
+        return self.frames_submitted - self.frames_processed
+
+    @property
+    def inference_rate(self) -> float:
+        if not self.frames_processed:
+            return 0.0
+        return self.inference_frames / self.frames_processed
+
+    @property
+    def mean_service_latency_s(self) -> float:
+        """Mean per-frame processing time (excluding queueing delay)."""
+        if not self.frames_processed:
+            return 0.0
+        return self.busy_s / self.frames_processed
+
+    @property
+    def mean_queue_wait_s(self) -> float:
+        if not self.frames_processed:
+            return 0.0
+        return self.wait_s / self.frames_processed
+
+    def fold(self, record: FrameRecord) -> None:
+        """Account one processed frame."""
+        self.frames_processed += 1
+        if record.kind is FrameKind.INFERENCE:
+            self.inference_frames += 1
+        else:
+            self.extrapolation_frames += 1
+        self.busy_s += record.busy_s
+        self.wait_s += record.wait_s
+        if record.telemetry is not None:
+            if record.telemetry.degradation:
+                self.degraded_frames += 1
+            for stage, seconds in stage_seconds(record.telemetry).items():
+                self.stage_s[stage] = self.stage_s.get(stage, 0.0) + seconds
+
+    def as_dict(self) -> Dict[str, object]:
+        """Every counter, JSON-ready; the fault counters nest under ``faults``."""
+        row = asdict(self)
+        row["faults"] = {key: row.pop(key) for key in _FAULT_KEYS}
+        return row
 
 
 class ShardError(RuntimeError):
@@ -730,7 +831,7 @@ class StreamShard:
             records.extend(round_records)
         return records
 
-    def finish_stream(self, key: str) -> Tuple[SequenceResult, "SessionStats"]:
+    def finish_stream(self, key: str) -> SequenceResult:
         stream = self.stream(key)
         if stream.queue:
             raise RuntimeError(
@@ -746,10 +847,9 @@ class StreamShard:
                 frames=result.frames,
                 telemetry=list(stream.kept_telemetry),
             )
-        stats = stream.session.stats
         del self._streams[key]
         self._order.remove(key)
-        return result, stats
+        return result
 
 
 # ----------------------------------------------------------------------
@@ -770,7 +870,7 @@ def _shard_worker_main(
       truth, force, defer, note)``, ``("drain",)``, ``("finish", key)``,
       ``("stop",)``.
     * worker -> main: ``("opened", key)``, ``("records", [FrameRecord])``,
-      ``("drained", shard)``, ``("finished", key, result, stats)``,
+      ``("drained", shard)``, ``("finished", key, result)``,
       ``("stream_error", key, traceback)``, ``("error", shard, traceback)``.
 
     With ``isolate_failures`` a session exception fails only its stream
@@ -839,11 +939,11 @@ def _shard_worker_main(
                 if key in core.stream_failures:
                     conn.send(("stream_error", key, core.stream_failures[key]))
                     return "continue"
-                result, stats = core.finish_stream(key)
+                result = core.finish_stream(key)
             except Exception:
                 conn.send(("error", shard_name, traceback.format_exc()))
                 return "pause"
-            conn.send(("finished", key, result, stats))
+            conn.send(("finished", key, result))
             return "continue"
         conn.send(("error", shard_name, f"unknown message tag {message[0]!r}"))
         return "pause"
@@ -997,7 +1097,7 @@ class _ProcessShard:
         child_conn.close()
         self._records: List[FrameRecord] = []
         self._opened: set = set()
-        self._finished: Dict[str, tuple] = {}
+        self._finished: Dict[str, SequenceResult] = {}
         self._pending: Dict[str, int] = {}
         self._drained = False
         #: key -> traceback text for streams the worker failed in isolation.
@@ -1032,7 +1132,7 @@ class _ProcessShard:
                     self._pending[record.key] -= 1
             self._records.extend(message[1])
         elif tag == "finished":
-            self._finished[message[1]] = (message[2], message[3])
+            self._finished[message[1]] = message[2]
         elif tag == "drained":
             self._drained = True
         elif tag == "opened":
@@ -1155,7 +1255,10 @@ class ShardedExecutor:
     changes outputs), :meth:`submit` hands it frames, :meth:`pump` /
     :meth:`drain` collect completed :class:`FrameRecord` batches, and
     :meth:`finish_stream` closes one stream and returns its
-    :class:`~repro.core.types.SequenceResult` plus session stats.
+    :class:`~repro.core.types.SequenceResult` plus its :class:`StreamStats`.
+    The executor owns the per-stream stats registry: it counts every
+    submit and folds every record it hands out, and :meth:`stats_for`
+    keeps a stream's entry readable after it finishes.
     :meth:`run_sequences` wraps that cycle for batch sweeps; the serving
     front end (:class:`~repro.core.ingest.IngestCore` via
     :class:`~repro.core.streaming.StreamMultiplexer`) drives it
@@ -1197,7 +1300,7 @@ class ShardedExecutor:
         self._sources: Dict[str, "VideoSequence"] = {}
         self._assignment: Dict[str, object] = {}
         self._order: List[str] = []
-        self._submitted: Dict[str, int] = {}
+        self._stats: Dict[str, StreamStats] = {}
         self._stray_records: List[FrameRecord] = []
         #: key -> reason for streams lost to an isolated failure (their own
         #: session crashing, or their shard's worker process dying).
@@ -1271,7 +1374,14 @@ class ShardedExecutor:
         shard.open_stream(key, **kwargs)
         self._assignment[key] = shard
         self._order.append(key)
-        self._submitted[key] = 0
+        self._stats[key] = StreamStats(name=key)
+
+    def stats_for(self, key: str) -> StreamStats:
+        """The stream's registry entry (kept after it finishes)."""
+        try:
+            return self._stats[key]
+        except KeyError:
+            raise KeyError(f"unknown stream '{key}'") from None
 
     def shard_of(self, key: str):
         try:
@@ -1310,7 +1420,6 @@ class ShardedExecutor:
         if key in self._order:
             self._order.remove(key)
         self._sources.pop(key, None)
-        self._submitted.pop(key, None)
 
     def _raise_failed(self, key: str) -> None:
         raise StreamFailedError(key, self._failures[key])
@@ -1333,11 +1442,12 @@ class ShardedExecutor:
         if shard.failure is not None:
             self._shard_failed(shard, ShardError(shard.failure))
             self._raise_failed(key)
+        stats = self._stats[key]
         source = self._sources.get(key)
         if source is not None and truth is None:
             # Sequence-bound streams on worker shards: the oracle needs the
             # truth a sequence-bound session would have read itself.
-            truth = source.truth_detections(self._submitted[key])
+            truth = source.truth_detections(stats.frames_submitted)
         payload = self.transport.send(frame)
         try:
             shard.submit(
@@ -1351,7 +1461,7 @@ class ShardedExecutor:
                 release(payload)
             self._shard_failed(shard, error)
             self._raise_failed(key)
-        self._submitted[key] += 1
+        stats.frames_submitted += 1
 
     def pending_for(self, key: str) -> int:
         if key in self._failures:
@@ -1376,6 +1486,11 @@ class ShardedExecutor:
         return total
 
     # -- scheduling ------------------------------------------------------
+    def _fold(self, records: List[FrameRecord]) -> List[FrameRecord]:
+        for record in records:
+            self._stats[record.key].fold(record)
+        return records
+
     def pump(self) -> List[FrameRecord]:
         """Collect one round of progress from every shard.
 
@@ -1389,7 +1504,7 @@ class ShardedExecutor:
             if shard.failure is not None:
                 continue
             try:
-                records.extend(shard.collect())
+                records.extend(self._fold(shard.collect()))
             except ShardError as error:
                 self._shard_failed(shard, error)
         self._sync_failures()
@@ -1403,14 +1518,14 @@ class ShardedExecutor:
             if shard.failure is not None:
                 continue
             try:
-                records.extend(shard.drain())
+                records.extend(self._fold(shard.drain()))
             except ShardError as error:
                 self._shard_failed(shard, error)
         self._sync_failures()
         return records
 
-    def finish_stream(self, key: str) -> Tuple[SequenceResult, "SessionStats"]:
-        """Close one stream and return its (result, session stats).
+    def finish_stream(self, key: str) -> Tuple[SequenceResult, StreamStats]:
+        """Close one stream and return its (result, stats).
 
         Records produced while the stream's shard catches up are kept and
         handed out by the next :meth:`pump`/:meth:`drain` call, so clients
@@ -1424,7 +1539,7 @@ class ShardedExecutor:
             self._raise_failed(key)
         shard = self.shard_of(key)
         try:
-            result, stats = shard.finish_stream(key)
+            result = shard.finish_stream(key)
         except StreamFailedError as error:
             self._failures.setdefault(key, str(error))
             self._forget(key)
@@ -1435,20 +1550,16 @@ class ShardedExecutor:
             self._raise_failed(key)
         if shard.is_process:
             try:
-                self._stray_records.extend(shard.collect())
+                self._stray_records.extend(self._fold(shard.collect()))
             except ShardError as error:
                 self._shard_failed(shard, error)
-            # Worker sessions report their finish to the *worker's* pipeline
-            # copy; mirror the op total onto the client-side pipeline, which
-            # is the aggregate run_dataset and the sweeps report on.
-            self.pipeline.total_extrapolation_ops += stats.extrapolation_ops
         self._forget(key)
-        return result, stats
+        return result, self._stats[key]
 
     # -- whole-dataset convenience --------------------------------------
     def run_sequences(
         self, sequences: Sequence["VideoSequence"], *, max_outstanding: int = 64
-    ) -> List[Tuple[SequenceResult, "SessionStats"]]:
+    ) -> List[Tuple[SequenceResult, StreamStats]]:
         """Run one stream per sequence to completion; results in order.
 
         Frames are interleaved round-robin across the sequences so every

@@ -23,7 +23,8 @@ produce results bit-identical to feeding the same surviving subsequence —
 with an I-frame forced at every gap — to a serial
 :class:`~repro.core.session.EuphratesSession`.  Degradation is observable
 but never silent: every drop, deferral and gap lands in
-:class:`~repro.core.types.FrameTelemetry` / the stream's fault counters.
+:class:`~repro.core.types.FrameTelemetry` and the fault counters of the
+stream's :class:`~repro.core.executor.StreamStats` registry entry.
 
 Admission control prices a new stream on the
 :class:`~repro.soc.frame_cost.CapacityModel` M/D/1 budget: a stream is
@@ -54,7 +55,7 @@ from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequenc
 
 import numpy as np
 
-from .executor import FrameRecord, StreamFailedError
+from .executor import FrameRecord, StreamFailedError, StreamStats
 from .geometry import BoundingBox
 from .types import Detection, SequenceResult
 
@@ -79,7 +80,6 @@ __all__ = [
     "IngestCore",
     "ProtocolError",
     "ReorderWindow",
-    "StreamFaults",
     "decode_frame",
     "decode_json",
     "encode_frame",
@@ -108,6 +108,8 @@ _FRAME_HEAD = struct.Struct(">IIHHI")
 
 #: Refuse absurd lengths before allocating (64 MiB >> any 1080p frame).
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
+#: FRAME carries height and width as u16.
+MAX_FRAME_SIDE = 0xFFFF
 
 
 class ProtocolError(ValueError):
@@ -245,19 +247,24 @@ class ReorderWindow:
     which is flagged ``gap=True`` so the pipeline can force an I-frame —
     extrapolating across dropped frames would violate EVA²'s temporal
     assumption.  Duplicates and frames older than the delivery point are
-    dropped (counted, never delivered twice).
+    dropped (counted, never delivered twice).  The counters live on
+    ``stats`` (the stream's registry entry when the ingest core owns the
+    window).
     """
 
-    def __init__(self, window: int = 8) -> None:
+    def __init__(self, window: int = 8, stats: Optional[StreamStats] = None) -> None:
         if window < 1:
             raise ValueError(f"reorder window must be >= 1, got {window}")
         self.window = window
         self.next_seq = 0
         self._buffer: Dict[int, object] = {}
-        self.duplicates = 0
-        self.late_drops = 0
-        self.reordered = 0
-        self.gaps = 0
+        self.stats = stats if stats is not None else StreamStats(name="reorder")
+
+    # Read-only views of the window's counters on ``stats``.
+    duplicates = property(lambda self: self.stats.duplicates)
+    late_drops = property(lambda self: self.stats.late_drops)
+    reordered = property(lambda self: self.stats.reordered)
+    gaps = property(lambda self: self.stats.gaps)
 
     @property
     def buffered(self) -> int:
@@ -266,13 +273,13 @@ class ReorderWindow:
     def push(self, seq: int, item: object) -> List[Tuple[int, object, bool]]:
         """Accept one arrival; return ``(seq, item, gap)`` ready in order."""
         if seq < self.next_seq:
-            self.late_drops += 1
+            self.stats.late_drops += 1
             return []
         if seq in self._buffer:
-            self.duplicates += 1
+            self.stats.duplicates += 1
             return []
         if seq != self.next_seq:
-            self.reordered += 1
+            self.stats.reordered += 1
         self._buffer[seq] = item
         released = self._release_contiguous()
         while len(self._buffer) > self.window:
@@ -290,7 +297,7 @@ class ReorderWindow:
 
     def _seal_gap(self) -> List[Tuple[int, object, bool]]:
         earliest = min(self._buffer)
-        self.gaps += 1
+        self.stats.gaps += 1
         self.next_seq = earliest + 1
         return [(earliest, self._buffer.pop(earliest), True)]
 
@@ -348,46 +355,33 @@ class IngestConfig:
             raise ValueError("feed_depth must be >= 1")
 
 
-@dataclass
-class StreamFaults:
-    """Per-stream fault/degradation counters (all observe-only)."""
-
-    duplicates: int = 0
-    late_drops: int = 0
-    reordered: int = 0
-    gaps: int = 0
-    overload_drops: int = 0
-    degraded_submits: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "duplicates": self.duplicates,
-            "late_drops": self.late_drops,
-            "reordered": self.reordered,
-            "gaps": self.gaps,
-            "overload_drops": self.overload_drops,
-            "degraded_submits": self.degraded_submits,
-        }
-
-
 class _IngestStream:
     """Server-side state of one admitted camera stream."""
 
-    def __init__(self, stream_id: str, config: IngestConfig, demand) -> None:
+    def __init__(
+        self,
+        stream_id: str,
+        shape: Tuple[int, int],
+        demand,
+        stats: StreamStats,
+        reorder_window: int,
+    ) -> None:
         self.stream_id = stream_id
-        self.config = config
+        #: (height, width) declared at open; every frame must match.
+        self.shape = shape
         self.demand = demand
-        self.reorder = ReorderWindow(config.reorder_window)
+        #: The stream's registry entry; fault counters land here.
+        self.stats = stats
+        self.reorder = ReorderWindow(reorder_window, stats)
         #: Reordered frames ready to enter the execution core:
         #: (source_seq, frame, truth, gap).
         self.ready: Deque[Tuple[int, np.ndarray, object, bool]] = deque()
         #: A drop (gap or overload) happened after the last submitted
         #: frame: the next submit must force an I-frame.
         self.pending_gap = False
-        self.faults = StreamFaults()
-        #: Source seqs actually submitted to the pipeline, in order.
-        self.accepted_seqs: List[int] = []
-        self.frames_submitted = 0
+        #: frame index -> source seq of submitted frames not yet recorded;
+        #: holds at most the frames in flight.
+        self.labels: Dict[int, int] = {}
         self.closed = False
 
 
@@ -413,6 +407,11 @@ class IngestCore:
     :meth:`health` expose the counters the serve protocol reports.  All
     knobs live on :class:`IngestConfig`; the byte-level framing this
     engine sits behind is specified in ``docs/wire-protocol.md``.
+
+    The core is its multiplexer's record observer.  It labels every
+    :class:`FrameRecord` with the source seq of its frame and hands the
+    ``(record, seq)`` pair to :attr:`on_record`, or buffers it for
+    :meth:`take_records` when no observer is set.
     """
 
     def __init__(
@@ -421,7 +420,7 @@ class IngestCore:
         *,
         capacity: "CapacityModel | None" = None,
         config: Optional[IngestConfig] = None,
-        on_record: "Callable[[FrameRecord], None] | None" = None,
+        on_record: "Callable[[FrameRecord, Optional[int]], None] | None" = None,
     ) -> None:
         self.multiplexer = multiplexer
         self.capacity = capacity
@@ -432,28 +431,22 @@ class IngestCore:
                 "IngestConfig(admission=False)"
             )
         self._streams: Dict[str, _IngestStream] = {}
-        self._on_record = on_record
-        previous = multiplexer.on_record
-        if previous is not None:  # pragma: no cover - defensive chaining
-
-            def chained(record: FrameRecord) -> None:
-                previous(record)
-                self._record(record)
-
-            multiplexer.on_record = chained
-        else:
-            multiplexer.on_record = self._record
-        self._record_sink: List[FrameRecord] = []
+        #: Observer of every ``(record, seq)`` pair (the server's ack hook).
+        self.on_record = on_record
+        multiplexer.on_record = self._record
+        self._record_sink: List[Tuple[FrameRecord, Optional[int]]] = []
 
     # -- observation ----------------------------------------------------
     def _record(self, record: FrameRecord) -> None:
-        if self._on_record is not None:
-            self._on_record(record)
+        stream = self._streams.get(record.key)
+        seq = stream.labels.pop(record.frame_index, None) if stream else None
+        if self.on_record is not None:
+            self.on_record(record, seq)
         else:
-            self._record_sink.append(record)
+            self._record_sink.append((record, seq))
 
-    def take_records(self) -> List[FrameRecord]:
-        """Drain buffered frame records (no ``on_record`` callback mode)."""
+    def take_records(self) -> List[Tuple[FrameRecord, Optional[int]]]:
+        """Drain buffered ``(record, seq)`` pairs (no ``on_record`` mode)."""
         records, self._record_sink = self._record_sink, []
         return records
 
@@ -484,10 +477,15 @@ class IngestCore:
 
         ``fps``/``window_size``/``rois`` describe the stream's projected
         demand for the capacity budget; extra keyword arguments go to
-        :meth:`StreamMultiplexer.add_stream`.
+        :meth:`StreamMultiplexer.add_stream`.  Each side must fit a FRAME's
+        u16 field (1..65535), or :class:`ValueError` is raised.
         """
         if stream_id in self._streams:
             raise ValueError(f"stream '{stream_id}' already exists")
+        if not (0 < width <= MAX_FRAME_SIDE and 0 < height <= MAX_FRAME_SIDE):
+            raise ValueError(
+                f"frame size {width}x{height} outside 1..{MAX_FRAME_SIDE}"
+            )
         demand = None
         if self.config.admission:
             from ..soc.frame_cost import StreamDemand
@@ -504,7 +502,13 @@ class IngestCore:
         self.multiplexer.add_stream(
             name=stream_id, width=width, height=height, **mux_kwargs
         )
-        self._streams[stream_id] = _IngestStream(stream_id, self.config, demand)
+        self._streams[stream_id] = _IngestStream(
+            stream_id,
+            (height, width),
+            demand,
+            self.multiplexer.stats_for(stream_id),
+            self.config.reorder_window,
+        )
 
     # -- frame path -----------------------------------------------------
     def _stream(self, stream_id: str) -> _IngestStream:
@@ -520,17 +524,23 @@ class IngestCore:
         frame: np.ndarray,
         truth: Optional[Sequence[Detection]] = None,
     ) -> None:
-        """One frame off the wire: reorder, queue under policy, feed."""
+        """One frame off the wire: reorder, queue under policy, feed.
+
+        A frame whose shape differs from the stream's is refused with
+        :class:`ValueError` and counted in ``frame_errors``; its seq stays
+        missing, so the reorder window seals it as a gap.
+        """
         stream = self._stream(stream_id)
         if stream.closed:
             raise RuntimeError(f"stream '{stream_id}' is closed")
-        before_gaps = stream.reorder.gaps
+        if frame.shape != stream.shape:
+            stream.stats.frame_errors += 1
+            raise ValueError(
+                f"frame shape {frame.shape} != stream '{stream_id}' shape "
+                f"{stream.shape} (height, width)"
+            )
         for rseq, item, gap in stream.reorder.push(seq, (frame, truth)):
             self._enqueue_ready(stream, rseq, item, gap)
-        stream.faults.duplicates = stream.reorder.duplicates
-        stream.faults.late_drops = stream.reorder.late_drops
-        stream.faults.reordered = stream.reorder.reordered
-        stream.faults.gaps += stream.reorder.gaps - before_gaps
         self._feed(stream)
 
     def _enqueue_ready(
@@ -545,8 +555,8 @@ class IngestCore:
             # is submitted next must seal with an I-frame.  A gap the
             # dropped frame itself carried transfers the same way.
             stream.ready.popleft()
-            stream.faults.overload_drops += 1
-            stream.faults.gaps += 1
+            stream.stats.overload_drops += 1
+            stream.stats.gaps += 1
             if stream.ready:
                 nseq, nframe, ntruth, _ = stream.ready[0]
                 stream.ready[0] = (nseq, nframe, ntruth, True)
@@ -560,11 +570,7 @@ class IngestCore:
         """Move ready frames into the execution core up to ``feed_depth``."""
         mux = self.multiplexer
         while stream.ready:
-            try:
-                in_flight = mux._executor.pending_for(stream.stream_id)
-            except KeyError:  # pragma: no cover - finished underneath us
-                break
-            if in_flight >= self.config.feed_depth:
+            if mux.pending_for(stream.stream_id) >= self.config.feed_depth:
                 break
             seq, frame, truth, gap = stream.ready.popleft()
             force = gap or stream.pending_gap
@@ -582,7 +588,8 @@ class IngestCore:
                 # like gap seals, still run).
                 defer = True
                 tags.append("queue-degrade")
-                stream.faults.degraded_submits += 1
+                stream.stats.degraded_submits += 1
+            index = stream.stats.frames_submitted
             try:
                 mux.submit(
                     stream.stream_id,
@@ -595,8 +602,7 @@ class IngestCore:
             except StreamFailedError:
                 stream.closed = True
                 raise
-            stream.accepted_seqs.append(seq)
-            stream.frames_submitted += 1
+            stream.labels[index] = seq
 
     def pump(self) -> int:
         """One scheduling round: process frames, then refill from queues."""
@@ -682,31 +688,17 @@ class IngestCore:
     def stream_ids(self) -> List[str]:
         return list(self._streams)
 
-    def faults_for(self, stream_id: str) -> StreamFaults:
-        return self._stream(stream_id).faults
-
-    def accepted_seqs(self, stream_id: str) -> List[int]:
-        """Source sequence numbers submitted to the pipeline, in order."""
-        return list(self._stream(stream_id).accepted_seqs)
-
     def stats(self) -> Dict[str, object]:
         """Health/stats snapshot (the server's /stats endpoint body)."""
         projection = self.projected_queueing()
-        streams = {}
-        for stream_id, stream in self._streams.items():
-            stats = self.multiplexer.stats_for(stream_id)
-            streams[stream_id] = {
-                "submitted": stats.frames_submitted,
-                "processed": stats.frames_processed,
-                "inference_frames": stats.inference_frames,
-                "degraded_frames": stats.degraded_frames,
+        streams = {
+            stream_id: {
+                **stream.stats.as_dict(),
                 "ready_queued": len(stream.ready),
                 "reorder_buffered": stream.reorder.buffered,
-                "faults": stream.faults.as_dict(),
-                # Per-stage wall-clock seconds (stage profiler feed), so a
-                # /stats poll shows where each stream's frame time goes.
-                "stage_s": dict(stats.stage_s),
             }
+            for stream_id, stream in self._streams.items()
+        }
         payload: Dict[str, object] = {
             "streams": streams,
             "stream_count": len(self._streams),

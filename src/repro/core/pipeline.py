@@ -72,9 +72,6 @@ class EuphratesPipeline:
         #: transport); :meth:`PipelineSpec.build` installs the spec's knobs
         #: here.  Never affects outputs, only where sessions run.
         self.execution = ExecutionSpec()
-        #: Total extrapolation operations across all processed frames (every
-        #: session this pipeline opened contributes at finish).
-        self.total_extrapolation_ops = 0.0
         # Reusable per-pipeline engine instances: constructing the ISP and
         # the extrapolator per sequence is pure overhead once a dataset has
         # hundreds of sequences, so both are built lazily and reset/retargeted
@@ -246,7 +243,6 @@ class EuphratesPipeline:
         return session
 
     def _session_finished(self, session: EuphratesSession) -> None:
-        self.total_extrapolation_ops += session.stats.extrapolation_ops
         if self._engine_lease is session:
             self._engine_lease = None
 
@@ -292,9 +288,9 @@ class EuphratesPipeline:
         each shard worker owns its sessions end-to-end and frames cross the
         process boundary over the shared-memory transport, never pickled.
 
-        Results come back in dataset order, with per-frame telemetry, and
-        extrapolation-op totals are aggregated — bit-identical to the serial
-        path for constant windows (property-tested).  Adaptive-window
+        Results come back in dataset order, with per-frame telemetry —
+        bit-identical to the serial path for constant windows
+        (property-tested).  Adaptive-window
         feedback stays local to each parallel worker: every sequence adapts
         within itself but starts from a fresh controller clone, whereas the
         serial path chains controller state from one sequence into the next
@@ -331,17 +327,13 @@ class EuphratesPipeline:
     ) -> DatasetRunResult:
         """Like :meth:`run_dataset`, but return a :class:`DatasetRunResult`.
 
-        The result object carries this run's extrapolation-op total alongside
-        the per-sequence results, which lets the experiment harness cache one
-        self-contained object per swept pipeline configuration.
+        The experiment harness caches one such self-contained object per
+        swept pipeline configuration.
         """
-        ops_before = self.total_extrapolation_ops
-        sequences = self.run_dataset(
-            dataset, max_workers=max_workers, transport=transport
-        )
         return DatasetRunResult(
-            sequences=sequences,
-            extrapolation_ops=self.total_extrapolation_ops - ops_before,
+            sequences=self.run_dataset(
+                dataset, max_workers=max_workers, transport=transport
+            )
         )
 
     # ------------------------------------------------------------------

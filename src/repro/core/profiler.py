@@ -4,11 +4,8 @@ Sessions stamp per-stage timings onto every telemetry record (a handful of
 ``time.perf_counter()`` pairs per frame — well under a microsecond against
 frame paths measured in milliseconds).  :class:`StageProfiler` folds those
 records into per-kind (I-frame vs E-frame) totals that the ``profile``
-subcommand, the pipeline bench and the multiplexer stats all render.
-
-The profiler reads the timing fields with ``getattr`` defaults so it also
-accepts telemetry produced by older emitters (worker shards running a
-previous build, pickled records) — missing stages simply read as zero.
+subcommand and the pipeline bench render; :func:`stage_seconds` also feeds
+the per-stream ``stage_s`` totals of :class:`~repro.core.executor.StreamStats`.
 """
 
 from __future__ import annotations
@@ -46,17 +43,15 @@ def stage_seconds(record: FrameTelemetry) -> Dict[str, float]:
     ``other`` is whatever the whole-frame clock saw beyond every stage.
     Both are clamped at zero so clock jitter never produces negative bars.
     """
-    isp_s = getattr(record, "isp_s", 0.0)
-    total_s = getattr(record, "total_s", 0.0)
+    isp_s = record.isp_s
     seconds = {
-        name: float(getattr(record, field_name, 0.0))
-        for name, field_name in _STAGE_FIELDS.items()
+        name: getattr(record, field_name) for name, field_name in _STAGE_FIELDS.items()
     }
     seconds["isp_other"] = max(
         0.0, isp_s - seconds["motion_search"] - seconds["denoise_blend"]
     )
     attributed = isp_s + seconds["extrapolation"] + seconds["inference"]
-    seconds["other"] = max(0.0, total_s - attributed)
+    seconds["other"] = max(0.0, record.total_s - attributed)
     return seconds
 
 
@@ -110,17 +105,9 @@ class StageProfiler:
         kind = "E" if record.kind is FrameKind.EXTRAPOLATION else "I"
         summary = self._summaries[kind]
         summary.frames += 1
-        summary.total_s += float(getattr(record, "total_s", 0.0))
+        summary.total_s += record.total_s
         for name, seconds in stage_seconds(record).items():
             summary.stage_totals[name] += seconds
-
-    def merge(self, other: "StageProfiler") -> None:
-        for kind, summary in other._summaries.items():
-            mine = self._summaries[kind]
-            mine.frames += summary.frames
-            mine.total_s += summary.total_s
-            for name, seconds in summary.stage_totals.items():
-                mine.stage_totals[name] += seconds
 
     def summary(self, kind: str) -> StageSummary:
         """The aggregate for ``kind`` (``"I"`` or ``"E"``)."""

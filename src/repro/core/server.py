@@ -13,10 +13,14 @@ module is only I/O:
 * **pump task** — one background coroutine alternates scheduling rounds
   with cooperative yields, so frame processing interleaves with socket
   I/O instead of blocking it;
-* **per-connection result queues** — each connection's RESULT acks go
-  through a bounded queue drained by a writer coroutine.  A slow consumer
-  overflows its own queue and loses (counted) acks — frame *processing*
-  is never backpressured by a client that stopped reading;
+* **per-connection outboxes** — each connection's replies go through one
+  queue drained by a writer coroutine.  A RESULT ack that finds
+  ``outbox_depth`` messages queued is shed and counted on its stream
+  (``acks_shed``); control replies always queue.  Frame *processing* is
+  never backpressured by a client that stopped reading;
+* **BYE settles before it answers** — the stream's remaining frames are
+  flushed and processed, their acks queue, and only then BYE_OK, which
+  carries the stream's :class:`~repro.core.executor.StreamStats` counters;
 * **disconnect = BYE** — a mid-stream disconnect flushes and finishes the
   connection's streams exactly like a graceful BYE, the results are just
   discarded; other connections never notice;
@@ -40,7 +44,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .executor import ShardError, StreamFailedError
+from .executor import ShardError, StreamFailedError, StreamStats
 from .ingest import (
     MSG_BYE,
     MSG_BYE_OK,
@@ -59,10 +63,9 @@ from .ingest import (
     decode_json,
     encode_frame,
     encode_json,
-    encode_message,
     read_message,
 )
-from .types import Detection, FrameKind
+from .types import Detection
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .executor import FrameRecord
@@ -78,9 +81,8 @@ class _Connection:
     writer: asyncio.StreamWriter
     #: handle (client-chosen u32) -> stream id in the ingest core.
     handles: Dict[int, str] = field(default_factory=dict)
-    #: Bounded RESULT-ack queue; a slow consumer overflows it (counted).
-    outbox: Optional[asyncio.Queue] = None
-    result_drops: int = 0
+    #: Outbound messages; RESULT acks are shed once it holds outbox_depth.
+    outbox: asyncio.Queue = field(default_factory=asyncio.Queue)
     closed: bool = False
 
 
@@ -90,6 +92,8 @@ class EuphratesServer:
     ``stream_kwargs`` (optional) maps a HELLO config dict to extra keyword
     arguments for :meth:`IngestCore.open_stream` — the hook where a
     deployment wires per-stream backends or window controllers.
+    ``outbox_depth`` is how many queued replies a RESULT ack may find on
+    its connection before it is shed.
     """
 
     def __init__(
@@ -110,11 +114,13 @@ class EuphratesServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._pump_task: Optional[asyncio.Task] = None
         self._connections: Dict[int, _Connection] = {}
+        #: stream id -> (connection, handle, stats) of every open stream.
+        self._routes: Dict[str, Tuple[_Connection, int, StreamStats]] = {}
         self._next_conn_id = 0
         self._next_stream_id = 0
         self._draining = False
-        self.ingest._on_record = self._dispatch_record
-        #: RESULT acks dropped on slow consumers, total.
+        ingest.on_record = self._dispatch_record
+        #: RESULT acks shed on slow consumers, total over every stream.
         self.total_result_drops = 0
 
     # ------------------------------------------------------------------
@@ -163,49 +169,32 @@ class EuphratesServer:
     # ------------------------------------------------------------------
     # Result routing
     # ------------------------------------------------------------------
-    def _dispatch_record(self, record: "FrameRecord") -> None:
-        conn, handle = self._route_of(record.key)
-        if conn is None or conn.closed:
+    def _dispatch_record(self, record: "FrameRecord", seq: Optional[int]) -> None:
+        route = self._routes.get(record.key)
+        if route is None or route[0].closed:
             return
-        stream = self.ingest._streams.get(record.key)
-        seqs = stream.accepted_seqs if stream is not None else []
+        conn, handle, stats = route
+        if conn.outbox.qsize() >= self.outbox_depth:
+            stats.acks_shed += 1
+            self.total_result_drops += 1
+            return
         payload = {
             "handle": handle,
             "stream": record.key,
             "frame_index": record.frame_index,
-            "seq": (
-                seqs[record.frame_index] if record.frame_index < len(seqs) else None
-            ),
+            "seq": seq,
             "kind": record.kind.value,
             "latency_ms": (record.wait_s + record.busy_s) * 1e3,
             "degradation": (
                 record.telemetry.degradation if record.telemetry is not None else ""
             ),
         }
-        self._offer(conn, encode_json(MSG_RESULT, payload))
-
-    def _route_of(self, stream_id: str) -> Tuple[Optional[_Connection], int]:
-        for conn in self._connections.values():
-            for handle, sid in conn.handles.items():
-                if sid == stream_id:
-                    return conn, handle
-        return None, -1
+        conn.outbox.put_nowait(encode_json(MSG_RESULT, payload))
 
     def _offer(self, conn: _Connection, message: bytes) -> None:
-        """Queue one outbound message, shedding the oldest ack if full."""
-        if conn.outbox is None or conn.closed:
-            return
-        while True:
-            try:
-                conn.outbox.put_nowait(message)
-                return
-            except asyncio.QueueFull:
-                try:
-                    conn.outbox.get_nowait()
-                    conn.result_drops += 1
-                    self.total_result_drops += 1
-                except asyncio.QueueEmpty:  # pragma: no cover - race-free loop
-                    return
+        """Queue one control reply; these are never shed."""
+        if not conn.closed:
+            conn.outbox.put_nowait(message)
 
     async def _writer_loop(self, conn: _Connection) -> None:
         try:
@@ -224,9 +213,7 @@ class EuphratesServer:
     ) -> None:
         conn_id = self._next_conn_id
         self._next_conn_id += 1
-        conn = _Connection(
-            writer=writer, outbox=asyncio.Queue(maxsize=self.outbox_depth)
-        )
+        conn = _Connection(writer=writer)
         self._connections[conn_id] = conn
         writer_task = asyncio.ensure_future(self._writer_loop(conn))
         buffer = bytearray()
@@ -262,8 +249,17 @@ class EuphratesServer:
                 return True
             try:
                 self.ingest.push_frame(stream_id, seq, frame, truth)
+            except ValueError as error:
+                # A refused frame: the stream stays open and seals the gap.
+                self._offer(
+                    conn,
+                    encode_json(
+                        MSG_ERROR, {"handle": handle, "seq": seq, "reason": str(error)}
+                    ),
+                )
             except (StreamFailedError, ShardError) as error:
                 conn.handles.pop(handle, None)
+                self._routes.pop(stream_id, None)
                 self.ingest.abort_stream(stream_id)
                 self._offer(
                     conn,
@@ -295,6 +291,15 @@ class EuphratesServer:
 
     def _handle_hello(self, conn: _Connection, config: dict) -> None:
         handle = int(config.get("handle", len(conn.handles)))
+        if handle in conn.handles:
+            self._offer(
+                conn,
+                encode_json(
+                    MSG_REJECT,
+                    {"handle": handle, "reason": f"handle {handle} is already open"},
+                ),
+            )
+            return
         name = config.get("stream") or f"net{self._next_stream_id}"
         self._next_stream_id += 1
         extra = dict(self.stream_kwargs(config)) if self.stream_kwargs else {}
@@ -323,48 +328,37 @@ class EuphratesServer:
             )
             return
         conn.handles[handle] = name
+        self._routes[name] = (conn, handle, self.ingest.multiplexer.stats_for(name))
         self._offer(
             conn, encode_json(MSG_HELLO_OK, {"handle": handle, "stream": name})
         )
 
     def _handle_bye(self, conn: _Connection, handle: int) -> None:
-        stream_id = conn.handles.pop(handle, None)
+        stream_id = conn.handles.get(handle)
         if stream_id is None:
             self._offer(
                 conn,
                 encode_json(MSG_ERROR, {"handle": handle, "reason": "no stream"}),
             )
             return
-        summary = self._settle_stream(stream_id)
-        summary["handle"] = handle
-        self._offer(conn, encode_json(MSG_BYE_OK, summary))
+        self._offer(conn, encode_json(MSG_BYE_OK, self._settle_stream(stream_id)))
 
     def _settle_stream(self, stream_id: str) -> dict:
-        faults = None
+        """Flush, process and close one stream; return its BYE_OK summary.
+
+        The route stays up until the stream is closed, so the acks of its
+        last frames queue before the summary does.
+        """
+        summary = {"stream": stream_id, "status": "ok"}
         try:
-            faults = self.ingest.faults_for(stream_id).as_dict()
-        except KeyError:
-            pass
-        try:
-            result = self.ingest.close_stream(stream_id)
+            self.ingest.close_stream(stream_id)
         except (StreamFailedError, ShardError) as error:
-            return {
-                "stream": stream_id,
-                "status": "failed",
-                "reason": str(error),
-                "faults": faults,
-            }
-        except KeyError:
-            return {"stream": stream_id, "status": "unknown"}
-        return {
-            "stream": stream_id,
-            "status": "ok",
-            "frames": len(result.frames),
-            "inference_frames": sum(
-                1 for f in result.frames if f.kind is FrameKind.INFERENCE
-            ),
-            "faults": faults,
-        }
+            summary.update(status="failed", reason=str(error))
+        conn, handle, stats = self._routes.pop(stream_id)
+        del conn.handles[handle]
+        summary["handle"] = handle
+        summary.update(stats.as_dict())
+        return summary
 
     async def _close_connection(
         self, conn: _Connection, *, finish_streams: bool
@@ -377,7 +371,6 @@ class EuphratesServer:
             # what was accepted, settle the session, discard the results.
             for stream_id in list(conn.handles.values()):
                 self._settle_stream(stream_id)
-            conn.handles.clear()
         try:
             conn.writer.close()
         except Exception:  # pragma: no cover - already torn down
@@ -519,7 +512,8 @@ class ServeClient:
         Raises :class:`StreamFailedError` when the server answers with an
         error for this handle instead — the stream already failed (and was
         torn down) or the handle is unknown.  Errors addressed to *other*
-        handles are stashed in :attr:`errors` and the wait continues.
+        handles, and refused-frame errors (they carry a ``seq``), are
+        stashed in :attr:`errors` and the wait continues.
         """
         self._sock.sendall(encode_json(MSG_BYE, {"handle": handle}))
         while True:
@@ -528,7 +522,7 @@ class ServeClient:
                 if int(payload.get("handle", handle)) != handle:
                     continue
                 return payload
-            if int(payload.get("handle", handle)) == handle:
+            if "seq" not in payload and int(payload.get("handle", handle)) == handle:
                 raise StreamFailedError(
                     payload.get("stream", str(handle)),
                     payload.get("reason", "stream failed"),

@@ -37,13 +37,11 @@ backends consume.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .extrapolation import MotionExtrapolator, RoiMotionState
-from .profiler import StageProfiler
 from .types import Detection, FrameKind, FrameResult, FrameTelemetry, SequenceResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -264,21 +262,6 @@ class StreamOracle:
         return self._primary_object_id
 
 
-@dataclass
-class SessionStats:
-    """Lightweight per-session counters kept up to date on every submit."""
-
-    frames: int = 0
-    inference_frames: int = 0
-    extrapolation_frames: int = 0
-    #: Extrapolation operations spent by this session so far.
-    extrapolation_ops: float = 0.0
-
-    @property
-    def inference_rate(self) -> float:
-        return self.inference_frames / self.frames if self.frames else 0.0
-
-
 class EuphratesSession:
     """Incremental frame-at-a-time execution of the Euphrates algorithm.
 
@@ -316,7 +299,6 @@ class EuphratesSession:
         # session-backed run() path.
         self._measure_disagreement = disagreement or measure_disagreement
         self._prune_states = prune or prune_states
-        self._ops_at_open = extrapolator.total_operations
         # Per-stream algorithm state, previously locals of the run() loop.
         self._states: Dict[int, RoiMotionState] = {}
         self._last_detections: List[Detection] = []
@@ -330,10 +312,6 @@ class EuphratesSession:
         # Sequence-bound sessions start their backend at open (the pipeline
         # does it); oracle-fed ones defer until the first frame's truth is in.
         self._backend_started = oracle is None
-        self.stats = SessionStats()
-        #: Aggregated per-stage wall-clock profile of every frame this
-        #: session has processed (observe-only, like the telemetry feed).
-        self.profiler = StageProfiler()
         # Whether the ISP can ever produce a motion field for this session;
         # used by next_frame_kind() to predict the I/E decision.
         config = isp.config
@@ -497,7 +475,6 @@ class EuphratesSession:
             self._prune_states(self._states, detections)
             kind = FrameKind.INFERENCE
             self._frames_since_inference = 0
-            self.stats.inference_frames += 1
         else:
             stage_start = time.perf_counter()
             detections = self._extrapolator.extrapolate_detections(
@@ -506,7 +483,6 @@ class EuphratesSession:
             extrapolation_s += time.perf_counter() - stage_start
             kind = FrameKind.EXTRAPOLATION
             self._frames_since_inference += 1
-            self.stats.extrapolation_frames += 1
 
         self._last_detections = detections
         result = FrameResult(
@@ -538,12 +514,7 @@ class EuphratesSession:
             total_s=time.perf_counter() - frame_start,
         )
         self._telemetry.append(record)
-        self.profiler.observe(record)
         self._next_index += 1
-        self.stats.frames += 1
-        self.stats.extrapolation_ops = (
-            self._extrapolator.total_operations - self._ops_at_open
-        )
         return result
 
     def take_results(self) -> List[FrameResult]:
@@ -552,7 +523,7 @@ class EuphratesSession:
         Always-on streams never :meth:`finish`, so without draining the
         result list would grow for the lifetime of the camera; a live
         consumer calls this periodically and the session's memory stays
-        bounded (``stats`` keeps counting across drains).  The telemetry
+        bounded (:attr:`frames_submitted` keeps counting across drains).  The telemetry
         buffer grows alongside and is drained separately — pair this with
         :meth:`take_telemetry` in always-on loops.  Results drained here
         are no longer part of the :class:`SequenceResult` that a later

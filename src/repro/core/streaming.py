@@ -15,9 +15,9 @@ makes the case for first-class concurrent-stream support).  The
   the in-process single-shard path and ``workers=N`` worker processes
   (frames then cross the process boundary over the zero-copy shared-memory
   transport, never pickled);
-* per-stream and aggregate throughput/latency statistics are tracked from
-  the executor's per-frame records, feeding
-  ``python -m repro.harness bench stream``; with an attached energy model
+* per-stream statistics live in the executor's registry
+  (:class:`~repro.core.executor.StreamStats`, read via :meth:`stats_for`)
+  and feed ``python -m repro.harness bench stream``; with an attached energy model
   (``soc`` + ``network``) each stream's frames are priced on the modeled
   SoC as they are processed — including amortised weight traffic across
   batched I-frames — and a :class:`~repro.soc.frame_cost.SharedSoCPool`
@@ -43,9 +43,9 @@ from .executor import (
     ShardedExecutor,
     ShardSchedule,
     StreamFailedError,
+    StreamStats,
 )
-from .profiler import stage_seconds
-from .types import Detection, FrameKind, SequenceResult
+from .types import Detection, SequenceResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..nn.models import NetworkSpec
@@ -61,54 +61,7 @@ __all__ = [
     "SCHEDULING_POLICIES",
     "MultiplexerReport",
     "StreamMultiplexer",
-    "StreamStats",
 ]
-
-
-@dataclass
-class StreamStats:
-    """Throughput/latency accounting for one stream."""
-
-    name: str
-    frames_submitted: int = 0
-    frames_processed: int = 0
-    inference_frames: int = 0
-    extrapolation_frames: int = 0
-    #: Frames processed under duress (telemetry carried a degradation tag:
-    #: ``dropped-frame-gap``, ``deferred-inference``, ``queue-degrade``...).
-    degraded_frames: int = 0
-    #: Seconds spent inside ``session.submit`` for this stream.
-    busy_s: float = 0.0
-    #: Seconds frames spent queued before the scheduler picked them.
-    wait_s: float = 0.0
-    max_queue_depth: int = 0
-    #: Per-stage wall-clock seconds accumulated from frame telemetry
-    #: (keys from :data:`repro.core.profiler.STAGE_NAMES`; empty until the
-    #: first frame carrying stage timings is absorbed).
-    stage_s: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def pending(self) -> int:
-        return self.frames_submitted - self.frames_processed
-
-    @property
-    def inference_rate(self) -> float:
-        if not self.frames_processed:
-            return 0.0
-        return self.inference_frames / self.frames_processed
-
-    @property
-    def mean_service_latency_s(self) -> float:
-        """Mean per-frame processing time (excluding queueing delay)."""
-        if not self.frames_processed:
-            return 0.0
-        return self.busy_s / self.frames_processed
-
-    @property
-    def mean_queue_wait_s(self) -> float:
-        if not self.frames_processed:
-            return 0.0
-        return self.wait_s / self.frames_processed
 
 
 @dataclass
@@ -188,42 +141,6 @@ class MultiplexerReport:
         return self.aggregate_energy_j / wall
 
 
-class _MuxStream:
-    """Client-side per-stream record: stats + cost meter (+ result)."""
-
-    def __init__(
-        self,
-        stream_id: str,
-        multiplexer: "StreamMultiplexer",
-        meter: "CostMeter | None" = None,
-    ) -> None:
-        self.stream_id = stream_id
-        self._multiplexer = multiplexer
-        self.stats = StreamStats(name=stream_id)
-        self.result: Optional[SequenceResult] = None
-        #: Per-stream SoC cost meter (None when no energy model is attached).
-        self.meter = meter
-
-    # -- diagnostics (in-process execution only) ------------------------
-    @property
-    def session(self):
-        """The live session object (single-shard in-process mode only)."""
-        return self._core_stream().session
-
-    @property
-    def queue(self):
-        """The live frame queue (single-shard in-process mode only)."""
-        return self._core_stream().queue
-
-    def _core_stream(self):
-        shard = self._multiplexer._executor.shard_of(self.stream_id)
-        if shard.is_process:
-            raise AttributeError(
-                "stream internals live in a worker process when workers > 1"
-            )
-        return shard.core.stream(self.stream_id)
-
-
 class StreamMultiplexer:
     """Scheduler frontend for N concurrent Euphrates camera streams.
 
@@ -272,7 +189,6 @@ class StreamMultiplexer:
         workers: int = 1,
         transport: str = "auto",
         isolate_failures: bool = False,
-        on_record: "Callable[[FrameRecord], None] | None" = None,
     ) -> None:
         schedule = ShardSchedule(
             policy=policy,
@@ -283,14 +199,10 @@ class StreamMultiplexer:
         if (soc is None) != (network is None):
             raise ValueError("energy metering needs both soc and network")
         self.pipeline = pipeline
-        self.e_frame_burst = e_frame_burst
-        self.max_inference_batch = max_inference_batch
-        self.policy = policy
-        self.deadline_frames = deadline_frames
         self.isolate_failures = bool(isolate_failures)
         #: Observer invoked with every absorbed :class:`FrameRecord` (the
-        #: serving layer's completion hook).  Observe-only.
-        self.on_record = on_record
+        #: hook the serving layer's ingest core sets).  Observe-only.
+        self.on_record: "Callable[[FrameRecord], None] | None" = None
         self._executor = ShardedExecutor(
             pipeline,
             workers=workers,
@@ -303,8 +215,10 @@ class StreamMultiplexer:
         #: E-frame pricing host for the attached meters (the EW-N@CPU
         #: software baseline when True).
         self._extrapolation_on_cpu = extrapolation_on_cpu
-        self._streams: Dict[str, _MuxStream] = {}
-        self._order: List[str] = []
+        #: stream id -> its SoC cost meter (None without an energy model),
+        #: in arrival order.
+        self._meters: Dict[str, "CostMeter | None"] = {}
+        self._results: Dict[str, SequenceResult] = {}
         self._batch_sizes: List[int] = []
         #: I-frame batches already counted (record batch ids are per-shard).
         self._seen_batches: set = set()
@@ -345,10 +259,10 @@ class StreamMultiplexer:
             base = source.name if source is not None else "stream"
             name = base
             suffix = 1
-            while name in self._streams:
+            while name in self._meters:
                 name = f"{base}#{suffix}"
                 suffix += 1
-        if name in self._streams:
+        if name in self._meters:
             raise ValueError(f"stream '{name}' already exists")
         meter = None
         if soc_config is not None and self._pool is None:
@@ -377,22 +291,20 @@ class StreamMultiplexer:
             backend=backend,
             window_controller=window_controller,
         )
-        self._streams[name] = _MuxStream(name, self, meter=meter)
-        self._order.append(name)
+        self._meters[name] = meter
         return name
 
     @property
     def stream_ids(self) -> List[str]:
-        return list(self._order)
+        return list(self._meters)
 
     def stats_for(self, stream_id: str) -> StreamStats:
-        return self._stream(stream_id).stats
+        """The stream's entry in the executor's stats registry."""
+        return self._executor.stats_for(stream_id)
 
-    def _stream(self, stream_id: str) -> _MuxStream:
-        try:
-            return self._streams[stream_id]
-        except KeyError:
-            raise KeyError(f"unknown stream '{stream_id}'") from None
+    def pending_for(self, stream_id: str) -> int:
+        """Frames of ``stream_id`` submitted but not yet processed."""
+        return self._executor.pending_for(stream_id)
 
     # ------------------------------------------------------------------
     # Frame ingress
@@ -419,7 +331,6 @@ class StreamMultiplexer:
         first-frame inference still run); ``degradation`` tags the frame's
         telemetry with the serving-layer events that led here.
         """
-        stream = self._stream(stream_id)
         self._executor.submit(
             stream_id,
             frame,
@@ -428,8 +339,7 @@ class StreamMultiplexer:
             defer_inference=defer_inference,
             degradation=degradation,
         )
-        stats = stream.stats
-        stats.frames_submitted += 1
+        stats = self._executor.stats_for(stream_id)
         stats.max_queue_depth = max(
             stats.max_queue_depth, self._executor.pending_for(stream_id)
         )
@@ -448,28 +358,15 @@ class StreamMultiplexer:
     # ------------------------------------------------------------------
     def _absorb(self, records: List[FrameRecord]) -> int:
         for record in records:
-            stream = self._streams[record.key]
-            stats = stream.stats
-            stats.frames_processed += 1
-            if record.kind is FrameKind.INFERENCE:
-                stats.inference_frames += 1
-            else:
-                stats.extrapolation_frames += 1
-            if record.telemetry is not None and record.telemetry.degradation:
-                stats.degraded_frames += 1
-            if record.telemetry is not None:
-                for stage, seconds in stage_seconds(record.telemetry).items():
-                    stats.stage_s[stage] = stats.stage_s.get(stage, 0.0) + seconds
-            stats.busy_s += record.busy_s
-            stats.wait_s += record.wait_s
             if record.batch_id >= 0:
                 batch = (record.shard, record.batch_id)
                 if batch not in self._seen_batches:
                     self._seen_batches.add(batch)
                     self._batch_sizes.append(record.batch_size)
-            if stream.meter is not None and record.telemetry is not None:
+            meter = self._meters[record.key]
+            if meter is not None and record.telemetry is not None:
                 # Price what actually happened, as it happens.
-                stream.meter.record(record.telemetry, batch_size=record.batch_size)
+                meter.record(record.telemetry, batch_size=record.batch_size)
             if self.on_record is not None:
                 self.on_record(record)
         return len(records)
@@ -514,14 +411,13 @@ class StreamMultiplexer:
         :class:`~repro.core.executor.StreamFailedError` if the stream was
         lost to an isolated failure.
         """
-        stream = self._stream(stream_id)
-        if stream.result is None:
+        if stream_id not in self._results:
             result, _stats = self._executor.finish_stream(stream_id)
-            stream.result = result
+            self._results[stream_id] = result
             # Records for other streams can surface while the shard
-            # catches up; keep the stats honest.
+            # catches up; keep the meters honest.
             self._absorb(self._executor.pump())
-        return stream.result
+        return self._results[stream_id]
 
     def finish(self) -> Dict[str, SequenceResult]:
         """Drain every queue, close every session, return per-stream results.
@@ -534,9 +430,8 @@ class StreamMultiplexer:
         """
         self.drain()
         results: Dict[str, SequenceResult] = {}
-        for name in self._order:
-            stream = self._streams[name]
-            if stream.result is None:
+        for name in self._meters:
+            if name not in self._results:
                 if self.isolate_failures and name in self._executor.stream_failures:
                     continue
                 try:
@@ -545,8 +440,8 @@ class StreamMultiplexer:
                     if not self.isolate_failures:
                         raise
                     continue
-                stream.result = result
-            results[name] = stream.result
+                self._results[name] = result
+            results[name] = self._results[name]
         # Late records can surface while worker shards wind down.
         self._absorb(self._executor.pump())
         self._executor.close()
@@ -558,12 +453,12 @@ class StreamMultiplexer:
 
     def report(self) -> MultiplexerReport:
         """Aggregate scheduling statistics accumulated so far."""
-        stats = [self._streams[name].stats for name in self._order]
-        stream_energy: Dict[str, "EnergyBreakdown"] = {}
-        for name in self._order:
-            meter = self._streams[name].meter
-            if meter is not None and meter.frames:
-                stream_energy[name] = meter.breakdown()
+        stats = [self._executor.stats_for(name) for name in self._meters]
+        stream_energy: Dict[str, "EnergyBreakdown"] = {
+            name: meter.breakdown()
+            for name, meter in self._meters.items()
+            if meter is not None and meter.frames
+        }
         shared_energy = None
         queueing = None
         if self._pool is not None and self._pool.frames:

@@ -77,8 +77,8 @@ class FrameTelemetry:
     #: ``*_ops``/``pixels`` fields above, never these clocks.  ``isp_s``
     #: covers the whole ISP call (of which ``motion_search_s`` and
     #: ``denoise_blend_s`` are the two metered sub-stages); ``total_s`` is
-    #: the whole per-frame processing body.  All default 0.0 so telemetry
-    #: from older emitters (or hand-built test records) stays valid.
+    #: the whole per-frame processing body.  All default 0.0 so hand-built
+    #: test records stay valid.
     isp_s: float = 0.0
     motion_search_s: float = 0.0
     denoise_blend_s: float = 0.0
@@ -164,9 +164,6 @@ class DatasetRunResult:
     """
 
     sequences: List[SequenceResult] = field(default_factory=list)
-    #: Extrapolation operations spent by this run (not any prior runs of the
-    #: same pipeline instance).
-    extrapolation_ops: float = 0.0
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -177,6 +174,15 @@ class DatasetRunResult:
     @property
     def total_frames(self) -> int:
         return sum(len(result) for result in self.sequences)
+
+    @property
+    def extrapolation_ops(self) -> float:
+        """Extrapolation operations spent by this run, from frame telemetry."""
+        return sum(
+            event.extrapolation_ops
+            for result in self.sequences
+            for event in result.telemetry
+        )
 
     @property
     def inference_count(self) -> int:

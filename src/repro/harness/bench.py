@@ -260,11 +260,12 @@ def _print_stream(entry: dict) -> None:
         f"mean batch {entry['mean_batch_size']:.2f}"
     )
     for stream in entry["per_stream"]:
+        frames = max(1, stream["frames_processed"])
         print(
-            f"    {stream['name']}: {stream['frames']} frames, "
-            f"{stream['inference_rate']:.2f} I-rate, "
-            f"{stream['mean_service_latency_ms']:.2f} ms/frame service, "
-            f"{stream['mean_queue_wait_ms']:.1f} ms mean queue wait, "
+            f"    {stream['name']}: {stream['frames_processed']} frames, "
+            f"{stream['inference_frames'] / frames:.2f} I-rate, "
+            f"{1e3 * stream['busy_s'] / frames:.2f} ms/frame service, "
+            f"{1e3 * stream['wait_s'] / frames:.1f} ms mean queue wait, "
             f"{stream['energy_per_frame_mj']:.2f} mJ/frame modeled"
         )
     print(

@@ -26,7 +26,7 @@ import time
 from typing import List
 
 from ..core.backends import tracking_backend_for
-from ..core.ingest import IngestConfig, IngestCore
+from ..core.ingest import MSG_BYE, MSG_BYE_OK, IngestConfig, IngestCore, encode_json
 from ..core.server import ServeClient, ServerThread
 from ..core.spec import PipelineSpec
 from ..core.streaming import StreamMultiplexer
@@ -155,12 +155,7 @@ def benchmark_multiplexer(
         "aggregate_power_w": report.aggregate_power_w,
         "per_stream": [
             {
-                "name": stats.name,
-                "frames": stats.frames_processed,
-                "inference_rate": stats.inference_rate,
-                "mean_service_latency_ms": stats.mean_service_latency_s * 1e3,
-                "mean_queue_wait_ms": stats.mean_queue_wait_s * 1e3,
-                "max_queue_depth": stats.max_queue_depth,
+                **stats.as_dict(),
                 "energy_per_frame_mj": (
                     report.stream_energy[stats.name].energy_per_frame_j * 1e3
                 ),
@@ -256,18 +251,18 @@ def benchmark_serving(
         for index in range(cameras)
     ]
     latencies_ms: list = []
-    summaries: list = []
     send_times: dict = {}
     wall_start = time.perf_counter()
 
-    def drain_client(index: int, client: ServeClient, timeout: float = 0.0) -> None:
-        client.poll(timeout=timeout)
+    def drain_client(index: int, client: ServeClient, timeout: float = 0.0) -> list:
+        messages = client.poll(timeout=timeout)
         while client.results:
             record = client.results.pop()
             key = (index, record.get("seq"))
             sent = send_times.pop(key, None)
             if sent is not None:
                 latencies_ms.append((time.perf_counter() - sent) * 1e3)
+        return messages
 
     with ServerThread(ingest) as server:
         clients = []
@@ -309,30 +304,30 @@ def benchmark_serving(
                         )
                     drain_client(index, clients[index])
 
-            # Collect stragglers (acks shed by a bounded outbox never come,
-            # so stop as soon as the count stops shrinking).
-            deadline = time.perf_counter() + 30.0
-            stalled_since = time.perf_counter()
-            pending = len(send_times)
-            while send_times and time.perf_counter() < deadline:
-                for index, client in enumerate(clients):
-                    drain_client(index, client, timeout=0.002)
-                if len(send_times) < pending:
-                    pending = len(send_times)
-                    stalled_since = time.perf_counter()
-                elif time.perf_counter() - stalled_since > 1.0:
-                    break
+            # BYE answers only after the stream's last frame is processed
+            # and its ack queued, so a camera's remaining acks (frames its
+            # reorder window held until the flush among them) arrive before
+            # its BYE_OK.  Every client is read meanwhile, so acks are timed
+            # as they arrive.
             for index, client in enumerate(clients):
-                summary = client.bye(index)
-                drain_client(index, client)
-                summaries.append(summary)
+                client.send_raw(encode_json(MSG_BYE, {"handle": index}))
+            byes: dict = {}
+            deadline = time.perf_counter() + 120.0
+            while len(byes) < cameras:
+                if time.perf_counter() > deadline:
+                    raise RuntimeError(f"{cameras - len(byes)} BYEs never answered")
+                for index, client in enumerate(clients):
+                    for msg_type, payload in drain_client(index, client, 0.002):
+                        if msg_type == MSG_BYE_OK:
+                            byes[index] = payload
+            summaries = [byes[index] for index in range(cameras)]
         finally:
             for client in clients:
                 client.close()
         report = server.shutdown()
     wall_s = time.perf_counter() - wall_start
 
-    accepted = sum(s.get("frames", 0) for s in summaries)
+    accepted = sum(s.get("frames_processed", 0) for s in summaries)
     fault_totals: dict = {}
     for summary in summaries:
         for key, value in (summary.get("faults") or {}).items():

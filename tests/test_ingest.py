@@ -325,7 +325,7 @@ class TestOverloadPolicies:
             core.push_frame(
                 "cam", index, seq.frame(index), truth=seq.truth_detections(index)
             )
-        faults = core.faults_for("cam")
+        faults = core.multiplexer.stats_for("cam")
         assert faults.overload_drops > 0
         assert faults.gaps >= faults.overload_drops
         result = core.close_stream("cam")
@@ -336,7 +336,7 @@ class TestOverloadPolicies:
         records = core.take_records()
         gap_tagged = [
             r
-            for r in records
+            for r, _seq in records
             if r.telemetry is not None
             and "dropped-frame-gap" in r.telemetry.degradation
         ]
@@ -348,9 +348,9 @@ class TestOverloadPolicies:
         core = self._core("degrade", capacity_frames=2, feed_depth=1)
         seq = self._sequence()
         core.open_stream("cam", width=seq.width, height=seq.height)
-        # faults is the live counter object: it keeps updating through the
+        # faults is the live registry entry: it keeps updating through the
         # backlogged feed that close_stream() drives.
-        faults = core.faults_for("cam")
+        faults = core.multiplexer.stats_for("cam")
         for index in range(12):
             core.push_frame(
                 "cam", index, seq.frame(index), truth=seq.truth_detections(index)
@@ -362,7 +362,7 @@ class TestOverloadPolicies:
         records = core.take_records()
         degraded = [
             r
-            for r in records
+            for r, _seq in records
             if r.telemetry is not None and "queue-degrade" in r.telemetry.degradation
         ]
         assert len(degraded) == faults.degraded_submits
@@ -399,7 +399,7 @@ class TestOverloadPolicies:
         arrivals = [0, 1, 3, 4, 5, 5, 7, 6, 8, 9]
         for s in arrivals:
             core.push_frame("cam", s, seq.frame(s), truth=seq.truth_detections(s))
-        faults = core.faults_for("cam")
+        faults = core.multiplexer.stats_for("cam")
         result = core.close_stream("cam")
         assert len(result.frames) == 9  # 10 seqs, one (2) missing
         assert faults.duplicates == 1
@@ -407,7 +407,7 @@ class TestOverloadPolicies:
         assert faults.reordered > 0
         tags = [
             r.telemetry.degradation
-            for r in core.take_records()
+            for r, _seq in core.take_records()
             if r.telemetry is not None and r.telemetry.degradation
         ]
         assert any("dropped-frame-gap" in tag for tag in tags)

@@ -97,8 +97,11 @@ class TestResults:
 
     def test_extrapolation_ops_accumulate(self, small_sequence):
         pipeline = PipelineSpec(extrapolation_window=2).build(tracking_backend_for("mdnet"))
-        pipeline.run(small_sequence)
-        assert pipeline.total_extrapolation_ops > 0
+        result = pipeline.run_dataset_result([small_sequence])
+        assert result.extrapolation_ops == sum(
+            event.extrapolation_ops for event in result.sequences[0].telemetry
+        )
+        assert result.extrapolation_ops > 0
 
 
 class TestAdaptiveMode:
@@ -232,6 +235,7 @@ class TestParallelRunDataset:
                 assert fs.kind is fp.kind
                 for ds, dp in zip(fs.detections, fp.detections):
                     assert ds.box.as_xywh() == pytest.approx(dp.box.as_xywh())
-        assert parallel.total_extrapolation_ops == pytest.approx(
-            serial.total_extrapolation_ops
-        )
+        for s, p in zip(serial_results, parallel_results):
+            assert [e.extrapolation_ops for e in p.telemetry] == pytest.approx(
+                [e.extrapolation_ops for e in s.telemetry]
+            )

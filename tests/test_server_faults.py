@@ -19,8 +19,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.backends import tracking_backend_for
-from repro.core.executor import StreamFailedError
-from repro.core.ingest import IngestConfig, IngestCore
+from repro.core.executor import StreamFailedError, StreamStats
+from repro.core.ingest import (
+    MSG_BYE,
+    MSG_BYE_OK,
+    MSG_HEALTH,
+    MSG_RESULT,
+    MSG_STATS,
+    AdmissionError,
+    IngestConfig,
+    IngestCore,
+    encode_json,
+)
 from repro.core.server import ServeClient, ServerThread
 from repro.core.spec import PipelineSpec
 from repro.core.streaming import StreamMultiplexer
@@ -29,10 +39,12 @@ from repro.video.synthetic import SequenceConfig, SequenceGenerator
 from test_session import assert_results_identical
 
 
-def _sequence(frames: int = 20, seed: int = 7, name: str = "cam"):
+def _sequence(
+    frames: int = 20, seed: int = 7, name: str = "cam", width: int = 64, height: int = 48
+):
     return SequenceGenerator(
         SequenceConfig(
-            name=name, frame_width=64, frame_height=48,
+            name=name, frame_width=width, frame_height=height,
             num_frames=frames, num_objects=1, seed=seed,
         )
     ).generate()
@@ -68,7 +80,7 @@ class TestServerFaults:
                 )
                 summary = client.bye(1)
         assert summary["status"] == "ok"
-        assert summary["frames"] == 18
+        assert summary["frames_processed"] == 18
         assert summary["faults"]["gaps"] == len(dropped)
         assert summary["faults"]["overload_drops"] == 0
         report = server.shutdown()
@@ -93,7 +105,7 @@ class TestServerFaults:
                 for record in client.results:
                     assert record["seq"] == record["frame_index"]
         assert summary["status"] == "ok"
-        assert summary["frames"] == 16  # all 16 distinct seqs survive
+        assert summary["frames_processed"] == 16  # all 16 distinct seqs survive
         assert summary["faults"]["duplicates"] == 1  # dup of a buffered frame
         assert summary["faults"]["late_drops"] == 2  # re-delivery after release
         assert summary["faults"]["reordered"] > 0
@@ -133,7 +145,7 @@ class TestServerFaults:
                 _stream_all(polite, 1, seq_obj, range(20))
                 summary = polite.bye(1)
         assert summary["status"] == "ok"
-        assert summary["frames"] == 20
+        assert summary["frames_processed"] == 20
         report = server.shutdown()
         # The rude client's accepted frames were still processed in full.
         assert report.frames_processed == 30
@@ -157,7 +169,7 @@ class TestServerFaults:
                 summary = client.bye(1)
         # Processing was never backpressured by the unread acks...
         assert summary["status"] == "ok"
-        assert summary["frames"] == 60
+        assert summary["frames_processed"] == 60
         # ...the shed acks were counted, not silently lost.
         assert server.server.total_result_drops > 0
         report = server.shutdown()
@@ -202,7 +214,7 @@ class TestServerFaults:
                 _stream_all(client, 2, seq_obj, range(4, 20))
                 summary = client.bye(2)
         assert summary["status"] == "ok"
-        assert summary["frames"] == 20
+        assert summary["frames_processed"] == 20
         assert "doomed" in ingest.multiplexer.stream_failures
         report = server.shutdown()
         assert report is not None  # graceful drain despite the dead worker
@@ -275,7 +287,6 @@ class TestAcceptedSubsequenceProperty:
             ),
         )
         core.open_stream("cam", width=seq_obj.width, height=seq_obj.height)
-        accepted = core._stream("cam").accepted_seqs  # live list
         for seq in arrivals:
             core.push_frame(
                 "cam", seq, seq_obj.frame(seq), truth=seq_obj.truth_detections(seq)
@@ -283,6 +294,9 @@ class TestAcceptedSubsequenceProperty:
             core.pump()
         streamed = core.close_stream("cam")
         core.finish()
+        labelled = core.take_records()
+        assert [r.frame_index for r, _ in labelled] == list(range(len(labelled)))
+        accepted = [seq for _, seq in labelled]
 
         # No overload configured: exactly the reorder survivors got in.
         assert accepted == survivors
@@ -304,3 +318,179 @@ class TestAcceptedSubsequenceProperty:
             )
         serial = session.finish()
         assert_results_identical(serial, streamed)
+
+
+class TestByeSettlesBeforeAnswering:
+    def test_bye_right_after_last_frame_gets_every_ack_first(self):
+        seq_obj = _sequence(40, width=96, height=54)
+        sent = [seq for seq in range(40) if seq != 20]
+        with ServerThread(_make_ingest()) as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                client.hello(
+                    handle=1, stream="cam", width=seq_obj.width, height=seq_obj.height
+                )
+                _stream_all(client, 1, seq_obj, sent)
+                summary = client.bye(1)
+                # bye() returns at BYE_OK: every ack had to arrive first.
+                acked = sorted(record["seq"] for record in client.results)
+        assert summary["status"] == "ok"
+        assert summary["frames_processed"] == len(sent)
+        assert acked == sent
+        assert summary["faults"]["acks_shed"] == 0
+        server.shutdown()
+
+    def test_label_map_stays_bounded(self):
+        seq_obj = _sequence(20, seed=5)
+        core = _make_ingest(feed_depth=4)
+        core.open_stream("cam", width=seq_obj.width, height=seq_obj.height)
+        stream = core._streams["cam"]
+        largest = 0
+        for seq in range(1000):
+            core.push_frame(
+                "cam", seq, seq_obj.frame(seq % 20),
+                truth=seq_obj.truth_detections(seq % 20),
+            )
+            # Labels cover the frames in flight; the ready queue is unlabelled.
+            assert len(stream.labels) <= 4
+            largest = max(largest, len(stream.labels))
+            if seq % 3 == 2:
+                core.pump()
+                core.take_records()
+        core.close_stream("cam")
+        assert stream.labels == {}
+        assert largest == 4
+        core.finish()
+
+
+class TestControlRepliesNeverShed:
+    def test_tiny_outbox_sheds_only_acks(self):
+        seq_obj = _sequence(60, seed=9)
+        with ServerThread(_make_ingest(), outbox_depth=1) as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                client.hello(
+                    handle=1, stream="cam", width=seq_obj.width, height=seq_obj.height
+                )
+                # Stop reading: frames, control requests and BYE all go out
+                # before a single reply is read.
+                _stream_all(client, 1, seq_obj, range(60))
+                client.send_raw(encode_json(MSG_STATS, {}))
+                client.send_raw(encode_json(MSG_HEALTH, {}))
+                client.send_raw(encode_json(MSG_BYE, {"handle": 1}))
+                replies = []
+                while MSG_BYE_OK not in replies:
+                    msg_type, _ = client.wait_for(
+                        MSG_STATS, MSG_HEALTH, MSG_BYE_OK, timeout=30.0
+                    )
+                    replies.append(msg_type)
+        assert sorted(replies) == sorted([MSG_STATS, MSG_HEALTH, MSG_BYE_OK])
+        drops = server.server.total_result_drops
+        assert drops > 0
+        report = server.shutdown()
+        stats = report.streams[0]
+        assert stats.frames_processed == 60
+        assert stats.acks_shed == drops
+        assert len(client.results) + drops == 60
+
+
+class TestWireValidation:
+    @pytest.mark.parametrize("width, height", [(0, 0), (-4, 10), (70000, 10)])
+    def test_open_stream_refuses_sizes_a_frame_cannot_carry(self, width, height):
+        core = _make_ingest()
+        with pytest.raises(ValueError, match="outside 1..65535"):
+            core.open_stream("cam", width=width, height=height)
+        assert core.stream_ids == []
+        core.finish()
+
+    def test_hello_with_bad_size_is_rejected(self):
+        with ServerThread(_make_ingest()) as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                with pytest.raises(AdmissionError, match="bad HELLO"):
+                    client.hello(handle=1, width=70000, height=10)
+        server.shutdown()
+
+    def test_hello_reusing_a_live_handle_is_rejected(self):
+        seq_obj = _sequence(8)
+        with ServerThread(_make_ingest()) as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                client.hello(
+                    handle=1, stream="first", width=seq_obj.width, height=seq_obj.height
+                )
+                with pytest.raises(AdmissionError, match="already open"):
+                    client.hello(
+                        handle=1, stream="second",
+                        width=seq_obj.width, height=seq_obj.height,
+                    )
+                _stream_all(client, 1, seq_obj, range(8))
+                summary = client.bye(1)
+        assert summary["stream"] == "first"
+        assert summary["frames_processed"] == 8
+        report = server.shutdown()
+        assert [stats.name for stats in report.streams] == ["first"]
+
+    def test_mismatched_frame_is_refused_and_sealed_as_a_gap(self):
+        seq_obj = _sequence(12, width=96, height=54)
+        wrong = _sequence(1, width=128, height=64)
+        spec = PipelineSpec(extrapolation_window=2)
+        mux = StreamMultiplexer(
+            spec.build(tracking_backend_for("mdnet")), isolate_failures=True
+        )
+        ingest = IngestCore(mux, config=IngestConfig(admission=False, reorder_window=4))
+        with ServerThread(ingest) as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                client.hello(
+                    handle=1, stream="cam", width=seq_obj.width, height=seq_obj.height
+                )
+                for seq in range(12):
+                    frame = wrong.frame(0) if seq == 4 else seq_obj.frame(seq)
+                    client.send_frame(
+                        1, seq, frame, truth=seq_obj.truth_detections(seq)
+                    )
+                summary = client.bye(1)
+                acks = {r["seq"]: r for r in client.results}
+                errors = list(client.errors)
+        assert summary["status"] == "ok"
+        assert len(errors) == 1
+        assert errors[0]["handle"] == 1 and errors[0]["seq"] == 4
+        assert "(64, 128)" in errors[0]["reason"]
+        assert summary["faults"]["frame_errors"] == 1
+        assert summary["faults"]["gaps"] == 1
+        assert summary["frames_processed"] == 11
+        assert sorted(acks) == [s for s in range(12) if s != 4]
+        # EW-2 keeps its I/E phase: the frame after the refused one is the
+        # tagged gap seal, and no unscheduled I-frame follows it.
+        kinds = [acks[s]["kind"][0].upper() for s in sorted(acks)]
+        assert "".join(kinds) == "IEIE" + "IEIEIEI"
+        assert "dropped-frame-gap" in acks[5]["degradation"]
+        server.shutdown()
+
+
+class TestOneStatsSurface:
+    def test_stats_bye_ok_and_report_agree(self):
+        seq_obj = _sequence(16, seed=11)
+        # A swap, a late re-delivery and a duplicate while buffered: every
+        # fault is counted before BYE, and every frame is acked before it.
+        arrivals = [0, 1, 3, 2, 4, 5, 7, 7, 6, 8, 9, 5, 10, 11, 12, 13, 14, 15]
+        with ServerThread(_make_ingest()) as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                client.hello(
+                    handle=1, stream="cam", width=seq_obj.width, height=seq_obj.height
+                )
+                _stream_all(client, 1, seq_obj, arrivals)
+                while len(client.results) < 16:
+                    client.wait_for(MSG_RESULT, timeout=30.0)
+                live = client.stats()["streams"]["cam"]
+                summary = client.bye(1)
+        report = server.shutdown()
+        (stats,) = report.streams
+        registry = stats.as_dict()
+
+        assert set(live) == set(registry) | {"ready_queued", "reorder_buffered"}
+        assert set(summary) == set(registry) | {"stream", "status", "handle"}
+        for key, value in registry.items():
+            assert live[key] == value, key
+            assert summary[key] == value, key
+        assert registry["frames_processed"] == 16
+        assert registry["faults"]["reordered"] > 0
+        assert registry["faults"]["late_drops"] == 1
+        assert registry["faults"]["duplicates"] == 1
+        assert isinstance(stats, StreamStats)

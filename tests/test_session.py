@@ -155,15 +155,6 @@ class TestRunIsASessionWrapper:
             b.submit(frame)
         assert_results_identical(a.finish(), b.finish())
 
-    def test_extrapolation_ops_flow_back_to_the_pipeline(self, small_sequence):
-        pipeline = PipelineSpec(extrapolation_window=2).build(tracking_backend_for("mdnet"))
-        session = pipeline.open_session(source=small_sequence)
-        for _, frame in small_sequence.iter_frames():
-            session.submit(frame)
-        assert pipeline.total_extrapolation_ops == 0.0  # not yet finished
-        session.finish()
-        assert pipeline.total_extrapolation_ops > 0.0
-
 
 class TestMidStreamBehaviour:
     def test_forced_iframe_resets_the_window_phase(self, small_sequence):
@@ -225,11 +216,11 @@ class TestSessionLifecycle:
         session = pipeline.open_session(source=small_sequence)
         for _, frame in small_sequence.iter_frames():
             session.submit(frame)
-        stats = session.stats
-        assert stats.frames == small_sequence.num_frames
-        assert stats.inference_frames + stats.extrapolation_frames == stats.frames
-        assert stats.inference_rate == pytest.approx(0.5, abs=0.05)
-        assert stats.extrapolation_ops > 0
+        assert session.frames_submitted == small_sequence.num_frames
+        result = session.finish()
+        assert result.inference_count + result.extrapolation_count == len(result)
+        assert result.inference_rate == pytest.approx(0.5, abs=0.05)
+        assert sum(event.extrapolation_ops for event in result.telemetry) > 0
 
     def test_truth_rejected_for_sequence_bound_sessions(self, small_sequence):
         pipeline = PipelineSpec().build(tracking_backend_for("mdnet"))
@@ -318,7 +309,7 @@ class TestDimensionBoundSessions:
         assert [f.frame_index for f in remainder.frames] == list(
             range(10, small_sequence.num_frames)
         )
-        assert session.stats.frames == small_sequence.num_frames
+        assert session.frames_submitted == small_sequence.num_frames
 
 
 class TestTelemetry:

@@ -116,7 +116,7 @@ class TestScheduler:
             mux.pump()
         assert mux.pending_frames == 1  # frame is back at the head
         # Replace the bad head with a good one and the stream recovers.
-        mux._streams[stream_id].queue.clear()
+        mux._executor.shard_of(stream_id).core.stream(stream_id).queue.clear()
         mux.submit(stream_id, sequence.frame(0), truth=sequence.truth_detections(0))
         mux.pump()
         assert mux.stats_for(stream_id).frames_processed == 1
@@ -370,7 +370,7 @@ class TestEnergyPolicy:
         stream_id = mux.add_stream(sequence)
         mux.feed_sequence(stream_id, sequence)
         mux.drain()
-        session = mux._streams[stream_id].session
+        session = mux._executor.shard_of(stream_id).core.stream(stream_id).session
         assert session._telemetry == []
 
     def test_deadline_breached_stream_boards_a_truncated_batch(
