@@ -1,21 +1,19 @@
 """Sharded execution core: one scheduling layer under sweeps and serving.
 
-Historically the repo had two disjoint parallel-execution paths:
-``EuphratesPipeline.run_dataset(max_workers)`` pickled whole
-``VideoSequence`` objects into a ``ProcessPoolExecutor`` while the
-:class:`~repro.core.streaming.StreamMultiplexer` scheduled in-process
-sessions single-threaded.  This module unifies them:
-
-* :class:`StreamShard` is the scheduling core — the two-phase
-  (E-burst / batched-I) fair-share and energy/deadline policies that used
-  to live inside the multiplexer, operating on any number of sessions it
-  owns end-to-end.
-* :class:`ShardedExecutor` places streams onto shards.  With
-  ``workers <= 1`` the single shard runs in-process (bit-identical to the
-  pre-sharding code path, which keeps single-core CI and the oracle path
-  unchanged).  With ``workers = N`` it forks N worker processes, each
-  owning its sessions end-to-end; only small picklable control messages
-  cross the pipe.
+* :class:`StreamShard` is the scheduling core and the in-process shard:
+  the two-phase (E-burst / batched-I) fair-share and energy/deadline
+  policies over the sessions it owns end-to-end.  With ``workers <= 1``
+  the executor drives one directly; with ``workers = N`` every worker
+  process drives its own through the same calls (:class:`_ProcessShard`
+  forwards them over a pipe, and only small picklable control messages
+  cross it).  One worker and many thus share one open, submit, finish,
+  drain and failure path.
+* :class:`ShardedExecutor` places streams onto shards, keeps the
+  per-stream stats registry, and is the one place that decides what a
+  stream failure does.  A shard always contains a failing session to its
+  own stream and hands back every record of the round; the executor
+  folds those records, then raises :class:`StreamFailedError` (batch
+  runs) or records the failure (serving, ``isolate_failures=True``).
 * :class:`SharedMemoryTransport` moves uint8 frames between processes
   zero-copy over ``multiprocessing.shared_memory`` ring buffers.  Frames
   are never pickled: the producer writes pixels into a free slot and
@@ -23,9 +21,12 @@ sessions single-threaded.  This module unifies them:
   ndarray view.  Slots are reused under generation counters so a stale
   reference can never silently read recycled pixels.
 
+A stream opened with a source sequence gets an oracle-fed session, and
+the executor sends the sequence's ground truth with every frame.
 Sessions are fully isolated (own backend copy, own controller clone, own
-ISP), so sharded output is bit-identical to serial execution — property
-tested in ``tests/test_executor.py`` for every task/policy combination.
+ISP), so sharded output is bit-identical to a sequence-bound session —
+property tested in ``tests/test_executor.py`` for every task/policy
+combination.
 """
 
 from __future__ import annotations
@@ -251,11 +252,12 @@ class ShardError(RuntimeError):
 class StreamFailedError(ShardError):
     """One stream failed (its worker crashed or its session raised).
 
-    Raised by :meth:`ShardedExecutor.finish_stream` /
-    :meth:`ShardedExecutor.submit` for a stream that previously failed.
-    Unlike a bare :class:`ShardError` this is scoped: every other stream —
-    including streams on the same shard when failure isolation is on —
-    keeps running.
+    Raised by :meth:`ShardedExecutor.submit` and
+    :meth:`ShardedExecutor.finish_stream` for a failed stream and, without
+    failure isolation, by the :meth:`~ShardedExecutor.pump` or
+    :meth:`~ShardedExecutor.drain` call that first sees the failure.
+    Unlike a bare :class:`ShardError` this is scoped: every other stream,
+    on the same shard too, keeps running.
     """
 
     def __init__(self, key: str, message: str) -> None:
@@ -449,12 +451,12 @@ def _create_segment_memory(size: int) -> shared_memory.SharedMemory:
     """Create a segment the transport owns manually (no tracker autoclean).
 
     ``resource_tracker`` bookkeeping must stay balanced across the producer
-    and fork-children (they share one tracker process): if both the
-    producer's unlink and a worker's attach-unregister touch the same
-    entry, the tracker's cache underflows and it logs KeyErrors at
-    shutdown.  So the producer deregisters right after create and takes
-    explicit responsibility for unlinking in :meth:`close` (which every
-    executor teardown path calls); a hard crash before close leaks the
+    and fork-children (they share one tracker process), or the tracker's
+    cache underflows and it logs KeyErrors.  So only the producer talks
+    to the tracker: it deregisters right after create and takes explicit
+    responsibility for unlinking in :meth:`close` (which every executor
+    teardown path calls), and consumers attach without registering (see
+    :func:`_attach_segment`).  A hard crash before close leaks the
     segment to ``/dev/shm``, the price of deterministic bookkeeping.
     """
     if _SHM_HAS_TRACK:
@@ -490,24 +492,26 @@ def _unlink_segment_memory(shm: shared_memory.SharedMemory) -> None:
 
 
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing segment without re-registering ownership.
+    """Attach to an existing segment without telling the resource tracker.
 
-    The producer owns (and unlinks) every segment; a consumer attaching
-    through the default constructor would get the segment re-registered
-    with its own ``resource_tracker``, which then spuriously unlinks it —
-    and warns — at interpreter shutdown.  Python 3.13 grew ``track=False``
-    for exactly this; on older versions unregister by hand.
+    The producer owns (and unlinks) every segment and is the only process
+    that talks to the tracker.  Python 3.13 grew ``track=False`` for
+    exactly this.  Older versions register every attach, so registration
+    is suppressed around the call (the shard worker is single-threaded).
+    Registering and then unregistering instead races: fork-children share
+    the producer's tracker, and two workers attaching one segment at once
+    interleave their messages until the tracker logs ``KeyError``\\ s.
     """
     if _SHM_HAS_TRACK:
         return shared_memory.SharedMemory(name=name, track=False)
-    shm = shared_memory.SharedMemory(name=name)
-    try:  # pragma: no cover - depends on interpreter internals
-        from multiprocessing import resource_tracker
+    from multiprocessing import resource_tracker
 
-        resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-    except Exception:
-        pass
-    return shm
+    register = resource_tracker.register
+    resource_tracker.register = lambda *args, **kwargs: None
+    try:
+        return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = register
 
 
 class SharedMemorySlotReader:
@@ -600,11 +604,23 @@ class StreamShard:
        else was processed this round.
 
     Mis-predictions are benign: the authoritative I/E decision is made
-    inside ``session.submit`` exactly as in the batch pipeline.  The same
-    instance runs in-process (single-shard executor, the multiplexer's
-    serial path) and inside worker processes (``workers > 1``), which is
-    what makes sharded and serial execution bit-identical by construction.
+    inside ``session.submit`` exactly as in the batch pipeline.  The
+    executor drives one instance in-process (``workers <= 1``) and every
+    worker process drives its own through the same calls
+    (``workers > 1``), which is what makes sharded and serial execution
+    bit-identical by construction.
+
+    A session that raises fails only its own stream: its frame and the
+    rest of its queue are discarded (shared-memory slots released), the
+    traceback is kept in :attr:`stream_failures`, and the call still
+    returns the record of every other frame it processed.  Whether the
+    failure raises is the executor's decision.
     """
+
+    #: Shard-level failure reason.  An in-process shard cannot fail apart
+    #: from its caller, so this stays ``None``; a worker frontend sets it
+    #: when its process dies.
+    failure: Optional[str] = None
 
     def __init__(
         self,
@@ -613,24 +629,15 @@ class StreamShard:
         *,
         name: str = "shard0",
         reader: Optional[SharedMemorySlotReader] = None,
-        isolate_failures: bool = False,
     ) -> None:
         self.pipeline = pipeline
         self.schedule = schedule
         self.name = name
         self._reader = reader
-        #: When set, a session exception fails only that stream — the queue
-        #: is discarded (slots released), the failure recorded in
-        #: :attr:`stream_failures`, and every other stream keeps running.
-        #: Off by default: the batch paths want the historical semantics
-        #: where the head frame is re-queued and the exception propagates
-        #: (the caller may retry, e.g. resubmitting with first-frame truth).
-        self.isolate_failures = isolate_failures
         #: key -> traceback text for every stream this shard has failed.
         self.stream_failures: Dict[str, str] = {}
         self._new_failures: List[Tuple[str, str]] = []
         self._streams: Dict[str, _ShardStream] = {}
-        self._order: List[str] = []
         self._rr_offset = 0
         self._batch_counter = 0
 
@@ -640,7 +647,6 @@ class StreamShard:
             raise ValueError(f"stream '{key}' already exists")
         session = self.pipeline.open_session(**session_kwargs)
         self._streams[key] = _ShardStream(key, session)
-        self._order.append(key)
 
     def stream(self, key: str) -> _ShardStream:
         try:
@@ -648,7 +654,7 @@ class StreamShard:
         except KeyError:
             raise KeyError(f"unknown stream '{key}'") from None
 
-    def enqueue(
+    def submit(
         self,
         key: str,
         payload: object,
@@ -657,6 +663,14 @@ class StreamShard:
         defer_inference: bool = False,
         note: str = "",
     ) -> None:
+        """Queue one frame.
+
+        A frame for a failed stream is dropped and its slot handed back: a
+        worker can receive submits that raced the failure notice.
+        """
+        if key in self.stream_failures:
+            self._release(payload)
+            return
         self.stream(key).queue.append(
             (payload, truth, force_inference, defer_inference, note, time.perf_counter())
         )
@@ -666,36 +680,37 @@ class StreamShard:
         taken, self._new_failures = self._new_failures, []
         return taken
 
-    def _fail_stream(self, key: str, tb: str) -> None:
-        """Tear down one stream after an isolated failure."""
-        stream = self._streams.pop(key, None)
-        if stream is None:
-            return
-        self._order.remove(key)
-        self.stream_failures[key] = tb
-        self._new_failures.append((key, tb))
+    def _release(self, payload: object) -> None:
+        if isinstance(payload, FrameRef):
+            self._reader.release(payload)
+
+    def _fail_stream(self, stream: _ShardStream, tb: str) -> None:
+        """Tear down one stream whose session raised."""
+        del self._streams[stream.key]
+        self.stream_failures[stream.key] = tb
+        self._new_failures.append((stream.key, tb))
         for payload, *_ in stream.queue:
-            if isinstance(payload, FrameRef) and self._reader is not None:
-                try:
-                    self._reader.release(payload)
-                except Exception:  # pragma: no cover - slot already recycled
-                    pass
+            self._release(payload)
         stream.queue.clear()
-        try:
-            stream.session.finish()
-        except Exception:
-            pass
+        stream.session.finish()
 
     def pending(self) -> int:
         return sum(len(stream.queue) for stream in self._streams.values())
 
     def pending_for(self, key: str) -> int:
+        if key in self.stream_failures:
+            return 0
         return len(self.stream(key).queue)
 
     # -- scheduling ----------------------------------------------------
     def _process_head(
-        self, stream: _ShardStream, batch_size: int, batch_id: int
-    ) -> FrameRecord:
+        self,
+        stream: _ShardStream,
+        batch_size: int,
+        batch_id: int,
+        records: List[FrameRecord],
+    ) -> None:
+        """Process the head frame; a session error fails only this stream."""
         payload, truth, force, defer, note, enqueued_at = stream.queue.popleft()
         frame = self._reader.read(payload) if isinstance(payload, FrameRef) else payload
         start = time.perf_counter()
@@ -707,31 +722,30 @@ class StreamShard:
                 defer_inference=defer,
                 degradation=note,
             )
-        except BaseException:
-            # Put the frame back so the stream stays aligned with its queue
-            # and the caller can retry (the session rolls itself back for
-            # pre-ISP failures, e.g. missing first-frame truth).
-            stream.queue.appendleft((payload, truth, force, defer, note, enqueued_at))
-            raise
+        except Exception:
+            self._release(payload)
+            self._fail_stream(stream, traceback.format_exc())
+            return
         elapsed = time.perf_counter() - start
-        if isinstance(payload, FrameRef):
-            # The session never retains the caller's buffer past submit
-            # (the ISP denoiser widens to float64 working copies, the
-            # oracle copies frame 0), so the slot can be recycled now.
-            self._reader.release(payload)
+        # The session never retains the caller's buffer past submit (the
+        # ISP denoiser widens to float64 working copies, the oracle copies
+        # frame 0), so the slot can be recycled now.
+        self._release(payload)
         events = stream.session.take_telemetry()
         if self.schedule.keep_telemetry:
             stream.kept_telemetry.extend(events)
-        return FrameRecord(
-            shard=self.name,
-            key=stream.key,
-            frame_index=result.frame_index,
-            kind=result.kind,
-            batch_size=batch_size,
-            batch_id=batch_id,
-            busy_s=elapsed,
-            wait_s=max(0.0, start - enqueued_at),
-            telemetry=events[-1] if events else None,
+        records.append(
+            FrameRecord(
+                shard=self.name,
+                key=stream.key,
+                frame_index=result.frame_index,
+                kind=result.kind,
+                batch_size=batch_size,
+                batch_id=batch_id,
+                busy_s=elapsed,
+                wait_s=max(0.0, start - enqueued_at),
+                telemetry=events[-1] if events else None,
+            )
         )
 
     def _deadline_breached(self, stream: _ShardStream) -> bool:
@@ -740,37 +754,23 @@ class StreamShard:
             or stream.i_head_rounds >= self.schedule.deadline_frames
         )
 
-    def _process_safe(
-        self, stream: _ShardStream, batch_size: int, batch_id: int,
-        records: List[FrameRecord],
-    ) -> bool:
-        """Process one head frame, failing only its stream under isolation."""
-        try:
-            records.append(self._process_head(stream, batch_size, batch_id))
-            return True
-        except BaseException:
-            if not self.isolate_failures:
-                raise
-            self._fail_stream(stream.key, traceback.format_exc())
-            return False
-
     def pump(self) -> List[FrameRecord]:
         """Run one scheduling round; return a record per processed frame."""
-        schedule = self.schedule
         records: List[FrameRecord] = []
-        active = [self._streams[key] for key in self._order if key in self._streams]
+        if not self.pending():
+            return records
+        schedule = self.schedule
+        active = list(self._streams.values())
         if schedule.policy == "energy":
             # Deadline pressure first: the deepest backlog is the stream
             # closest to missing its (frame-budget) deadline.
             order = sorted(active, key=lambda stream: -len(stream.queue))
-        elif active:
+        else:
             # One rotation per round (shared by both phases), so the lead
             # position really cycles over every stream.
             offset = self._rr_offset % len(active)
             self._rr_offset += 1
             order = active[offset:] + active[:offset]
-        else:
-            order = []
 
         for stream in order:
             burst = 0
@@ -779,16 +779,13 @@ class StreamShard:
                 and stream.queue
                 and stream.head_kind() is FrameKind.EXTRAPOLATION
             ):
-                if not self._process_safe(stream, 1, -1, records):
-                    break
+                self._process_head(stream, 1, -1, records)
                 burst += 1
 
         batch = [
             stream
             for stream in order
-            if stream.key in self._streams
-            and stream.queue
-            and stream.head_kind() is FrameKind.INFERENCE
+            if stream.queue and stream.head_kind() is FrameKind.INFERENCE
         ]
         if batch and schedule.policy == "energy":
             for stream in batch:
@@ -814,30 +811,42 @@ class StreamShard:
             self._batch_counter += 1
             for stream in batch:
                 stream.i_head_rounds = 0
-                self._process_safe(stream, len(batch), batch_id, records)
+                self._process_head(stream, len(batch), batch_id, records)
         return records
 
-    def drain(self) -> List[FrameRecord]:
-        """Pump until every queue is empty."""
+    def _pump_while(self, condition) -> List[FrameRecord]:
+        """Run scheduling rounds while ``condition()`` holds."""
         records: List[FrameRecord] = []
-        while self.pending():
+        while condition():
             before = self.pending()
             round_records = self.pump()
             if not round_records and self.pending() >= before:
                 # Cannot happen with the two-phase pump (every head frame is
-                # either E or I, and an isolated failure empties its queue),
-                # but guard against a livelocked scheduler.
+                # either E or I, and a failure empties its queue), but
+                # guard against a livelocked scheduler.
                 raise RuntimeError("scheduler made no progress with frames pending")
             records.extend(round_records)
         return records
 
-    def finish_stream(self, key: str) -> SequenceResult:
-        stream = self.stream(key)
-        if stream.queue:
-            raise RuntimeError(
-                f"stream '{key}' still has {len(stream.queue)} pending frames; "
-                "drain before finishing"
-            )
+    def drain(self) -> List[FrameRecord]:
+        """Pump until every queue is empty."""
+        return self._pump_while(self.pending)
+
+    def throttle(self, limit: int) -> List[FrameRecord]:
+        """Flow control: pump until fewer than ``limit`` frames are queued."""
+        return self._pump_while(lambda: self.pending() >= limit)
+
+    def finish_stream(self, key: str) -> Tuple[Optional[SequenceResult], List[FrameRecord]]:
+        """Pump ``key``'s queue dry, then close the stream.
+
+        Returns its result and the records of every round this took (other
+        streams' frames included).  The result is ``None`` when the stream
+        failed, before or during the call; :attr:`stream_failures` says why.
+        """
+        records = self._pump_while(lambda: self.pending_for(key))
+        if key in self.stream_failures:
+            return None, records
+        stream = self._streams.pop(key)
         result = stream.session.finish()
         if self.schedule.keep_telemetry:
             # The shard drained telemetry per frame; hand it back on the
@@ -845,265 +854,112 @@ class StreamShard:
             result = SequenceResult(
                 sequence_name=result.sequence_name,
                 frames=result.frames,
-                telemetry=list(stream.kept_telemetry),
+                telemetry=stream.kept_telemetry,
             )
-        del self._streams[key]
-        self._order.remove(key)
-        return result
+        return result, records
+
+    def close(self) -> None:
+        """Nothing to reclaim: the sessions live in this process."""
 
 
 # ----------------------------------------------------------------------
-# Worker process protocol
+# Worker processes
 # ----------------------------------------------------------------------
 def _shard_worker_main(
-    conn,
-    pipeline_blob: bytes,
-    schedule: ShardSchedule,
-    shard_name: str,
-    isolate_failures: bool = False,
+    conn, pipeline_blob: bytes, schedule: ShardSchedule, shard_name: str
 ) -> None:
-    """Entry point of one shard worker process.
+    """Entry point of one worker process: a :class:`StreamShard` on a pipe.
 
     Control protocol (all messages tuples, tag first):
 
     * main -> worker: ``("open", key, kwargs)``, ``("frame", key, ref,
-      truth, force, defer, note)``, ``("drain",)``, ``("finish", key)``,
-      ``("stop",)``.
-    * worker -> main: ``("opened", key)``, ``("records", [FrameRecord])``,
-      ``("drained", shard)``, ``("finished", key, result)``,
-      ``("stream_error", key, traceback)``, ``("error", shard, traceback)``.
+      truth, force, defer, note)``, ``("finish", key)``, ``("stop",)``.
+    * worker -> main: ``("opened", key, error)``, ``("records", [FrameRecord],
+      [(key, traceback)])``, ``("finished", key, result)``, ``("error",
+      shard, traceback)``.
 
-    With ``isolate_failures`` a session exception fails only its stream
-    (reported as ``stream_error``; the worker keeps pumping the rest).
-    Otherwise an error pauses the worker (no pumping) until the next
-    message arrives, so a poisoned head frame cannot spam the pipe.
+    While frames are queued the worker absorbs whatever control messages
+    have arrived, then runs one scheduling round and sends its records and
+    the streams it failed.  A failed open answers with its traceback
+    (``error``, else ``None``); ``result`` is ``None`` for a failed stream.
+    Any other exception ends the worker with an ``error`` message.
     """
-    pipeline = pickle.loads(pipeline_blob)
     reader = SharedMemorySlotReader()
-    core = StreamShard(
-        pipeline,
-        schedule,
-        name=shard_name,
-        reader=reader,
-        isolate_failures=isolate_failures,
-    )
-    drain_requested = False
-    paused = False
-
-    def flush_failures() -> None:
-        for key, tb in core.take_new_failures():
-            conn.send(("stream_error", key, tb))
-
-    def handle(message) -> str:
-        nonlocal drain_requested
-        tag = message[0]
-        if tag == "stop":
-            return "stop"
-        if tag == "frame":
-            _, key, payload, truth, force, defer, note = message
-            if key in core.stream_failures:
-                # The client raced a submit against this stream's failure
-                # notice; drop the frame but hand its slot back.
-                if isinstance(payload, FrameRef):
-                    reader.release(payload)
-                return "continue"
-            core.enqueue(key, payload, truth, force, defer, note)
-            return "continue"
-        if tag == "drain":
-            drain_requested = True
-            return "continue"
-        if tag == "open":
-            _, key, kwargs = message
-            try:
-                core.open_stream(key, **kwargs)
-            except Exception:
-                conn.send(("error", shard_name, traceback.format_exc()))
-                return "pause"
-            conn.send(("opened", key))
-            return "continue"
-        if tag == "finish":
-            _, key = message
-            try:
-                while (
-                    key not in core.stream_failures and core.pending_for(key)
-                ):
-                    before = core.pending()
-                    records = core.pump()
-                    flush_failures()
-                    if not records and core.pending() >= before:
-                        raise RuntimeError(
-                            "scheduler made no progress with frames pending"
-                        )
-                    if records:
-                        conn.send(("records", records))
-                if key in core.stream_failures:
-                    conn.send(("stream_error", key, core.stream_failures[key]))
-                    return "continue"
-                result = core.finish_stream(key)
-            except Exception:
-                conn.send(("error", shard_name, traceback.format_exc()))
-                return "pause"
-            conn.send(("finished", key, result))
-            return "continue"
-        conn.send(("error", shard_name, f"unknown message tag {message[0]!r}"))
-        return "pause"
-
     try:
+        shard = StreamShard(
+            pickle.loads(pipeline_blob), schedule, name=shard_name, reader=reader
+        )
+
+        def send_records(records: List[FrameRecord]) -> None:
+            failures = shard.take_new_failures()
+            if records or failures:
+                conn.send(("records", records, failures))
+
         while True:
-            if paused or not core.pending():
-                if drain_requested and not core.pending():
-                    conn.send(("drained", shard_name))
-                    drain_requested = False
-                    continue
-                try:
-                    message = conn.recv()
-                except EOFError:
-                    break
-                paused = False
-                action = handle(message)
-                if action == "stop":
-                    break
-                if action == "pause":
-                    paused = True
-                continue
-            # Frames pending: absorb whatever control traffic has arrived
-            # without blocking, then run one scheduling round.
-            stopped = False
-            while conn.poll(0):
-                try:
-                    message = conn.recv()
-                except EOFError:
-                    return
-                action = handle(message)
-                if action == "stop":
-                    stopped = True
-                    break
-                if action == "pause":
-                    paused = True
-                    break
-            if stopped:
-                break
-            if paused:
+            if shard.pending() and not conn.poll(0):
+                send_records(shard.pump())
                 continue
             try:
-                records = core.pump()
-            except Exception:
-                conn.send(("error", shard_name, traceback.format_exc()))
-                paused = True
-                continue
-            flush_failures()
-            if records:
-                conn.send(("records", records))
+                message = conn.recv()
+            except EOFError:
+                break
+            tag = message[0]
+            if tag == "frame":
+                shard.submit(*message[1:])
+            elif tag == "open":
+                _, key, kwargs = message
+                try:
+                    shard.open_stream(key, **kwargs)
+                except Exception:
+                    conn.send(("opened", key, traceback.format_exc()))
+                else:
+                    conn.send(("opened", key, None))
+            elif tag == "finish":
+                result, records = shard.finish_stream(message[1])
+                send_records(records)
+                conn.send(("finished", message[1], result))
+            elif tag == "stop":
+                break
+            else:
+                raise ValueError(f"unknown message tag {tag!r}")
+    except Exception:
+        conn.send(("error", shard_name, traceback.format_exc()))
     finally:
         reader.close()
         conn.close()
 
 
-# ----------------------------------------------------------------------
-# Shard frontends (what the executor talks to)
-# ----------------------------------------------------------------------
-class _InProcessShard:
-    """Single-shard fallback: the scheduling core runs in this process."""
-
-    is_process = False
-
-    def __init__(
-        self,
-        pipeline: "EuphratesPipeline",
-        schedule: ShardSchedule,
-        *,
-        isolate_failures: bool = False,
-    ) -> None:
-        self.name = "shard0"
-        self.core = StreamShard(
-            pipeline, schedule, name=self.name, isolate_failures=isolate_failures
-        )
-        #: Shard-level failure reason; an in-process shard cannot crash
-        #: independently of the client, so this stays ``None`` (mirrors the
-        #: :class:`_ProcessShard` attribute for uniform executor handling).
-        self.failure: Optional[str] = None
-        self._buffered: List[FrameRecord] = []
-
-    @property
-    def stream_errors(self) -> Dict[str, str]:
-        return self.core.stream_failures
-
-    def open_stream(self, key: str, **kwargs) -> None:
-        self.core.open_stream(key, **kwargs)
-
-    def submit(self, key, payload, truth, force, defer=False, note="") -> None:
-        self.core.enqueue(key, payload, truth, force, defer, note)
-
-    def collect(self) -> List[FrameRecord]:
-        """One scheduling round (the in-process analogue of 'poll')."""
-        records, self._buffered = self._buffered, []
-        if self.core.pending():
-            records.extend(self.core.pump())
-        return records
-
-    def drain(self) -> List[FrameRecord]:
-        records, self._buffered = self._buffered, []
-        records.extend(self.core.drain())
-        return records
-
-    def finish_stream(self, key: str):
-        # Mirror the worker shards' behavior: pump this stream's own queue
-        # dry first, buffering the records for the next pump()/drain().
-        while (
-            key not in self.core.stream_failures and self.core.pending_for(key)
-        ):
-            self._buffered.extend(self.core.pump())
-        if key in self.core.stream_failures:
-            raise StreamFailedError(
-                key,
-                f"stream '{key}' failed on {self.name}:\n"
-                f"{self.core.stream_failures[key]}",
-            )
-        return self.core.finish_stream(key)
-
-    def pending_for(self, key: str) -> int:
-        return self.core.pending_for(key)
-
-    def outstanding(self) -> int:
-        return self.core.pending()
-
-    def close(self) -> None:
-        pass
-
-
 class _ProcessShard:
-    """Pipe frontend to one worker process owning its sessions end-to-end."""
+    """Pipe frontend to one worker process driving its own StreamShard.
 
-    is_process = True
+    Offers the :class:`StreamShard` calls the executor makes.  Records the
+    worker sends are buffered until the next call that returns records.
+    """
 
     def __init__(
-        self,
-        index: int,
-        ctx,
-        pipeline_blob: bytes,
-        schedule: ShardSchedule,
-        *,
-        isolate_failures: bool = False,
+        self, index: int, ctx, pipeline_blob: bytes, schedule: ShardSchedule
     ) -> None:
         self.name = f"shard{index}"
         self.conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=_shard_worker_main,
-            args=(child_conn, pipeline_blob, schedule, self.name, isolate_failures),
+            args=(child_conn, pipeline_blob, schedule, self.name),
             name=f"repro-{self.name}",
             daemon=True,
         )
         self.process.start()
         child_conn.close()
         self._records: List[FrameRecord] = []
-        self._opened: set = set()
-        self._finished: Dict[str, SequenceResult] = {}
+        self._opened: Dict[str, Optional[str]] = {}
+        self._finished: Dict[str, Optional[SequenceResult]] = {}
+        #: key -> frames submitted and not yet recorded (a failed stream
+        #: has none): the drain and flow-control condition.
         self._pending: Dict[str, int] = {}
-        self._drained = False
-        #: key -> traceback text for streams the worker failed in isolation.
-        self.stream_errors: Dict[str, str] = {}
-        #: Shard-level failure reason (dead worker / broken pipe).  Once
-        #: set, the executor scopes the loss to this shard's streams.
+        #: key -> traceback text for streams the worker failed.
+        self.stream_failures: Dict[str, str] = {}
+        #: Shard-level failure reason (dead worker, broken pipe, an error
+        #: outside any session).  Once set, the executor scopes the loss to
+        #: this shard's streams.
         self.failure: Optional[str] = None
 
     # -- message plumbing ----------------------------------------------
@@ -1127,25 +983,21 @@ class _ProcessShard:
     def _absorb(self, message) -> None:
         tag = message[0]
         if tag == "records":
-            for record in message[1]:
+            _, records, failures = message
+            for record in records:
                 if record.key in self._pending:
                     self._pending[record.key] -= 1
-            self._records.extend(message[1])
+            self._records.extend(records)
+            for key, tb in failures:
+                self.stream_failures[key] = tb
+                self._pending[key] = 0
+        elif tag == "opened":
+            self._opened[message[1]] = message[2]
         elif tag == "finished":
             self._finished[message[1]] = message[2]
-        elif tag == "drained":
-            self._drained = True
-        elif tag == "opened":
-            self._opened.add(message[1])
-        elif tag == "stream_error":
-            # Isolated failure: only this stream is lost; the worker keeps
-            # serving its other streams.
-            self.stream_errors[message[1]] = message[2]
-            self._pending[message[1]] = 0
         elif tag == "error":
-            raise ShardError(
-                f"worker for {self.name} failed:\n{message[2]}"
-            )
+            self.failure = f"worker for {self.name} failed:\n{message[2]}"
+            raise ShardError(self.failure)
         else:  # pragma: no cover - protocol invariant
             raise ShardError(f"unknown worker message tag {tag!r}")
 
@@ -1177,49 +1029,47 @@ class _ProcessShard:
                     return
                 raise self._dead()
 
-    # -- shard interface -----------------------------------------------
+    def _take_records(self) -> List[FrameRecord]:
+        records, self._records = self._records, []
+        return records
+
+    # -- the StreamShard calls -----------------------------------------
     def open_stream(self, key: str, **kwargs) -> None:
-        self._pending[key] = 0
         self._send(("open", key, kwargs))
         self._wait(lambda: key in self._opened)
+        error = self._opened.pop(key)
+        if error is not None:
+            raise ShardError(f"stream '{key}' failed to open on {self.name}:\n{error}")
+        self._pending[key] = 0
 
     def submit(self, key, payload, truth, force, defer=False, note="") -> None:
         self._send(("frame", key, payload, truth, force, defer, note))
-        self._pending[key] = self._pending.get(key, 0) + 1
+        self._pending[key] += 1
 
-    def collect(self) -> List[FrameRecord]:
+    def pump(self) -> List[FrameRecord]:
+        """Absorb the records sent so far (the worker pumps on its own)."""
         self._pump_pipe()
-        records, self._records = self._records, []
-        return records
+        return self._take_records()
 
     def drain(self) -> List[FrameRecord]:
-        self._drained = False
-        self._send(("drain",))
-        self._wait(lambda: self._drained)
-        records, self._records = self._records, []
-        return records
+        self._wait(lambda: not any(self._pending.values()))
+        return self._take_records()
 
-    def finish_stream(self, key: str):
-        if key in self.stream_errors:
-            raise StreamFailedError(
-                key,
-                f"stream '{key}' failed on {self.name}:\n{self.stream_errors[key]}",
-            )
+    def throttle(self, limit: int) -> List[FrameRecord]:
+        self._wait(lambda: self.pending() < limit)
+        return self._take_records()
+
+    def finish_stream(self, key: str) -> Tuple[Optional[SequenceResult], List[FrameRecord]]:
         self._send(("finish", key))
-        self._wait(lambda: key in self._finished or key in self.stream_errors)
-        self._pending.pop(key, None)
-        if key in self.stream_errors:
-            raise StreamFailedError(
-                key,
-                f"stream '{key}' failed on {self.name}:\n{self.stream_errors[key]}",
-            )
-        return self._finished.pop(key)
+        self._wait(lambda: key in self._finished)
+        del self._pending[key]
+        return self._finished.pop(key), self._take_records()
 
     def pending_for(self, key: str) -> int:
         self._pump_pipe()
         return self._pending.get(key, 0)
 
-    def outstanding(self) -> int:
+    def pending(self) -> int:
         self._pump_pipe()
         return sum(self._pending.values())
 
@@ -1243,12 +1093,11 @@ class _ProcessShard:
 class ShardedExecutor:
     """Places streams onto shards; one execution layer for sweeps and serving.
 
-    ``workers <= 1`` runs a single in-process shard over the in-process
-    transport — semantically (and bit-) identical to the pre-sharding
-    serial paths, so single-core CI and the oracle path are unchanged.
-    ``workers = N`` forks N shard workers; streams are placed round-robin,
-    frames cross over the shared-memory transport, and only small control
-    messages are ever pickled.
+    ``workers <= 1`` drives one in-process :class:`StreamShard` over the
+    in-process transport.  ``workers = N`` forks N shard workers, each
+    driving its own :class:`StreamShard` through the same calls; streams
+    are placed round-robin, frames cross over the shared-memory transport,
+    and only small control messages are ever pickled.
 
     Lifecycle: :meth:`open_stream` places a stream on a shard (the
     placement is deterministic in arrival order — worker count never
@@ -1265,10 +1114,17 @@ class ShardedExecutor:
     incrementally.  Always :meth:`close` (or use as a context manager) so
     worker processes and shared-memory segments are reclaimed.
 
-    ``isolate_failures=True`` turns a stream crash inside a shard into a
-    per-stream failure recorded in :attr:`stream_failures` instead of
-    tearing down the executor — the serving path uses this so one bad
-    camera cannot take down the fleet.
+    This is the one place that decides what a stream failure does.  Every
+    shard contains a failing session to its stream and hands back the
+    round's other records, which are folded first.  Without
+    ``isolate_failures`` the :meth:`pump` or :meth:`drain` call that first
+    sees the failure then raises :class:`StreamFailedError` carrying the
+    session traceback (:meth:`submit` and :meth:`finish_stream` raise it
+    for their own stream), and a dead worker raises :class:`ShardError`.
+    With ``isolate_failures=True`` both are recorded in
+    :attr:`stream_failures` instead and every other stream keeps running —
+    the serving path uses this so one bad camera cannot take down the
+    fleet.
     """
 
     def __init__(
@@ -1299,34 +1155,26 @@ class ShardedExecutor:
         self.isolate_failures = bool(isolate_failures)
         self._sources: Dict[str, "VideoSequence"] = {}
         self._assignment: Dict[str, object] = {}
-        self._order: List[str] = []
         self._stats: Dict[str, StreamStats] = {}
-        self._stray_records: List[FrameRecord] = []
-        #: key -> reason for streams lost to an isolated failure (their own
-        #: session crashing, or their shard's worker process dying).
+        #: Folded records the next pump()/drain() hands out.
+        self._records: List[FrameRecord] = []
+        #: key -> reason for every failed stream (its own session raising,
+        #: or its shard's worker process dying).
         self._failures: Dict[str, str] = {}
+        #: Failed streams no call has raised for yet (without isolation).
+        self._unraised: List[str] = []
         self._closed = False
 
         if self.transport_mode == "inproc":
             self.transport = InProcessTransport()
-            self._shards: List[object] = [
-                _InProcessShard(
-                    pipeline, self.schedule, isolate_failures=self.isolate_failures
-                )
-            ]
+            self._shards: List[object] = [StreamShard(pipeline, self.schedule)]
         else:
             self.transport = SharedMemoryTransport()
             methods = get_all_start_methods()
             ctx = get_context("fork" if "fork" in methods else "spawn")
             blob = pickle.dumps(pipeline)
             self._shards = [
-                _ProcessShard(
-                    index,
-                    ctx,
-                    blob,
-                    self.schedule,
-                    isolate_failures=self.isolate_failures,
-                )
+                _ProcessShard(index, ctx, blob, self.schedule)
                 for index in range(self.workers)
             ]
 
@@ -1342,38 +1190,38 @@ class ShardedExecutor:
         backend=None,
         window_controller=None,
     ) -> None:
-        """Open one stream on the next shard (round-robin placement)."""
+        """Open one stream on the next shard (round-robin placement).
+
+        A shard never receives a ``source`` sequence (a worker would get
+        its frame stack pickled wholesale).  It opens an oracle-fed session
+        with the source's geometry, and :meth:`submit` sends the source's
+        ground truth with every frame.  ``oracle_name`` keeps the oracle
+        presenting the true sequence name, so simulated backends seeded by
+        sequence name stay bit-identical to a sequence-bound session.  A
+        failed open raises here and leaves the shard serving.
+        """
         if self._closed:
             raise RuntimeError("executor is closed")
         if key in self._assignment:
             raise ValueError(f"stream '{key}' already exists")
-        shard = self._shards[len(self._order) % len(self._shards)]
-        kwargs: Dict[str, object] = {
-            "name": name,
-            "backend": backend,
-            "window_controller": window_controller,
-        }
-        if shard.is_process and source is not None:
-            # Worker shards never receive the sequence (its frame stack
-            # would be pickled wholesale).  They open an oracle-fed session
-            # with the source's geometry; the executor feeds frames over
-            # the transport and ground truth per submit.  ``oracle_name``
-            # keeps the oracle presenting the true sequence name, so
-            # simulated backends seeded by sequence name stay bit-identical
-            # to a sequence-bound session.
-            kwargs.update(
-                width=source.width,
-                height=source.height,
-                name=name or source.name,
-                oracle_name=source.name,
-                oracle_labels=dict(source.labels),
-            )
+        shard = self._shards[len(self._assignment) % len(self._shards)]
+        oracle: Dict[str, object] = {}
+        if source is not None:
+            name = name or source.name
+            width, height = source.width, source.height
+            oracle = {"oracle_name": source.name, "oracle_labels": dict(source.labels)}
+        shard.open_stream(
+            key,
+            name=name,
+            width=width,
+            height=height,
+            backend=backend,
+            window_controller=window_controller,
+            **oracle,
+        )
+        if source is not None:
             self._sources[key] = source
-        else:
-            kwargs.update(source=source, width=width, height=height)
-        shard.open_stream(key, **kwargs)
         self._assignment[key] = shard
-        self._order.append(key)
         self._stats[key] = StreamStats(name=key)
 
     def stats_for(self, key: str) -> StreamStats:
@@ -1392,16 +1240,17 @@ class ShardedExecutor:
     # -- failure scoping -------------------------------------------------
     @property
     def stream_failures(self) -> Dict[str, str]:
-        """key -> reason for every stream lost to an isolated failure."""
+        """key -> reason for every failed stream."""
         self._sync_failures()
         return dict(self._failures)
 
     def _sync_failures(self) -> None:
         for shard in self._shards:
-            for key, reason in shard.stream_errors.items():
-                self._failures.setdefault(
-                    key, f"stream '{key}' failed on {shard.name}:\n{reason}"
-                )
+            for key, reason in shard.stream_failures.items():
+                if key not in self._failures:
+                    self._failures[key] = f"stream '{key}' failed on {shard.name}:\n{reason}"
+                    if not self.isolate_failures:
+                        self._unraised.append(key)
 
     def _fail_shard(self, shard, reason: str) -> None:
         """Scope the loss of one shard to the streams placed on it."""
@@ -1417,11 +1266,11 @@ class ShardedExecutor:
 
     def _forget(self, key: str) -> None:
         self._assignment.pop(key, None)
-        if key in self._order:
-            self._order.remove(key)
         self._sources.pop(key, None)
 
     def _raise_failed(self, key: str) -> None:
+        if key in self._unraised:
+            self._unraised.remove(key)
         raise StreamFailedError(key, self._failures[key])
 
     # -- frame ingress --------------------------------------------------
@@ -1439,14 +1288,11 @@ class ShardedExecutor:
         if key in self._failures:
             self._raise_failed(key)
         shard = self.shard_of(key)
-        if shard.failure is not None:
-            self._shard_failed(shard, ShardError(shard.failure))
-            self._raise_failed(key)
         stats = self._stats[key]
         source = self._sources.get(key)
         if source is not None and truth is None:
-            # Sequence-bound streams on worker shards: the oracle needs the
-            # truth a sequence-bound session would have read itself.
+            # The oracle needs the truth a sequence-bound session would
+            # have read itself.
             truth = source.truth_detections(stats.frames_submitted)
         payload = self.transport.send(frame)
         try:
@@ -1456,9 +1302,8 @@ class ShardedExecutor:
         except ShardError as error:
             # The frame never reached the shard: hand its slot back so a
             # dead worker doesn't leak ring-buffer capacity.
-            release = getattr(self.transport, "release", None)
-            if release is not None and isinstance(payload, FrameRef):
-                release(payload)
+            if isinstance(payload, FrameRef):
+                self.transport.release(payload)
             self._shard_failed(shard, error)
             self._raise_failed(key)
         stats.frames_submitted += 1
@@ -1480,15 +1325,34 @@ class ShardedExecutor:
             if shard.failure is not None:
                 continue
             try:
-                total += shard.outstanding()
+                total += shard.pending()
             except ShardError as error:
                 self._shard_failed(shard, error)
         return total
 
     # -- scheduling ------------------------------------------------------
-    def _fold(self, records: List[FrameRecord]) -> List[FrameRecord]:
+    def _fold(self, records: List[FrameRecord]) -> None:
         for record in records:
             self._stats[record.key].fold(record)
+        self._records.extend(records)
+
+    def _absorb(self, shard, call) -> None:
+        """Make ``call(shard)`` on a live shard and fold the records it returns."""
+        if shard.failure is not None:
+            return
+        try:
+            self._fold(call(shard))
+        except ShardError as error:
+            self._shard_failed(shard, error)
+
+    def _collect(self, call) -> List[FrameRecord]:
+        for shard in self._shards:
+            self._absorb(shard, call)
+        self._sync_failures()
+        if self._unraised:
+            # The round's records stay folded and queued for the next call.
+            self._raise_failed(self._unraised[0])
+        records, self._records = self._records, []
         return records
 
     def pump(self) -> List[FrameRecord]:
@@ -1498,62 +1362,35 @@ class ShardedExecutor:
         absorbs whatever records have arrived (the workers pump on their
         own).
         """
-        records = self._stray_records
-        self._stray_records = []
-        for shard in self._shards:
-            if shard.failure is not None:
-                continue
-            try:
-                records.extend(self._fold(shard.collect()))
-            except ShardError as error:
-                self._shard_failed(shard, error)
-        self._sync_failures()
-        return records
+        return self._collect(lambda shard: shard.pump())
 
     def drain(self) -> List[FrameRecord]:
         """Block until every queue on every live shard is empty."""
-        records = self._stray_records
-        self._stray_records = []
-        for shard in self._shards:
-            if shard.failure is not None:
-                continue
-            try:
-                records.extend(self._fold(shard.drain()))
-            except ShardError as error:
-                self._shard_failed(shard, error)
-        self._sync_failures()
-        return records
+        return self._collect(lambda shard: shard.drain())
 
     def finish_stream(self, key: str) -> Tuple[SequenceResult, StreamStats]:
         """Close one stream and return its (result, stats).
 
-        Records produced while the stream's shard catches up are kept and
-        handed out by the next :meth:`pump`/:meth:`drain` call, so clients
-        tracking per-frame statistics never lose any.  A stream lost to an
-        isolated failure raises :class:`StreamFailedError` with the original
-        worker traceback; other streams stay serviceable.
+        The stream's shard pumps it dry first.  The records of those
+        rounds are folded now and handed out by the next :meth:`pump` /
+        :meth:`drain` call, so clients tracking per-frame statistics never
+        lose any.  A failed stream raises :class:`StreamFailedError` with
+        the original traceback; other streams stay serviceable.
         """
         self._sync_failures()
-        if key in self._failures:
-            self._forget(key)
-            self._raise_failed(key)
-        shard = self.shard_of(key)
-        try:
-            result = shard.finish_stream(key)
-        except StreamFailedError as error:
-            self._failures.setdefault(key, str(error))
-            self._forget(key)
-            raise
-        except ShardError as error:
-            self._shard_failed(shard, error)
-            self._forget(key)
-            self._raise_failed(key)
-        if shard.is_process:
+        result = None
+        if key not in self._failures:
+            shard = self.shard_of(key)
             try:
-                self._stray_records.extend(self._fold(shard.collect()))
+                result, records = shard.finish_stream(key)
             except ShardError as error:
                 self._shard_failed(shard, error)
+            else:
+                self._fold(records)
+                self._sync_failures()
         self._forget(key)
+        if result is None:
+            self._raise_failed(key)
         return result, self._stats[key]
 
     # -- whole-dataset convenience --------------------------------------
@@ -1575,11 +1412,9 @@ class ShardedExecutor:
             for key, sequence in zip(keys, sequences):
                 if frame_index >= sequence.num_frames:
                     continue
-                shard = self.shard_of(key)
-                if shard.is_process:
-                    # Flow control: absorbed records land in the shard's
-                    # buffer and come back from the next drain()/pump().
-                    shard._wait(lambda: shard.outstanding() < max_outstanding)
+                self._absorb(
+                    self.shard_of(key), lambda shard: shard.throttle(max_outstanding)
+                )
                 self.submit(key, sequence.frame(frame_index))
         self.drain()
         return [self.finish_stream(key) for key in keys]

@@ -74,6 +74,7 @@ __all__ = [
     "MSG_REJECT",
     "MSG_RESULT",
     "MSG_STATS",
+    "DEGRADE_QUEUE_FACTOR",
     "OVERLOAD_POLICIES",
     "AdmissionError",
     "IngestConfig",
@@ -315,6 +316,11 @@ class ReorderWindow:
 # ----------------------------------------------------------------------
 OVERLOAD_POLICIES = ("drop-oldest", "degrade")
 
+#: Under ``degrade`` a stream's ready queue holds at most this many times
+#: ``queue_capacity`` frames; beyond that it sheds the oldest frame exactly
+#: as ``drop-oldest`` does at ``queue_capacity``.
+DEGRADE_QUEUE_FACTOR = 2
+
 
 class AdmissionError(RuntimeError):
     """The capacity budget rejected a new stream."""
@@ -332,7 +338,8 @@ class IngestConfig:
     #: gap — the next delivered frame forces an I-frame);
     #: ``"degrade"`` accepts the frame but defers controller-scheduled
     #: I-frames (widening the effective extrapolation window) until the
-    #: backlog clears.
+    #: backlog clears, and sheds like ``drop-oldest`` only once the queue
+    #: reaches :data:`DEGRADE_QUEUE_FACTOR` times ``queue_capacity``.
     overload_policy: str = "degrade"
     #: Out-of-order arrivals buffered while waiting for missing frames.
     reorder_window: int = 8
@@ -547,10 +554,12 @@ class IngestCore:
         self, stream: _IngestStream, seq: int, item: object, gap: bool
     ) -> None:
         frame, truth = item
-        if (
-            len(stream.ready) >= self.config.queue_capacity
-            and self.config.overload_policy == "drop-oldest"
-        ):
+        bound = self.config.queue_capacity
+        if self.config.overload_policy == "degrade":
+            # Degrade defers inference from queue_capacity on (see _feed)
+            # and sheds only at its wider bound.
+            bound *= DEGRADE_QUEUE_FACTOR
+        if len(stream.ready) >= bound:
             # Shed the oldest queued frame; its absence is a gap whatever
             # is submitted next must seal with an I-frame.  A gap the
             # dropped frame itself carried transfers the same way.
@@ -562,8 +571,6 @@ class IngestCore:
                 stream.ready[0] = (nseq, nframe, ntruth, True)
             else:
                 stream.pending_gap = True
-        # Under "degrade" the queue grows past capacity; the feed loop
-        # tags the backlog as degraded instead of shedding it.
         stream.ready.append((seq, frame, truth, gap))
 
     def _feed(self, stream: _IngestStream) -> None:

@@ -17,26 +17,20 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from ..isp.framebuffer import DEFAULT_FRAME_FORMAT, FixedPointFormat
 from ..isp.pipeline import ISPConfig, ISPPipeline
 from ..motion.block_matching import BlockMatchingConfig
 from .backends import InferenceBackend
 from .executor import ExecutionSpec, ShardedExecutor, ShardSchedule
-from .session import (
-    DISAGREEMENT_IOU_FLOOR,
-    EuphratesSession,
-    StreamOracle,
-    measure_disagreement,
-    prune_states,
-)
+from .session import EuphratesSession, StreamOracle
 
 if TYPE_CHECKING:  # imported lazily to avoid a circular package import
     from ..video.datasets import Dataset
     from ..video.sequence import VideoSequence
-from .extrapolation import ExtrapolationConfig, MotionExtrapolator, RoiMotionState
-from .types import DatasetRunResult, Detection, SequenceResult
+from .extrapolation import ExtrapolationConfig, MotionExtrapolator
+from .types import DatasetRunResult, SequenceResult
 from .window import ConstantWindowController, WindowController
 
 
@@ -228,10 +222,6 @@ class EuphratesPipeline:
             source=backend_source,
             oracle=oracle,
             on_finish=self._session_finished,
-            # Bound here so subclasses that override the feedback metric or
-            # the pruning policy keep affecting session-backed runs.
-            disagreement=self._disagreement,
-            prune=self._prune_states,
         )
         if source is not None:
             # Start the backend *before* taking the engine lease: a failing
@@ -266,11 +256,6 @@ class EuphratesPipeline:
             # on this pipeline would refuse with "engines already leased".
             if not session.closed:
                 session.finish()
-
-    @staticmethod
-    def _prune_states(states: Dict[int, RoiMotionState], detections: Sequence[Detection]) -> None:
-        """Compatibility alias for :func:`repro.core.session.prune_states`."""
-        prune_states(states, detections)
 
     def run_dataset(
         self,
@@ -335,18 +320,3 @@ class EuphratesPipeline:
                 dataset, max_workers=max_workers, transport=transport
             )
         )
-
-    # ------------------------------------------------------------------
-    # Adaptive-mode feedback
-    # ------------------------------------------------------------------
-    #: Minimum IoU for pairing an inferred box with a predicted one in the
-    #: disagreement metric (see :func:`repro.core.session.measure_disagreement`,
-    #: the canonical implementation next to the per-frame loop).
-    DISAGREEMENT_IOU_FLOOR = DISAGREEMENT_IOU_FLOOR
-
-    @classmethod
-    def _disagreement(
-        cls, inferred: Sequence[Detection], predicted: Sequence[Detection]
-    ) -> float:
-        """Compatibility alias for :func:`repro.core.session.measure_disagreement`."""
-        return measure_disagreement(inferred, predicted, cls.DISAGREEMENT_IOU_FLOOR)

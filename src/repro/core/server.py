@@ -89,9 +89,6 @@ class _Connection:
 class EuphratesServer:
     """Serves the ingestion core over asyncio TCP.
 
-    ``stream_kwargs`` (optional) maps a HELLO config dict to extra keyword
-    arguments for :meth:`IngestCore.open_stream` — the hook where a
-    deployment wires per-stream backends or window controllers.
     ``outbox_depth`` is how many queued replies a RESULT ack may find on
     its connection before it is shed.
     """
@@ -103,13 +100,11 @@ class EuphratesServer:
         host: str = "127.0.0.1",
         port: int = 0,
         outbox_depth: int = 256,
-        stream_kwargs=None,
     ) -> None:
         self.ingest = ingest
         self.host = host
         self.port = port
         self.outbox_depth = outbox_depth
-        self.stream_kwargs = stream_kwargs
         self.final_report: "MultiplexerReport | None" = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._pump_task: Optional[asyncio.Task] = None
@@ -302,7 +297,6 @@ class EuphratesServer:
             return
         name = config.get("stream") or f"net{self._next_stream_id}"
         self._next_stream_id += 1
-        extra = dict(self.stream_kwargs(config)) if self.stream_kwargs else {}
         try:
             self.ingest.open_stream(
                 name,
@@ -311,7 +305,6 @@ class EuphratesServer:
                 fps=float(config.get("fps", 30.0)),
                 window_size=int(config.get("window_size", 1)),
                 rois=int(config.get("rois", 1)),
-                **extra,
             )
         except AdmissionError as error:
             self._offer(

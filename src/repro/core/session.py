@@ -79,7 +79,6 @@ def prune_states(
 def measure_disagreement(
     inferred: Sequence[Detection],
     predicted: Sequence[Detection],
-    iou_floor: float = DISAGREEMENT_IOU_FLOOR,
 ) -> float:
     """Mean ``1 - IoU`` between inference results and extrapolated ones.
 
@@ -114,7 +113,7 @@ def measure_disagreement(
     used_inferred: set = set()
     used_predicted: set = set()
     for iou, i, j in pairs:
-        if iou < iou_floor:
+        if iou < DISAGREEMENT_IOU_FLOOR:
             break
         if i in used_inferred or j in used_predicted:
             continue
@@ -279,12 +278,6 @@ class EuphratesSession:
         source: "VideoSequence | StreamOracle | None" = None,
         oracle: Optional[StreamOracle] = None,
         on_finish: Optional[Callable[["EuphratesSession"], None]] = None,
-        disagreement: Optional[
-            Callable[[Sequence[Detection], Sequence[Detection]], float]
-        ] = None,
-        prune: Optional[
-            Callable[[Dict[int, RoiMotionState], Sequence[Detection]], None]
-        ] = None,
     ) -> None:
         self.name = name
         self._isp = isp
@@ -294,11 +287,6 @@ class EuphratesSession:
         self._source = source
         self._oracle = oracle
         self._on_finish = on_finish
-        # The feedback metric and state-pruning policy are injectable so a
-        # pipeline subclass that customizes them keeps working through the
-        # session-backed run() path.
-        self._measure_disagreement = disagreement or measure_disagreement
-        self._prune_states = prune or prune_states
         # Per-stream algorithm state, previously locals of the run() loop.
         self._states: Dict[int, RoiMotionState] = {}
         self._last_detections: List[Detection] = []
@@ -470,9 +458,9 @@ class EuphratesSession:
             detections = self._backend.infer(frame_index, processed.luma, self._source)
             inference_s = time.perf_counter() - stage_start
             if predicted is not None:
-                disagreement = self._measure_disagreement(detections, predicted)
+                disagreement = measure_disagreement(detections, predicted)
                 self._controller.observe_disagreement(disagreement)
-            self._prune_states(self._states, detections)
+            prune_states(self._states, detections)
             kind = FrameKind.INFERENCE
             self._frames_since_inference = 0
         else:

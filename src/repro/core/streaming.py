@@ -42,7 +42,6 @@ from .executor import (
     FrameRecord,
     ShardedExecutor,
     ShardSchedule,
-    StreamFailedError,
     StreamStats,
 )
 from .types import Detection, SequenceResult
@@ -163,6 +162,9 @@ class StreamMultiplexer:
     owning its sessions end-to-end (the scheduling policies run shard-local
     and frames cross over the shared-memory ``transport``); the default of
     1 keeps everything in-process.  Worker count never changes outputs.
+    ``isolate_failures`` goes to the executor, which decides whether a
+    failing stream raises or is recorded in :attr:`stream_failures` (see
+    :class:`~repro.core.executor.ShardedExecutor`).
 
     Passing an energy model (``soc`` + ``network``) attaches one
     :class:`~repro.soc.frame_cost.CostMeter` per stream: every processed
@@ -199,7 +201,6 @@ class StreamMultiplexer:
         if (soc is None) != (network is None):
             raise ValueError("energy metering needs both soc and network")
         self.pipeline = pipeline
-        self.isolate_failures = bool(isolate_failures)
         #: Observer invoked with every absorbed :class:`FrameRecord` (the
         #: hook the serving layer's ingest core sets).  Observe-only.
         self.on_record: "Callable[[FrameRecord], None] | None" = None
@@ -400,7 +401,7 @@ class StreamMultiplexer:
     # ------------------------------------------------------------------
     @property
     def stream_failures(self) -> Dict[str, str]:
-        """stream id -> reason, for streams lost to an isolated failure."""
+        """stream id -> reason, for every failed stream."""
         return self._executor.stream_failures
 
     def finish_stream(self, stream_id: str) -> SequenceResult:
@@ -408,8 +409,7 @@ class StreamMultiplexer:
 
         The serving layer's per-connection teardown: other streams keep
         running and the multiplexer stays open for new ones.  Raises
-        :class:`~repro.core.executor.StreamFailedError` if the stream was
-        lost to an isolated failure.
+        :class:`~repro.core.executor.StreamFailedError` if the stream failed.
         """
         if stream_id not in self._results:
             result, _stats = self._executor.finish_stream(stream_id)
@@ -424,23 +424,18 @@ class StreamMultiplexer:
 
         Also releases the execution resources (worker processes and
         shared-memory segments when ``workers > 1``), so a finished
-        multiplexer cannot accept new streams.  Under ``isolate_failures``
-        streams lost to a failure are skipped (see :attr:`stream_failures`
-        for the reasons); without isolation the failure propagates as ever.
+        multiplexer cannot accept new streams.  Streams lost to a failure
+        are skipped (see :attr:`stream_failures` for the reasons); without
+        ``isolate_failures`` the drain raises for a failure first.
         """
         self.drain()
+        failures = self._executor.stream_failures
         results: Dict[str, SequenceResult] = {}
         for name in self._meters:
+            if name in failures:
+                continue
             if name not in self._results:
-                if self.isolate_failures and name in self._executor.stream_failures:
-                    continue
-                try:
-                    result, _stats = self._executor.finish_stream(name)
-                except StreamFailedError:
-                    if not self.isolate_failures:
-                        raise
-                    continue
-                self._results[name] = result
+                self._results[name], _stats = self._executor.finish_stream(name)
             results[name] = self._results[name]
         # Late records can surface while worker shards wind down.
         self._absorb(self._executor.pump())

