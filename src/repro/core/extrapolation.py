@@ -83,11 +83,6 @@ class MotionExtrapolator:
         #: Total fixed-point operations performed so far (compute accounting).
         self.total_operations = 0.0
 
-    def configure_frame(self, frame_width: Optional[int], frame_height: Optional[int]) -> None:
-        """Point a reused extrapolator at a new sequence's frame geometry."""
-        self.frame_width = frame_width
-        self.frame_height = frame_height
-
     # ------------------------------------------------------------------
     # Single-ROI extrapolation
     # ------------------------------------------------------------------
@@ -137,13 +132,6 @@ class MotionExtrapolator:
         self.total_operations += self.operations_per_roi(roi)
 
         return ExtrapolationResult(box=merged, motion=mean_motion, confidence=mean_confidence)
-
-    def _filtered_motion(
-        self, roi: BoundingBox, motion_field: MotionField, state: RoiMotionState
-    ) -> Tuple[MotionVector, float]:
-        """Eqs. 1-3 for a single (sub-)ROI."""
-        average, confidence = motion_field.roi_statistics(roi)  # Eqs. 1 and 2
-        return self._apply_confidence_filter(average, confidence, state), confidence
 
     def _apply_confidence_filter(
         self, average: MotionVector, confidence: float, state: RoiMotionState

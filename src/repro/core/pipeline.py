@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # imported lazily to avoid a circular package import
     from ..video.datasets import Dataset
     from ..video.sequence import VideoSequence
 from .extrapolation import ExtrapolationConfig, MotionExtrapolator
-from .types import DatasetRunResult, SequenceResult
+from .types import SequenceResult
 from .window import ConstantWindowController, WindowController
 
 
@@ -66,53 +66,6 @@ class EuphratesPipeline:
         #: transport); :meth:`PipelineSpec.build` installs the spec's knobs
         #: here.  Never affects outputs, only where sessions run.
         self.execution = ExecutionSpec()
-        # Reusable per-pipeline engine instances: constructing the ISP and
-        # the extrapolator per sequence is pure overhead once a dataset has
-        # hundreds of sequences, so both are built lazily and reset/retargeted
-        # at each sequence start.
-        self._isp: Optional[ISPPipeline] = None
-        self._extrapolator: Optional[MotionExtrapolator] = None
-        # The engine-sharing session currently holding the cached engines
-        # (None when they are free).  Only one such session may be open at a
-        # time; standalone sessions are unrestricted.
-        self._engine_lease: Optional[EuphratesSession] = None
-
-    def __getstate__(self):
-        # The cached ISP/extrapolator are lazily rebuilt and carry large
-        # frame buffers; shipping them to the sharded executor's worker
-        # processes would bloat the pickled pipeline for state the workers
-        # rebuild anyway.
-        state = self.__dict__.copy()
-        state["_isp"] = None
-        state["_extrapolator"] = None
-        state["_engine_lease"] = None
-        return state
-
-    # ------------------------------------------------------------------
-    # Engine reuse
-    # ------------------------------------------------------------------
-    def _acquire_isp(self) -> ISPPipeline:
-        if self._isp is None:
-            self._isp = ISPPipeline(self._isp_config())
-        else:
-            self._isp.reset()
-        return self._isp
-
-    def _isp_config(self) -> ISPConfig:
-        return ISPConfig(
-            expose_motion_vectors=self.config.expose_motion_vectors,
-            block_matching=self.config.block_matching,
-            frame_format=self.config.frame_format,
-        )
-
-    def _acquire_extrapolator(self, width: int, height: int) -> MotionExtrapolator:
-        if self._extrapolator is None:
-            self._extrapolator = MotionExtrapolator(
-                self.config.extrapolation, frame_width=width, frame_height=height
-            )
-        else:
-            self._extrapolator.configure_frame(width, height)
-        return self._extrapolator
 
     # ------------------------------------------------------------------
     # Sessions: the incremental frame-at-a-time API
@@ -128,7 +81,6 @@ class EuphratesPipeline:
         oracle_labels: Optional[Dict[int, str]] = None,
         backend: Optional[InferenceBackend] = None,
         window_controller: Optional[WindowController] = None,
-        share_engines: bool = False,
     ) -> EuphratesSession:
         """Open an incremental session; see :class:`EuphratesSession`.
 
@@ -148,13 +100,11 @@ class EuphratesPipeline:
           named sequence frame-by-frame so simulated backends seeded by
           sequence name produce bit-identical outputs.
 
-        By default every session gets its *own* ISP, extrapolator, backend
-        copy and window-controller clone, so any number of sessions can run
-        concurrently (this is what :class:`~repro.core.streaming.StreamMultiplexer`
-        builds on).  ``share_engines=True`` instead borrows the pipeline's
-        cached engines, its backend and its controller — the batch
-        :meth:`run` path — and therefore allows only one open session at a
-        time.
+        Every session gets its *own* ISP, extrapolator, backend copy and
+        window-controller clone, so any number of sessions can run
+        concurrently and none of them changes the pipeline.  :meth:`run`,
+        :meth:`run_dataset` and :class:`~repro.core.streaming.StreamMultiplexer`
+        all open their sessions here.
         """
         if source is not None:
             if oracle_name is not None or oracle_labels is not None:
@@ -178,63 +128,37 @@ class EuphratesPipeline:
             )
             backend_source = oracle
 
-        if share_engines:
-            if source is None:
-                raise ValueError("engine-sharing sessions require a source sequence")
-            if backend is not None or window_controller is not None:
-                raise ValueError(
-                    "engine-sharing sessions use the pipeline's backend and controller"
-                )
-            if self._engine_lease is not None and not self._engine_lease.closed:
-                raise RuntimeError(
-                    "the pipeline's cached engines are already leased to session "
-                    f"'{self._engine_lease.name}'; finish() it first or open a "
-                    "standalone session"
-                )
-            isp = self._acquire_isp()
-            extrapolator = self._acquire_extrapolator(width, height)
-            session_backend = self.backend
-            controller = self.window_controller
-        else:
-            if backend is self.backend:
-                raise ValueError(
-                    "backend is this pipeline's own engine; standalone "
-                    "sessions (and shards) must never share a live backend — "
-                    "open with share_engines=True or pass a copy"
-                )
-            isp = ISPPipeline(self._isp_config())
-            extrapolator = MotionExtrapolator(
-                self.config.extrapolation, frame_width=width, frame_height=height
+        if backend is self.backend:
+            raise ValueError(
+                "backend is this pipeline's own engine; sessions (and shards) "
+                "must never share a live backend — pass a copy or leave "
+                "backend unset"
             )
-            session_backend = backend if backend is not None else copy.deepcopy(self.backend)
-            controller = (
+        session_backend = backend if backend is not None else copy.deepcopy(self.backend)
+        session = EuphratesSession(
+            name=name,
+            isp=ISPPipeline(
+                ISPConfig(
+                    expose_motion_vectors=self.config.expose_motion_vectors,
+                    block_matching=self.config.block_matching,
+                    frame_format=self.config.frame_format,
+                )
+            ),
+            extrapolator=MotionExtrapolator(
+                self.config.extrapolation, frame_width=width, frame_height=height
+            ),
+            backend=session_backend,
+            window_controller=(
                 window_controller
                 if window_controller is not None
                 else self.window_controller.clone()
-            )
-
-        session = EuphratesSession(
-            name=name,
-            isp=isp,
-            extrapolator=extrapolator,
-            backend=session_backend,
-            window_controller=controller,
+            ),
             source=backend_source,
             oracle=oracle,
-            on_finish=self._session_finished,
         )
         if source is not None:
-            # Start the backend *before* taking the engine lease: a failing
-            # start (e.g. a sequence with no first-frame annotation) must
-            # not leave the pipeline holding a lease for a dead session.
             session_backend.start_sequence(source)
-        if share_engines:
-            self._engine_lease = session
         return session
-
-    def _session_finished(self, session: EuphratesSession) -> None:
-        if self._engine_lease is session:
-            self._engine_lease = None
 
     # ------------------------------------------------------------------
     # Main loop — a thin wrapper over the session API
@@ -243,80 +167,40 @@ class EuphratesPipeline:
         """Process one video sequence and return per-frame results.
 
         Implemented as ``open_session`` + one ``submit`` per frame +
-        ``finish`` — bit-identical to submitting the frames yourself.
+        ``finish`` — bit-identical to submitting the frames yourself.  The
+        session starts from a fresh controller clone, so repeated runs
+        return identical results and never change the pipeline.
         """
-        session = self.open_session(source=sequence, share_engines=True)
-        try:
-            for _, frame in sequence.iter_frames():
-                session.submit(frame)
-            return session.finish()
-        finally:
-            # A mid-sequence error (backend failure, bad frame, interrupt)
-            # must still release the engine lease, or every future run()
-            # on this pipeline would refuse with "engines already leased".
-            if not session.closed:
-                session.finish()
+        session = self.open_session(source=sequence)
+        for _, frame in sequence.iter_frames():
+            session.submit(frame)
+        return session.finish()
 
     def run_dataset(
         self,
         dataset: "Dataset | Iterable[VideoSequence]",
         max_workers: Optional[int] = None,
-        *,
-        transport: Optional[str] = None,
     ) -> List[SequenceResult]:
-        """Process every sequence of a dataset.
+        """Process every sequence of a dataset; results in dataset order.
 
-        ``max_workers`` and ``transport`` default to this pipeline's
-        :class:`~repro.core.executor.ExecutionSpec` (``pipeline.execution``,
-        installed by ``PipelineSpec.build``).  With more than one worker the
-        sequences run on a :class:`~repro.core.executor.ShardedExecutor`:
-        each shard worker owns its sessions end-to-end and frames cross the
-        process boundary over the shared-memory transport, never pickled.
-
-        Results come back in dataset order, with per-frame telemetry —
-        bit-identical to the serial path for constant windows
-        (property-tested).  Adaptive-window
-        feedback stays local to each parallel worker: every sequence adapts
-        within itself but starts from a fresh controller clone, whereas the
-        serial path chains controller state from one sequence into the next
-        — so adaptive-mode results can differ between serial and parallel
-        runs (constant-window results are identical).
+        The sequences run on a :class:`~repro.core.executor.ShardedExecutor`
+        with ``max_workers`` shards (default: ``pipeline.execution``,
+        installed by ``PipelineSpec.build``).  One worker is the in-process
+        shard; more fork shard workers that own their sessions end to end
+        and receive frames over the shared-memory transport, never pickled.
+        Every sequence runs in its own session from a fresh controller
+        clone, so the worker count never changes a result and per-frame
+        telemetry is kept.  A failing sequence raises
+        :class:`~repro.core.executor.StreamFailedError`.
         """
         sequences = dataset.sequences if hasattr(dataset, "sequences") else list(dataset)
-        execution = self.execution
         if max_workers is None:
-            max_workers = execution.workers
-        if transport is None:
-            transport = execution.transport
-        if max_workers is None or max_workers <= 1 or len(sequences) <= 1:
-            return [self.run(sequence) for sequence in sequences]
-
-        executor = ShardedExecutor(
+            max_workers = self.execution.workers
+        with ShardedExecutor(
             self,
-            workers=min(max_workers, len(sequences)),
-            transport=transport,
+            workers=max(1, min(max_workers, len(sequences))),
+            transport=self.execution.transport,
             schedule=ShardSchedule(keep_telemetry=True),
-        )
-        try:
+        ) as executor:
             outcomes = executor.run_sequences(sequences)
-        finally:
-            executor.close()
         return [result for result, _stats in outcomes]
-
-    def run_dataset_result(
-        self,
-        dataset: "Dataset | Iterable[VideoSequence]",
-        max_workers: Optional[int] = None,
-        *,
-        transport: Optional[str] = None,
-    ) -> DatasetRunResult:
-        """Like :meth:`run_dataset`, but return a :class:`DatasetRunResult`.
-
-        The experiment harness caches one such self-contained object per
-        swept pipeline configuration.
-        """
-        return DatasetRunResult(
-            sequences=self.run_dataset(
-                dataset, max_workers=max_workers, transport=transport
-            )
-        )

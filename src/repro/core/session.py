@@ -16,15 +16,10 @@ behind an incremental interface::
 ``EuphratesPipeline.run`` is now a thin wrapper over exactly this loop, so
 the streaming path is bit-identical to the batch path by construction.
 
-Sessions come in two flavours:
-
-* **engine-sharing** sessions reuse the pipeline's cached ISP/extrapolator
-  and its backend/window controller — this is what ``run()`` uses, and only
-  one may be open at a time;
-* **standalone** sessions (the default from :meth:`open_session`) get their
-  own ISP, extrapolator, backend copy and window-controller clone, so any
-  number can run concurrently — the substrate of
-  :class:`repro.core.streaming.StreamMultiplexer`.
+Every session owns its ISP, extrapolator, backend copy and window-controller
+clone, so any number can run concurrently and each stream's adaptive window
+learns only from its own frames — whether the session comes from ``run()``,
+``run_dataset`` or :class:`repro.core.streaming.StreamMultiplexer`.
 
 A session may be bound to a :class:`~repro.video.sequence.VideoSequence`
 (whose annotations feed the simulated-CNN backends' ground-truth oracle) or
@@ -37,7 +32,7 @@ backends consume.
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -277,7 +272,6 @@ class EuphratesSession:
         window_controller: "WindowController",
         source: "VideoSequence | StreamOracle | None" = None,
         oracle: Optional[StreamOracle] = None,
-        on_finish: Optional[Callable[["EuphratesSession"], None]] = None,
     ) -> None:
         self.name = name
         self._isp = isp
@@ -286,7 +280,6 @@ class EuphratesSession:
         self._controller = window_controller
         self._source = source
         self._oracle = oracle
-        self._on_finish = on_finish
         # Per-stream algorithm state, previously locals of the run() loop.
         self._states: Dict[int, RoiMotionState] = {}
         self._last_detections: List[Detection] = []
@@ -544,8 +537,6 @@ class EuphratesSession:
         if self._closed:
             raise SessionClosedError(f"session '{self.name}' is already finished")
         self._closed = True
-        if self._on_finish is not None:
-            self._on_finish(self)
         return SequenceResult(
             sequence_name=self.name,
             frames=self._frames,

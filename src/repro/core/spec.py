@@ -18,10 +18,10 @@ single hashable value object:
   reproduced by pasting the printed flags back into the harness.
 
 The spec also carries *execution* knobs (``workers``, ``transport``) that
-select where sessions run — serial, or sharded over worker processes via
-:class:`~repro.core.executor.ShardedExecutor`.  Execution knobs never change
-outputs (sharded results are bit-identical to serial, property-tested), so
-they are excluded from :meth:`PipelineSpec.cache_key`.
+select where sessions run on :class:`~repro.core.executor.ShardedExecutor`:
+in-process, or sharded over worker processes.  Every sequence runs in its
+own session, so execution knobs never change outputs (property-tested) and
+are excluded from :meth:`PipelineSpec.cache_key`.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ class PipelineSpec:
     #: cluster (``cpu``, the Fig. 9b EW-N@CPU baseline).
     extrapolation_host: str = "mc"
     #: Worker shards for dataset runs and the stream multiplexer; 1 keeps
-    #: everything in-process (the bit-identical serial path).
+    #: everything in-process.  Never changes outputs.
     workers: int = 1
     #: Frame transport between client and shards: ``auto`` (shared memory
     #: when workers > 1), ``shm`` or ``inproc``.
@@ -413,9 +413,9 @@ class PipelineSpec:
 
         The harness stores sweep results under this key.  Execution knobs
         (``workers``, ``transport``) are deliberately excluded: they select
-        where sessions run, never what they compute (sharded output is
-        bit-identical to serial, property-tested), so results are shared
-        across execution modes.  Two specs that agree on every *algorithmic*
+        where sessions run, never what they compute (output is identical at
+        any worker count, property-tested), so results are shared across
+        execution modes.  Two specs that agree on every *algorithmic*
         knob therefore share a key even if their execution knobs differ.
         """
         return (

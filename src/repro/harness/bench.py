@@ -389,8 +389,7 @@ def _tune_options(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         metavar="N",
-        help="worker processes for sequence execution (default: 1, serial — "
-        "adaptive-window points are only worker-invariant serially)",
+        help="worker processes for sequence execution (default: 1)",
     )
 
 

@@ -15,16 +15,15 @@ Examples::
     # Process-parallel sweep on a multi-core box:
     PYTHONPATH=src python -m repro.harness run-all --workers 8
 
-    # CI smoke profile (1 sequence per dataset):
+    # CI smoke profile (2 sequences per dataset):
     PYTHONPATH=src python -m repro.harness run-all --smoke --workers 2
 
     # Append a perf entry to BENCH_motion.json and enforce its floors:
     PYTHONPATH=src python -m repro.harness bench motion --preset ci --guard
 
-All results are deterministic for a given (seed, dataset profile):
-``--workers 1`` takes exactly the sequential code path, and constant-window
-results are identical at any worker count (adaptive-window runs chain
-controller state across sequences only in the serial path; see
+All results are deterministic for a given (seed, dataset profile) and
+identical at any ``--workers`` count: every sequence runs in its own
+session from a fresh window-controller clone (see
 ``EuphratesPipeline.run_dataset``).
 """
 
@@ -387,7 +386,11 @@ def cmd_tune(args: argparse.Namespace) -> int:
     best = artifact.metadata.get("best_at_baseline_accuracy")
     if best:
         saving = best.get("energy_saving_vs_baseline_pct")
-        saving_note = f" ({saving:+.1f}% energy vs baseline)" if saving is not None else ""
+        # A positive saving is a cheaper point, so print its negation as the
+        # energy change (``0.0 -`` prints a tie as +0.0, not -0.0).
+        saving_note = (
+            f" ({0.0 - saving:+.1f}% energy vs baseline)" if saving is not None else ""
+        )
         print(
             f"\nbest at >= baseline accuracy: {best['describe']} — "
             f"{best['energy_per_frame_mj']} mJ/frame at accuracy "

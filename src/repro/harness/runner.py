@@ -93,15 +93,8 @@ class SweepRunner:
     what an isolated run would have produced.
     """
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        transport: Optional[str] = None,
-    ) -> None:
+    def __init__(self, max_workers: Optional[int] = None) -> None:
         self.max_workers = max_workers
-        #: Frame transport for sharded runs (``None`` = the pipeline's
-        #: configured default).
-        self.transport = transport
         self.cache_hits = 0
         self.cache_misses = 0
         self._cache: Dict[SweepPoint, DatasetRunResult] = {}
@@ -175,8 +168,8 @@ class SweepRunner:
         else:
             raise ValueError(f"unknown task '{task}' (expected 'detection' or 'tracking')")
         pipeline = spec.build(inference_backend)
-        result = pipeline.run_dataset_result(
-            dataset, max_workers=self.max_workers, transport=self.transport
+        result = DatasetRunResult(
+            sequences=pipeline.run_dataset(dataset, max_workers=self.max_workers)
         )
         self._cache[point] = result
         return result
@@ -264,10 +257,11 @@ class DatasetSpec:
     def smoke(cls) -> "DatasetSpec":
         """A near-minimal profile for CI smoke runs.
 
-        Tracking and detection keep two sequences each: with one sequence
-        ``run_dataset`` falls back to the serial path (so ``--workers 2``
-        would be a no-op), and the first tracking sequence carries the empty
-        attribute bundle (so the Fig. 12 smoke table would be empty).
+        Tracking and detection keep two sequences each: ``run_dataset``
+        never runs more workers than sequences (so with one sequence
+        ``--workers 2`` would be a no-op), and the first tracking sequence
+        carries the empty attribute bundle (so the Fig. 12 smoke table would
+        be empty).
         """
         return cls(
             otb_sequences=2,

@@ -92,7 +92,7 @@ class TemporalDenoiseStage:
         #: ``[0, 255]``, so downstream saturation passes (the matching
         #: reference's clip, the commit quantizer's clip) are exact no-ops
         #: and can be skipped.  Any non-uint8 frame clears the flag until
-        #: :meth:`reset`.
+        #: the reference restarts (a frame of a new size).
         self.output_in_unit8_range = False
         # Scratch buffers (reuse_output_buffers mode), (re)allocated on the
         # first frame of each shape.
@@ -107,16 +107,6 @@ class TemporalDenoiseStage:
     @property
     def name(self) -> str:
         return type(self).__name__
-
-    def reset(self) -> None:
-        """Forget the previous frame (e.g. at a scene cut or stream start)."""
-        self._previous_denoised = None
-        self._previous_reference = None
-        self.last_motion_field = None
-        self.last_motion_ops = 0
-        self.last_motion_s = 0.0
-        self.last_blend_s = 0.0
-        self.output_in_unit8_range = False
 
     # ------------------------------------------------------------------
     # Scratch buffers

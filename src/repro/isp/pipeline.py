@@ -129,7 +129,7 @@ class ISPPipeline:
             TemporalDenoiseConfig(block_matching=self.config.block_matching),
             reuse_output_buffers=True,
         )
-        #: Number of frames processed since construction / reset.
+        #: Number of frames processed since construction.
         self.frames_processed = 0
         # Ring of committed-frame buffers (depth + 1 so a buffer is only
         # recycled after its FrameBufferEntry has been evicted).  Committed
@@ -137,11 +137,6 @@ class ISPPipeline:
         # the frame buffer; consumers that need a frame for longer copy it.
         self._committed_ring: List[np.ndarray] = []
         self._committed_index = 0
-
-    def reset(self) -> None:
-        """Reset temporal state (previous-frame reference) and counters."""
-        self.denoise_stage.reset()
-        self.frames_processed = 0
 
     def _next_committed_buffer(self, shape) -> np.ndarray:
         """The next float64 commit buffer from the reuse ring."""

@@ -176,18 +176,3 @@ def _same_channel_neighbour_mean(bayer: np.ndarray) -> np.ndarray:
     left = padded[2 : 2 + height, 0:width]
     right = padded[2 : 2 + height, 4 : 4 + width]
     return (up + down + left + right) / 4.0
-
-
-def _bilinear_demosaic(bayer: np.ndarray, channel_map: np.ndarray) -> np.ndarray:
-    """Bilinear interpolation demosaic (numpy kernel; kept for compatibility)."""
-    return kernels.bilinear_demosaic(bayer, channel_map)
-
-
-def _box_sum_3x3(image: np.ndarray) -> np.ndarray:
-    """Sum over each pixel's 3x3 neighbourhood (reflect padding).
-
-    Delegates to :func:`repro.isp.kernels.box_sum_3x3`: an exact int64
-    summed-area table on lattice inputs, the nine-shift accumulation on
-    genuinely fractional floats.
-    """
-    return kernels.box_sum_3x3(image)

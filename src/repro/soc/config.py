@@ -241,23 +241,15 @@ def resolve_soc_config(name: "str | SoCConfig") -> SoCConfig:
 #: records the frontier each preset was picked from and the exact command
 #: that reproduces it.
 TUNED_SPEC_PRESETS: Dict[str, Dict[str, object]] = {
-    # The knee of the measured frontier: adaptive EW with a 4x4 sub-ROI
-    # extrapolation grid cuts modeled energy/frame ~15% below the default
-    # spec for ~4% tracking accuracy (motion-quality knobs are free — block
-    # matching rides the ISP — so the adaptive controller holds the window
-    # open longer before accuracy degrades).  See "Design-space autotuner"
-    # in EXPERIMENTS.md for the frontier this point was selected from.
+    # The measured frontier's adaptive point: adaptive EW with a 4x4 sub-ROI
+    # extrapolation grid tracks at every-frame-inference accuracy for ~5%
+    # less modeled energy/frame than the default spec, which it dominates
+    # outright (motion-quality knobs are free — block matching rides the
+    # ISP — so the controller holds the window open longer on easy scenes).
+    # See "Design-space autotuner" in EXPERIMENTS.md for the frontier this
+    # point was selected from.
     "tuned-ci-energy": {
         "extrapolation_window": "adaptive",
-        "sub_roi_grid": (4, 4),
-    },
-    # The accuracy end of the same frontier: finer motion blocks (8 px) and
-    # the 4x4 sub-ROI grid push adaptive-EW tracking to every-frame-
-    # inference accuracy at the default spec's energy — this point
-    # dominates the default configuration outright.
-    "tuned-ci-accuracy": {
-        "extrapolation_window": "adaptive",
-        "block_size": 8,
         "sub_roi_grid": (4, 4),
     },
 }

@@ -51,13 +51,6 @@ class TestTemporalDenoise:
         denoised, _ = stage.process(second)
         assert np.abs(denoised - second).mean() < 1.0
 
-    def test_reset_clears_reference(self, small_sequence):
-        stage = TemporalDenoiseStage()
-        stage.process(small_sequence.frame(0).astype(float))
-        stage.reset()
-        _, field = stage.process(small_sequence.frame(1).astype(float))
-        assert field is None
-
     def test_resolution_change_resets_reference(self, small_sequence):
         stage = TemporalDenoiseStage()
         stage.process(small_sequence.frame(0).astype(float))

@@ -57,10 +57,10 @@ class TestLumaPath:
         for index in range(3):
             isp.process_luma(small_sequence.frame(index).astype(float), index)
         assert isp.frames_processed == 3
-        isp.reset()
-        assert isp.frames_processed == 0
-        result = isp.process_luma(small_sequence.frame(3).astype(float), 3)
-        assert result.motion_field is None  # reference was cleared
+        # A frame of a new size resets the temporal reference.
+        result = isp.process_luma(small_sequence.frame(3)[:32, :48].astype(float), 3)
+        assert result.motion_field is None
+        assert isp.frames_processed == 4
 
     def test_frame_buffer_traffic_grows(self, small_sequence):
         isp = ISPPipeline()

@@ -5,12 +5,25 @@ from __future__ import annotations
 import pytest
 
 from repro.core.backends import tracking_backend_for, detection_backend_for
+from repro.core.executor import StreamFailedError
 from repro.core.pipeline import EuphratesPipeline
 from repro.core.session import measure_disagreement
 from repro.core.spec import PipelineSpec
-from repro.core.types import FrameKind
+from repro.core.types import DatasetRunResult, FrameKind
 from repro.core.window import AdaptiveWindowController, ConstantWindowController
 from repro.motion.block_matching import SearchStrategy
+
+
+class _ExplodingBackend:
+    """A backend whose every inference raises (module level: picklable)."""
+
+    network = None
+
+    def start_sequence(self, sequence):
+        pass
+
+    def infer(self, frame_index, luma, sequence):
+        raise RuntimeError("backend died")
 
 
 class TestScheduling:
@@ -98,7 +111,7 @@ class TestResults:
 
     def test_extrapolation_ops_accumulate(self, small_sequence):
         pipeline = PipelineSpec(extrapolation_window=2).build(tracking_backend_for("mdnet"))
-        result = pipeline.run_dataset_result([small_sequence])
+        result = DatasetRunResult(sequences=pipeline.run_dataset([small_sequence]))
         assert result.extrapolation_ops == sum(
             event.extrapolation_ops for event in result.sequences[0].telemetry
         )
@@ -109,8 +122,15 @@ class TestAdaptiveMode:
     def test_adaptive_controller_receives_feedback(self, small_sequence):
         controller = AdaptiveWindowController(initial_window=2)
         pipeline = EuphratesPipeline(tracking_backend_for("mdnet"), controller)
+        session = pipeline.open_session(source=small_sequence)
+        for _, frame in small_sequence.iter_frames():
+            session.submit(frame)
+        session.finish()
+        # The session's own clone observed disagreement at I-frames ...
+        assert session.window_controller.history
+        # ... and run() learns in its own clone too, never in the pipeline's.
         pipeline.run(small_sequence)
-        assert controller.history  # disagreement was observed at I-frames
+        assert controller.history == []
 
     def test_adaptive_window_varies(self, tiny_tracking_dataset):
         controller = AdaptiveWindowController(initial_window=2, max_window=8)
@@ -199,28 +219,6 @@ class TestDisagreementMetric:
         assert measure_disagreement(inferred, predicted) == pytest.approx(0.0)
 
 
-class TestEngineReuse:
-    def test_repeated_runs_are_deterministic(self, small_sequence):
-        """Reused ISP/extrapolator state must reset between sequences."""
-        pipeline = PipelineSpec(extrapolation_window=2).build(tracking_backend_for("mdnet"))
-        first = pipeline.run(small_sequence)
-        second = pipeline.run(small_sequence)
-        assert len(first) == len(second)
-        for a, b in zip(first.frames, second.frames):
-            assert a.kind is b.kind
-            for da, db in zip(a.detections, b.detections):
-                assert da.box.as_xywh() == pytest.approx(db.box.as_xywh())
-
-    def test_engines_are_reused_across_runs(self, small_sequence):
-        pipeline = PipelineSpec(extrapolation_window=2).build(tracking_backend_for("mdnet"))
-        pipeline.run(small_sequence)
-        isp = pipeline._isp
-        extrapolator = pipeline._extrapolator
-        pipeline.run(small_sequence)
-        assert pipeline._isp is isp
-        assert pipeline._extrapolator is extrapolator
-
-
 class TestParallelRunDataset:
     def test_parallel_matches_serial(self, tiny_tracking_dataset):
         serial = PipelineSpec(extrapolation_window=4).build(tracking_backend_for("mdnet"))
@@ -240,3 +238,37 @@ class TestParallelRunDataset:
             assert [e.extrapolation_ops for e in p.telemetry] == pytest.approx(
                 [e.extrapolation_ops for e in s.telemetry]
             )
+
+    def test_adaptive_results_do_not_depend_on_the_worker_count(
+        self, tiny_tracking_dataset
+    ):
+        """Every sequence adapts from a fresh clone, at any worker count."""
+
+        def run(workers):
+            pipeline = PipelineSpec(extrapolation_window="adaptive").build(
+                tracking_backend_for("mdnet")
+            )
+            results = pipeline.run_dataset(tiny_tracking_dataset, max_workers=workers)
+            assert pipeline.window_controller.history == []
+            return [
+                (
+                    [
+                        (f.kind, f.window_size, [d.box.as_xywh() for d in f.detections])
+                        for f in result.frames
+                    ],
+                    [(e.motion_ops, e.extrapolation_ops) for e in result.telemetry],
+                )
+                for result in results
+            ]
+
+        one = run(1)
+        assert run(2) == one
+        assert run(3) == one
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_sequence_raises_stream_failed_error(
+        self, tiny_tracking_dataset, workers
+    ):
+        pipeline = PipelineSpec().build(_ExplodingBackend())
+        with pytest.raises(StreamFailedError, match="backend died"):
+            pipeline.run_dataset(tiny_tracking_dataset, max_workers=workers)

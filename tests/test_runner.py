@@ -114,15 +114,19 @@ class TestSweepRunnerCache:
                 d.box for f in b for d in f.detections
             ]
 
-    def test_parallel_matches_serial_for_constant_window(self, tiny_dataset):
-        serial = SweepRunner().run("tracking", "mdnet", tiny_dataset, 2, seed=1)
-        parallel = SweepRunner(max_workers=2).run("tracking", "mdnet", tiny_dataset, 2, seed=1)
+    @pytest.mark.parametrize("window", [2, "adaptive"])
+    def test_parallel_matches_serial(self, tiny_dataset, window):
+        serial = SweepRunner().run("tracking", "mdnet", tiny_dataset, window, seed=1)
+        parallel = SweepRunner(max_workers=2).run(
+            "tracking", "mdnet", tiny_dataset, window, seed=1
+        )
         assert [d.box for r in serial for f in r for d in f.detections] == [
             d.box for r in parallel for f in r for d in f.detections
         ]
-        # Summation order differs between the serial accumulator and the
-        # per-worker totals, so compare up to float round-off.
-        assert parallel.extrapolation_ops == pytest.approx(serial.extrapolation_ops)
+        assert [f.window_size for r in serial for f in r] == [
+            f.window_size for r in parallel for f in r
+        ]
+        assert parallel.extrapolation_ops == serial.extrapolation_ops
 
     def test_run_result_counters(self, tiny_dataset):
         result = SweepRunner().run("tracking", "mdnet", tiny_dataset, 2, seed=1)

@@ -66,25 +66,17 @@ class TestStreamingBatchEquivalence:
 
 
 class TestRunIsASessionWrapper:
-    def test_run_still_deterministic_across_repeats(self, small_sequence):
-        pipeline = PipelineSpec(extrapolation_window=2).build(tracking_backend_for("mdnet"))
+    @pytest.mark.parametrize("window", [2, "adaptive"])
+    def test_run_still_deterministic_across_repeats(self, small_sequence, window):
+        """Every run starts from a fresh controller clone, adaptive ones too."""
+        pipeline = PipelineSpec(extrapolation_window=window).build(
+            tracking_backend_for("mdnet")
+        )
         first = pipeline.run(small_sequence)
         second = pipeline.run(small_sequence)
         assert_results_identical(first, second)
 
-    def test_engine_lease_released_on_finish(self, small_sequence):
-        pipeline = PipelineSpec().build(tracking_backend_for("mdnet"))
-        session = pipeline.open_session(source=small_sequence, share_engines=True)
-        with pytest.raises(RuntimeError, match="leased"):
-            pipeline.open_session(source=small_sequence, share_engines=True)
-        # run() shares the same engines, so it must refuse too.
-        with pytest.raises(RuntimeError, match="leased"):
-            pipeline.run(small_sequence)
-        session.submit(small_sequence.frame(0))
-        session.finish()
-        pipeline.run(small_sequence)  # lease released
-
-    def test_engine_lease_released_when_run_raises(self, small_sequence):
+    def test_run_after_a_failing_backend_still_works(self, small_sequence):
         class ExplodingBackend:
             network = None
 
@@ -97,11 +89,11 @@ class TestRunIsASessionWrapper:
         pipeline = PipelineSpec().build(ExplodingBackend())
         with pytest.raises(RuntimeError, match="backend died"):
             pipeline.run(small_sequence)
-        # The lease must not be poisoned: a healthy run still works.
+        # A failed run leaves nothing behind: a healthy run still works.
         pipeline.backend = tracking_backend_for("mdnet")
         pipeline.run(small_sequence)
 
-    def test_no_lease_taken_when_backend_start_fails(self, small_sequence):
+    def test_run_after_a_failed_backend_start_still_works(self, small_sequence):
         class ExplodingStart:
             network = None
 
@@ -115,7 +107,7 @@ class TestRunIsASessionWrapper:
         with pytest.raises(ValueError, match="annotation"):
             pipeline.run(small_sequence)
         pipeline.backend = tracking_backend_for("mdnet")
-        pipeline.run(small_sequence)  # must not report a stale lease
+        pipeline.run(small_sequence)
 
     def test_adaptive_clone_starts_from_the_configured_initial_window(self):
         from repro.core.window import AdaptiveWindowController

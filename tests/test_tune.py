@@ -384,6 +384,20 @@ class TestTuneCli:
         assert payload["metadata"]["evaluated"] == 0
         assert payload["metadata"]["reused"] == payload["metadata"]["candidates"]
 
+    def test_best_point_note_prints_the_energy_change_with_its_sign(
+        self, tmp_path, capsys
+    ):
+        space = tmp_path / "space.json"
+        space.write_text(
+            json.dumps({"extrapolation_window": [2, 4], "sub_roi_grid": [[2, 2], [4, 4]]})
+        )
+        args = ["tune", "--space", str(space), "--preset", "ci"]
+        assert harness_main(args + ["--store", str(tmp_path / "store.jsonl")]) == 0
+        out = capsys.readouterr().out
+        # EW-4 is ~20% cheaper than the EW-2 baseline: a negative change.
+        assert "EW-4/b16/r7/tss/sr4x4 — 12.068 mJ/frame" in out
+        assert "(-20.4% energy vs baseline)" in out
+
     def test_refusing_a_dirty_store_is_exit_2(self, tmp_path, capsys):
         args = ["tune", "--space", "ci", "--budget", "1", "--store", str(tmp_path / "s.jsonl")]
         assert harness_main(args) == 0
