@@ -82,7 +82,7 @@ class MotionVector:
 ZERO_MOTION = MotionVector(0.0, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     """An axis-aligned region of interest.
 

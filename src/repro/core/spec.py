@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, List, Tuple, Union
 
 from ..isp.framebuffer import parse_frame_format, spell_frame_format
 from ..motion.block_matching import BlockMatchingConfig, SearchPolicy, SearchStrategy
-from ..motion.kernels import KERNEL_BACKENDS
+from ..motion.kernels import DEFAULT_KERNEL_BACKEND, KERNEL_BACKENDS
 from .extrapolation import ExtrapolationConfig
 from .window import (
     AdaptiveWindowController,
@@ -83,12 +83,12 @@ class PipelineSpec:
     #: Exhaustive-search candidate-scan policy
     #: (``full``/``pruned``/``histogram``).
     search_policy: str = "pruned"
-    #: SAD kernel backend: ``numpy`` (the default and the bit-exact oracle)
-    #: or ``numba`` (compiled; degrades to numpy when Numba is absent).
-    #: All backends are bit-identical, but the knob is part of
-    #: :meth:`cache_key` anyway so cached artifacts record which backend
-    #: actually produced them.
-    kernel_backend: str = "numpy"
+    #: Kernel backend of motion search and the denoise blend: ``c`` (the
+    #: default; compiled, degrades to numpy where it cannot be built) or
+    #: ``numpy`` (the bit-exact oracle).  All backends are bit-identical,
+    #: but the knob is part of :meth:`cache_key` anyway so cached artifacts
+    #: record which backend actually produced them.
+    kernel_backend: str = DEFAULT_KERNEL_BACKEND
     #: Fixed-point format of the ISP datapath: ``qM.F`` (e.g. the default
     #: ``q8.4``) quantizes every stage output onto that lattice; ``float``
     #: restores the unquantized float64 datapath.  A vision knob (it changes
@@ -257,8 +257,8 @@ class PipelineSpec:
             dest="spec_kernel_backend",
             choices=list(KERNEL_BACKENDS),
             default=defaults.kernel_backend,
-            help="SAD kernel backend; numba degrades to numpy when Numba is "
-            f"absent, and all backends are bit-identical (default: {defaults.kernel_backend})",
+            help="kernel backend; c degrades to numpy where it cannot be built, "
+            f"and all backends are bit-identical (default: {defaults.kernel_backend})",
         )
         parser.add_argument(
             "--frame-format",
@@ -443,7 +443,7 @@ class PipelineSpec:
         label = f"{window}/b{self.block_size}/r{self.search_range}/{search}"
         if self.exhaustive_search:
             label += f"/{self.search_policy}"
-        if self.kernel_backend != "numpy":
+        if self.kernel_backend != DEFAULT_KERNEL_BACKEND:
             label += f"/k:{self.kernel_backend}"
         if self.frame_format != PipelineSpec().frame_format:
             label += f"/{self.frame_format}"

@@ -20,7 +20,7 @@ class FrameKind(Enum):
     EXTRAPOLATION = "extrapolation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Detection:
     """A single detected (or extrapolated) object instance."""
 
@@ -39,7 +39,7 @@ class Detection:
         return replace(self, box=box, extrapolated=True)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FrameTelemetry:
     """What actually happened, hardware-wise, while processing one frame.
 
@@ -87,7 +87,7 @@ class FrameTelemetry:
     total_s: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class FrameResult:
     """Vision output for one frame of a continuous video stream."""
 

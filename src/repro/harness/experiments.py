@@ -25,6 +25,7 @@ from ..core.spec import PipelineSpec
 from ..eval.attributes import attribute_precision
 from ..eval.detection import precision_curve
 from ..eval.tracking import per_sequence_success, success_curve, success_rate
+from ..motion.kernels import DEFAULT_KERNEL_BACKEND
 from ..nn.models import (
     FIG1_REFERENCE_DETECTORS,
     MOBILE_TOPS_BUDGET,
@@ -572,7 +573,7 @@ def search_policy_comparison(
     width: int = 256,
     block_size: int = 16,
     search_range: int = 7,
-    kernel_backend: str = "numpy",
+    kernel_backend: str = DEFAULT_KERNEL_BACKEND,
     seed: int = 0,
 ) -> List[Tuple[str, float, int, bool, str]]:
     """Compare ES candidate-scan policies on one synthetic frame pair.
@@ -580,9 +581,9 @@ def search_policy_comparison(
     Returns rows of ``(policy, evaluated_candidate_fraction, operation
     count, identical_to_full, active_kernel_backend)`` — the work each
     policy spends to produce the motion field the full scan would, a direct
-    bit-identity check, and the SAD kernel backend that actually ran
-    (``numba`` degrades to ``numpy`` when Numba is absent, and the artifact
-    must record what happened).  Deterministic (op counts, not wall time),
+    bit-identity check, and the kernel backend that actually ran (``c``
+    degrades to ``numpy`` where it cannot be built, and the artifact must
+    record what happened).  Deterministic (op counts, not wall time),
     so experiment artifacts and CI smoke runs can assert on it.
     """
     from ..motion.block_matching import (

@@ -7,8 +7,8 @@ Besides the three-step search (the production default) the benchmark times
 the exhaustive search under each candidate-scan policy
 (full/pruned/histogram — all result-identical) and the fixed-point
 float-frame path, the two hot-path gaps this repo's trajectory tracks.
-The SAD kernel backend (numpy or the compiled numba backend) is a
-parameter, so the same harness measures both sides of the backend speedup.
+The kernel backend (numpy or the compiled C backend) is a parameter, so the
+same harness measures both sides of the backend speedup.
 
 The results are appended to the ``BENCH_motion.json`` trajectory by
 ``python -m repro.harness bench motion`` (which also enforces the stored
@@ -18,6 +18,7 @@ perf floors for CI) and asserted by ``benchmarks/test_perf_motion.py``.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -109,6 +110,9 @@ def benchmark_motion_estimation(
       non-numpy ``kernel_backend`` also the numpy-backend pruned ES
       (``es_pruned_numpy_s_per_frame``) and the backend speedup over it
       (``es_pruned_speedup_vs_numpy``);
+    * under a non-numpy ``kernel_backend``, the numpy-backend TSS
+      (``tss_numpy_s_per_frame``) and the backend speedup over it
+      (``tss_speedup_vs_numpy``);
     * with ``include_fixed_point``, TSS timing on Q8.4 fixed-point float
       frames (``fixed_point_*``) and its ratio to the uint8 fast path —
       tracking that float-valued frames no longer fall off onto the float64
@@ -117,10 +121,10 @@ def benchmark_motion_estimation(
     Every variant of a resolution is timed as the best of
     :data:`TIMING_PASSES` interleaved passes.  ``include_scalar=False`` skips
     the slow oracle timing (useful for quick smoke runs).  ``kernel_backend``
-    selects the SAD kernel implementation (``numpy``/``numba``); the
-    top-level result records both the requested backend and the backend
-    that actually ran (``numba`` silently degrades to ``numpy`` when Numba
-    is absent, and the trajectory must say so).
+    selects the kernel implementation (``numpy``/``c``); the top-level
+    result records both the requested backend and the backend that actually
+    ran (``c`` degrades to ``numpy`` where it cannot be built, and the
+    trajectory must say so).
     """
     if num_frames < 2:
         raise ValueError("num_frames must be >= 2 (timing needs at least one frame pair)")
@@ -155,6 +159,9 @@ def benchmark_motion_estimation(
         timers: Dict[str, Tuple[Callable, Sequence]] = {
             "vectorized": (BlockMatcher(config).estimate, frames)
         }
+        if kernel_backend != "numpy":
+            numpy_tss = BlockMatcher(replace(config, kernel_backend="numpy"))
+            timers["vectorized_numpy"] = (numpy_tss.estimate, frames)
         if include_scalar:
             timers["scalar"] = (scalar, frames)
         es_matchers = {}
@@ -192,6 +199,9 @@ def benchmark_motion_estimation(
             "ops_per_frame": config.ops_per_frame(width, height),
             "ops_per_macroblock": config.ops_per_macroblock,
         }
+        if "vectorized_numpy" in seconds:
+            entry["tss_numpy_s_per_frame"] = seconds["vectorized_numpy"]
+            entry["tss_speedup_vs_numpy"] = seconds["vectorized_numpy"] / vector_s
         if include_scalar:
             entry["scalar_s_per_frame"] = seconds["scalar"]
             entry["scalar_fps"] = 1.0 / seconds["scalar"]

@@ -44,8 +44,6 @@ class Floor:
     default: float
     #: The entry's measured values (an empty list: the floor does not apply).
     measure: Callable[[dict], Measured]
-    #: Applies only to entries that requested the numba kernel backend.
-    numba_only: bool = False
 
     @property
     def is_ceiling(self) -> bool:
@@ -67,6 +65,11 @@ def _result(resolution: str, *path: str) -> Callable[[dict], Measured]:
     return measure
 
 
+def _on_backend(backend: str, measure: Callable[[dict], Measured]) -> Callable[[dict], Measured]:
+    """``measure``, applicable only to entries that requested ``backend``."""
+    return lambda entry: measure(entry) if entry.get("kernel_backend") == backend else []
+
+
 def _field(key: str) -> Callable[[dict], Measured]:
     return lambda entry: [(key, entry.get(key))]
 
@@ -80,39 +83,46 @@ def _per_stream(entry: dict) -> Measured:
 
 #: Every floor the benches enforce.  Wall-clock floors are same-run ratios
 #: (machine speed cancels); the energy ceilings are absolute because the
-#: modeled energy is deterministic for a given spec and workload.  See
-#: docs/benchmarking.md for how each value is recalibrated.
+#: modeled energy is deterministic for a given spec and workload.  The two
+#: ES-vs-full floors measure the numpy driver's pruning and apply to numpy
+#: entries only: the C full scan already stops each candidate early, so
+#: pruning saves it far less.  The ``min_c_*`` floors apply to C entries.
+#: See docs/benchmarking.md for how each value is recalibrated.
 FLOORS: Tuple[Floor, ...] = (
     Floor("min_tss_speedup_720p", "motion_estimation", 8.0, _result("720p", "speedup")),
     Floor(
         "min_es_pruned_speedup_vs_full_720p",
         "motion_estimation",
         1.7,
-        _result("720p", "es_pruned_speedup_vs_full"),
+        _on_backend("numpy", _result("720p", "es_pruned_speedup_vs_full")),
     ),
     Floor(
         "max_stream_energy_per_frame_mj", "multi_stream", 14.18, _per_stream
     ),
     Floor("max_serve_p99_latency_ms", "serve", 1500.0, _field("latency_p99_ms")),
     Floor(
-        "min_numba_es_pruned_speedup_vs_numpy_720p",
+        "min_c_es_pruned_speedup_vs_numpy_720p",
         "motion_estimation",
         2.0,
-        _result("720p", "es_pruned_speedup_vs_numpy"),
-        numba_only=True,
+        _on_backend("c", _result("720p", "es_pruned_speedup_vs_numpy")),
     ),
     Floor(
-        "min_numba_es_pruned_speedup_vs_numpy_1080p",
+        "min_c_es_pruned_speedup_vs_numpy_1080p",
         "motion_estimation",
         2.0,
-        _result("1080p", "es_pruned_speedup_vs_numpy"),
-        numba_only=True,
+        _on_backend("c", _result("1080p", "es_pruned_speedup_vs_numpy")),
+    ),
+    Floor(
+        "min_c_tss_speedup_vs_numpy_720p",
+        "motion_estimation",
+        10.0,
+        _on_backend("c", _result("720p", "tss_speedup_vs_numpy")),
     ),
     Floor(
         "min_es_histogram_speedup_vs_full_720p",
         "motion_estimation",
         2.5,
-        _result("720p", "es_histogram_speedup_vs_full"),
+        _on_backend("numpy", _result("720p", "es_histogram_speedup_vs_full")),
     ),
     Floor("min_tune_frontier_points", "tune", 3, _field("frontier_points")),
     Floor(
@@ -212,30 +222,25 @@ def stamp(entry: dict, preset: str, kernel_backend: str) -> dict:
 
 
 def applicable_floors(entry: dict) -> List[Floor]:
-    """The rows of :data:`FLOORS` that apply to ``entry``."""
-    numba_requested = entry.get("kernel_backend") == "numba"
-    return [
-        floor
-        for floor in FLOORS
-        if floor.benchmark == entry.get("benchmark")
-        and (numba_requested or not floor.numba_only)
-    ]
+    """The rows of :data:`FLOORS` kept for ``entry``'s benchmark."""
+    return [floor for floor in FLOORS if floor.benchmark == entry.get("benchmark")]
 
 
 def check_floors(entry: dict, floors: Dict[str, float]) -> List[str]:
     """Human-readable violations of the stored ``floors`` by ``entry``.
 
     Besides the plain minima and maxima of :data:`FLOORS`, four rules hold:
-    a numba request must actually have run numba (a silent degrade to numpy
+    a requested backend must be the one that ran (a silent degrade to numpy
     would otherwise green-light the guard while measuring the wrong thing),
     the stream ceiling applies to each stream, a tune resume pass must
     re-evaluate zero points, and a serve run must observe at least one ack.
     """
     violations = []
-    if entry.get("kernel_backend") == "numba" and entry.get("kernel_backend_active") != "numba":
+    requested = entry.get("kernel_backend")
+    if requested is not None and entry.get("kernel_backend_active") != requested:
         violations.append(
-            "kernel_backend: numba requested but inactive (is the [accel] "
-            "extra installed?) — the guarded run measured numpy"
+            f"kernel_backend: {requested} requested but "
+            f"{entry.get('kernel_backend_active')} ran (no working C compiler?)"
         )
     for floor in applicable_floors(entry):
         limit = floors.get(floor.key)

@@ -50,7 +50,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..core.spec import EXTRAPOLATION_HOSTS, PipelineSpec, normalize_window
 from ..eval.tracking import success_rate
 from ..motion.block_matching import SearchPolicy
-from ..motion.kernels import KERNEL_BACKENDS, numba_available
 from ..nn.models import build_mdnet
 from ..video.datasets import build_tracking_dataset
 from .experiments import fold_energy_breakdown
@@ -60,15 +59,15 @@ from .runner import ExperimentArtifact, SweepRunner
 ACCURACY_IOU_THRESHOLD = 0.5
 
 #: Spec fields the tuner may sweep.  Execution knobs (``workers``,
-#: ``transport``) are excluded by construction: they never change outputs
-#: *or* modeled cost, so searching them would only produce duplicate points.
+#: ``transport``, ``kernel_backend``) are excluded by construction: they
+#: never change outputs *or* modeled cost (fps is modeled too), so
+#: searching them would only produce duplicate points.
 SEARCHABLE_FIELDS: Tuple[str, ...] = (
     "extrapolation_window",
     "block_size",
     "search_range",
     "exhaustive_search",
     "search_policy",
-    "kernel_backend",
     "frame_format",
     "sub_roi_grid",
     "expose_motion_vectors",
@@ -87,21 +86,13 @@ class TuneError(RuntimeError):
 # ----------------------------------------------------------------------
 # Search spaces
 # ----------------------------------------------------------------------
-#: Built-in search spaces: dimension name -> candidate values.  The listed
-#: values are machine-independent; the one machine-specific candidate,
-#: ``kernel_backend="numba"``, is filtered out by :func:`load_space` on
-#: boxes without the ``[accel]`` extra (where it would only duplicate the
-#: numpy point via the graceful-degradation fallback), so accel machines
-#: search the compiled configs and resumed sweeps on the same box re-derive
-#: the identical candidate list.
+#: Built-in search spaces: dimension name -> candidate values.
 TUNE_SPACES: Dict[str, Dict[str, List[object]]] = {
     # Small co-design space for CI and quick local runs: window policy x
-    # capture preset (the two axes with the steepest energy gradients) x
-    # kernel backend where a compiled one exists.
+    # capture preset (the two axes with the steepest energy gradients).
     "ci": {
         "extrapolation_window": [1, 2, 4, 8, "adaptive"],
         "soc_config": ["default", "720p30"],
-        "kernel_backend": ["numpy", "numba"],
     },
     # The full co-design space of the paper's sensitivity studies.
     "full": {
@@ -110,7 +101,6 @@ TUNE_SPACES: Dict[str, Dict[str, List[object]]] = {
         "exhaustive_search": [False, True],
         "search_policy": ["pruned", "histogram"],
         "frame_format": ["q8.4", "q8.8", "float"],
-        "kernel_backend": ["numpy"],
         "soc_config": ["default", "1080p30", "720p60", "720p30"],
         "extrapolation_host": ["mc", "cpu"],
     },
@@ -153,11 +143,6 @@ def load_space(space: Union[str, Dict[str, List[object]]]) -> Tuple[str, Dict[st
             raise TuneError(f"dimension '{name}' needs a non-empty list of values")
         if name == "sub_roi_grid":
             values = [tuple(int(v) for v in value) for value in values]
-        if name == "kernel_backend" and not numba_available():
-            # Without the [accel] extra a "numba" point degrades to numpy at
-            # build time and would only duplicate the numpy point's work;
-            # drop it so the candidate list matches what the box can run.
-            values = [v for v in values if v != "numba"] or ["numpy"]
         validated[name] = list(values)
     return label, validated
 
@@ -222,7 +207,6 @@ def searchable_dimensions() -> Dict[str, Dict[str, object]]:
         "search_range": None,
         "exhaustive_search": [False, True],
         "search_policy": [policy.value for policy in SearchPolicy],
-        "kernel_backend": list(KERNEL_BACKENDS),
         "frame_format": None,  # any qM.F spelling, or "float"
         "sub_roi_grid": None,
         "expose_motion_vectors": [False, True],

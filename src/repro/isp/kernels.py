@@ -1,15 +1,12 @@
-"""Vectorized ISP stage kernels behind the ``kernel_backend`` dispatch.
+"""Vectorized ISP stage kernels: denoise blend, box sum and demosaic.
 
 The ISP counterpart of :mod:`repro.motion.kernels`: the motion-compensated
-denoise blend, the 3x3 box sum and the bilinear demosaic, each available as
-
-* a vectorized **numpy** implementation (the default backend and the oracle
-  for the compiled path), bit-identical to the scalar references in
-  :mod:`repro.isp.reference`;
-* a compiled **numba** implementation (:mod:`repro.isp.kernels_numba`),
-  selected by ``backend="numba"`` — callers resolve availability through
-  :func:`repro.motion.kernels.resolve_kernel_backend` first, exactly like
-  the SAD kernels, so a missing ``[accel]`` extra degrades to numpy.
+denoise blend, the 3x3 box sum and the bilinear demosaic, each a vectorized
+numpy implementation bit-identical to the scalar references in
+:mod:`repro.isp.reference`.  Under the ``c`` kernel backend (resolved by the
+caller through :func:`repro.motion.kernels.resolve_kernel_backend`) the
+blend runs in the compiled ``euph_blend`` of :mod:`repro.motion.ckernels`,
+with the numpy blend as its oracle.
 
 Bit-identity notes:
 
@@ -30,9 +27,9 @@ from typing import Optional
 
 import numpy as np
 
+from ..motion import ckernels
 from ..motion.kernels import KernelScratch, fixed_point_scale
 from ..motion.motion_field import MotionField
-from . import kernels_numba as _numba
 
 
 def motion_compensated_blend(
@@ -57,7 +54,9 @@ def motion_compensated_blend(
     denoise stage exploits this to skip a full-frame copy per frame.
     ``scratch`` pools the numpy path's gather staging across frames (the
     steady-state caller passes the stage's pool; ad-hoc calls allocate a
-    private one).
+    private one).  ``backend="c"`` runs the compiled blend when the arrays
+    suit it (uint8 or float64 ``current``, float64 ``previous`` and ``out``,
+    unit-stride rows) and numpy otherwise.
     """
     height, width = current.shape
     if out is None:
@@ -66,11 +65,9 @@ def motion_compensated_blend(
     strength = blend_strength
     max_sad = field.max_sad * max_normalised_sad
 
-    if backend == "numba":
-        np.copyto(out, current)
-        _numba.blend_frame(
-            current, previous, field.vectors, field.sad, block, max_sad, strength, out
-        )
+    if backend == "c" and ckernels.blend(
+        current, previous, field.vectors, field.sad, block, max_sad, strength, out
+    ):
         return out
 
     copied = False
@@ -390,12 +387,7 @@ def _blend_gathered(
         blocked[rows_idx, cols_idx] = ref_buf.reshape(count, block, block)
 
 
-def box_sum_3x3(
-    image: np.ndarray,
-    *,
-    out: Optional[np.ndarray] = None,
-    backend: str = "numpy",
-) -> np.ndarray:
+def box_sum_3x3(image: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
     """3x3 box sum with reflected borders.
 
     Lattice-valued inputs (integers, Q8.4 frames, CFA masks) take an exact
@@ -407,10 +399,6 @@ def box_sum_3x3(
     height, width = image.shape
     if out is None:
         out = np.empty((height, width), dtype=np.float64)
-
-    if backend == "numba":
-        _numba.box_sum_3x3(np.asarray(image, dtype=np.float64), out)
-        return out
 
     scale = fixed_point_scale(np.asarray(image))
     if scale is not None:
@@ -434,18 +422,9 @@ def box_sum_3x3(
     return out
 
 
-def bilinear_demosaic(
-    bayer: np.ndarray, channel_map: np.ndarray, *, backend: str = "numpy"
-) -> np.ndarray:
+def bilinear_demosaic(bayer: np.ndarray, channel_map: np.ndarray) -> np.ndarray:
     """Mask-based bilinear demosaic of a Bayer mosaic to height x width x 3."""
     height, width = bayer.shape
-    if backend == "numba":
-        rgb = np.empty((height, width, 3), dtype=np.float64)
-        _numba.bilinear_demosaic(
-            np.asarray(bayer, dtype=np.float64), channel_map, rgb
-        )
-        return rgb
-
     rgb = np.zeros((height, width, 3), dtype=np.float64)
     for channel in range(3):
         mask = (channel_map == channel).astype(np.float64)

@@ -16,7 +16,6 @@ from typing import List, Optional
 import numpy as np
 
 from ..motion.block_matching import BlockMatchingConfig
-from ..motion.kernels import resolve_kernel_backend
 from ..motion.motion_field import MotionField
 from .denoise import TemporalDenoiseConfig, TemporalDenoiseStage
 from .framebuffer import (
@@ -112,12 +111,9 @@ class ISPPipeline:
         self.config = config or ISPConfig()
         self.frame_buffer = frame_buffer or FrameBuffer()
         frame_format = self.config.frame_format
-        kernel_backend = resolve_kernel_backend(
-            self.config.block_matching.kernel_backend
-        )
         self.bayer_stages: List[ISPStage] = [
             DeadPixelCorrection(output_format=frame_format),
-            Demosaic(output_format=frame_format, kernel_backend=kernel_backend),
+            Demosaic(output_format=frame_format),
         ]
         self.rgb_stages: List[ISPStage] = [
             WhiteBalance(output_format=frame_format),

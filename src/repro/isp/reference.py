@@ -4,7 +4,7 @@ The test oracle for :mod:`repro.isp.kernels`, mirroring the role
 :mod:`repro.motion.reference` plays for the SAD kernels: every function here
 walks pixels and macroblocks in plain Python loops, stating the stage
 semantics in the most obvious possible form.  The vectorized numpy kernels
-(the default backend) and the compiled numba kernels are property-tested
+and the compiled C blend (:mod:`repro.motion.ckernels`) are property-tested
 bit-identical to these — exactly, via ``np.array_equal``, not almost-equal —
 so any divergence is a bug in the fast path, never a tolerance question.
 

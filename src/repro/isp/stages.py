@@ -80,31 +80,20 @@ class DeadPixelCorrection(ISPStage):
 class Demosaic(ISPStage):
     """Bilinear demosaicing from an RGGB Bayer mosaic to full RGB.
 
-    ``kernel_backend`` selects the interpolation kernel (``"numpy"``
-    vectorized masks + summed-area tables, or the compiled ``"numba"``
-    variant); all backends are bit-identical, and ``ops_per_pixel`` models
-    the arithmetic of the interpolation itself, so the energy accounting is
-    backend-independent.
+    ``ops_per_pixel`` models the arithmetic of the interpolation itself.
     """
 
     ops_per_pixel = 12.0
 
-    def __init__(
-        self,
-        output_format: Optional[FixedPointFormat] = None,
-        kernel_backend: str = "numpy",
-    ) -> None:
+    def __init__(self, output_format: Optional[FixedPointFormat] = None) -> None:
         self.output_format = output_format
-        self.kernel_backend = kernel_backend
 
     def process(self, image: np.ndarray, **context) -> np.ndarray:
         channel_map = context.get("channel_map")
         if channel_map is None:
             raise ValueError("Demosaic requires the sensor channel_map in context")
         return self._finalize(
-            kernels.bilinear_demosaic(
-                image.astype(np.float64), channel_map, backend=self.kernel_backend
-            )
+            kernels.bilinear_demosaic(image.astype(np.float64), channel_map)
         )
 
 

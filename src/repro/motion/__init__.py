@@ -18,10 +18,10 @@ from .block_matching import (
     three_step_search_ops_per_macroblock,
 )
 from .kernels import (
+    DEFAULT_KERNEL_BACKEND,
     KERNEL_BACKENDS,
     SadKernel,
     fixed_point_scale,
-    numba_available,
     resolve_kernel_backend,
 )
 from .motion_field import MacroblockGrid, MotionField
@@ -34,9 +34,9 @@ __all__ = [
     "SearchPolicy",
     "SearchStats",
     "SearchStrategy",
+    "DEFAULT_KERNEL_BACKEND",
     "KERNEL_BACKENDS",
     "fixed_point_scale",
-    "numba_available",
     "resolve_kernel_backend",
     "MacroblockGrid",
     "MotionField",

@@ -43,6 +43,7 @@ of the best match, which later feeds the confidence filter of Eq. 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -50,8 +51,14 @@ from typing import List, Tuple
 
 import numpy as np
 
-from . import kernels_numba
-from .kernels import KERNEL_BACKENDS, KernelScratch, SadKernel
+from . import ckernels
+from .kernels import (
+    DEFAULT_KERNEL_BACKEND,
+    KERNEL_BACKENDS,
+    KernelScratch,
+    SadKernel,
+    resolve_kernel_backend,
+)
 from .motion_field import MacroblockGrid, MotionField
 
 
@@ -137,19 +144,18 @@ class BlockMatchingConfig:
         bound; ``HISTOGRAM`` additionally reorders candidates by a global
         SAD histogram.  Ignored by the three-step search.
     kernel_backend:
-        SAD kernel backend (``numpy``/``numba``).  ``numpy`` is the default
-        and the oracle; ``numba`` compiles the exact-integer hot loops and
-        fuses the whole exhaustive scan into one compiled call per frame.
-        Both backends are bit-identical; ``numba`` silently resolves to
-        ``numpy`` when Numba is not installed (install the ``[accel]``
-        extra) or when the frames force float mode.
+        Kernel backend (``c``/``numpy``).  ``c``, the default, runs a whole
+        search over two uint8 frames in one compiled call
+        (:mod:`repro.motion.ckernels`); other frames, and every frame where
+        the C kernels cannot be built, take ``numpy``, the oracle.  Both
+        backends return bit-identical fields.
     """
 
     block_size: int = 16
     search_range: int = 7
     strategy: SearchStrategy = SearchStrategy.THREE_STEP
     search_policy: SearchPolicy = SearchPolicy.PRUNED
-    kernel_backend: str = "numpy"
+    kernel_backend: str = DEFAULT_KERNEL_BACKEND
 
     def __post_init__(self) -> None:
         if self.block_size <= 0:
@@ -195,8 +201,10 @@ class BlockMatcher:
         self.last_kernel_exact = False
         self.last_kernel_scale = 1
         #: Kernel backend that actually served the most recent estimate
-        #: (``numba`` only when compiled and in exact-integer mode).
+        #: (``c`` only for uint8 frames with the C kernels built).
         self.last_kernel_backend = "numpy"
+        # Resolved here, so building the matcher pays the one-time compile.
+        self._compiled = resolve_kernel_backend(self.config.kernel_backend) == "c"
         # Buffer pool shared by the per-frame kernels (diff images, float32
         # reduction staging) so the steady-state frame path stops paying
         # ~16 MB of fresh allocations per estimate.
@@ -223,34 +231,48 @@ class BlockMatcher:
             )
 
         height, width = current.shape
-        grid = MacroblockGrid(width, height, self.config.block_size)
-        padded_current, padded_previous = self._pad_to_grid(current, previous, grid)
-        kernel = SadKernel(
-            padded_current,
-            padded_previous,
-            self.config.block_size,
-            self.config.search_range,
-            backend=self.config.kernel_backend,
-            scratch=self._kernel_scratch,
-        )
-
-        self.last_kernel_exact = kernel.exact_integer
-        self.last_kernel_scale = kernel.scale
-        self.last_kernel_backend = kernel.active_backend
-        if self.config.strategy is SearchStrategy.EXHAUSTIVE:
-            vectors, sad = self._exhaustive(kernel)
+        block = self.config.block_size
+        d = self.config.search_range
+        grid = MacroblockGrid(width, height, block)
+        exhaustive = self.config.strategy is SearchStrategy.EXHAUSTIVE
+        if self._compiled and current.dtype == np.uint8 and previous.dtype == np.uint8:
+            policy = self.config.search_policy.value if exhaustive else None
+            offsets = _spiral_offsets(d) if exhaustive else None
+            vectors, sad, stats = ckernels.estimate_u8(
+                current, previous, block, d, policy, offsets
+            )
+            self.last_kernel_exact = True
+            self.last_kernel_scale = 1
+            self.last_kernel_backend = "c"
+            if exhaustive:
+                evaluated, lower_bound_checks, skipped = stats
+                self.last_search_stats = SearchStats(
+                    candidates_total=grid.num_blocks * offsets.shape[1],
+                    candidates_evaluated=evaluated,
+                    lower_bound_checks=lower_bound_checks,
+                    offsets_skipped=skipped,
+                )
+        else:
+            padded_current, padded_previous = self._pad_to_grid(current, previous, grid)
+            kernel = SadKernel(
+                padded_current, padded_previous, block, d, scratch=self._kernel_scratch
+            )
+            self.last_kernel_exact = kernel.exact_integer
+            self.last_kernel_scale = kernel.scale
+            self.last_kernel_backend = "numpy"
+            search = self._exhaustive if exhaustive else self._three_step
+            vectors, sad = search(kernel)
+        if exhaustive:
             stats = self.last_search_stats
-            block_ops = self.config.block_size * self.config.block_size
             # Evaluated SADs cost L^2 each; each lower-bound check costs a
             # gather + subtract + abs + compare.
             self.last_operation_count = (
-                stats.candidates_evaluated * block_ops + stats.lower_bound_checks * 4
+                stats.candidates_evaluated * block * block + stats.lower_bound_checks * 4
             )
         else:
-            vectors, sad = self._three_step(kernel)
             self.last_search_stats = None
             self.last_operation_count = grid.num_blocks * self.config.ops_per_macroblock
-        return MotionField(vectors, sad, grid, search_range=self.config.search_range)
+        return MotionField(vectors, sad, grid, search_range=d)
 
     # ------------------------------------------------------------------
     # Padding helpers
@@ -285,11 +307,7 @@ class BlockMatcher:
         and therefore breaks SAD ties on the *spiral rank* instead — the
         winner is the (SAD, spiral-rank) lexicographic minimum, which is
         exactly what the spiral scan's strict-improvement rule computes.
-
-        When the compiled kernel backend is active the whole scan runs as
-        one fused per-macroblock call (:meth:`SadKernel.fused_exhaustive`)
-        with no per-candidate Python dispatch; otherwise the vectorized
-        per-offset NumPy loop below runs.
+        The C kernel (``euph_es_u8``) runs the same rules per macroblock.
         """
         policy = self.config.search_policy
         d = self.config.search_range
@@ -305,24 +323,6 @@ class BlockMatcher:
         if ranked:
             ranks = kernel.histogram_order(offsets)
             offsets = [offsets[int(index)] for index in ranks]
-
-        if kernel.supports_fused:
-            policy_code = {
-                SearchPolicy.FULL: kernels_numba.POLICY_FULL,
-                SearchPolicy.PRUNED: kernels_numba.POLICY_LOWER_BOUND,
-                SearchPolicy.HISTOGRAM: kernels_numba.POLICY_LOWER_BOUND,
-            }[policy]
-            best_dy, best_dx, best_sad, evaluated, lower_bound_checks, skipped = (
-                kernel.fused_exhaustive(offsets, ranks, policy_code)
-            )
-            self.last_search_stats = SearchStats(
-                candidates_total=num_blocks * len(offsets),
-                candidates_evaluated=evaluated,
-                lower_bound_checks=lower_bound_checks,
-                offsets_skipped=skipped,
-            )
-            vectors = np.stack([-best_dx, -best_dy], axis=-1).astype(np.float64)
-            return vectors, best_sad
 
         # Dense whole-grid evaluation: exact-integer mode may use the cheap
         # uniform-offset primitive (exact either way); float mode must stay
@@ -484,3 +484,14 @@ class BlockMatcher:
 
         vectors = np.stack([-center_dx, -center_dy], axis=-1).astype(np.float64)
         return vectors, best_sad
+
+
+@functools.lru_cache(maxsize=None)
+def _spiral_offsets(search_range: int) -> np.ndarray:
+    """:meth:`BlockMatcher._window_offsets` as a read-only ``(2, n)`` int64
+    array, rows ``dy`` and ``dx``: the C exhaustive search's candidates."""
+    offsets = np.ascontiguousarray(
+        np.array(BlockMatcher._window_offsets(search_range), dtype=np.int64).T
+    )
+    offsets.flags.writeable = False
+    return offsets

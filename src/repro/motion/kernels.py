@@ -41,6 +41,10 @@ SAD lower bound ``|sum(block) - sum(reference patch)| <= SAD`` for every
 macroblock from O(1) summed-area-table lookups.  The lower bound is computed
 in exact integer arithmetic, so pruning on it can never discard a candidate
 the full scan would have accepted.
+
+This module is the ``numpy`` kernel backend, the oracle of the compiled
+``c`` backend (:mod:`repro.motion.ckernels`), which serves uint8 frames in
+one C call per search and returns the same fields bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import kernels_numba
+from . import ckernels
 
 #: Largest absolute frame value for which the exact-integer mode is used;
 #: guarantees every SAD stays far below 2**53 so float64 sums are exact.
@@ -64,32 +68,29 @@ _MAX_EXACT_INT = 2**20
 _GROUPED_OFFSET_LIMIT = 3
 
 #: Kernel backends selectable through ``PipelineSpec(kernel_backend=...)``.
-#: ``numpy`` is the default and the performance oracle the compiled backend
-#: is property-tested against; ``numba`` compiles the integer-domain hot
-#: loops (:mod:`repro.motion.kernels_numba`) and silently degrades to
-#: ``numpy`` when Numba is not installed (the ``[accel]`` extra).
-KERNEL_BACKENDS = ("numpy", "numba")
+#: ``numpy`` is the oracle the compiled backend is property-tested against;
+#: ``c`` (the default) runs uint8 motion search and the denoise blend in
+#: the compiled kernels of :mod:`repro.motion.ckernels`.
+KERNEL_BACKENDS = ("numpy", "c")
 
-
-def numba_available() -> bool:
-    """Whether the compiled kernel backend can actually run compiled."""
-    return kernels_numba.NUMBA_AVAILABLE
+#: The one default of ``PipelineSpec`` and ``BlockMatchingConfig``.
+DEFAULT_KERNEL_BACKEND = "c"
 
 
 def resolve_kernel_backend(backend: str) -> str:
-    """Validate ``backend`` and degrade ``numba`` to ``numpy`` when absent.
+    """Validate ``backend`` and degrade ``c`` to ``numpy`` when unavailable.
 
     This is the single graceful-degradation point: configuration layers
-    (:class:`BlockMatchingConfig`, ``PipelineSpec``) accept ``"numba"``
-    regardless of what is installed, and the kernels resolve it at use time
-    so the same spec runs everywhere — compiled where the ``[accel]`` extra
-    is present, bit-identically on NumPy where it is not.
+    accept ``"c"`` everywhere, and the stages resolve it when they are
+    built, which is when the first call compiles the kernels.  Where no
+    compiler or library is available it returns ``"numpy"``, after one
+    warning naming the reason, and the same spec runs bit-identically.
     """
     if backend not in KERNEL_BACKENDS:
         raise ValueError(
             f"unknown kernel backend '{backend}' (expected one of {KERNEL_BACKENDS})"
         )
-    if backend == "numba" and not numba_available():
+    if backend == "c" and ckernels.load() is None:
         return "numpy"
     return backend
 
@@ -237,13 +238,6 @@ class SadKernel:
         it (including the fixed-point scale) from the frame contents.
         Forcing ``True`` asserts the frames are integer-valued as-is
         (scale 1).
-    backend:
-        Kernel backend (:data:`KERNEL_BACKENDS`).  ``numba`` routes the
-        exact-integer primitives through the compiled loops of
-        :mod:`repro.motion.kernels_numba`; it resolves to ``numpy`` when
-        Numba is not installed *or* the frames force float mode (compiled
-        float sums would not reproduce the oracle's reduction order).  The
-        backend actually in effect is :attr:`active_backend`.
     """
 
     def __init__(
@@ -253,7 +247,6 @@ class SadKernel:
         block_size: int,
         search_range: int,
         exact_integer: bool | None = None,
-        backend: str = "numpy",
         scratch: Optional[KernelScratch] = None,
     ) -> None:
         if current.shape != previous.shape:
@@ -280,16 +273,6 @@ class SadKernel:
             exact_integer = scale is not None
             self.scale = scale if scale is not None else 1
         self.exact_integer = exact_integer
-        #: Backend the caller asked for (before availability resolution).
-        self.requested_backend = backend
-        #: Backend actually serving the primitives: ``numba`` only when the
-        #: compiled module is importable *and* the frames ride the
-        #: exact-integer mode; ``numpy`` otherwise.
-        self.active_backend = (
-            "numba"
-            if resolve_kernel_backend(backend) == "numba" and self.exact_integer
-            else "numpy"
-        )
 
         pool = scratch if scratch is not None else KernelScratch()
         if self.exact_integer:
@@ -405,12 +388,6 @@ class SadKernel:
         exact-integer mode it shares the gather kernel (exact either way).
         Returns a ``(rows, cols)`` float64 array.
         """
-        if self.active_backend == "numba":
-            out = np.empty((self.rows, self.cols), dtype=np.int64)
-            kernels_numba.sad_uniform(
-                self._current_blocks, self._padded, self.search_range, dy, dx, out
-            )
-            return self._descale(out)
         if self.exact_integer:
             # Whole-frame shifted difference instead of the (rows, cols, L, L)
             # fancy-index gather: the shifted reference is a *view* of the
@@ -478,19 +455,6 @@ class SadKernel:
         ``(rows, cols)`` integer arrays.  Bit-identical to the scalar
         reference loops in both modes.  Returns ``(rows, cols)`` float64.
         """
-        if self.active_backend == "numba":
-            shape = (self.rows, self.cols)
-            dy_arr = np.ascontiguousarray(
-                np.broadcast_to(np.asarray(dy, dtype=np.int64), shape)
-            )
-            dx_arr = np.ascontiguousarray(
-                np.broadcast_to(np.asarray(dx, dtype=np.int64), shape)
-            )
-            out = np.empty(shape, dtype=np.int64)
-            kernels_numba.sad_per_block(
-                self._current_blocks, self._padded, self.search_range, dy_arr, dx_arr, out
-            )
-            return self._descale(out)
         if self.exact_integer:
             grouped = self._grouped_sad_int(dy, dx)
             if grouped is not None:
@@ -511,21 +475,6 @@ class SadKernel:
         modes gather C-contiguous ``(L, L)`` patches and reduce over the
         trailing axes, the same pairwise order as the scalar reference.
         """
-        if self.active_backend == "numba":
-            rows_arr = np.ascontiguousarray(np.asarray(rows_idx, dtype=np.int64))
-            cols_arr = np.ascontiguousarray(np.asarray(cols_idx, dtype=np.int64))
-            out = np.empty(rows_arr.shape[0], dtype=np.int64)
-            kernels_numba.sad_subset(
-                self._current_blocks,
-                self._padded,
-                self.search_range,
-                dy,
-                dx,
-                rows_arr,
-                cols_arr,
-                out,
-            )
-            return self._descale(out)
         ys = self._base_y[rows_idx, 0] + dy
         xs = self._base_x[0, cols_idx] + dx
         references = self._windows[ys, xs]
@@ -586,23 +535,11 @@ class SadKernel:
         if not self.exact_integer:
             raise RuntimeError("partial-sum lower bound requires the exact-integer mode")
         self._ensure_prune_tables()
-        if self.active_backend == "numba":
-            out = np.empty((self.rows, self.cols), dtype=np.int64)
-            kernels_numba.lower_bound_uniform(
-                self._block_sums,
-                self._window_sums,
-                self.search_range,
-                self.block_size,
-                dy,
-                dx,
-                out,
-            )
-            return self._descale(out)
         references = self._window_sums[self._base_y + dy, self._base_x + dx]
         return self._descale(np.abs(self._block_sums - references))
 
     # ------------------------------------------------------------------
-    # Candidate ordering and the fused compiled driver
+    # Candidate ordering
     # ------------------------------------------------------------------
     def histogram_order(self, offsets: Sequence[Tuple[int, int]]) -> np.ndarray:
         """Visit order for the histogram search policy.
@@ -629,87 +566,14 @@ class SadKernel:
         dys = np.ascontiguousarray([o[0] for o in offsets], dtype=np.int64)
         dxs = np.ascontiguousarray([o[1] for o in offsets], dtype=np.int64)
         scores = np.empty(len(offsets), dtype=np.int64)
-        if self.active_backend == "numba":
-            kernels_numba.histogram_scores(
-                self._block_sums,
-                self._window_sums,
-                self.search_range,
-                self.block_size,
-                dys,
-                dxs,
-                scores,
-            )
-        else:
-            for index in range(len(offsets)):
-                references = self._window_sums[
-                    self._base_y + dys[index], self._base_x + dxs[index]
-                ]
-                scores[index] = np.abs(self._block_sums - references).sum()
+        for index in range(len(offsets)):
+            references = self._window_sums[
+                self._base_y + dys[index], self._base_x + dxs[index]
+            ]
+            scores[index] = np.abs(self._block_sums - references).sum()
         # lexsort: last key is primary — ascending score, spiral rank on ties.
         order = np.lexsort((np.arange(len(offsets)), scores))
         return np.concatenate(([0], order[order != 0])).astype(np.int64)
-
-    @property
-    def supports_fused(self) -> bool:
-        """Whether :meth:`fused_exhaustive` runs compiled.
-
-        Requires the numba backend to be active (which itself implies the
-        exact-integer mode): the fused per-macroblock driver interpreted in
-        Python would be orders of magnitude slower than the vectorized NumPy
-        scan, so the dispatcher only takes it when it is actually compiled.
-        """
-        return self.active_backend == "numba"
-
-    def fused_exhaustive(
-        self,
-        offsets: Sequence[Tuple[int, int]],
-        ranks: np.ndarray,
-        policy_code: int,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
-        """Whole exhaustive search in one compiled call (no Python dispatch).
-
-        ``offsets`` are the candidates in visit order, ``ranks`` their
-        spiral ranks (the tie-break), ``policy_code`` one of the
-        ``kernels_numba.POLICY_*`` pruning levels.  Returns
-        ``(best_dy, best_dx, best_sad, evaluated, lower_bound_checks,
-        offsets_skipped)`` with SAD already descaled to frame units.
-        """
-        if not self.exact_integer:
-            raise RuntimeError("the fused exhaustive driver requires the exact-integer mode")
-        self._ensure_prune_tables()
-        dys = np.ascontiguousarray([o[0] for o in offsets], dtype=np.int64)
-        dxs = np.ascontiguousarray([o[1] for o in offsets], dtype=np.int64)
-        ranks = np.ascontiguousarray(ranks, dtype=np.int64)
-        suffix_min_rank = np.minimum.accumulate(ranks[::-1])[::-1].copy()
-        best_dy = np.empty((self.rows, self.cols), dtype=np.int64)
-        best_dx = np.empty((self.rows, self.cols), dtype=np.int64)
-        best_sad = np.empty((self.rows, self.cols), dtype=np.int64)
-        eval_per_offset = np.zeros(len(offsets), dtype=np.int64)
-        evaluated, lower_bound_checks = kernels_numba.fused_exhaustive(
-            self._current_blocks,
-            self._padded,
-            self._block_sums,
-            self._window_sums,
-            dys,
-            dxs,
-            ranks,
-            suffix_min_rank,
-            self.search_range,
-            policy_code,
-            best_dy,
-            best_dx,
-            best_sad,
-            eval_per_offset,
-        )
-        offsets_skipped = int((eval_per_offset == 0).sum())
-        return (
-            best_dy,
-            best_dx,
-            self._descale(best_sad),
-            int(evaluated),
-            int(lower_bound_checks),
-            offsets_skipped,
-        )
 
     # ------------------------------------------------------------------
     # Exact-integer gather kernel

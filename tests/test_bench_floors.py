@@ -28,15 +28,28 @@ COMMITTED = Path(__file__).resolve().parents[1] / "BENCH_motion.json"
 PASSING = {
     "motion_estimation": lambda: {
         "benchmark": "motion_estimation",
-        "kernel_backend": "numba",
-        "kernel_backend_active": "numba",
+        "kernel_backend": "numpy",
+        "kernel_backend_active": "numpy",
         "results": [
             {
                 "resolution": resolution,
                 "speedup": 99.0,
                 "es_pruned_speedup_vs_full": 99.0,
                 "es_histogram_speedup_vs_full": 99.0,
+            }
+            for resolution in ("720p", "1080p")
+        ],
+    },
+    "motion_estimation_c": lambda: {
+        "benchmark": "motion_estimation",
+        "kernel_backend": "c",
+        "kernel_backend_active": "c",
+        "results": [
+            {
+                "resolution": resolution,
+                "speedup": 99.0,
                 "es_pruned_speedup_vs_numpy": 99.0,
+                "tss_speedup_vs_numpy": 99.0,
             }
             for resolution in ("720p", "1080p")
         ],
@@ -83,11 +96,14 @@ VIOLATE = {
     "min_es_histogram_speedup_vs_full_720p": lambda e: _result(e, "720p").update(
         es_histogram_speedup_vs_full=1.0
     ),
-    "min_numba_es_pruned_speedup_vs_numpy_720p": lambda e: _result(e, "720p").update(
+    "min_c_es_pruned_speedup_vs_numpy_720p": lambda e: _result(e, "720p").update(
         es_pruned_speedup_vs_numpy=1.0
     ),
-    "min_numba_es_pruned_speedup_vs_numpy_1080p": lambda e: _result(e, "1080p").update(
+    "min_c_es_pruned_speedup_vs_numpy_1080p": lambda e: _result(e, "1080p").update(
         es_pruned_speedup_vs_numpy=1.0
+    ),
+    "min_c_tss_speedup_vs_numpy_720p": lambda e: _result(e, "720p").update(
+        tss_speedup_vs_numpy=1.0
     ),
     # Only the second stream breaches: the ceiling applies to each stream.
     "max_stream_energy_per_frame_mj": lambda e: e["per_stream"][1].update(
@@ -106,10 +122,10 @@ VIOLATE = {
 
 
 class TestSeeding:
-    def test_fresh_trajectory_seeds_all_eleven_committed_floors(self, tmp_path):
+    def test_fresh_trajectory_seeds_every_committed_floor(self, tmp_path):
         document = load_trajectory(tmp_path / "fresh.json")
         assert document["entries"] == []
-        assert len(document["floors"]) == 11
+        assert len(document["floors"]) == len(FLOORS) == 12
         assert document["floors"] == DEFAULT_FLOORS
         assert DEFAULT_FLOORS == json.loads(COMMITTED.read_text())["floors"]
 
@@ -135,7 +151,8 @@ class TestFloorChecker:
 
     @pytest.mark.parametrize("floor", FLOORS, ids=lambda floor: floor.key)
     def test_violating_entry_is_reported(self, floor):
-        entry = PASSING[floor.benchmark]()
+        kind = "motion_estimation_c" if floor.key.startswith("min_c_") else floor.benchmark
+        entry = PASSING[kind]()
         VIOLATE[floor.key](entry)
         violations = check_floors(entry, DEFAULT_FLOORS)
         assert len(violations) == 1
@@ -153,20 +170,29 @@ class TestFloorChecker:
         entry["results"] = [_result(entry, "720p")]
         assert check_floors(entry, DEFAULT_FLOORS) == []
 
-    def test_numba_floors_skip_numpy_entries(self):
+    def test_c_floors_skip_numpy_entries(self):
         entry = PASSING["motion_estimation"]()
-        entry["kernel_backend"] = entry["kernel_backend_active"] = "numpy"
         for result in entry["results"]:
             result["es_pruned_speedup_vs_numpy"] = 0.5
+            result["tss_speedup_vs_numpy"] = 0.5
         assert check_floors(entry, DEFAULT_FLOORS) == []
 
-    @pytest.mark.parametrize("kind", ["motion_estimation", "pipeline"])
-    def test_numba_request_that_ran_numpy_fails(self, kind):
+    def test_numpy_es_floors_skip_c_entries(self):
+        """Under C the full scan stops each candidate early, so pruning
+        saves little; the ES-vs-full floors guard the numpy driver only."""
+        entry = PASSING["motion_estimation_c"]()
+        for result in entry["results"]:
+            result["es_pruned_speedup_vs_full"] = 1.1
+            result["es_histogram_speedup_vs_full"] = 1.1
+        assert check_floors(entry, DEFAULT_FLOORS) == []
+
+    @pytest.mark.parametrize("kind", ["motion_estimation_c", "pipeline"])
+    def test_c_request_that_ran_numpy_fails(self, kind):
         entry = PASSING[kind]()
-        entry["kernel_backend"] = "numba"
+        entry["kernel_backend"] = "c"
         entry["kernel_backend_active"] = "numpy"
         violations = check_floors(entry, DEFAULT_FLOORS)
-        assert any("numba requested but inactive" in v for v in violations)
+        assert any("c requested but numpy ran" in v for v in violations)
 
     def test_tune_resume_must_reevaluate_nothing(self):
         entry = PASSING["tune"]()
@@ -190,7 +216,7 @@ class TestFloorChecker:
 
 class TestProvenance:
     def test_stamp_records_the_provenance_fields(self):
-        entry = stamp({"benchmark": "pipeline"}, "ci", "numba")
+        entry = stamp({"benchmark": "pipeline"}, "ci", "c")
         for key in (
             "date",
             "preset",
@@ -204,8 +230,8 @@ class TestProvenance:
         ):
             assert entry[key] not in (None, ""), key
         assert entry["preset"] == "ci"
-        assert entry["kernel_backend"] == "numba"
-        assert entry["kernel_backend_active"] == resolve_kernel_backend("numba")
+        assert entry["kernel_backend"] == "c"
+        assert entry["kernel_backend_active"] == resolve_kernel_backend("c")
 
     @pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
     def test_git_sha_marks_uncommitted_package_code_dirty(self, tmp_path):

@@ -2,11 +2,9 @@
 
 The oracle hierarchy mirrors the SAD kernels': the scalar references in
 :mod:`repro.isp.reference` define the semantics, the vectorized numpy
-kernels (the default backend) must match them exactly, and the numba
-kernels (:mod:`repro.isp.kernels_numba`, run as plain Python here when the
-``[accel]`` extra is absent — the same code the JIT compiles) must match
-both.  Every comparison is ``np.array_equal`` — bit-identity, never a
-tolerance.
+kernels must match them exactly, and the compiled C blend
+(:mod:`repro.motion.ckernels`) must match both.  Every comparison is
+``np.array_equal`` — bit-identity, never a tolerance.
 
 Coverage steers the numpy blend through all three of its internal paths:
 
@@ -197,7 +195,7 @@ class TestBlendBitIdentity:
         The steady-state denoise stage hands the capture buffer straight to
         the kernel; every read of ``current`` lands in a float64 destination
         and uint8 -> float64 conversion is exact, so skipping the up-front
-        full-frame copy must not move a single bit (numpy and numba paths,
+        full-frame copy must not move a single bit (numpy and C paths,
         ragged edge blocks included).
         """
         rng = np.random.default_rng(31)
@@ -212,35 +210,39 @@ class TestBlendBitIdentity:
         got = motion_compensated_blend(current_u8, previous, field, **BLEND)
         assert got.dtype == np.float64
         assert np.array_equal(got, expected)
-        got_numba = motion_compensated_blend(
-            current_u8, previous, field, backend="numba", **BLEND
-        )
-        assert np.array_equal(got_numba, expected)
+        got_c = motion_compensated_blend(current_u8, previous, field, backend="c", **BLEND)
+        assert np.array_equal(got_c, expected)
 
     @settings(max_examples=15, deadline=None)
     @given(
         seed=st.integers(0, 2**31),
-        mode=st.sampled_from(["dominant", "dense", "sparse", "zero"]),
+        block=st.sampled_from([4, 5, 8]),
+        height=st.integers(9, 44),
+        width=st.integers(9, 44),
+        mode=st.sampled_from(FIELD_MODES),
         kind=st.sampled_from(FRAME_KINDS),
     )
-    def test_numba_loops_match_reference(self, seed, mode, kind):
-        """The numba blend loops (run as plain Python when uncompiled) agree."""
+    def test_c_blend_matches_reference(self, seed, block, height, width, mode, kind):
+        """The compiled C blend agrees on uint8 and float64 ``current``,
+        ragged edges included, also into an ``out`` whose rows are padded."""
         rng = np.random.default_rng(seed)
-        height, width = 24, 28
         current = make_frame(rng, height, width, kind)
         previous = make_frame(rng, height, width, kind)
-        field = make_field(rng, height, width, 4, mode)
+        field = make_field(rng, height, width, block, mode)
         expected = reference_motion_compensated_blend(
             current, previous, field, **BLEND
         )
-        got = motion_compensated_blend(
-            current, previous, field, backend="numba", **BLEND
-        )
-        assert np.array_equal(got, expected)
+        frames = [current] + ([current.astype(np.uint8)] if kind == "uint8" else [])
+        for frame in frames:
+            got = motion_compensated_blend(frame, previous, field, backend="c", **BLEND)
+            assert np.array_equal(got, expected)
+        out = np.empty((height, width + 3), dtype=np.float64)[:, :width]
+        motion_compensated_blend(current, previous, field, backend="c", out=out, **BLEND)
+        assert np.array_equal(out, expected)
 
 
 class TestBoxSum:
-    """SAT fast path and numba loops vs the nine-shift reference."""
+    """SAT fast path vs the nine-shift reference."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -254,7 +256,6 @@ class TestBoxSum:
         image = make_frame(rng, height, width, kind)
         expected = reference_box_sum_3x3(image)
         assert np.array_equal(box_sum_3x3(image), expected)
-        assert np.array_equal(box_sum_3x3(image, backend="numba"), expected)
 
     def test_integer_dtype_rides_sat(self):
         rng = np.random.default_rng(3)
@@ -273,7 +274,7 @@ class TestBoxSum:
 
 
 class TestDemosaic:
-    """Mask-based bilinear demosaic vs the reference, numpy and numba."""
+    """Mask-based bilinear demosaic vs the reference."""
 
     @staticmethod
     def rggb_map(height: int, width: int) -> np.ndarray:
@@ -297,9 +298,6 @@ class TestDemosaic:
         channel_map = self.rggb_map(height, width)
         expected = reference_bilinear_demosaic(bayer, channel_map)
         assert np.array_equal(bilinear_demosaic(bayer, channel_map), expected)
-        assert np.array_equal(
-            bilinear_demosaic(bayer, channel_map, backend="numba"), expected
-        )
 
 
 class TestQuantize:

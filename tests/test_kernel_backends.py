@@ -1,163 +1,63 @@
-"""Kernel-backend selection, graceful degradation, and bit-identity.
+"""Kernel-backend selection, fallback, and bit-identity of the C kernels.
 
-Three layers of coverage for the optional compiled (Numba) SAD backend:
+The oracle hierarchy is scalar -> numpy -> c: the scalar loops of
+:mod:`repro.motion.reference` define the searches, the numpy kernels match
+them bit for bit, and the compiled kernels of :mod:`repro.motion.ckernels`
+match both -- vectors, SADs, the exhaustive search's ``SearchStats`` and
+``last_operation_count``.  These tests build and run the real library:
 
-* resolution — ``resolve_kernel_backend`` validates names and degrades
-  ``numba`` to ``numpy`` when the ``[accel]`` extra is absent;
-* graceful degradation — a subprocess with the ``numba`` import blocked
-  still runs a ``kernel_backend="numba"`` pipeline, on numpy, bit-identically;
-* equivalence — a hypothesis property drive of the full pruned/histogram ES
-  pipeline comparing the numba code paths against the numpy backend and the
-  scalar oracle.  When Numba is not installed the backend is *forced* active
-  so the ``kernels_numba`` loops execute as plain Python — slow, but the
-  same code the compiler compiles, so the logic is verified everywhere and
-  the CI ``kernels-accel`` job re-runs it compiled.
+* resolution -- ``resolve_kernel_backend`` validates names and returns
+  ``c`` where the library builds; non-uint8 frames stay on numpy;
+* equivalence -- hypothesis drives TSS and every ES policy over ragged
+  uint8 frames, with blocks of 4, 8, 16 and 24 pixels so the 16-byte,
+  8-byte and scalar tails of the SAD all run, at d = 0..7; once more
+  against a build without SSE2;
+* the cache -- two processes starting on a cold cache both load it;
+* fallback -- with no compiler the backend degrades to numpy, says why,
+  and a pipeline gives the same output.
 """
 
 from __future__ import annotations
 
 import os
+import platform
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.motion import kernels_numba
+from repro.core.backends import tracking_backend_for
+from repro.core.spec import PipelineSpec
+from repro.motion import ckernels
 from repro.motion.block_matching import (
     BlockMatcher,
     BlockMatchingConfig,
     SearchPolicy,
     SearchStrategy,
 )
-from repro.motion.kernels import (
-    KERNEL_BACKENDS,
-    SadKernel,
-    numba_available,
-    resolve_kernel_backend,
-)
+from repro.motion.kernels import KERNEL_BACKENDS, resolve_kernel_backend
 from repro.motion.reference import scalar_estimate
+from repro.video.datasets import build_otb_like_dataset
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-
-class TestBackendResolution:
-    def test_known_backends(self):
-        assert KERNEL_BACKENDS == ("numpy", "numba")
-        assert resolve_kernel_backend("numpy") == "numpy"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="kernel backend"):
-            resolve_kernel_backend("cython")
-        with pytest.raises(ValueError, match="kernel backend"):
-            BlockMatchingConfig(kernel_backend="cython")
-
-    def test_numba_resolution_matches_availability(self):
-        expected = "numba" if numba_available() else "numpy"
-        assert resolve_kernel_backend("numba") == expected
-
-    def test_float_frames_always_ride_numpy(self, monkeypatch):
-        """Fractional floats stay on the numpy gather path even when the
-        compiled backend is available: a compiled sequential float sum would
-        round differently than the oracle's pairwise reduction."""
-        monkeypatch.setattr(kernels_numba, "NUMBA_AVAILABLE", True)
-        rng = np.random.default_rng(0)
-        frame = rng.uniform(0, 255, (16, 16))
-        kernel = SadKernel(frame, frame, 8, 2, backend="numba")
-        assert not kernel.exact_integer
-        assert kernel.requested_backend == "numba"
-        assert kernel.active_backend == "numpy"
-
-    def test_integer_frames_activate_forced_backend(self, monkeypatch):
-        monkeypatch.setattr(kernels_numba, "NUMBA_AVAILABLE", True)
-        frame = np.zeros((16, 16), dtype=np.uint8)
-        kernel = SadKernel(frame, frame, 8, 2, backend="numba")
-        assert kernel.active_backend == "numba"
-        assert kernel.supports_fused
+#: Every search the matcher runs: TSS, and ES under each policy.
+SEARCHES = [(SearchStrategy.THREE_STEP, SearchPolicy.PRUNED)] + [
+    (SearchStrategy.EXHAUSTIVE, policy) for policy in SearchPolicy
+]
 
 
-class TestGracefulDegradation:
-    """kernel_backend="numba" without Numba must run, on numpy, identically."""
-
-    def test_blocked_numba_import_degrades_to_numpy(self):
-        script = textwrap.dedent(
-            """
-            import sys
-            # Block the numba import before repro is loaded: `None` in
-            # sys.modules makes `import numba` raise ImportError, which is
-            # exactly what an environment without the [accel] extra does.
-            sys.modules["numba"] = None
-
-            import numpy as np
-            from repro.motion import kernels_numba
-            from repro.motion.block_matching import (
-                BlockMatcher,
-                BlockMatchingConfig,
-                SearchPolicy,
-                SearchStrategy,
-            )
-            from repro.motion.kernels import numba_available, resolve_kernel_backend
-
-            assert not kernels_numba.NUMBA_AVAILABLE
-            assert not numba_available()
-            assert resolve_kernel_backend("numba") == "numpy"
-
-            rng = np.random.default_rng(0)
-            current = rng.integers(0, 256, (32, 40)).astype(np.uint8)
-            previous = rng.integers(0, 256, (32, 40)).astype(np.uint8)
-
-            fields = {}
-            for backend in ("numba", "numpy"):
-                matcher = BlockMatcher(
-                    BlockMatchingConfig(
-                        block_size=8,
-                        search_range=3,
-                        strategy=SearchStrategy.EXHAUSTIVE,
-                        search_policy=SearchPolicy.PRUNED,
-                        kernel_backend=backend,
-                    )
-                )
-                fields[backend] = matcher.estimate(current, previous)
-                assert matcher.last_kernel_backend == "numpy", backend
-
-            assert np.array_equal(fields["numba"].vectors, fields["numpy"].vectors)
-            assert np.array_equal(fields["numba"].sad, fields["numpy"].sad)
-            print("DEGRADE-OK")
-            """
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = _SRC
-        result = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        assert "DEGRADE-OK" in result.stdout
-
-
-@pytest.fixture
-def active_numba(monkeypatch):
-    """Make the numba backend active even when Numba is not installed.
-
-    ``kernels_numba``'s loops are plain Python functions when uncompiled, so
-    forcing availability runs the exact code the JIT would compile — the
-    logic under test is identical, only the speed differs.
-    """
-    monkeypatch.setattr(kernels_numba, "NUMBA_AVAILABLE", True)
-
-
-def _estimate(current, previous, policy, backend, block_size, search_range):
+def _match(current, previous, strategy, policy, backend, block_size, search_range):
     matcher = BlockMatcher(
         BlockMatchingConfig(
             block_size=block_size,
             search_range=search_range,
-            strategy=SearchStrategy.EXHAUSTIVE,
+            strategy=strategy,
             search_policy=policy,
             kernel_backend=backend,
         )
@@ -165,90 +65,235 @@ def _estimate(current, previous, policy, backend, block_size, search_range):
     return matcher, matcher.estimate(current, previous)
 
 
-class TestBackendEquivalence:
-    """The numba code paths must be bit-identical to numpy and the oracle."""
-
-    @settings(max_examples=10, deadline=None)
-    @given(
-        seed=st.integers(0, 2**31),
-        block_size=st.sampled_from([4, 8]),
-        search_range=st.sampled_from([0, 1, 2]),
-        height=st.integers(8, 24),
-        width=st.integers(8, 24),
-    )
-    def test_integer_frames_all_policies(
-        self, seed, block_size, search_range, height, width
-    ):
-        # An inline monkeypatch context (not the fixture): hypothesis
-        # forbids function-scoped fixtures inside @given.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(kernels_numba, "NUMBA_AVAILABLE", True)
-            rng = np.random.default_rng(seed)
-            current = rng.integers(0, 256, (height, width)).astype(np.uint8)
-            previous = rng.integers(0, 256, (height, width)).astype(np.uint8)
-            oracle = scalar_estimate(
+def _assert_c_equals_numpy(current, previous, block_size, search_range, oracle=True):
+    """C and numpy agree on every search, and both equal the scalar oracle."""
+    for strategy, policy in SEARCHES:
+        c_matcher, c_field = _match(
+            current, previous, strategy, policy, "c", block_size, search_range
+        )
+        np_matcher, np_field = _match(
+            current, previous, strategy, policy, "numpy", block_size, search_range
+        )
+        label = (strategy.value, policy.value)
+        assert c_matcher.last_kernel_backend == "c", label
+        assert np_matcher.last_kernel_backend == "numpy", label
+        assert np.array_equal(c_field.vectors, np_field.vectors), label
+        assert np.array_equal(c_field.sad, np_field.sad), label
+        assert c_matcher.last_search_stats == np_matcher.last_search_stats, label
+        assert c_matcher.last_operation_count == np_matcher.last_operation_count, label
+        if oracle:
+            expected = scalar_estimate(
                 current,
                 previous,
                 block_size=block_size,
                 search_range=search_range,
-                three_step=False,
+                three_step=strategy is SearchStrategy.THREE_STEP,
             )
-            for policy in SearchPolicy:
-                matcher, field = _estimate(
-                    current, previous, policy, "numba", block_size, search_range
-                )
-                assert matcher.last_kernel_backend == "numba"
-                assert np.array_equal(field.vectors, oracle.vectors), policy
-                assert np.array_equal(field.sad, oracle.sad), policy
-                _numpy_matcher, numpy_field = _estimate(
-                    current, previous, policy, "numpy", block_size, search_range
-                )
-                assert np.array_equal(field.vectors, numpy_field.vectors), policy
-                assert np.array_equal(field.sad, numpy_field.sad), policy
+            assert np.array_equal(c_field.vectors, expected.vectors), label
+            assert np.array_equal(c_field.sad, expected.sad), label
 
-    def test_fixed_point_frames(self, active_numba):
-        """Q8.4 lattice floats descale identically through the fused driver."""
+
+def _frame_pair(rng, height, width, kind):
+    """Two uint8 frames: independent noise, one shifted texture, or flat."""
+    if kind == "noise":
+        return (
+            rng.integers(0, 256, (height, width), dtype=np.uint8),
+            rng.integers(0, 256, (height, width), dtype=np.uint8),
+        )
+    if kind == "shifted":
+        texture = rng.integers(0, 256, (height + 8, width + 8), dtype=np.uint8)
+        return texture[4 : 4 + height, 3 : 3 + width], texture[2 : 2 + height, 6 : 6 + width]
+    flat = np.full((height, width), int(rng.integers(0, 256)), dtype=np.uint8)
+    return flat, flat.copy()
+
+
+class TestBackendResolution:
+    def test_known_backends(self):
+        assert KERNEL_BACKENDS == ("numpy", "c")
+        assert resolve_kernel_backend("numpy") == "numpy"
+        assert PipelineSpec().kernel_backend == BlockMatchingConfig().kernel_backend == "c"
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ValueError, match="kernel backend"):
+            resolve_kernel_backend("numba")
+        with pytest.raises(ValueError, match="kernel backend"):
+            BlockMatchingConfig(kernel_backend="cython")
+
+    def test_c_resolves_to_c_where_it_builds(self):
+        assert resolve_kernel_backend("c") == "c", ckernels._loaded
+        assert ckernels.load() is not None
+
+    def test_float_frames_always_ride_numpy(self):
+        """Only uint8 frames go to C: fractional floats keep the numpy
+        gather, whose pairwise reduction order the scalar oracle defines."""
+        rng = np.random.default_rng(0)
+        frame = rng.uniform(0, 255, (16, 16))
+        matcher, field = _match(frame, frame, *SEARCHES[0], "c", 8, 2)
+        assert not matcher.last_kernel_exact
+        assert matcher.last_kernel_backend == "numpy"
+        assert np.array_equal(field.sad, np.zeros((2, 2)))
+
+    def test_integer_frames_activate_forced_backend(self):
+        frame = np.zeros((16, 16), dtype=np.uint8)
+        for strategy, policy in SEARCHES:
+            matcher, _field = _match(frame, frame, strategy, policy, "c", 8, 2)
+            assert matcher.last_kernel_backend == "c"
+            assert matcher.last_kernel_exact and matcher.last_kernel_scale == 1
+        numpy_matcher, _field = _match(frame, frame, *SEARCHES[0], "numpy", 8, 2)
+        assert numpy_matcher.last_kernel_backend == "numpy"
+
+
+class TestBackendEquivalence:
+    """C must be bit-identical to numpy and to the scalar oracle."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31),
+        block_size=st.sampled_from([4, 8, 16, 24]),
+        search_range=st.integers(0, 7),
+        height=st.integers(9, 60),
+        width=st.integers(9, 60),
+        kind=st.sampled_from(["noise", "shifted", "flat"]),
+    )
+    def test_integer_frames_all_policies(
+        self, seed, block_size, search_range, height, width, kind
+    ):
+        rng = np.random.default_rng(seed)
+        current, previous = _frame_pair(rng, height, width, kind)
+        _assert_c_equals_numpy(current, previous, block_size, search_range)
+
+    def test_fixed_point_frames(self):
+        """Q8.4 lattice frames ride numpy's scaled integer path under c."""
         rng = np.random.default_rng(11)
         current = np.round(rng.uniform(0, 255, (24, 32)) * 16) / 16
         previous = np.round(rng.uniform(0, 255, (24, 32)) * 16) / 16
-        oracle = scalar_estimate(
-            current, previous, block_size=8, search_range=2, three_step=False
-        )
-        for policy in SearchPolicy:
-            matcher, field = _estimate(current, previous, policy, "numba", 8, 2)
-            assert matcher.last_kernel_backend == "numba"
-            assert matcher.last_kernel_scale == 16
-            assert np.array_equal(field.vectors, oracle.vectors), policy
-            assert np.array_equal(field.sad, oracle.sad), policy
-
-    def test_three_step_search(self, active_numba):
-        """TSS rides the compiled per-block primitive; same field as numpy."""
-        rng = np.random.default_rng(12)
-        current = rng.integers(0, 256, (48, 48)).astype(np.uint8)
-        previous = rng.integers(0, 256, (48, 48)).astype(np.uint8)
-        oracle = scalar_estimate(
-            current, previous, block_size=16, search_range=7, three_step=True
-        )
-        matcher = BlockMatcher(
-            BlockMatchingConfig(
-                block_size=16,
-                search_range=7,
-                strategy=SearchStrategy.THREE_STEP,
-                kernel_backend="numba",
+        for strategy, policy in SEARCHES:
+            matcher, field = _match(current, previous, strategy, policy, "c", 8, 2)
+            expected = scalar_estimate(
+                current,
+                previous,
+                block_size=8,
+                search_range=2,
+                three_step=strategy is SearchStrategy.THREE_STEP,
             )
-        )
-        field = matcher.estimate(current, previous)
-        assert matcher.last_kernel_backend == "numba"
-        assert np.array_equal(field.vectors, oracle.vectors)
-        assert np.array_equal(field.sad, oracle.sad)
+            assert matcher.last_kernel_backend == "numpy"
+            assert matcher.last_kernel_scale == 16
+            assert np.array_equal(field.vectors, expected.vectors), policy
+            assert np.array_equal(field.sad, expected.sad), policy
 
-    def test_flat_frame_early_exit_accounting(self, active_numba):
-        """The fused driver's work accounting matches the numpy driver's."""
-        flat = np.full((32, 32), 200, dtype=np.uint8)
-        for policy in (SearchPolicy.PRUNED, SearchPolicy.HISTOGRAM):
-            matcher, field = _estimate(flat, flat, policy, "numba", 8, 3)
-            assert field.max_magnitude() == 0.0
-            stats = matcher.last_search_stats
-            num_offsets = (2 * 3 + 1) ** 2
-            assert stats.candidates_evaluated == stats.candidates_total // num_offsets
-            assert stats.offsets_skipped == num_offsets - 1
+    def test_three_step_search(self):
+        """720p-shaped TSS on textured motion, strided rows included."""
+        rng = np.random.default_rng(12)
+        texture = rng.integers(0, 256, (90, 170), dtype=np.uint8)
+        current, previous = texture[5:77, 3:131], texture[2:74, 9:137]
+        assert not current.flags.c_contiguous
+        _assert_c_equals_numpy(current, previous, 16, 7)
+
+    def test_flat_frame_early_exit_accounting(self):
+        """Flat frames stop every block at once; the work accounting of the
+        C driver equals numpy's under every policy."""
+        flat = np.full((32, 40), 200, dtype=np.uint8)
+        for search_range in (0, 1, 3, 7):
+            _assert_c_equals_numpy(flat, flat, 8, search_range)
+        matcher, field = _match(flat, flat, *SEARCHES[2], "c", 8, 3)
+        stats = matcher.last_search_stats
+        num_offsets = (2 * 3 + 1) ** 2
+        assert field.max_magnitude() == 0.0
+        assert stats.candidates_evaluated == stats.candidates_total // num_offsets
+        assert stats.offsets_skipped == num_offsets - 1
+        assert stats.lower_bound_checks == 0
+
+    def test_luma_sequence_accounting(self):
+        """On a textured pan, C's lower-bound checks and operation count
+        equal numpy's: one check per block for every visited offset."""
+        from repro.harness.perf import synthetic_luma_sequence
+
+        frames = synthetic_luma_sequence(48, 64, 2)
+        _assert_c_equals_numpy(frames[1], frames[0], 16, 7, oracle=False)
+        matcher, _field = _match(frames[1], frames[0], *SEARCHES[2], "c", 16, 7)
+        assert matcher.last_search_stats.lower_bound_checks == 2688
+        assert matcher.last_operation_count == 216064
+
+
+class TestBuilds:
+    def test_scalar_branch_matches(self, monkeypatch, tmp_path):
+        """A build without SSE2 runs the scalar tails only, and agrees."""
+        default_library = ckernels._build()
+        monkeypatch.setattr(ckernels, "FLAGS", ckernels.FLAGS + ("-U__SSE2__",))
+        monkeypatch.setattr(ckernels, "CACHE_DIR", tmp_path)
+        monkeypatch.setattr(ckernels, "_loaded", None)
+        assert ckernels.load() is not None, ckernels._loaded
+        (scalar_library,) = tmp_path.glob("*.so")
+        if platform.machine() in ("x86_64", "AMD64"):
+            assert scalar_library.read_bytes() != default_library.read_bytes()
+        rng = np.random.default_rng(5)
+        for block_size in (4, 8, 16, 24):
+            current, previous = _frame_pair(rng, 50, 53, "shifted")
+            _assert_c_equals_numpy(current, previous, block_size, 5, oracle=False)
+
+    def test_two_processes_on_a_cold_cache_both_load(self, tmp_path):
+        script = textwrap.dedent(
+            """
+            import sys
+            from pathlib import Path
+            from repro.motion import ckernels
+            ckernels.CACHE_DIR = Path(sys.argv[1])
+            assert ckernels.load() is not None, ckernels._loaded
+            print("LOADED")
+            """
+        )
+        cache = tmp_path / "cache"
+        cache.mkdir(mode=0o755)
+        env = dict(os.environ, PYTHONPATH=_SRC)
+        runs = [
+            subprocess.Popen(
+                [sys.executable, "-c", script, str(cache)],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+            for _ in range(2)
+        ]
+        for run in runs:
+            stdout, stderr = run.communicate(timeout=300)
+            assert run.returncode == 0, stderr
+            assert "LOADED" in stdout
+        assert [path.suffix for path in cache.iterdir()] == [".so"]
+
+    def test_world_writable_cache_is_refused(self, monkeypatch, tmp_path):
+        tmp_path.chmod(0o777)
+        monkeypatch.setattr(ckernels, "CACHE_DIR", tmp_path)
+        monkeypatch.setattr(ckernels, "_loaded", None)
+        with pytest.warns(RuntimeWarning, match="world-writable"):
+            assert ckernels.load() is None
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestGracefulDegradation:
+    """With no compiler, ``c`` runs on numpy, says why, and changes nothing."""
+
+    def test_missing_compiler_degrades_to_numpy(self, monkeypatch, tmp_path):
+        dataset = build_otb_like_dataset(num_sequences=1, frames_per_sequence=6)
+        (sequence,) = dataset.sequences
+
+        def run(spec):
+            result = spec.build(tracking_backend_for("mdnet")).run(sequence)
+            return (
+                [(frame.kind, frame.boxes()) for frame in result.frames],
+                [event.motion_ops for event in result.telemetry],
+            )
+
+        specs = [PipelineSpec(), PipelineSpec(exhaustive_search=True)]
+        oracle = [run(replace(spec, kernel_backend="numpy")) for spec in specs]
+        assert [run(spec) for spec in specs] == oracle
+
+        monkeypatch.setattr(ckernels, "COMPILER", str(tmp_path / "no-such-cc"))
+        monkeypatch.setattr(ckernels, "CACHE_DIR", tmp_path / "empty")
+        monkeypatch.setattr(ckernels, "_loaded", None)
+        with pytest.warns(RuntimeWarning, match="C kernels unavailable.*no-such-cc"):
+            assert resolve_kernel_backend("c") == "numpy"
+        assert [run(spec) for spec in specs] == oracle
+        matcher = BlockMatcher()
+        matcher.estimate(*_frame_pair(np.random.default_rng(1), 32, 32, "noise"))
+        assert matcher.last_kernel_backend == "numpy"

@@ -22,6 +22,7 @@ from repro.motion.block_matching import (
     SearchPolicy,
     SearchStrategy,
 )
+from repro.motion.kernels import resolve_kernel_backend
 from repro.motion.reference import scalar_estimate
 
 
@@ -187,8 +188,9 @@ class TestSearchPolicyComparison:
         }
         assert set(by_policy) == {"full", "pruned", "histogram"}
         assert all(identical for _f, _o, identical, _b in by_policy.values())
-        # The numba backend was not requested, so numpy must have run.
-        assert all(backend == "numpy" for _f, _o, _i, backend in by_policy.values())
+        # The default backend served every policy.
+        expected = resolve_kernel_backend("c")
+        assert all(backend == expected for _f, _o, _i, backend in by_policy.values())
         assert by_policy["full"][0] == 1.0
         assert by_policy["pruned"][1] < by_policy["full"][1]
         assert by_policy["histogram"][1] < by_policy["full"][1]

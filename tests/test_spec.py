@@ -103,7 +103,7 @@ class TestCliRoundTrip:
             PipelineSpec(
                 exhaustive_search=True,
                 search_policy="histogram",
-                kernel_backend="numba",
+                kernel_backend="numpy",
             ),
             PipelineSpec(sub_roi_grid=(1, 1), expose_motion_vectors=False),
             PipelineSpec(soc_config="720p30", extrapolation_host="cpu"),
@@ -147,7 +147,7 @@ class TestCacheKey:
             PipelineSpec(search_range=3),
             PipelineSpec(exhaustive_search=True),
             PipelineSpec(search_policy="full"),
-            PipelineSpec(kernel_backend="numba"),
+            PipelineSpec(kernel_backend="numpy"),
             PipelineSpec(sub_roi_grid=(1, 1)),
             PipelineSpec(expose_motion_vectors=False),
             PipelineSpec(soc_config="1080p30"),
@@ -171,7 +171,7 @@ class TestBuild:
             search_range=5,
             exhaustive_search=True,
             search_policy="histogram",
-            kernel_backend="numba",
+            kernel_backend="numpy",
             sub_roi_grid=(1, 2),
             expose_motion_vectors=False,
         )
@@ -181,7 +181,7 @@ class TestBuild:
         assert config.block_matching.search_range == 5
         assert config.block_matching.strategy is SearchStrategy.EXHAUSTIVE
         assert config.block_matching.search_policy is SearchPolicy.HISTOGRAM
-        assert config.block_matching.kernel_backend == "numba"
+        assert config.block_matching.kernel_backend == "numpy"
         assert config.extrapolation.sub_roi_grid == (1, 2)
         assert not config.expose_motion_vectors
         assert isinstance(pipeline.window_controller, ConstantWindowController)
@@ -203,7 +203,8 @@ class TestBuild:
         )
 
     def test_describe_marks_non_default_backend(self):
-        assert "/k:numba" in PipelineSpec(kernel_backend="numba").describe()
+        assert PipelineSpec().kernel_backend == "c"
+        assert PipelineSpec(kernel_backend="numpy").describe() == "EW-2/b16/r7/tss/k:numpy"
         assert "/k:" not in PipelineSpec().describe()
 
     def test_with_window(self):

@@ -103,20 +103,13 @@ class TestSpaces:
             c.extrapolation_host == "mc" for c in enumerate_candidates(dims)
         )
 
-    def test_kernel_backend_dimension_guarded_by_availability(self):
-        """The ci space searches numba configs only where they can run."""
-        from repro.motion.kernels import numba_available
-
-        assert "numba" in TUNE_SPACES["ci"]["kernel_backend"]
-        _, dims = load_space("ci")
-        if numba_available():
-            assert "numba" in dims["kernel_backend"]
-        else:
-            assert dims["kernel_backend"] == ["numpy"]
-        # A machine-specific JSON space degrades the same way instead of
-        # duplicating the numpy point.
-        _, custom = load_space({"kernel_backend": ["numpy", "numba"]})
-        assert "numpy" in custom["kernel_backend"]
+    def test_kernel_backend_is_not_a_dimension(self):
+        """Backends are bit-identical and every tuned metric is modeled, so
+        a backend candidate could only duplicate a point."""
+        assert all("kernel_backend" not in dims for dims in TUNE_SPACES.values())
+        assert "kernel_backend" not in searchable_dimensions()
+        with pytest.raises(TuneError, match="not a searchable"):
+            load_space({"kernel_backend": ["numpy", "c"]})
 
     def test_searchable_dimensions_cover_the_spaces(self):
         listing = searchable_dimensions()
