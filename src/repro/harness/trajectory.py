@@ -222,8 +222,14 @@ def stamp(entry: dict, preset: str, kernel_backend: str) -> dict:
 
 
 def applicable_floors(entry: dict) -> List[Floor]:
-    """The rows of :data:`FLOORS` kept for ``entry``'s benchmark."""
-    return [floor for floor in FLOORS if floor.benchmark == entry.get("benchmark")]
+    """The rows of :data:`FLOORS` that apply to ``entry``: its benchmark's,
+    less those that measure nothing in it (another backend's, or a
+    resolution the preset did not run)."""
+    return [
+        floor
+        for floor in FLOORS
+        if floor.benchmark == entry.get("benchmark") and floor.measure(entry)
+    ]
 
 
 def check_floors(entry: dict, floors: Dict[str, float]) -> List[str]:

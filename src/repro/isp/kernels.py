@@ -56,7 +56,7 @@ def motion_compensated_blend(
     steady-state caller passes the stage's pool; ad-hoc calls allocate a
     private one).  ``backend="c"`` runs the compiled blend when the arrays
     suit it (uint8 or float64 ``current``, float64 ``previous`` and ``out``,
-    unit-stride rows) and numpy otherwise.
+    all C-contiguous) and numpy otherwise.
     """
     height, width = current.shape
     if out is None:

@@ -1,24 +1,19 @@
 /*
  * Compiled kernels for 8-bit frames: three-step search, exhaustive search
- * and the motion-compensated denoise blend.
- *
- * Loaded through ctypes by repro.motion.ckernels, which builds this file
- * once with the system C compiler.  numpy (repro.motion.kernels,
- * repro.isp.kernels) stays the oracle: every kernel here returns exactly
- * what its numpy counterpart returns, bit for bit.
+ * and the motion-compensated denoise blend, loaded through ctypes by
+ * repro.motion.ckernels.  Each returns exactly what its numpy counterpart
+ * returns, bit for bit:
  *
  *   - SADs of 8-bit pixels are exact integers, so summation order cannot
- *     matter.  SSE2's _mm_sad_epu8 sums 16- and 8-byte row chunks; a
- *     scalar tail covers the rest and the whole row where SSE2 is absent.
+ *     matter.  SSE2's _mm_sad_epu8 sums 16- and 8-byte row chunks; a scalar
+ *     tail covers the rest, and whole rows where SSE2 is absent.
  *   - A candidate's SAD stops accumulating once the partial sum shows it
- *     cannot win.  That changes how much arithmetic is spent, never which
- *     candidate wins.
- *   - The blend computes (1 - s) * current + s * reference per pixel.  It
- *     must be built with -ffp-contract=off, so the multiply and the add
- *     round separately, as numpy rounds them.
+ *     cannot win, which changes the work spent, never the winner.
+ *   - The blend must be built with -ffp-contract=off, so its multiply and
+ *     add round separately, as numpy rounds them.
  *
- * Frames are edge-padded here the way BlockMatcher pads them: to a whole
- * macroblock grid, then by the search range d on every side.
+ * Arrays are C-contiguous.  Frames are edge-padded the way BlockMatcher pads
+ * them: to a whole macroblock grid, then by the search range d on every side.
  */
 
 #include <stdint.h>
@@ -29,7 +24,7 @@
 #include <emmintrin.h>
 #endif
 
-/* Exhaustive-search policies; BlockMatcher passes these codes. */
+/* Exhaustive-search policies; ckernels.POLICY_CODES passes these codes. */
 enum { POLICY_FULL = 0, POLICY_PRUNED = 1, POLICY_HISTOGRAM = 2 };
 
 /* SAD over rows [first, last) of two L-wide blocks. */
@@ -83,21 +78,23 @@ static int64_t block_sad(const uint8_t *a, long a_stride, const uint8_t *b, long
     return sad_upto(a, a_stride, b, b_stride, L, limit);
 }
 
-/* The current frame on its macroblock grid, and the previous frame padded
- * by d around that grid.  Block (r, c) at offset (dy, dx) compares
- * cur + r*L*cur_stride + c*L with at(r, c) + dy*prev_stride + dx. */
+/* The current frame on its macroblock grid (grid_w wide) and the previous
+ * frame padded by d around that grid (pad_w wide).  Block (r, c) at offset
+ * (dy, dx) compares block(r, c) with origin(r, c) + dy * pad_w + dx. */
 typedef struct {
-    const uint8_t *cur;
-    long cur_stride;
-    const uint8_t *prev;
-    long prev_stride;
-    long rows, cols, L, d;
+    const uint8_t *cur, *prev;
+    long grid_w, pad_w, rows, cols, L, d;
     uint8_t *buffer;
 } frames_t;
 
-static const uint8_t *at(const frames_t *f, long r, long c)
+static const uint8_t *block(const frames_t *f, long r, long c)
 {
-    return f->prev + (f->d + r * f->L) * f->prev_stride + f->d + c * f->L;
+    return f->cur + r * f->L * f->grid_w + c * f->L;
+}
+
+static const uint8_t *origin(const frames_t *f, long r, long c)
+{
+    return f->prev + (f->d + r * f->L) * f->pad_w + f->d + c * f->L;
 }
 
 static void pad_row(uint8_t *dst, const uint8_t *src, long width, long left, long right)
@@ -107,42 +104,37 @@ static void pad_row(uint8_t *dst, const uint8_t *src, long width, long left, lon
     memset(dst + left + width, src[width - 1], (size_t)right);
 }
 
-static long clamp(long value, long low, long high)
+static long clamp(long value, long high)
 {
-    return value < low ? low : value > high ? high : value;
+    return value < 0 ? 0 : value > high ? high : value;
 }
 
-static int pad_frames(frames_t *f, const uint8_t *cur, long cur_stride, const uint8_t *prev,
-                      long prev_stride, long height, long width, long L, long d)
+static int pad_frames(frames_t *f, const uint8_t *cur, const uint8_t *prev, long height,
+                      long width, long L, long d)
 {
-    long rows = (height + L - 1) / L, cols = (width + L - 1) / L;
-    long grid_h = rows * L, grid_w = cols * L;
-    long pad_h = grid_h + 2 * d, pad_w = grid_w + 2 * d;
-    int ragged = grid_h != height || grid_w != width;
-    size_t bytes = (size_t)pad_h * pad_w + (ragged ? (size_t)grid_h * grid_w : 0);
-    uint8_t *buffer = malloc(bytes);
-    if (!buffer)
-        return -1;
-    for (long y = 0; y < pad_h; ++y)
-        pad_row(buffer + y * pad_w, prev + clamp(y - d, 0, height - 1) * prev_stride, width, d,
-                pad_w - d - width);
-    f->cur = cur;
-    f->cur_stride = cur_stride;
-    if (ragged) {
-        uint8_t *grid = buffer + (size_t)pad_h * pad_w;
-        for (long y = 0; y < grid_h; ++y)
-            pad_row(grid + y * grid_w, cur + clamp(y, 0, height - 1) * cur_stride, width, 0,
-                    grid_w - width);
-        f->cur = grid;
-        f->cur_stride = grid_w;
-    }
-    f->prev = buffer;
-    f->prev_stride = pad_w;
-    f->rows = rows;
-    f->cols = cols;
+    f->rows = (height + L - 1) / L;
+    f->cols = (width + L - 1) / L;
+    f->grid_w = f->cols * L;
+    f->pad_w = f->grid_w + 2 * d;
     f->L = L;
     f->d = d;
-    f->buffer = buffer;
+    long grid_h = f->rows * L, pad_h = grid_h + 2 * d;
+    int ragged = grid_h != height || f->grid_w != width;
+    f->buffer = malloc((size_t)pad_h * f->pad_w + (ragged ? (size_t)grid_h * f->grid_w : 0));
+    if (!f->buffer)
+        return -1;
+    for (long y = 0; y < pad_h; ++y)
+        pad_row(f->buffer + y * f->pad_w, prev + clamp(y - d, height - 1) * width, width, d,
+                f->pad_w - d - width);
+    f->prev = f->buffer;
+    f->cur = cur;
+    if (ragged) {
+        uint8_t *grid = f->buffer + (size_t)pad_h * f->pad_w;
+        for (long y = 0; y < grid_h; ++y)
+            pad_row(grid + y * f->grid_w, cur + clamp(y, height - 1) * width, width, 0,
+                    f->grid_w - width);
+        f->cur = grid;
+    }
     return 0;
 }
 
@@ -158,20 +150,19 @@ static void store(double *vectors, double *sad, long index, long dy, long dx, in
  * strictly improving one.  Writes (u, v) = (-dx, -dy) per block into
  * vectors (rows x cols x 2) and the best SAD into sad (rows x cols).
  * Returns 0, or -1 when out of memory. */
-int euph_tss_u8(const uint8_t *cur, long cur_stride, const uint8_t *prev, long prev_stride,
-                long height, long width, long L, long d, double *vectors, double *sad)
+int euph_tss_u8(const uint8_t *cur, const uint8_t *prev, long height, long width, long L,
+                long d, double *vectors, double *sad)
 {
     frames_t f;
-    if (pad_frames(&f, cur, cur_stride, prev, prev_stride, height, width, L, d))
+    if (pad_frames(&f, cur, prev, height, width, L, d))
         return -1;
     long first_step = 1;
     while (2 * first_step < d + 1)
         first_step *= 2;
     for (long r = 0; r < f.rows; ++r) {
         for (long c = 0; c < f.cols; ++c) {
-            const uint8_t *block = f.cur + r * L * f.cur_stride + c * L;
-            const uint8_t *origin = at(&f, r, c);
-            int64_t best = block_sad(block, f.cur_stride, origin, f.prev_stride, L, INT64_MAX);
+            const uint8_t *a = block(&f, r, c), *b = origin(&f, r, c);
+            int64_t best = block_sad(a, f.grid_w, b, f.pad_w, L, INT64_MAX);
             long centre_dy = 0, centre_dx = 0;
             for (long step = first_step; step >= 1; step /= 2) {
                 long base_dy = centre_dy, base_dx = centre_dx;
@@ -180,11 +171,10 @@ int euph_tss_u8(const uint8_t *cur, long cur_stride, const uint8_t *prev, long p
                         long dy = base_dy + ndy, dx = base_dx + ndx;
                         if ((ndy == 0 && ndx == 0) || labs(dy) > d || labs(dx) > d)
                             continue;
-                        int64_t candidate = block_sad(block, f.cur_stride,
-                                                      origin + dy * f.prev_stride + dx,
-                                                      f.prev_stride, L, best - 1);
-                        if (candidate < best) {
-                            best = candidate;
+                        int64_t sad_here = block_sad(a, f.grid_w, b + dy * f.pad_w + dx,
+                                                     f.pad_w, L, best - 1);
+                        if (sad_here < best) {
+                            best = sad_here;
                             centre_dy = dy;
                             centre_dx = dx;
                         }
@@ -212,36 +202,36 @@ static int by_score(const void *a, const void *b)
 }
 
 /* Sums of every L x L window of the padded previous frame, by top-left
- * corner: a (pad_h - L + 1) x (pad_w - L + 1) table with row stride *width. */
-static int64_t *window_sums(const frames_t *f, long *width)
+ * corner, in a table (pad_w - L + 1) wide, from running column sums.
+ * Returns NULL when out of memory. */
+static int64_t *window_sums(const frames_t *f)
 {
-    long L = f->L, pad_w = f->prev_stride;
-    long pad_h = f->rows * L + 2 * f->d;
-    long out_h = pad_h - L + 1, out_w = pad_w - L + 1;
-    int64_t *sums = malloc(sizeof(int64_t) * ((size_t)out_h * out_w + pad_w));
+    long L = f->L, w = f->pad_w, out_w = w - L + 1, out_h = f->rows * L + 2 * f->d - L + 1;
+    int64_t *sums = malloc(sizeof(int64_t) * ((size_t)out_h * out_w + w));
     if (!sums)
         return NULL;
     int64_t *column = sums + (size_t)out_h * out_w;
-    memset(column, 0, sizeof(int64_t) * pad_w);
-    for (long y = 0; y < L; ++y)
-        for (long x = 0; x < pad_w; ++x)
-            column[x] += f->prev[y * pad_w + x];
+    memset(column, 0, sizeof(int64_t) * w);
+    for (long y = 0; y < L - 1; ++y)
+        for (long x = 0; x < w; ++x)
+            column[x] += f->prev[y * w + x];
     for (long y = 0; y < out_h; ++y) {
-        if (y)
-            for (long x = 0; x < pad_w; ++x)
-                column[x] += f->prev[(y + L - 1) * pad_w + x] - f->prev[(y - 1) * pad_w + x];
-        int64_t total = 0;
-        for (long x = 0; x < L; ++x)
-            total += column[x];
-        int64_t *row = sums + y * out_w;
-        row[0] = total;
-        for (long x = 1; x < out_w; ++x) {
-            total += column[x + L - 1] - column[x - 1];
-            row[x] = total;
+        int64_t total = 0, *row = sums + y * out_w;
+        for (long x = 0; x < w; ++x) {
+            column[x] += f->prev[(y + L - 1) * w + x] - (y ? f->prev[(y - 1) * w + x] : 0);
+            total += column[x] - (x >= L ? column[x - L] : 0);
+            if (x >= L - 1)
+                row[x - L + 1] = total;
         }
     }
-    *width = out_w;
     return sums;
+}
+
+/* The window sum at origin(r, c) + (dy, dx). */
+static int64_t window_sum(const frames_t *f, const int64_t *sums, long r, long c, long dy,
+                          long dx)
+{
+    return sums[(f->d + r * f->L + dy) * (f->pad_w - f->L + 1) + f->d + c * f->L + dx];
 }
 
 /* Exhaustive search over the n candidate offsets (dys[k], dxs[k]), given
@@ -260,65 +250,53 @@ static int64_t *window_sums(const frames_t *f, long *width)
  * lower-bound checks (one per block for every offset visited before the
  * last block stopped) and offsets no block evaluated.  Returns 0, or -1
  * when out of memory. */
-int euph_es_u8(const uint8_t *cur, long cur_stride, const uint8_t *prev, long prev_stride,
-               long height, long width, long L, long d, const int64_t *dys,
-               const int64_t *dxs, long n, int policy, double *vectors, double *sad,
-               int64_t *stats)
+int euph_es_u8(const uint8_t *cur, const uint8_t *prev, long height, long width, long L,
+               long d, const int64_t *dys, const int64_t *dxs, long n, int policy,
+               double *vectors, double *sad, int64_t *stats)
 {
     frames_t f;
-    if (pad_frames(&f, cur, cur_stride, prev, prev_stride, height, width, L, d))
+    if (pad_frames(&f, cur, prev, height, width, L, d))
         return -1;
     long blocks = f.rows * f.cols;
-    int64_t *sums = NULL, *block_sums = malloc(sizeof(int64_t) * (blocks + 3 * n));
+    int64_t *work = calloc((size_t)(blocks + 3 * n), sizeof(int64_t));
+    int64_t *sums = policy == POLICY_FULL ? NULL : window_sums(&f);
     scored_t *order = malloc(sizeof(scored_t) * n);
-    long sums_w = 0;
-    if (policy != POLICY_FULL && block_sums)
-        sums = window_sums(&f, &sums_w);
-    if (!block_sums || !order || (policy != POLICY_FULL && !sums)) {
+    if (!work || !order || (policy != POLICY_FULL && !sums)) {
+        free(work);
         free(sums);
-        free(block_sums);
         free(order);
         free(f.buffer);
         return -1;
     }
-    int64_t *rank = block_sums + blocks, *suffix_min = rank + n, *evaluated = suffix_min + n;
+    int64_t *block_sums = work, *rank = work + blocks, *suffix_min = rank + n;
+    int64_t *evaluated = suffix_min + n;
 
-    for (long r = 0; r < f.rows; ++r) {
-        for (long c = 0; c < f.cols; ++c) {
-            const uint8_t *block = f.cur + r * L * f.cur_stride + c * L;
-            int64_t total = 0;
+    for (long r = 0; r < f.rows; ++r)
+        for (long c = 0; c < f.cols; ++c)
             for (long i = 0; i < L; ++i)
                 for (long j = 0; j < L; ++j)
-                    total += block[i * f.cur_stride + j];
-            block_sums[r * f.cols + c] = total;
-        }
-    }
+                    block_sums[r * f.cols + c] += block(&f, r, c)[i * f.grid_w + j];
     for (long k = 0; k < n; ++k) {
-        order[k].index = k;
-        order[k].score = 0;
-        if (policy == POLICY_HISTOGRAM)
-            for (long r = 0; r < f.rows; ++r)
-                for (long c = 0; c < f.cols; ++c) {
-                    int64_t diff = block_sums[r * f.cols + c]
-                                   - sums[(d + r * L + dys[k]) * sums_w + d + c * L + dxs[k]];
-                    order[k].score += diff < 0 ? -diff : diff;
-                }
+        order[k] = (scored_t){0, k};
+        for (long r = 0; policy == POLICY_HISTOGRAM && r < f.rows; ++r)
+            for (long c = 0; c < f.cols; ++c) {
+                int64_t diff =
+                    block_sums[r * f.cols + c] - window_sum(&f, sums, r, c, dys[k], dxs[k]);
+                order[k].score += diff < 0 ? -diff : diff;
+            }
     }
     if (policy == POLICY_HISTOGRAM && n > 1)
         qsort(order + 1, (size_t)(n - 1), sizeof(scored_t), by_score);
     for (long k = n - 1; k >= 0; --k) {
         rank[k] = order[k].index;
         suffix_min[k] = k + 1 < n && suffix_min[k + 1] < rank[k] ? suffix_min[k + 1] : rank[k];
-        evaluated[k] = 0;
     }
 
     long last_stop = 1;
     for (long r = 0; r < f.rows; ++r) {
         for (long c = 0; c < f.cols; ++c) {
-            const uint8_t *block = f.cur + r * L * f.cur_stride + c * L;
-            const uint8_t *origin = at(&f, r, c);
-            int64_t block_sum = block_sums[r * f.cols + c];
-            int64_t best = block_sad(block, f.cur_stride, origin, f.prev_stride, L, INT64_MAX);
+            const uint8_t *a = block(&f, r, c), *b = origin(&f, r, c);
+            int64_t best = block_sad(a, f.grid_w, b, f.pad_w, L, INT64_MAX);
             int64_t best_rank = rank[0];
             long best_k = 0, stop = n;
             ++evaluated[0];
@@ -333,17 +311,15 @@ int euph_es_u8(const uint8_t *cur, long cur_stride, const uint8_t *prev, long pr
                         if (rank[k] > best_rank)
                             continue;
                     }
-                    int64_t diff = block_sum - sums[(d + r * L + dy) * sums_w + d + c * L + dx];
+                    int64_t diff = block_sums[r * f.cols + c] - window_sum(&f, sums, r, c, dy, dx);
                     int64_t bound = diff < 0 ? -diff : diff;
                     if (bound > best || (bound == best && rank[k] > best_rank))
                         continue;
                 }
-                int64_t candidate = block_sad(block, f.cur_stride,
-                                              origin + dy * f.prev_stride + dx, f.prev_stride,
-                                              L, best);
+                int64_t sad_here = block_sad(a, f.grid_w, b + dy * f.pad_w + dx, f.pad_w, L, best);
                 ++evaluated[k];
-                if (candidate < best || (candidate == best && rank[k] < best_rank)) {
-                    best = candidate;
+                if (sad_here < best || (sad_here == best && rank[k] < best_rank)) {
+                    best = sad_here;
                     best_rank = rank[k];
                     best_k = k;
                 }
@@ -354,16 +330,14 @@ int euph_es_u8(const uint8_t *cur, long cur_stride, const uint8_t *prev, long pr
         }
     }
 
-    int64_t total = 0, skipped = 0;
+    stats[0] = stats[2] = 0;
     for (long k = 0; k < n; ++k) {
-        total += evaluated[k];
-        skipped += evaluated[k] == 0;
+        stats[0] += evaluated[k];
+        stats[2] += evaluated[k] == 0;
     }
-    stats[0] = total;
     stats[1] = policy == POLICY_FULL ? 0 : (int64_t)blocks * (last_stop - 1);
-    stats[2] = skipped;
+    free(work);
     free(sums);
-    free(block_sums);
     free(order);
     free(f.buffer);
     return 0;
@@ -385,45 +359,35 @@ static double round_half_even(double value)
  * source (rounded half to even, like numpy's rint) lies inside the frame
  * becomes (1 - s) * current + s * previous[source]; every other pixel is
  * current.  current is uint8 (current_u8 != 0) or float64; previous and
- * out are float64; strides count elements. */
-void euph_blend(const void *current, int current_u8, long cur_stride, const double *previous,
-                long prev_stride, long height, long width, const double *vectors,
-                const double *sad, long L, double max_sad, double strength, double *out,
-                long out_stride)
+ * out are float64. */
+void euph_blend(const void *current, int current_u8, const double *previous, long height,
+                long width, const double *vectors, const double *sad, long L, double max_sad,
+                double strength, double *out)
 {
     long cols = (width + L - 1) / L;
     double keep = 1.0 - strength;
     for (long y0 = 0; y0 < height; y0 += L) {
         long y1 = y0 + L < height ? y0 + L : height;
         for (long x0 = 0; x0 < width; x0 += L) {
-            long x1 = x0 + L < width ? x0 + L : width;
+            long x1 = x0 + L < width ? x0 + L : width, n = x1 - x0;
             long index = (y0 / L) * cols + x0 / L;
             double src_y = round_half_even((double)y0 - vectors[2 * index + 1]);
             double src_x = round_half_even((double)x0 - vectors[2 * index]);
             int valid = sad[index] <= max_sad && src_y >= 0 && src_x >= 0
                         && src_y + (double)(y1 - y0) <= (double)height
-                        && src_x + (double)(x1 - x0) <= (double)width;
+                        && src_x + (double)n <= (double)width;
             for (long y = y0; y < y1; ++y) {
-                double *o = out + y * out_stride + x0;
-                long n = x1 - x0;
-                const double *p = valid
-                    ? previous + ((long)src_y + y - y0) * prev_stride + (long)src_x
-                    : NULL;
+                double *o = out + y * width + x0;
+                const double *p =
+                    valid ? previous + ((long)src_y + y - y0) * width + (long)src_x : NULL;
                 if (current_u8) {
-                    const uint8_t *cu = (const uint8_t *)current + y * cur_stride + x0;
-                    if (valid)
-                        for (long x = 0; x < n; ++x)
-                            o[x] = keep * cu[x] + strength * p[x];
-                    else
-                        for (long x = 0; x < n; ++x)
-                            o[x] = cu[x];
+                    const uint8_t *cu = (const uint8_t *)current + y * width + x0;
+                    for (long x = 0; x < n; ++x)
+                        o[x] = p ? keep * cu[x] + strength * p[x] : cu[x];
                 } else {
-                    const double *cf = (const double *)current + y * cur_stride + x0;
-                    if (valid)
-                        for (long x = 0; x < n; ++x)
-                            o[x] = keep * cf[x] + strength * p[x];
-                    else
-                        memcpy(o, cf, sizeof(double) * (size_t)n);
+                    const double *cf = (const double *)current + y * width + x0;
+                    for (long x = 0; x < n; ++x)
+                        o[x] = p ? keep * cf[x] + strength * p[x] : cf[x];
                 }
             }
         }

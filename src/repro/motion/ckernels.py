@@ -2,21 +2,17 @@
 
 :func:`load` compiles ``_ckernels.c`` with the system C compiler the first
 time a process asks for it, caches the shared library in the
-``__pycache__`` directory next to the source, and loads it through
-``ctypes``.  The cached file is named by a hash of the source, the flags
-and the compiler's ``--version`` line, so an edit or a new compiler builds
-a new library, and every later process only loads it.  The build writes to
-a temporary name and renames it into place, so processes that start on a
-cold cache never load a half-written file.
+``__pycache__`` directory next to the source and loads it through
+``ctypes``.  The file name hashes the source, the flags and the compiler's
+``--version`` line, so an edit or a new compiler builds a new library.  The
+build writes to a temporary name and renames it into place, so processes
+that start on a cold cache never load a half-written file.
 
-When no library can be had -- no compiler, a compile error, a library
-that will not load, a cache directory anyone may write to -- :func:`load`
-returns ``None`` after one warning that names the reason, and the ``c``
-kernel backend resolves to ``numpy`` (see
-:func:`repro.motion.kernels.resolve_kernel_backend`).
-
-The wrappers below take numpy arrays and return what the numpy kernels
-return for the same call, bit for bit (``tests/test_kernel_backends.py``).
+When no library can be had -- no compiler, a compile error, a library that
+will not load, a cache directory anyone may write to -- :func:`load`
+returns ``None`` after one warning naming the reason, and the ``c`` kernel
+backend resolves to ``numpy``
+(:func:`repro.motion.kernels.resolve_kernel_backend`).
 """
 
 from __future__ import annotations
@@ -45,22 +41,14 @@ FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 #: Exhaustive-search policy codes of ``euph_es_u8``, by ``SearchPolicy`` value.
 POLICY_CODES = {"full": 0, "pruned": 1, "histogram": 2}
 
-#: ``(library or None, reason it is None)`` once :func:`load` has run.
+#: ``(library or None, why it is None)`` once :func:`load` has run.
 _loaded: Optional[Tuple[Optional[ctypes.CDLL], str]] = None
 
-_p = ctypes.c_void_p
-_l = ctypes.c_long
+_P, _L, _D = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
 _SIGNATURES = {
-    "euph_tss_u8": (ctypes.c_int, [_p, _l, _p, _l, _l, _l, _l, _l, _p, _p]),
-    "euph_es_u8": (
-        ctypes.c_int,
-        [_p, _l, _p, _l, _l, _l, _l, _l, _p, _p, _l, ctypes.c_int, _p, _p, _p],
-    ),
-    "euph_blend": (
-        None,
-        [_p, ctypes.c_int, _l, _p, _l, _l, _l, _p, _p, _l, ctypes.c_double,
-         ctypes.c_double, _p, _l],
-    ),
+    "euph_tss_u8": (ctypes.c_int, [_P, _P, _L, _L, _L, _L, _P, _P]),
+    "euph_es_u8": (ctypes.c_int, [_P, _P, _L, _L, _L, _L, _P, _P, _L, ctypes.c_int, _P, _P, _P]),
+    "euph_blend": (None, [_P, ctypes.c_int, _P, _L, _L, _P, _P, _L, _D, _D, _P]),
 }
 
 
@@ -104,9 +92,8 @@ def load() -> Optional[ctypes.CDLL]:
         try:
             library = ctypes.CDLL(str(_build()))
             for name, (restype, argtypes) in _SIGNATURES.items():
-                function = getattr(library, name)
-                function.restype = restype
-                function.argtypes = argtypes
+                getattr(library, name).restype = restype
+                getattr(library, name).argtypes = argtypes
             _loaded = (library, "")
         except (OSError, subprocess.SubprocessError, AttributeError, IndexError) as error:
             _loaded = (None, str(error) or type(error).__name__)
@@ -114,13 +101,6 @@ def load() -> Optional[ctypes.CDLL]:
                 f"C kernels unavailable, using numpy: {_loaded[1]}", RuntimeWarning, stacklevel=2
             )
     return _loaded[0]
-
-
-def _rows(frame: np.ndarray) -> np.ndarray:
-    """``frame`` with unit-stride rows (a copy only when it lacks them)."""
-    if frame.strides[1] != frame.itemsize:
-        return np.ascontiguousarray(frame)
-    return frame
 
 
 def _check(status: int) -> None:
@@ -133,7 +113,7 @@ def estimate_u8(
     previous: np.ndarray,
     block_size: int,
     search_range: int,
-    policy: Optional[str],
+    policy: Optional[str] = None,
     offsets: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[int, int, int]]]:
     """Block matching of two uint8 frames in one C call.
@@ -141,30 +121,24 @@ def estimate_u8(
     ``policy`` is ``None`` for the three-step search, else an
     exhaustive-search policy value searching ``offsets``: a C-contiguous
     ``(2, n)`` int64 array, rows ``dy`` and ``dx``, in spiral order.
-    Returns ``(vectors, sad, stats)`` shaped as
+    Returns ``(vectors, sad, stats)`` as
     :class:`~repro.motion.motion_field.MotionField` takes them, with
     ``stats = (evaluated, lower_bound_checks, offsets_skipped)`` for
     exhaustive search and ``None`` for TSS.
     """
-    library = load()
-    current = _rows(current)
-    previous = _rows(previous)
+    current = np.ascontiguousarray(current)
+    previous = np.ascontiguousarray(previous)
     height, width = current.shape
-    rows = -(-height // block_size)
-    cols = -(-width // block_size)
-    vectors = np.empty((rows, cols, 2), dtype=np.float64)
-    sad = np.empty((rows, cols), dtype=np.float64)
-    frames = (
-        current.ctypes.data, current.strides[0],
-        previous.ctypes.data, previous.strides[0],
-        height, width, block_size, search_range,
-    )
+    grid = (-(-height // block_size), -(-width // block_size))
+    vectors = np.empty(grid + (2,), dtype=np.float64)
+    sad = np.empty(grid, dtype=np.float64)
+    frames = (current.ctypes.data, previous.ctypes.data, height, width, block_size, search_range)
     if policy is None:
-        _check(library.euph_tss_u8(*frames, vectors.ctypes.data, sad.ctypes.data))
+        _check(load().euph_tss_u8(*frames, vectors.ctypes.data, sad.ctypes.data))
         return vectors, sad, None
     stats = np.empty(3, dtype=np.int64)
     _check(
-        library.euph_es_u8(
+        load().euph_es_u8(
             *frames,
             offsets[0].ctypes.data,
             offsets[1].ctypes.data,
@@ -178,35 +152,21 @@ def estimate_u8(
     return vectors, sad, tuple(int(value) for value in stats)
 
 
-def blend(
-    current: np.ndarray,
-    previous: np.ndarray,
-    vectors: np.ndarray,
-    sad: np.ndarray,
-    block_size: int,
-    max_sad: float,
-    strength: float,
-    out: np.ndarray,
-) -> bool:
-    """Motion-compensated blend into ``out``; ``False`` (nothing written)
-    when the arrays are not what the C kernel takes: uint8 or float64
-    ``current``, float64 ``previous`` and ``out``, unit-stride rows."""
+def blend(current, previous, vectors, sad, block_size, max_sad, strength, out) -> bool:
+    """Motion-compensated blend into ``out``; ``False``, with nothing
+    written, unless ``current`` is uint8 or float64, ``previous`` and
+    ``out`` are float64, and all three are C-contiguous."""
     if (
         current.dtype not in (np.uint8, np.float64)
         or previous.dtype != np.float64
         or out.dtype != np.float64
-        or any(a.strides[1] != a.itemsize for a in (current, previous, out))
+        or not all(array.flags.c_contiguous for array in (current, previous, out))
     ):
         return False
     vectors = np.ascontiguousarray(vectors, dtype=np.float64)
     sad = np.ascontiguousarray(sad, dtype=np.float64)
-    height, width = current.shape
     load().euph_blend(
-        current.ctypes.data, current.dtype == np.uint8, current.strides[0] // current.itemsize,
-        previous.ctypes.data, previous.strides[0] // 8,
-        height, width,
-        vectors.ctypes.data, sad.ctypes.data,
-        block_size, max_sad, strength,
-        out.ctypes.data, out.strides[0] // 8,
+        current.ctypes.data, current.dtype == np.uint8, previous.ctypes.data, *current.shape,
+        vectors.ctypes.data, sad.ctypes.data, block_size, max_sad, strength, out.ctypes.data,
     )
     return True

@@ -15,6 +15,7 @@ from repro.harness.trajectory import (
     DEFAULT_FLOORS,
     FLOORS,
     append_entry,
+    applicable_floors,
     check_floors,
     git_sha,
     load_trajectory,
@@ -185,6 +186,12 @@ class TestFloorChecker:
             result["es_pruned_speedup_vs_full"] = 1.1
             result["es_histogram_speedup_vs_full"] = 1.1
         assert check_floors(entry, DEFAULT_FLOORS) == []
+        assert {floor.key for floor in applicable_floors(entry)} == {
+            "min_tss_speedup_720p",
+            "min_c_es_pruned_speedup_vs_numpy_720p",
+            "min_c_es_pruned_speedup_vs_numpy_1080p",
+            "min_c_tss_speedup_vs_numpy_720p",
+        }
 
     @pytest.mark.parametrize("kind", ["motion_estimation_c", "pipeline"])
     def test_c_request_that_ran_numpy_fails(self, kind):

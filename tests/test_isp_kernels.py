@@ -224,7 +224,7 @@ class TestBlendBitIdentity:
     )
     def test_c_blend_matches_reference(self, seed, block, height, width, mode, kind):
         """The compiled C blend agrees on uint8 and float64 ``current``,
-        ragged edges included, also into an ``out`` whose rows are padded."""
+        ragged edges included; a strided ``out`` falls back to numpy."""
         rng = np.random.default_rng(seed)
         current = make_frame(rng, height, width, kind)
         previous = make_frame(rng, height, width, kind)
