@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.geometry import BoundingBox
@@ -9,6 +11,7 @@ from repro.core.types import (
     Detection,
     FrameKind,
     FrameResult,
+    FrameTelemetry,
     SequenceResult,
     merge_sequence_results,
 )
@@ -40,6 +43,27 @@ class TestDetection:
     def test_detection_is_frozen(self, detections):
         with pytest.raises(AttributeError):
             detections[0].score = 0.1
+
+
+class TestSlots:
+    """The per-frame result types carry no ``__dict__`` (a sweep keeps every
+    frame's result) and still cross process boundaries by pickle."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            BoundingBox(1.5, 2.0, 3.0, 4.0),
+            Detection(box=BoundingBox(0, 0, 10, 10), label="car", object_id=3),
+            FrameResult(
+                7, FrameKind.EXTRAPOLATION, [Detection(box=BoundingBox(1, 2, 3, 4))], 0.5, 2
+            ),
+            FrameTelemetry(7, FrameKind.INFERENCE, pixels=20736, motion_ops=3.0, total_s=0.01),
+        ],
+        ids=lambda value: type(value).__name__,
+    )
+    def test_pickle_round_trip_without_dict(self, value):
+        assert not hasattr(value, "__dict__")
+        assert pickle.loads(pickle.dumps(value)) == value
 
 
 class TestFrameResult:
