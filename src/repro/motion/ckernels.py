@@ -155,18 +155,23 @@ def estimate_u8(
 def blend(current, previous, vectors, sad, block_size, max_sad, strength, out) -> bool:
     """Motion-compensated blend into ``out``; ``False``, with nothing
     written, unless ``current`` is uint8 or float64, ``previous`` and
-    ``out`` are float64, and all three are C-contiguous."""
+    ``out`` are float64, all three are C-contiguous frames of one shape,
+    and ``sad`` covers that frame's macroblock grid."""
+    height, width = current.shape
     if (
         current.dtype not in (np.uint8, np.float64)
         or previous.dtype != np.float64
         or out.dtype != np.float64
         or not all(array.flags.c_contiguous for array in (current, previous, out))
+        or previous.shape != current.shape
+        or out.shape != current.shape
+        or sad.shape != (-(-height // block_size), -(-width // block_size))
     ):
         return False
     vectors = np.ascontiguousarray(vectors, dtype=np.float64)
     sad = np.ascontiguousarray(sad, dtype=np.float64)
     load().euph_blend(
-        current.ctypes.data, current.dtype == np.uint8, previous.ctypes.data, *current.shape,
+        current.ctypes.data, current.dtype == np.uint8, previous.ctypes.data, height, width,
         vectors.ctypes.data, sad.ctypes.data, block_size, max_sad, strength, out.ctypes.data,
     )
     return True
