@@ -83,11 +83,12 @@ def _per_stream(entry: dict) -> Measured:
 
 #: Every floor the benches enforce.  Wall-clock floors are same-run ratios
 #: (machine speed cancels); the energy ceilings are absolute because the
-#: modeled energy is deterministic for a given spec and workload.  The two
-#: ES-vs-full floors measure the numpy driver's pruning and apply to numpy
-#: entries only: the C full scan already stops each candidate early, so
-#: pruning saves it far less.  The ``min_c_*`` floors apply to C entries.
-#: See docs/benchmarking.md for how each value is recalibrated.
+#: modeled energy is deterministic for a given spec and workload.  The
+#: ``min_c_*`` floors apply to C entries.  The ES-vs-full floors come in a
+#: pair per backend, each timing pruning against the same backend's full
+#: scan: the C full scan already stops each candidate early, so pruning
+#: saves it less than it saves numpy.  See docs/benchmarking.md for how
+#: each value is recalibrated.
 FLOORS: Tuple[Floor, ...] = (
     Floor("min_tss_speedup_720p", "motion_estimation", 8.0, _result("720p", "speedup")),
     Floor(
@@ -119,6 +120,18 @@ FLOORS: Tuple[Floor, ...] = (
         _on_backend("c", _result("720p", "tss_speedup_vs_numpy")),
     ),
     Floor(
+        "min_c_es_pruned_speedup_vs_full_720p",
+        "motion_estimation",
+        1.1,
+        _on_backend("c", _result("720p", "es_pruned_speedup_vs_full")),
+    ),
+    Floor(
+        "min_c_es_histogram_speedup_vs_full_720p",
+        "motion_estimation",
+        1.2,
+        _on_backend("c", _result("720p", "es_histogram_speedup_vs_full")),
+    ),
+    Floor(
         "min_es_histogram_speedup_vs_full_720p",
         "motion_estimation",
         2.5,
@@ -143,6 +156,10 @@ FLOORS: Tuple[Floor, ...] = (
 )
 
 DEFAULT_FLOORS: Dict[str, float] = {floor.key: floor.default for floor in FLOORS}
+
+#: The benchmarks whose floors time the kernels.  The others' floors are
+#: modeled or end to end and hold whichever backend ran.
+KERNEL_TIMED = ("motion_estimation", "pipeline")
 
 
 def load_trajectory(path: Path) -> dict:
@@ -236,14 +253,15 @@ def check_floors(entry: dict, floors: Dict[str, float]) -> List[str]:
     """Human-readable violations of the stored ``floors`` by ``entry``.
 
     Besides the plain minima and maxima of :data:`FLOORS`, four rules hold:
-    a requested backend must be the one that ran (a silent degrade to numpy
-    would otherwise green-light the guard while measuring the wrong thing),
-    the stream ceiling applies to each stream, a tune resume pass must
-    re-evaluate zero points, and a serve run must observe at least one ack.
+    a bench that times the kernels (:data:`KERNEL_TIMED`) must have run the
+    backend it requested (a silent degrade to numpy would otherwise
+    green-light the guard while measuring the wrong thing), the stream
+    ceiling applies to each stream, a tune resume pass must re-evaluate zero
+    points, and a serve run must observe at least one ack.
     """
     violations = []
     requested = entry.get("kernel_backend")
-    if requested is not None and entry.get("kernel_backend_active") != requested:
+    if entry.get("benchmark") in KERNEL_TIMED and entry.get("kernel_backend_active") != requested:
         violations.append(
             f"kernel_backend: {requested} requested but "
             f"{entry.get('kernel_backend_active')} ran (no working C compiler?)"
@@ -274,6 +292,7 @@ __all__ = [
     "DEFAULT_FLOORS",
     "FLOORS",
     "Floor",
+    "KERNEL_TIMED",
     "append_entry",
     "applicable_floors",
     "check_floors",

@@ -227,13 +227,6 @@ static int64_t *window_sums(const frames_t *f)
     return sums;
 }
 
-/* The window sum at origin(r, c) + (dy, dx). */
-static int64_t window_sum(const frames_t *f, const int64_t *sums, long r, long c, long dy,
-                          long dx)
-{
-    return sums[(f->d + r * f->L + dy) * (f->pad_w - f->L + 1) + f->d + c * f->L + dx];
-}
-
 /* Exhaustive search over the n candidate offsets (dys[k], dxs[k]), given
  * in spiral order: index k is the candidate's spiral rank, the tie-break.
  * The winner is the (SAD, spiral rank) minimum under every policy.
@@ -257,52 +250,61 @@ int euph_es_u8(const uint8_t *cur, const uint8_t *prev, long height, long width,
     frames_t f;
     if (pad_frames(&f, cur, prev, height, width, L, d))
         return -1;
-    long blocks = f.rows * f.cols;
-    int64_t *work = calloc((size_t)(blocks + 3 * n), sizeof(int64_t));
+    long blocks = f.rows * f.cols, sums_w = f.pad_w - L + 1;
+    int64_t *work = calloc((size_t)(2 * blocks + 6 * n), sizeof(int64_t));
     int64_t *sums = policy == POLICY_FULL ? NULL : window_sums(&f);
     scored_t *order = malloc(sizeof(scored_t) * n);
-    if (!work || !order || (policy != POLICY_FULL && !sums)) {
+    uint8_t *zeros = calloc((size_t)L, 1);
+    if (!work || !order || !zeros || (policy != POLICY_FULL && !sums)) {
         free(work);
         free(sums);
         free(order);
+        free(zeros);
         free(f.buffer);
         return -1;
     }
-    int64_t *block_sums = work, *rank = work + blocks, *suffix_min = rank + n;
-    int64_t *evaluated = suffix_min + n;
+    /* Per block: its pixel sum and the index of its zero-offset window sum.
+     * Per spiral rank: the histogram score.  Per visiting index k: the
+     * candidate's spiral rank, the least rank from k on, its offsets into
+     * the window sums and into the padded previous frame, and how many
+     * blocks evaluated it. */
+    int64_t *block_sums = work, *block_at = block_sums + blocks, *score = block_at + blocks;
+    int64_t *rank = score + n, *suffix_min = rank + n, *sums_at = suffix_min + n;
+    int64_t *prev_at = sums_at + n, *evaluated = prev_at + n;
 
-    for (long r = 0; r < f.rows; ++r)
-        for (long c = 0; c < f.cols; ++c)
-            for (long i = 0; i < L; ++i)
-                for (long j = 0; j < L; ++j)
-                    block_sums[r * f.cols + c] += block(&f, r, c)[i * f.grid_w + j];
-    for (long k = 0; k < n; ++k) {
-        order[k] = (scored_t){0, k};
-        for (long r = 0; policy == POLICY_HISTOGRAM && r < f.rows; ++r)
-            for (long c = 0; c < f.cols; ++c) {
-                int64_t diff =
-                    block_sums[r * f.cols + c] - window_sum(&f, sums, r, c, dys[k], dxs[k]);
-                order[k].score += diff < 0 ? -diff : diff;
+    for (long r = 0; sums && r < f.rows; ++r)
+        for (long c = 0; c < f.cols; ++c) {
+            long b = r * f.cols + c;
+            /* A block's SAD against zeros is its pixel sum. */
+            block_sums[b] = rows_sad(block(&f, r, c), f.grid_w, zeros, 0, L, 0, L);
+            block_at[b] = (d + r * L) * sums_w + d + c * L;
+            for (long k = 0; policy == POLICY_HISTOGRAM && k < n; ++k) {
+                int64_t diff = block_sums[b] - sums[block_at[b] + dys[k] * sums_w + dxs[k]];
+                score[k] += diff < 0 ? -diff : diff;
             }
-    }
+        }
+    for (long k = 0; k < n; ++k)
+        order[k] = (scored_t){score[k], k};
     if (policy == POLICY_HISTOGRAM && n > 1)
         qsort(order + 1, (size_t)(n - 1), sizeof(scored_t), by_score);
     for (long k = n - 1; k >= 0; --k) {
         rank[k] = order[k].index;
         suffix_min[k] = k + 1 < n && suffix_min[k + 1] < rank[k] ? suffix_min[k + 1] : rank[k];
+        sums_at[k] = dys[rank[k]] * sums_w + dxs[rank[k]];
+        prev_at[k] = dys[rank[k]] * f.pad_w + dxs[rank[k]];
     }
 
     long last_stop = 1;
     for (long r = 0; r < f.rows; ++r) {
         for (long c = 0; c < f.cols; ++c) {
-            const uint8_t *a = block(&f, r, c), *b = origin(&f, r, c);
-            int64_t best = block_sad(a, f.grid_w, b, f.pad_w, L, INT64_MAX);
+            long b = r * f.cols + c;
+            const uint8_t *a = block(&f, r, c), *o = origin(&f, r, c);
+            int64_t best = block_sad(a, f.grid_w, o, f.pad_w, L, INT64_MAX);
             int64_t best_rank = rank[0];
             long best_k = 0, stop = n;
             ++evaluated[0];
             for (long k = 1; k < n; ++k) {
-                long dy = dys[rank[k]], dx = dxs[rank[k]];
-                if (policy != POLICY_FULL) {
+                if (sums) {
                     if (best == 0) {
                         if (best_rank < suffix_min[k]) {
                             stop = k;
@@ -311,12 +313,12 @@ int euph_es_u8(const uint8_t *cur, const uint8_t *prev, long height, long width,
                         if (rank[k] > best_rank)
                             continue;
                     }
-                    int64_t diff = block_sums[r * f.cols + c] - window_sum(&f, sums, r, c, dy, dx);
+                    int64_t diff = block_sums[b] - sums[block_at[b] + sums_at[k]];
                     int64_t bound = diff < 0 ? -diff : diff;
                     if (bound > best || (bound == best && rank[k] > best_rank))
                         continue;
                 }
-                int64_t sad_here = block_sad(a, f.grid_w, b + dy * f.pad_w + dx, f.pad_w, L, best);
+                int64_t sad_here = block_sad(a, f.grid_w, o + prev_at[k], f.pad_w, L, best);
                 ++evaluated[k];
                 if (sad_here < best || (sad_here == best && rank[k] < best_rank)) {
                     best = sad_here;
@@ -326,7 +328,7 @@ int euph_es_u8(const uint8_t *cur, const uint8_t *prev, long height, long width,
             }
             if (stop > last_stop)
                 last_stop = stop;
-            store(vectors, sad, r * f.cols + c, dys[rank[best_k]], dxs[rank[best_k]], best);
+            store(vectors, sad, b, dys[rank[best_k]], dxs[rank[best_k]], best);
         }
     }
 
@@ -339,6 +341,7 @@ int euph_es_u8(const uint8_t *cur, const uint8_t *prev, long height, long width,
     free(work);
     free(sums);
     free(order);
+    free(zeros);
     free(f.buffer);
     return 0;
 }

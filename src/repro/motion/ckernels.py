@@ -3,8 +3,9 @@
 :func:`load` compiles ``_ckernels.c`` with the system C compiler the first
 time a process asks for it, caches the shared library in the
 ``__pycache__`` directory next to the source and loads it through
-``ctypes``.  The file name hashes the source, the flags and the compiler's
-``--version`` line, so an edit or a new compiler builds a new library.  The
+``ctypes``.  The file name hashes the source, the flags, the compiler's
+``--version`` line and its target machine, so an edit, a new compiler or
+another architecture sharing the cache builds a new library.  The
 build writes to a temporary name and renames it into place, so processes
 that start on a cold cache never load a half-written file.
 
@@ -52,13 +53,17 @@ _SIGNATURES = {
 }
 
 
+def _ask_compiler(option: str) -> str:
+    return subprocess.run(
+        [COMPILER, option], capture_output=True, text=True, check=True, timeout=60
+    ).stdout.splitlines()[0]
+
+
 def _build() -> Path:
     """Path of the cached library for this source, compiling it if absent."""
-    version = subprocess.run(
-        [COMPILER, "--version"], capture_output=True, text=True, check=True, timeout=60
-    ).stdout.splitlines()[0]
+    compiler = [_ask_compiler(option).encode() for option in ("--version", "-dumpmachine")]
     key = hashlib.sha256(
-        b"\0".join([SOURCE.read_bytes(), " ".join(FLAGS).encode(), version.encode()])
+        b"\0".join([SOURCE.read_bytes(), " ".join(FLAGS).encode(), *compiler])
     ).hexdigest()[:16]
     CACHE_DIR.mkdir(mode=0o755, exist_ok=True)
     if CACHE_DIR.stat().st_mode & stat.S_IWOTH:

@@ -49,6 +49,8 @@ PASSING = {
             {
                 "resolution": resolution,
                 "speedup": 99.0,
+                "es_pruned_speedup_vs_full": 99.0,
+                "es_histogram_speedup_vs_full": 99.0,
                 "es_pruned_speedup_vs_numpy": 99.0,
                 "tss_speedup_vs_numpy": 99.0,
             }
@@ -106,6 +108,12 @@ VIOLATE = {
     "min_c_tss_speedup_vs_numpy_720p": lambda e: _result(e, "720p").update(
         tss_speedup_vs_numpy=1.0
     ),
+    "min_c_es_pruned_speedup_vs_full_720p": lambda e: _result(e, "720p").update(
+        es_pruned_speedup_vs_full=0.9
+    ),
+    "min_c_es_histogram_speedup_vs_full_720p": lambda e: _result(e, "720p").update(
+        es_histogram_speedup_vs_full=0.9
+    ),
     # Only the second stream breaches: the ceiling applies to each stream.
     "max_stream_energy_per_frame_mj": lambda e: e["per_stream"][1].update(
         energy_per_frame_mj=99.0
@@ -126,7 +134,7 @@ class TestSeeding:
     def test_fresh_trajectory_seeds_every_committed_floor(self, tmp_path):
         document = load_trajectory(tmp_path / "fresh.json")
         assert document["entries"] == []
-        assert len(document["floors"]) == len(FLOORS) == 12
+        assert len(document["floors"]) == len(FLOORS) == 14
         assert document["floors"] == DEFAULT_FLOORS
         assert DEFAULT_FLOORS == json.loads(COMMITTED.read_text())["floors"]
 
@@ -178,20 +186,34 @@ class TestFloorChecker:
             result["tss_speedup_vs_numpy"] = 0.5
         assert check_floors(entry, DEFAULT_FLOORS) == []
 
-    def test_numpy_es_floors_skip_c_entries(self):
-        """Under C the full scan stops each candidate early, so pruning
-        saves little; the ES-vs-full floors guard the numpy driver only."""
-        entry = PASSING["motion_estimation_c"]()
-        for result in entry["results"]:
-            result["es_pruned_speedup_vs_full"] = 1.1
-            result["es_histogram_speedup_vs_full"] = 1.1
-        assert check_floors(entry, DEFAULT_FLOORS) == []
-        assert {floor.key for floor in applicable_floors(entry)} == {
-            "min_tss_speedup_720p",
-            "min_c_es_pruned_speedup_vs_numpy_720p",
-            "min_c_es_pruned_speedup_vs_numpy_1080p",
-            "min_c_tss_speedup_vs_numpy_720p",
+    def test_es_vs_full_floors_follow_the_backend(self):
+        """Each backend's pruning is held to its own pair of ES-vs-full
+        floors: the C full scan already stops each candidate early, so
+        pruning saves it less than it saves numpy."""
+        es_vs_full = {
+            floor.key for floor in FLOORS if floor.key.endswith("speedup_vs_full_720p")
         }
+        for kind, expected in (
+            (
+                "motion_estimation",
+                {"min_es_pruned_speedup_vs_full_720p", "min_es_histogram_speedup_vs_full_720p"},
+            ),
+            (
+                "motion_estimation_c",
+                {
+                    "min_c_es_pruned_speedup_vs_full_720p",
+                    "min_c_es_histogram_speedup_vs_full_720p",
+                },
+            ),
+        ):
+            entry = PASSING[kind]()
+            assert {floor.key for floor in applicable_floors(entry)} & es_vs_full == expected
+            # A pruned or histogram scan slower than the full scan fails.
+            for result in entry["results"]:
+                result["es_pruned_speedup_vs_full"] = 0.9
+                result["es_histogram_speedup_vs_full"] = 0.9
+            violated = {v.split(":")[0] for v in check_floors(entry, DEFAULT_FLOORS)}
+            assert violated == expected, kind
 
     @pytest.mark.parametrize("kind", ["motion_estimation_c", "pipeline"])
     def test_c_request_that_ran_numpy_fails(self, kind):
@@ -200,6 +222,15 @@ class TestFloorChecker:
         entry["kernel_backend_active"] = "numpy"
         violations = check_floors(entry, DEFAULT_FLOORS)
         assert any("c requested but numpy ran" in v for v in violations)
+
+    @pytest.mark.parametrize("kind", ["multi_stream", "serve", "tune"])
+    def test_modeled_benches_hold_whichever_backend_ran(self, kind):
+        """Their floors do not time the kernels, so a host without a C
+        compiler still passes them."""
+        entry = PASSING[kind]()
+        entry["kernel_backend"] = "c"
+        entry["kernel_backend_active"] = "numpy"
+        assert check_floors(entry, DEFAULT_FLOORS) == []
 
     def test_tune_resume_must_reevaluate_nothing(self):
         entry = PASSING["tune"]()

@@ -12,7 +12,8 @@ match both -- vectors, SADs, the exhaustive search's ``SearchStats`` and
   uint8 frames, with blocks of 4, 8, 16 and 24 pixels so the 16-byte,
   8-byte and scalar tails of the SAD all run, at d = 0..7; once more
   against a build without SSE2;
-* the cache -- two processes starting on a cold cache both load it;
+* the cache -- two processes starting on a cold cache both load it, and
+  each target machine gets a library of its own;
 * fallback -- with no compiler the backend degrades to numpy, says why,
   and a pipeline gives the same output.
 """
@@ -260,6 +261,20 @@ class TestBuilds:
             assert run.returncode == 0, stderr
             assert "LOADED" in stdout
         assert [path.suffix for path in cache.iterdir()] == [".so"]
+
+    def test_each_target_machine_gets_its_own_library(self, monkeypatch, tmp_path):
+        """A cache shared by hosts of two architectures holds a library for
+        each: the name hashes the compiler's target machine."""
+        monkeypatch.setattr(ckernels, "CACHE_DIR", tmp_path)
+        native = ckernels._build()
+        ask = ckernels._ask_compiler
+        monkeypatch.setattr(
+            ckernels,
+            "_ask_compiler",
+            lambda option: "other-machine" if option == "-dumpmachine" else ask(option),
+        )
+        assert ckernels._build() != native
+        assert len(list(tmp_path.glob("*.so"))) == 2
 
     def test_world_writable_cache_is_refused(self, monkeypatch, tmp_path):
         tmp_path.chmod(0o777)
