@@ -84,11 +84,9 @@ def _per_stream(entry: dict) -> Measured:
 #: Every floor the benches enforce.  Wall-clock floors are same-run ratios
 #: (machine speed cancels); the energy ceilings are absolute because the
 #: modeled energy is deterministic for a given spec and workload.  The
-#: ``min_c_*`` floors apply to C entries.  The ES-vs-full floors come in a
-#: pair per backend, each timing pruning against the same backend's full
-#: scan: the C full scan already stops each candidate early, so pruning
-#: saves it less than it saves numpy.  See docs/benchmarking.md for how
-#: each value is recalibrated.
+#: ``min_c_*`` floors apply to C entries; each backend's ES-vs-full pair
+#: times pruning against its own full scan.  See docs/benchmarking.md for
+#: how each value is recalibrated.
 FLOORS: Tuple[Floor, ...] = (
     Floor("min_tss_speedup_720p", "motion_estimation", 8.0, _result("720p", "speedup")),
     Floor(
@@ -156,10 +154,6 @@ FLOORS: Tuple[Floor, ...] = (
 )
 
 DEFAULT_FLOORS: Dict[str, float] = {floor.key: floor.default for floor in FLOORS}
-
-#: The benchmarks whose floors time the kernels.  The others' floors are
-#: modeled or end to end and hold whichever backend ran.
-KERNEL_TIMED = ("motion_estimation", "pipeline")
 
 
 def load_trajectory(path: Path) -> dict:
@@ -253,15 +247,16 @@ def check_floors(entry: dict, floors: Dict[str, float]) -> List[str]:
     """Human-readable violations of the stored ``floors`` by ``entry``.
 
     Besides the plain minima and maxima of :data:`FLOORS`, four rules hold:
-    a bench that times the kernels (:data:`KERNEL_TIMED`) must have run the
-    backend it requested (a silent degrade to numpy would otherwise
-    green-light the guard while measuring the wrong thing), the stream
-    ceiling applies to each stream, a tune resume pass must re-evaluate zero
-    points, and a serve run must observe at least one ack.
+    the motion and pipeline benches, whose floors time the kernels, must
+    have run the backend they requested (a silent degrade to numpy would
+    otherwise green-light the guard while measuring the wrong thing), the
+    stream ceiling applies to each stream, a tune resume pass must
+    re-evaluate zero points, and a serve run must observe at least one ack.
     """
     violations = []
     requested = entry.get("kernel_backend")
-    if entry.get("benchmark") in KERNEL_TIMED and entry.get("kernel_backend_active") != requested:
+    timed = entry.get("benchmark") in ("motion_estimation", "pipeline")
+    if timed and entry.get("kernel_backend_active") != requested:
         violations.append(
             f"kernel_backend: {requested} requested but "
             f"{entry.get('kernel_backend_active')} ran (no working C compiler?)"
@@ -292,7 +287,6 @@ __all__ = [
     "DEFAULT_FLOORS",
     "FLOORS",
     "Floor",
-    "KERNEL_TIMED",
     "append_entry",
     "applicable_floors",
     "check_floors",

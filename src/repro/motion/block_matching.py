@@ -245,13 +245,7 @@ class BlockMatcher:
             self.last_kernel_scale = 1
             self.last_kernel_backend = "c"
             if exhaustive:
-                evaluated, lower_bound_checks, skipped = stats
-                self.last_search_stats = SearchStats(
-                    candidates_total=grid.num_blocks * offsets.shape[1],
-                    candidates_evaluated=evaluated,
-                    lower_bound_checks=lower_bound_checks,
-                    offsets_skipped=skipped,
-                )
+                self.last_search_stats = SearchStats(grid.num_blocks * offsets.shape[1], *stats)
         else:
             padded_current, padded_previous = self._pad_to_grid(current, previous, grid)
             kernel = SadKernel(

@@ -4,7 +4,7 @@
 time a process asks for it, caches the shared library in the
 ``__pycache__`` directory next to the source and loads it through
 ``ctypes``.  The file name hashes the source, the flags, the compiler's
-``--version`` line and its target machine, so an edit, a new compiler or
+``--version`` line and the machine type, so an edit, a new compiler or
 another architecture sharing the cache builds a new library.  The
 build writes to a temporary name and renames it into place, so processes
 that start on a cold cache never load a half-written file.
@@ -21,6 +21,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import platform
 import stat
 import subprocess
 import tempfile
@@ -53,17 +54,14 @@ _SIGNATURES = {
 }
 
 
-def _ask_compiler(option: str) -> str:
-    return subprocess.run(
-        [COMPILER, option], capture_output=True, text=True, check=True, timeout=60
-    ).stdout.splitlines()[0]
-
-
 def _build() -> Path:
     """Path of the cached library for this source, compiling it if absent."""
-    compiler = [_ask_compiler(option).encode() for option in ("--version", "-dumpmachine")]
+    version = subprocess.run(
+        [COMPILER, "--version"], capture_output=True, text=True, check=True, timeout=60
+    ).stdout.splitlines()[0]
+    identity = [" ".join(FLAGS), version, platform.machine()]
     key = hashlib.sha256(
-        b"\0".join([SOURCE.read_bytes(), " ".join(FLAGS).encode(), *compiler])
+        b"\0".join([SOURCE.read_bytes(), *(part.encode() for part in identity)])
     ).hexdigest()[:16]
     CACHE_DIR.mkdir(mode=0o755, exist_ok=True)
     if CACHE_DIR.stat().st_mode & stat.S_IWOTH:
@@ -108,11 +106,6 @@ def load() -> Optional[ctypes.CDLL]:
     return _loaded[0]
 
 
-def _check(status: int) -> None:
-    if status:
-        raise MemoryError("C kernel could not allocate its scratch buffers")
-
-
 def estimate_u8(
     current: np.ndarray,
     previous: np.ndarray,
@@ -138,12 +131,11 @@ def estimate_u8(
     vectors = np.empty(grid + (2,), dtype=np.float64)
     sad = np.empty(grid, dtype=np.float64)
     frames = (current.ctypes.data, previous.ctypes.data, height, width, block_size, search_range)
-    if policy is None:
-        _check(load().euph_tss_u8(*frames, vectors.ctypes.data, sad.ctypes.data))
-        return vectors, sad, None
-    stats = np.empty(3, dtype=np.int64)
-    _check(
-        load().euph_es_u8(
+    stats = None if policy is None else np.empty(3, dtype=np.int64)
+    if stats is None:
+        status = load().euph_tss_u8(*frames, vectors.ctypes.data, sad.ctypes.data)
+    else:
+        status = load().euph_es_u8(
             *frames,
             offsets[0].ctypes.data,
             offsets[1].ctypes.data,
@@ -153,8 +145,9 @@ def estimate_u8(
             sad.ctypes.data,
             stats.ctypes.data,
         )
-    )
-    return vectors, sad, tuple(int(value) for value in stats)
+    if status:
+        raise MemoryError("C kernel could not allocate its scratch buffers")
+    return vectors, sad, None if stats is None else tuple(int(value) for value in stats)
 
 
 def blend(current, previous, vectors, sad, block_size, max_sad, strength, out) -> bool:
