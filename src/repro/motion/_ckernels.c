@@ -276,7 +276,7 @@ int euph_es_u8(const uint8_t *cur, const uint8_t *prev, long height, long width,
         for (long c = 0; c < f.cols; ++c) {
             long b = r * f.cols + c;
             /* A block's SAD against zeros is its pixel sum. */
-            block_sums[b] = rows_sad(block(&f, r, c), f.grid_w, zeros, 0, L, 0, L);
+            block_sums[b] = block_sad(block(&f, r, c), f.grid_w, zeros, 0, L, INT64_MAX);
             block_at[b] = (d + r * L) * sums_w + d + c * L;
             for (long k = 0; policy == POLICY_HISTOGRAM && k < n; ++k) {
                 int64_t diff = block_sums[b] - sums[block_at[b] + dys[k] * sums_w + dxs[k]];

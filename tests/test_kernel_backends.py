@@ -204,6 +204,19 @@ class TestBackendEquivalence:
         assert stats.offsets_skipped == num_offsets - 1
         assert stats.lower_bound_checks == 0
 
+    def test_block_sums_beyond_32_bits(self):
+        """One 4200-pixel block of bright pixels sums past 2**31; its lower
+        bound must stay exact, so pruning keeps the full scan's winner."""
+        rng = np.random.default_rng(3)
+        previous = rng.integers(240, 256, (40, 40), dtype=np.uint8)
+        current = np.roll(previous, (1, 2), (0, 1))
+        _full_matcher, full = _match(current, previous, *SEARCHES[1], "c", 4200, 2)
+        assert full.vectors.tolist() == [[[-2.0, 1.0]]]
+        for strategy, policy in SEARCHES[2:]:
+            _matcher, field = _match(current, previous, strategy, policy, "c", 4200, 2)
+            assert np.array_equal(field.vectors, full.vectors), policy
+            assert np.array_equal(field.sad, full.sad), policy
+
     def test_luma_sequence_accounting(self):
         """On a textured pan, C's lower-bound checks and operation count
         equal numpy's: one check per block for every visited offset."""
