@@ -21,7 +21,7 @@ from repro.motion.motion_field import MacroblockGrid, MotionField
 @pytest.fixture(scope="module")
 def frame_pair():
     rng = np.random.default_rng(0)
-    previous = np.kron(rng.uniform(0, 255, (14, 24)), np.ones((8, 8)))
+    previous = np.kron(rng.uniform(0, 255, (14, 24)), np.ones((8, 8))).astype(np.uint8)
     current = np.roll(previous, (2, 3), axis=(0, 1))
     return current, previous
 

@@ -27,7 +27,6 @@ def test_vectorized_tss_at_least_10x_scalar_at_720p():
         resolutions={"720p": (720, 1280)},
         num_frames=4,
         include_exhaustive=False,
-        include_fixed_point=False,
     )
     entry = payload["results"][0]
     assert entry["vectorized_fps"] > entry["scalar_fps"]
@@ -40,7 +39,6 @@ def test_pruned_es_at_least_2x_full_es_at_720p():
         resolutions={"720p": (720, 1280)},
         num_frames=4,
         include_scalar=False,
-        include_fixed_point=False,
     )
     entry = payload["results"][0]
     assert entry["es_pruned_speedup_vs_full"] >= 2.0, (
@@ -48,26 +46,6 @@ def test_pruned_es_at_least_2x_full_es_at_720p():
     )
     # Pruning skips most of the window on matchable content.
     assert entry["es_pruned_evaluated_fraction"] < 0.5
-
-
-def test_fixed_point_frames_stay_near_integer_speed():
-    """Q8.4 float frames must ride the integer kernel, not the float gather.
-
-    The old float64 gather path ran at ~1x the scalar oracle (~8-13x slower
-    than the uint8 path); the fixed-point path pays only the wider integer
-    dtype, so a loose 4x bound cleanly separates the two regimes.
-    """
-    payload = benchmark_motion_estimation(
-        resolutions={"720p": (720, 1280)},
-        num_frames=4,
-        include_scalar=False,
-        include_exhaustive=False,
-    )
-    entry = payload["results"][0]
-    assert entry["fixed_point_kernel_exact"]
-    assert entry["fixed_point_vs_uint8"] < 4.0, (
-        f"Q8.4 frames {entry['fixed_point_vs_uint8']:.1f}x slower than uint8"
-    )
 
 
 def test_vectorized_matches_oracle_on_bench_content():
@@ -86,7 +64,6 @@ def test_1080p_reaches_real_time_budget():
         num_frames=3,
         include_scalar=False,
         include_exhaustive=False,
-        include_fixed_point=False,
     )
     entry = payload["results"][0]
     # Loose floor so CI noise cannot flake this; the JSON records the trend.

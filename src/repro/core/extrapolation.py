@@ -105,11 +105,8 @@ class MotionExtrapolator:
         moved_sub_rois: List[BoundingBox] = []
         motions: List[MotionVector] = []
         confidences: List[float] = []
-        # Batch the Eq. 1/2 queries so the field's confidence grid is
-        # materialised once for the whole sub-ROI sweep; the per-sub-ROI
-        # Eq. 3 filter below is unchanged (bit-identical results).
-        statistics = motion_field.roi_statistics_batch(sub_rois)
-        for sub, (average, confidence) in zip(sub_rois, statistics):
+        for sub in sub_rois:
+            average, confidence = motion_field.roi_statistics(sub)
             motion = self._apply_confidence_filter(average, confidence, state)
             moved_sub_rois.append(sub.shift(motion))
             motions.append(motion)

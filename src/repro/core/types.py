@@ -94,8 +94,6 @@ class FrameResult:
     frame_index: int
     kind: FrameKind
     detections: List[Detection] = field(default_factory=list)
-    #: Wall-clock latency of producing this result, in seconds (model time).
-    latency_s: float = 0.0
     #: Extrapolation-window size in effect when this frame was processed.
     window_size: int = 0
 

@@ -143,8 +143,6 @@ def _print_motion(entry: dict) -> None:
             )
         if "es_pruned_speedup_vs_numpy" in result:
             line += f", {result['es_pruned_speedup_vs_numpy']:.1f}x numpy pruned ES"
-        if "fixed_point_fps" in result:
-            line += f"; Q8.4 TSS {result['fixed_point_fps']:.1f} fps"
         print(line)
 
 

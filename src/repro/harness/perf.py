@@ -92,7 +92,6 @@ def benchmark_motion_estimation(
     search_range: int = 7,
     include_scalar: bool = True,
     include_exhaustive: bool = True,
-    include_fixed_point: bool = True,
     kernel_backend: str = "numpy",
     seed: int = 0,
 ) -> Dict[str, object]:
@@ -112,11 +111,7 @@ def benchmark_motion_estimation(
       (``es_pruned_speedup_vs_numpy``);
     * under a non-numpy ``kernel_backend``, the numpy-backend TSS
       (``tss_numpy_s_per_frame``) and the backend speedup over it
-      (``tss_speedup_vs_numpy``);
-    * with ``include_fixed_point``, TSS timing on Q8.4 fixed-point float
-      frames (``fixed_point_*``) and its ratio to the uint8 fast path —
-      tracking that float-valued frames no longer fall off onto the float64
-      gather kernel.
+      (``tss_speedup_vs_numpy``).
 
     Every variant of a resolution is timed as the best of
     :data:`TIMING_PASSES` interleaved passes.  ``include_scalar=False`` skips
@@ -172,20 +167,6 @@ def benchmark_motion_estimation(
             if kernel_backend != "numpy":
                 numpy_pruned = exhaustive(SearchPolicy.PRUNED, "numpy")
                 timers["es_pruned_numpy"] = (numpy_pruned.estimate, frames)
-        if include_fixed_point:
-            # Q8.4 lattice floats: integer-valued after scaling by 16, so
-            # the kernel must ride the exact integer path, not the float64
-            # gather.  The +1/16 keeps the full 0..255 value range with a
-            # non-zero fractional part, so the scaled integers span 0..4081
-            # and the kernel lands in its int32 working dtype (a /16 shrink
-            # would scale back into uint8 and re-measure the 8-bit path).
-            # The session frame path never takes this path — the ISP matches
-            # on 8-bit luma — so it guards BlockMatcher callers that pass
-            # float frames.  The uniform offset on both frames leaves every
-            # SAD, and hence the search work, unchanged.
-            fixed_matcher = BlockMatcher(config)
-            lattice_frames = [frame.astype(np.float64) + 1.0 / 16.0 for frame in frames]
-            timers["fixed_point"] = (fixed_matcher.estimate, lattice_frames)
         seconds = _best_of_interleaved(timers)
 
         vector_s = seconds["vectorized"]
@@ -226,12 +207,6 @@ def benchmark_motion_estimation(
                 entry["es_pruned_speedup_vs_numpy"] = (
                     seconds["es_pruned_numpy"] / seconds["es_pruned"]
                 )
-        if include_fixed_point:
-            fixed_s = seconds["fixed_point"]
-            entry["fixed_point_s_per_frame"] = fixed_s
-            entry["fixed_point_fps"] = 1.0 / fixed_s
-            entry["fixed_point_vs_uint8"] = fixed_s / vector_s
-            entry["fixed_point_kernel_exact"] = bool(fixed_matcher.last_kernel_exact)
         results.append(entry)
 
     return {

@@ -231,8 +231,7 @@ def measure_blend_speedup(spec: PipelineSpec, height: int, width: int, seed: int
     sequence = make_sequence(height, width, 4, seed=seed)
     frames = [frame for _, frame in sequence.iter_frames()]
     stage = TemporalDenoiseStage(
-        TemporalDenoiseConfig(block_matching=spec.block_matching_config()),
-        reuse_output_buffers=True,
+        TemporalDenoiseConfig(block_matching=spec.block_matching_config())
     )
     stage.process(frames[0])
     stage.process(frames[1])
@@ -256,7 +255,7 @@ def measure_blend_speedup(spec: PipelineSpec, height: int, width: int, seed: int
     out = np.empty(current.shape, dtype=np.float64)
 
     def optimized():
-        return stage._motion_compensated_blend(current, previous, motion, out=out)
+        return stage._motion_compensated_blend(current, previous, motion, out)
 
     optimized()  # warm the gather-staging pool, like the session's steady state
     optimized_s = best_of(optimized)

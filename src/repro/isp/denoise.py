@@ -12,15 +12,18 @@ temporal blend (delegated to :mod:`repro.isp.kernels`, which dispatches on
 the configured ``kernel_backend``), and the double-buffered SRAM accounting
 used to take the MV write-back traffic off the ISP's critical path.
 
-The stage also keeps the session frame path allocation-free: with
-``reuse_output_buffers=True`` (what :class:`~repro.isp.pipeline.ISPPipeline`
-requests) the widened float frame, the blend output and the matching
-reference all live in per-stage scratch buffers reused across frames.  The
-blend output ping-pongs between two buffers — the caller receives the buffer
-that is *not* the previous frame's output, and must copy it before retaining
-it beyond the next ``process()`` call (the ISP pipeline always commits a
-quantized copy).  The default mode allocates fresh outputs per frame, which
-is what standalone users and the property tests expect.
+Block matching runs on 8-bit luma, like the real ISP whose frame buffer
+stores 8-bit pixels: a uint8 capture is matched as it arrives, and the
+stage's matching reference is the one place where any other frame (the RAW
+path's fixed-point or float luma, the float blend output) is rounded to
+8 bits.  The blend itself stays in float.
+
+The stage keeps the session frame path allocation-free: the widened float
+frame, the blend output and the matching reference all live in per-stage
+scratch buffers reused across frames.  The blend output ping-pongs between
+two buffers — the caller receives the buffer that is *not* the previous
+frame's output, and must copy it before retaining it beyond the next
+``process()`` call (the ISP pipeline always commits a quantized copy).
 """
 
 from __future__ import annotations
@@ -56,19 +59,13 @@ class TemporalDenoiseConfig:
 class TemporalDenoiseStage:
     """Motion-estimating, motion-compensating temporal denoiser.
 
-    Block matching runs on 8-bit quantized luma, like the real ISP whose
-    frame buffer stores 8-bit pixels; that keeps the matcher on its
-    exact-integer fast path.  The denoising blend itself stays in float.
+    Block matching runs on 8-bit luma (see the module docstring); the
+    denoising blend itself stays in float.
     """
 
     ops_per_pixel = 4.0
 
-    def __init__(
-        self,
-        config: TemporalDenoiseConfig | None = None,
-        *,
-        reuse_output_buffers: bool = False,
-    ) -> None:
+    def __init__(self, config: TemporalDenoiseConfig | None = None) -> None:
         self.config = config or TemporalDenoiseConfig()
         self._matcher = BlockMatcher(self.config.block_matching)
         #: Resolved kernel backend for the blend (graceful numpy fallback,
@@ -76,7 +73,6 @@ class TemporalDenoiseStage:
         self.kernel_backend = resolve_kernel_backend(
             self.config.block_matching.kernel_backend
         )
-        self.reuse_output_buffers = reuse_output_buffers
         self._previous_denoised: Optional[np.ndarray] = None
         self._previous_reference: Optional[np.ndarray] = None
         #: Motion field computed for the most recent frame.
@@ -94,8 +90,7 @@ class TemporalDenoiseStage:
         #: and can be skipped.  Any non-uint8 frame clears the flag until
         #: the reference restarts (a frame of a new size).
         self.output_in_unit8_range = False
-        # Scratch buffers (reuse_output_buffers mode), (re)allocated on the
-        # first frame of each shape.
+        # Scratch buffers, (re)allocated on the first frame of each shape.
         self._scratch_shape: Optional[Tuple[int, int]] = None
         self._blend_buffers: List[np.ndarray] = []
         self._current_f64: Optional[np.ndarray] = None
@@ -156,9 +151,8 @@ class TemporalDenoiseStage:
         """Matching-domain view of the frame being denoised.
 
         A raw uint8 capture already *is* its 8-bit matching representation
-        (``clip(rint(float64(x))) == x`` exactly), so it rides the fast
-        integer SAD path without the rint/clip/astype round-trip the float
-        view would pay.
+        (``clip(rint(float64(x))) == x`` exactly), so it goes to the matcher
+        without the rint/clip/astype round-trip the float view would pay.
         """
         if raw.dtype == np.uint8:
             return raw
@@ -171,10 +165,9 @@ class TemporalDenoiseStage:
         unchanged with no motion field.  Float frames are widened to float64
         here, exactly once, for the blend; uint8 frames are handed to the
         blend kernel as-is (its reads widen exactly) and block matching sees
-        the unconverted integer pixels either way.
+        the unconverted integer pixels.
         """
         raw = np.asarray(luma)
-        reuse = self.reuse_output_buffers
         is_first = (
             self._previous_denoised is None
             or self._previous_denoised.shape != raw.shape
@@ -182,35 +175,26 @@ class TemporalDenoiseStage:
         self.output_in_unit8_range = raw.dtype == np.uint8 and (
             is_first or self.output_in_unit8_range
         )
-        if reuse:
-            self._ensure_scratch(raw.shape)
-            if raw.dtype == np.uint8:
-                # The blend kernel reads ``current`` straight into float64
-                # destinations (exact uint8 widening), so an 8-bit capture
-                # skips the full-frame float64 copy entirely — the biggest
-                # single memory pass of the steady-state blend stage.
-                current = raw
-            else:
-                current = self._current_f64
-                np.copyto(current, raw)
+        self._ensure_scratch(raw.shape)
+        if raw.dtype == np.uint8:
+            # The blend kernel reads ``current`` straight into float64
+            # destinations (exact uint8 widening), so an 8-bit capture
+            # skips the full-frame float64 copy entirely — the biggest
+            # single memory pass of the steady-state blend stage.
+            current = raw
         else:
-            current = np.asarray(raw, dtype=np.float64)
-        if self._previous_denoised is None or self._previous_denoised.shape != current.shape:
+            current = self._current_f64
+            np.copyto(current, raw)
+        if is_first:
             self.last_motion_field = None
             self.last_motion_ops = 0
             self.last_motion_s = 0.0
             self.last_blend_s = 0.0
-            if reuse:
-                out = self._next_blend_buffer()
-                np.copyto(out, current)
-                self._previous_denoised = out
-                self._previous_reference = self._matching_reference_reused(out)
-                return out, None
-            self._previous_denoised = current.copy()
-            # Reference the private copy, never the caller's buffer (which
-            # the caller may overwrite in place between frames).
-            self._previous_reference = self._matching_reference(self._previous_denoised)
-            return current, None
+            out = self._next_blend_buffer()
+            np.copyto(out, current)
+            self._previous_denoised = out
+            self._previous_reference = self._matching_reference_reused(out)
+            return out, None
 
         start = time.perf_counter()
         field = self._matcher.estimate(
@@ -221,17 +205,12 @@ class TemporalDenoiseStage:
         self.last_motion_ops = self._matcher.last_operation_count
 
         start = time.perf_counter()
-        out = self._next_blend_buffer() if reuse else None
         denoised = self._motion_compensated_blend(
-            current, self._previous_denoised, field, out=out
+            current, self._previous_denoised, field, self._next_blend_buffer()
         )
         self.last_blend_s = time.perf_counter() - start
         self._previous_denoised = denoised
-        self._previous_reference = (
-            self._matching_reference_reused(denoised)
-            if reuse
-            else self._matching_reference(denoised)
-        )
+        self._previous_reference = self._matching_reference_reused(denoised)
         return denoised, field
 
     # ------------------------------------------------------------------
@@ -242,9 +221,10 @@ class TemporalDenoiseStage:
         current: np.ndarray,
         previous: np.ndarray,
         field: MotionField,
-        out: Optional[np.ndarray] = None,
+        out: np.ndarray,
     ) -> np.ndarray:
-        """Blend each macroblock with its motion-compensated predecessor.
+        """Blend each macroblock with its motion-compensated predecessor
+        into ``out``.
 
         Dispatches to :func:`repro.isp.kernels.motion_compensated_blend` on
         the resolved backend; bit-identical to

@@ -9,10 +9,9 @@ only ~8 KB to the ~6 MB a 1080p frame already occupies.
 The module also defines the **fixed-point frame representation** the ISP
 stages quantize to (:class:`FixedPointFormat`).  A real ISP datapath carries
 pixels as narrow fixed-point words, not float64; modelling that explicitly
-means every frame the pipeline produces lies on a power-of-two lattice, so
-block matching always rides the exact integer SAD kernel
-(:mod:`repro.motion.kernels`) instead of falling off onto the float64
-gather path.
+means every frame the pipeline produces lies on a power-of-two lattice.
+Block matching does not see the lattice: the temporal-denoise stage rounds
+its matching reference to 8-bit luma under every format.
 """
 
 from __future__ import annotations
@@ -39,8 +38,7 @@ class FixedPointFormat:
     Values lie on the ``2**-frac_bits`` lattice within
     ``[0, 2**int_bits - 2**-frac_bits]``.  Frames are *carried* as float64
     (so existing numpy code is untouched) but every value is an exact
-    multiple of the lattice step — which is precisely what the exact-integer
-    SAD kernel detects and exploits.
+    multiple of the lattice step.
     """
 
     int_bits: int = 8

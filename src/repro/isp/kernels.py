@@ -13,12 +13,9 @@ Bit-identity notes:
 * The blend is element-wise arithmetic (``(1-s)*current + s*reference``), so
   vectorization cannot reassociate anything; the only care needed is using
   the same half-to-even rounding for source offsets as the reference.
-* The box sum is a *reduction*, so the numpy path only uses the
-  summed-area-table shortcut when the input provably lies on an integer or
-  fixed-point lattice (:func:`fixed_point_scale`) where every sum is exact;
-  genuinely fractional floats keep the reference's nine-shift accumulation
-  order.  All kernels accept an ``out`` scratch buffer so steady-state
-  callers allocate nothing.
+* The box sum is a *reduction*, so it keeps the reference's nine-shift
+  accumulation order exactly.  The blend and the box sum accept an ``out``
+  scratch buffer so steady-state callers allocate nothing.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from ..motion import ckernels
-from ..motion.kernels import KernelScratch, fixed_point_scale
+from ..motion.kernels import KernelScratch
 from ..motion.motion_field import MotionField
 
 
@@ -388,32 +385,14 @@ def _blend_gathered(
 
 
 def box_sum_3x3(image: np.ndarray, *, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """3x3 box sum with reflected borders.
+    """3x3 box sum with reflected borders, into ``out`` when given.
 
-    Lattice-valued inputs (integers, Q8.4 frames, CFA masks) take an exact
-    int64 summed-area table — the nine-neighbour sum of bounded lattice
-    values is exact in both orders, so the SAT result equals the reference's
-    shifted adds bit for bit.  Genuinely fractional floats keep the
-    reference's accumulation order.
+    The reference's nine shifted adds in its order (``dy`` major, ``dx``
+    minor), so the result is bit-identical for every input.
     """
     height, width = image.shape
     if out is None:
         out = np.empty((height, width), dtype=np.float64)
-
-    scale = fixed_point_scale(np.asarray(image))
-    if scale is not None:
-        padded = np.pad(image, 1, mode="reflect")
-        lattice = np.rint(np.asarray(padded, dtype=np.float64) * scale).astype(
-            np.int64
-        )
-        sat = np.zeros((height + 3, width + 3), dtype=np.int64)
-        np.cumsum(np.cumsum(lattice, axis=0), axis=1, out=sat[1:, 1:])
-        window_sums = (
-            sat[3:, 3:] - sat[3:, :-3] - sat[:-3, 3:] + sat[:-3, :-3]
-        )
-        np.divide(window_sums, scale, out=out)
-        return out
-
     padded = np.pad(image, 1, mode="reflect")
     out[:] = 0.0
     for dy in range(3):

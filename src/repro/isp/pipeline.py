@@ -53,9 +53,9 @@ class ISPConfig:
     motion_estimation_power_overhead: float = 0.025
     gamma: float = 1.0
     #: Fixed-point datapath format: every stage output (and the committed
-    #: frame) is quantized onto this lattice, which keeps block matching on
-    #: the exact integer SAD kernel end to end.  ``None`` restores the
-    #: unquantized float64 datapath.
+    #: frame) is quantized onto this lattice.  ``None`` restores the
+    #: unquantized float64 datapath.  Either way block matching sees the
+    #: denoise stage's 8-bit rounding of the frame.
     frame_format: Optional[FixedPointFormat] = DEFAULT_FRAME_FORMAT
 
     @property
@@ -122,8 +122,7 @@ class ISPPipeline:
         # The pipeline always commits a quantized (or copied) frame, so the
         # denoise stage can safely recycle its output buffers across frames.
         self.denoise_stage = TemporalDenoiseStage(
-            TemporalDenoiseConfig(block_matching=self.config.block_matching),
-            reuse_output_buffers=True,
+            TemporalDenoiseConfig(block_matching=self.config.block_matching)
         )
         #: Number of frames processed since construction.
         self.frames_processed = 0
@@ -217,8 +216,8 @@ class ISPPipeline:
 
         uint8 frames are passed through *unconverted*: the temporal-denoise
         stage widens to float64 exactly once for the blend while matching the
-        raw integer frame on the exact integer SAD path, so the per-frame
-        ``astype(float64)`` copy the pipeline's hot loop used to pay is gone.
+        raw 8-bit frame as it is, so the per-frame ``astype(float64)`` copy
+        the pipeline's hot loop used to pay is gone.
         """
         luma = np.asarray(luma)
         pixel_count = float(luma.size)

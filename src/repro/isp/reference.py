@@ -67,8 +67,8 @@ def reference_box_sum_3x3(image: np.ndarray) -> np.ndarray:
     """3x3 box sum with reflected borders via nine shifted adds.
 
     The accumulation order (``dy`` major, ``dx`` minor) is part of the
-    contract: for genuinely fractional float inputs the fast paths must add
-    neighbours in this order to stay bit-identical.
+    contract: for fractional float inputs the fast path must add neighbours
+    in this order to stay bit-identical.
     """
     padded = np.pad(image, 1, mode="reflect")
     height, width = image.shape
@@ -102,18 +102,8 @@ def reference_bilinear_demosaic(
     return np.clip(rgb, 0.0, 255.0)
 
 
-def reference_roi_statistics(field: MotionField, rois) -> list:
-    """Per-ROI mean motion and confidence, one ROI at a time.
-
-    The oracle for :meth:`MotionField.roi_statistics_batch`: the batch path
-    must return exactly what querying each ROI individually returns.
-    """
-    return [field.roi_statistics(roi) for roi in rois]
-
-
 __all__ = [
     "reference_bilinear_demosaic",
     "reference_box_sum_3x3",
     "reference_motion_compensated_blend",
-    "reference_roi_statistics",
 ]

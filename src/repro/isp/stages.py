@@ -9,9 +9,7 @@ the SoC model can account for ISP compute.
 Every stage optionally quantizes its output to a
 :class:`~repro.isp.framebuffer.FixedPointFormat` — the fixed-point datapath
 of a real ISP.  With a format configured (the pipeline default), the frames
-each stage emits lie on a power-of-two lattice, so downstream block matching
-always rides the exact integer SAD kernel instead of the float64 gather
-path.
+each stage emits lie on a power-of-two lattice.
 """
 
 from __future__ import annotations
@@ -142,7 +140,7 @@ def rgb_to_luma(
     """BT.601 luma from an RGB image (the representation the backend uses).
 
     With ``output_format`` the luma plane is quantized onto the fixed-point
-    lattice, keeping it on the exact integer block-matching path.
+    lattice.
     """
     if rgb.ndim != 3 or rgb.shape[2] != 3:
         raise ValueError("rgb_to_luma expects an (H, W, 3) image")

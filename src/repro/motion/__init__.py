@@ -21,7 +21,6 @@ from .kernels import (
     DEFAULT_KERNEL_BACKEND,
     KERNEL_BACKENDS,
     SadKernel,
-    fixed_point_scale,
     resolve_kernel_backend,
 )
 from .motion_field import MacroblockGrid, MotionField
@@ -36,7 +35,6 @@ __all__ = [
     "SearchStrategy",
     "DEFAULT_KERNEL_BACKEND",
     "KERNEL_BACKENDS",
-    "fixed_point_scale",
     "resolve_kernel_backend",
     "MacroblockGrid",
     "MotionField",

@@ -30,15 +30,17 @@ improve a block's best SAD, which is exactly the full scan's update rule):
   a block at an offset only when the triangle-inequality bound
   ``|sum(block) - sum(reference)|`` is still below its best SAD.  The bound
   costs O(1) per block per offset from summed-area tables, versus ``L^2``
-  for the SAD it avoids.  Requires the kernel's exact-integer mode (where
-  the bound is computed exactly); on genuinely fractional float frames only
-  the SAD-0 skip remains.
+  for the SAD it avoids, and is exact in integer arithmetic.
 * ``HISTOGRAM`` — ``PRUNED`` with candidates visited in global-SAD-score
   order (see :class:`SearchPolicy`).
 
-Both strategies return a :class:`~repro.motion.motion_field.MotionField`
-holding forward motion vectors (previous frame -> current frame) and the SAD
-of the best match, which later feeds the confidence filter of Eq. 2.
+Both strategies run on 8-bit luma, the frames the ISP's temporal-denoise
+stage holds (:class:`~repro.isp.denoise.TemporalDenoiseStage` rounds any
+other frame to 8 bits before matching), and :meth:`BlockMatcher.estimate`
+refuses any other input.  They return a
+:class:`~repro.motion.motion_field.MotionField` holding forward motion
+vectors (previous frame -> current frame) and the SAD of the best match,
+which later feeds the confidence filter of Eq. 2.
 """
 
 from __future__ import annotations
@@ -80,9 +82,7 @@ class SearchPolicy(Enum):
     #: bit-identical to the full scan; visiting globally promising offsets
     #: first tightens every block's best SAD early, which makes the pruning
     #: rules skip more candidates on panning scenes whose true motion sits
-    #: far from the window centre.  Degrades to the spiral order and the
-    #: SAD-0 skip alone on genuinely fractional float frames (no exact
-    #: integer tables to rank with), exactly like ``PRUNED`` does.
+    #: far from the window centre.
     HISTOGRAM = "histogram"
 
 
@@ -145,9 +145,8 @@ class BlockMatchingConfig:
         SAD histogram.  Ignored by the three-step search.
     kernel_backend:
         Kernel backend (``c``/``numpy``).  ``c``, the default, runs a whole
-        search over two uint8 frames in one compiled call
-        (:mod:`repro.motion.ckernels`); other frames, and every frame where
-        the C kernels cannot be built, take ``numpy``, the oracle.  Both
+        search in one compiled call (:mod:`repro.motion.ckernels`); where
+        the C kernels cannot be built it runs ``numpy``, the oracle.  Both
         backends return bit-identical fields.
     """
 
@@ -196,12 +195,8 @@ class BlockMatcher:
         #: Candidate accounting of the most recent exhaustive search
         #: (``None`` after a three-step run).
         self.last_search_stats: SearchStats | None = None
-        #: Whether the most recent estimate rode the kernel's exact-integer
-        #: mode, and at which fixed-point scale (1 = plain integers).
-        self.last_kernel_exact = False
-        self.last_kernel_scale = 1
         #: Kernel backend that actually served the most recent estimate
-        #: (``c`` only for uint8 frames with the C kernels built).
+        #: (``c`` only where the C kernels were built).
         self.last_kernel_backend = "numpy"
         # Resolved here, so building the matcher pays the one-time compile.
         self._compiled = resolve_kernel_backend(self.config.kernel_backend) == "c"
@@ -216,15 +211,20 @@ class BlockMatcher:
     def estimate(self, current: np.ndarray, previous: np.ndarray) -> MotionField:
         """Estimate forward motion from ``previous`` to ``current``.
 
-        Both frames are 2-D luma arrays of identical shape.  The returned
-        field stores, for every macroblock of the *current* frame, the
-        displacement its content underwent since the previous frame and the
-        SAD of the best match.
+        Both frames are 2-D uint8 luma arrays of identical shape; anything
+        else raises ``ValueError``.  The returned field stores, for every
+        macroblock of the *current* frame, the displacement its content
+        underwent since the previous frame and the SAD of the best match.
         """
         current = np.asarray(current)
         previous = np.asarray(previous)
         if current.ndim != 2 or previous.ndim != 2:
             raise ValueError("block matching expects 2-D luma frames")
+        if current.dtype != np.uint8 or previous.dtype != np.uint8:
+            raise ValueError(
+                f"block matching expects uint8 luma, got {current.dtype} "
+                f"and {previous.dtype}"
+            )
         if current.shape != previous.shape:
             raise ValueError(
                 f"frame shapes differ: {current.shape} vs {previous.shape}"
@@ -235,14 +235,12 @@ class BlockMatcher:
         d = self.config.search_range
         grid = MacroblockGrid(width, height, block)
         exhaustive = self.config.strategy is SearchStrategy.EXHAUSTIVE
-        if self._compiled and current.dtype == np.uint8 and previous.dtype == np.uint8:
+        if self._compiled:
             policy = self.config.search_policy.value if exhaustive else None
             offsets = _spiral_offsets(d) if exhaustive else None
             vectors, sad, stats = ckernels.estimate_u8(
                 current, previous, block, d, policy, offsets
             )
-            self.last_kernel_exact = True
-            self.last_kernel_scale = 1
             self.last_kernel_backend = "c"
             if exhaustive:
                 self.last_search_stats = SearchStats(grid.num_blocks * offsets.shape[1], *stats)
@@ -251,8 +249,6 @@ class BlockMatcher:
             kernel = SadKernel(
                 padded_current, padded_previous, block, d, scratch=self._kernel_scratch
             )
-            self.last_kernel_exact = kernel.exact_integer
-            self.last_kernel_scale = kernel.scale
             self.last_kernel_backend = "numpy"
             search = self._exhaustive if exhaustive else self._three_step
             vectors, sad = search(kernel)
@@ -310,26 +306,17 @@ class BlockMatcher:
         offsets = self._window_offsets(d)
 
         # The histogram policy ranks candidates by their global partial-sum
-        # SAD score; it needs the exact-integer tables and degrades to the
-        # spiral order on fractional float frames.
-        ranked = policy is SearchPolicy.HISTOGRAM and kernel.supports_lower_bound
+        # SAD score.
+        ranked = policy is SearchPolicy.HISTOGRAM
         ranks = np.arange(len(offsets), dtype=np.int64)
         if ranked:
             ranks = kernel.histogram_order(offsets)
             offsets = [offsets[int(index)] for index in ranks]
 
-        # Dense whole-grid evaluation: exact-integer mode may use the cheap
-        # uniform-offset primitive (exact either way); float mode must stay
-        # on the gather primitive so dense and subset evaluations carry the
-        # same per-block rounding as the scalar reference — mixing in the
-        # whole-frame shifted difference would break bit-identity between
-        # policies on fractional frames.
-        dense_sad = kernel.sad_uniform if kernel.exact_integer else kernel.sad_per_block
-
         # The first visited offset is always (0, 0) (spiral rank 0, pinned
         # first by histogram_order too): evaluating it up front seeds every
         # block's best SAD without an inf sentinel.
-        best_sad = dense_sad(0, 0)
+        best_sad = kernel.sad_uniform(0, 0)
         best_dy = np.zeros((rows, cols), dtype=np.int64)
         best_dx = np.zeros((rows, cols), dtype=np.int64)
         best_rank = np.zeros((rows, cols), dtype=np.int64)
@@ -337,10 +324,6 @@ class BlockMatcher:
         evaluated = num_blocks
         lower_bound_checks = 0
         offsets_skipped = 0
-        use_lower_bound = (
-            policy in (SearchPolicy.PRUNED, SearchPolicy.HISTOGRAM)
-            and kernel.supports_lower_bound
-        )
         # min(ranks[i:]): lets a perfect-match early exit stay correct under
         # out-of-spiral-order visiting (a remaining candidate can still win
         # a SAD tie only if its spiral rank undercuts a block's best rank).
@@ -348,7 +331,7 @@ class BlockMatcher:
 
         for index, (dy, dx) in enumerate(offsets[1:], start=1):
             if policy is SearchPolicy.FULL:
-                sad = dense_sad(dy, dx)
+                sad = kernel.sad_uniform(dy, dx)
                 improved = sad < best_sad
                 best_sad = np.where(improved, sad, best_sad)
                 best_dy[improved] = dy
@@ -369,15 +352,12 @@ class BlockMatcher:
                 # this offset and everything after it goes unevaluated.
                 offsets_skipped += len(offsets) - index
                 break
-            if use_lower_bound:
-                lower_bound_checks += num_blocks
-                lower = kernel.lower_bound_uniform(dy, dx)
-                if ranked:
-                    need &= (lower < best_sad) | (
-                        (lower <= best_sad) & (best_rank > rank)
-                    )
-                else:
-                    need &= lower < best_sad
+            lower_bound_checks += num_blocks
+            lower = kernel.lower_bound_uniform(dy, dx)
+            if ranked:
+                need &= (lower < best_sad) | ((lower <= best_sad) & (best_rank > rank))
+            else:
+                need &= lower < best_sad
             rows_idx, cols_idx = np.nonzero(need)
             count = rows_idx.size
             if count == 0:
@@ -385,7 +365,7 @@ class BlockMatcher:
                 continue
             evaluated += count
             if count == num_blocks:
-                sad = dense_sad(dy, dx)
+                sad = kernel.sad_uniform(dy, dx)
                 improved = sad < best_sad
                 if ranked:
                     improved |= (sad == best_sad) & (best_rank > rank)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -190,36 +190,14 @@ class MotionField:
         u, v = self.vectors[row, col]
         return MotionVector(float(u), float(v))
 
-    def roi_average_motion(self, roi: BoundingBox) -> MotionVector:
-        """Pixel-area-weighted average motion of the ROI (Eq. 1).
-
-        Every pixel inside the ROI inherits its macroblock's MV, so the
-        average over pixels equals the average over macroblocks weighted by
-        the overlap area between the ROI and each macroblock.
-        """
-        weights, rows, cols = self._roi_weights(roi)
-        total = weights.sum()
-        if total <= 0.0:
-            return MotionVector(0.0, 0.0)
-        block_vectors = self.vectors[rows, cols]
-        u = float((block_vectors[..., 0] * weights).sum() / total)
-        v = float((block_vectors[..., 1] * weights).sum() / total)
-        return MotionVector(u, v)
-
-    def roi_confidence(self, roi: BoundingBox) -> float:
-        """Average confidence of the MVs encapsulated by the ROI (Sec. 3.2)."""
-        weights, rows, cols = self._roi_weights(roi)
-        total = weights.sum()
-        if total <= 0.0:
-            return 0.0
-        alpha = self.confidence()[rows, cols]
-        return float((alpha * weights).sum() / total)
-
     def roi_statistics(self, roi: BoundingBox) -> Tuple[MotionVector, float]:
-        """Average motion (Eq. 1) and confidence (Eq. 2) in one weight pass.
+        """Average motion (Eq. 1) and confidence (Eq. 2) of the ROI.
 
-        The extrapolator needs both quantities for every sub-ROI; computing
-        them together halves the overlap-weight work on the hot path.
+        Every pixel inside the ROI inherits its macroblock's MV (Sec. 3.2),
+        so both averages over pixels equal averages over macroblocks
+        weighted by each macroblock's overlap area with the ROI; one weight
+        pass serves both.  The extrapolator queries every sub-ROI against
+        the same field, which the memoized :meth:`confidence` grid serves.
         """
         weights, rows, cols = self._roi_weights(roi)
         total = weights.sum()
@@ -231,21 +209,6 @@ class MotionField:
         alpha = self.confidence()[rows, cols]
         confidence = float((alpha * weights).sum() / total)
         return MotionVector(u, v), confidence
-
-    def roi_statistics_batch(
-        self, rois: "Sequence[BoundingBox]"
-    ) -> List[Tuple[MotionVector, float]]:
-        """:meth:`roi_statistics` for every ROI against this field at once.
-
-        The batch form exists for the extrapolator's sub-ROI sweep: the
-        full-grid confidence is computed once (memoized) and each ROI's
-        weight pass runs against it.  Per-ROI reductions use exactly the
-        arithmetic of :meth:`roi_statistics`, so the results are
-        bit-identical to querying one ROI at a time.
-        """
-        if rois:
-            self.confidence()  # materialise the shared alpha grid once
-        return [self.roi_statistics(roi) for roi in rois]
 
     def _roi_weights(self, roi: BoundingBox) -> Tuple[np.ndarray, slice, slice]:
         """Overlap areas between ``roi`` and each macroblock it touches.

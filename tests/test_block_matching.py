@@ -12,12 +12,13 @@ from repro.motion.block_matching import (
     exhaustive_search_ops_per_macroblock,
     three_step_search_ops_per_macroblock,
 )
+from repro.motion.kernels import KERNEL_BACKENDS
 
 
 def _textured_frame(rng: np.random.Generator, height: int = 64, width: int = 96) -> np.ndarray:
-    """A smooth but textured frame block matching can lock on to."""
+    """A smooth but textured uint8 frame block matching can lock on to."""
     coarse = rng.uniform(0, 255, (height // 8, width // 8))
-    return np.kron(coarse, np.ones((8, 8)))
+    return np.kron(coarse, np.ones((8, 8))).astype(np.uint8)
 
 
 def _shift(frame: np.ndarray, dx: int, dy: int) -> np.ndarray:
@@ -87,7 +88,7 @@ class TestMotionRecovery:
         assert np.all(field.sad == 0.0)
 
     def test_flat_frames_prefer_zero_motion(self):
-        flat = np.full((48, 64), 128.0)
+        flat = np.full((48, 64), 128, dtype=np.uint8)
         matcher = BlockMatcher(BlockMatchingConfig(strategy=SearchStrategy.EXHAUSTIVE))
         field = matcher.estimate(flat, flat)
         assert field.max_magnitude() == 0.0
@@ -164,17 +165,32 @@ class TestExactShiftRecovery:
 class TestEstimateInterface:
     def test_shape_mismatch_rejected(self):
         matcher = BlockMatcher()
-        with pytest.raises(ValueError):
-            matcher.estimate(np.zeros((32, 32)), np.zeros((32, 48)))
+        with pytest.raises(ValueError, match="shapes differ"):
+            matcher.estimate(
+                np.zeros((32, 32), dtype=np.uint8), np.zeros((32, 48), dtype=np.uint8)
+            )
 
     def test_non_2d_rejected(self):
         matcher = BlockMatcher()
-        with pytest.raises(ValueError):
-            matcher.estimate(np.zeros((32, 32, 3)), np.zeros((32, 32, 3)))
+        frame = np.zeros((32, 32, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match="2-D"):
+            matcher.estimate(frame, frame)
+
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.int32, np.uint16])
+    def test_non_uint8_frames_refused(self, backend, dtype):
+        """Motion search runs on 8-bit luma; any other frame is refused,
+        whether it comes first or second."""
+        matcher = BlockMatcher(BlockMatchingConfig(kernel_backend=backend))
+        other = np.zeros((32, 32), dtype=dtype)
+        luma = np.zeros((32, 32), dtype=np.uint8)
+        for pair in ((other, luma), (luma, other), (other, other)):
+            with pytest.raises(ValueError, match="uint8"):
+                matcher.estimate(*pair)
 
     def test_non_multiple_frame_size_is_padded(self):
         rng = np.random.default_rng(10)
-        frame = rng.uniform(0, 255, (50, 70))
+        frame = rng.integers(0, 256, (50, 70), dtype=np.uint8)
         matcher = BlockMatcher(BlockMatchingConfig(block_size=16))
         field = matcher.estimate(frame, frame)
         assert field.grid.rows == 4
@@ -191,16 +207,16 @@ class TestEstimateInterface:
 
     def test_sad_values_are_non_negative(self):
         rng = np.random.default_rng(12)
-        a = rng.uniform(0, 255, (48, 64))
-        b = rng.uniform(0, 255, (48, 64))
+        a = rng.integers(0, 256, (48, 64), dtype=np.uint8)
+        b = rng.integers(0, 256, (48, 64), dtype=np.uint8)
         matcher = BlockMatcher()
         field = matcher.estimate(a, b)
         assert np.all(field.sad >= 0)
 
     def test_vectors_stay_within_search_window(self):
         rng = np.random.default_rng(13)
-        a = rng.uniform(0, 255, (48, 64))
-        b = rng.uniform(0, 255, (48, 64))
+        a = rng.integers(0, 256, (48, 64), dtype=np.uint8)
+        b = rng.integers(0, 256, (48, 64), dtype=np.uint8)
         for strategy in SearchStrategy:
             matcher = BlockMatcher(BlockMatchingConfig(search_range=5, strategy=strategy))
             field = matcher.estimate(a, b)
@@ -212,7 +228,8 @@ class TestESvsTSS:
         """ES is optimal within the window; TSS can only match or do worse."""
         rng = np.random.default_rng(14)
         previous = _textured_frame(rng)
-        current = _shift(previous, 2, 3) + rng.normal(0, 2.0, previous.shape)
+        noisy = _shift(previous, 2, 3) + rng.normal(0, 2.0, previous.shape)
+        current = np.clip(np.rint(noisy), 0, 255).astype(np.uint8)
         es = BlockMatcher(BlockMatchingConfig(strategy=SearchStrategy.EXHAUSTIVE))
         tss = BlockMatcher(BlockMatchingConfig(strategy=SearchStrategy.THREE_STEP))
         es_field = es.estimate(current, previous)

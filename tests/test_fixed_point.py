@@ -1,10 +1,10 @@
-"""Tests for the fixed-point frame representation and its kernel fast path.
+"""Tests for the fixed-point frame representation of the ISP datapath.
 
-The acceptance property of the fixed-point work: float-valued luma produced
-by the ISP's quantized stages always lies on a power-of-two lattice, so
-block matching rides the exact integer SAD kernel end to end — the float64
-gather path is reserved for genuinely fractional frames fed in from
-outside.
+The frame format (Q8.4 by default, Q8.8, or unquantized float) decides the
+lattice every stage output and committed frame lies on.  It does not decide
+what block matching sees: the temporal-denoise stage rounds its matching
+reference to 8-bit luma under every format, so every format runs the same
+uint8 motion search on either kernel backend.
 """
 
 from __future__ import annotations
@@ -12,11 +12,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.backends import tracking_backend_for
+from repro.core.spec import PipelineSpec
+from repro.core.types import FrameKind
 from repro.isp.framebuffer import DEFAULT_FRAME_FORMAT, FixedPointFormat
 from repro.isp.pipeline import ISPConfig, ISPPipeline
 from repro.isp.sensor import CameraSensor
 from repro.isp.stages import GammaCorrection, WhiteBalance, rgb_to_luma
-from repro.motion.kernels import SadKernel, fixed_point_scale
+from repro.video.datasets import build_otb_like_dataset
 
 
 class TestFixedPointFormat:
@@ -48,52 +51,6 @@ class TestFixedPointFormat:
             FixedPointFormat(frac_bits=-1)
 
 
-class TestKernelScaleDetection:
-    def test_integer_frames_scale_one(self):
-        frame = np.zeros((8, 8), dtype=np.uint8)
-        assert fixed_point_scale(frame, frame) == 1
-
-    def test_q84_lattice_detected(self):
-        frame = np.arange(64, dtype=np.float64).reshape(8, 8) / 16.0
-        assert fixed_point_scale(frame) == 16
-
-    def test_fine_lattice_detected_at_8_bits(self):
-        frame = np.full((8, 8), 1.0 / 256.0)
-        assert fixed_point_scale(frame) == 256
-
-    def test_fractional_frames_rejected(self):
-        assert fixed_point_scale(np.full((8, 8), 1.0 / 3.0)) is None
-
-    def test_mixed_lattice_and_integer_frames(self):
-        lattice = np.full((8, 8), 2.5)
-        integers = np.zeros((8, 8))
-        assert fixed_point_scale(lattice, integers) == 16
-
-    def test_mixed_lattice_and_integer_dtype_frames(self):
-        """uint8 frames lie on every lattice — the pair must stay exact."""
-        lattice = np.full((8, 8), 2.5)
-        integers = np.zeros((8, 8), dtype=np.uint8)
-        assert fixed_point_scale(lattice, integers) == 16
-        kernel = SadKernel(lattice, integers, 8, 2)
-        assert kernel.exact_integer and kernel.scale == 16
-
-    def test_huge_integer_dtype_frames_rejected(self):
-        lattice = np.full((8, 8), 2.5)
-        huge = np.full((8, 8), 2**30, dtype=np.int64)
-        assert fixed_point_scale(lattice, huge) is None
-
-    def test_kernel_sad_matches_float_mode_on_lattice(self):
-        rng = np.random.default_rng(0)
-        current = np.round(rng.uniform(0, 255, (32, 32)) * 16) / 16
-        previous = np.round(rng.uniform(0, 255, (32, 32)) * 16) / 16
-        fast = SadKernel(current, previous, 16, 4)
-        slow = SadKernel(current, previous, 16, 4, exact_integer=False)
-        assert fast.exact_integer and fast.scale == 16
-        dy = rng.integers(-4, 5, (2, 2))
-        dx = rng.integers(-4, 5, (2, 2))
-        assert np.array_equal(fast.sad_per_block(dy, dx), slow.sad_per_block(dy, dx))
-
-
 class TestQuantizedStages:
     def test_stage_outputs_lie_on_lattice(self):
         fmt = DEFAULT_FRAME_FORMAT
@@ -121,7 +78,6 @@ class TestPipelineRidesIntegerKernel:
         isp.process(sensor.capture(scene, 0))
         result = isp.process(sensor.capture(scene, 1))
         assert result.motion_field is not None
-        assert isp.denoise_stage._matcher.last_kernel_exact
         entry = isp.frame_buffer.latest()
         assert entry.pixel_format == DEFAULT_FRAME_FORMAT
         fmt = entry.pixel_format
@@ -136,7 +92,6 @@ class TestPipelineRidesIntegerKernel:
         fmt = entry.pixel_format
         assert fmt == DEFAULT_FRAME_FORMAT
         assert np.array_equal(entry.pixels, fmt.quantize(entry.pixels))
-        assert isp.denoise_stage._matcher.last_kernel_exact
 
     def test_format_none_restores_legacy_datapath(self):
         rng = np.random.default_rng(7)
@@ -145,3 +100,36 @@ class TestPipelineRidesIntegerKernel:
         result = isp.process_luma(frame, 0)
         assert isp.frame_buffer.latest().pixel_format is None
         assert np.array_equal(result.luma, frame)
+
+
+class TestEveryFormatMatchesEightBitLuma:
+    """Q8.8 and float frames reach the matcher as 8-bit luma, like Q8.4."""
+
+    @pytest.mark.parametrize("frame_format", ["q8.8", "float"])
+    def test_sequence_extrapolates_identically_on_both_backends(self, frame_format):
+        (sequence,) = build_otb_like_dataset(
+            num_sequences=1, frames_per_sequence=6
+        ).sequences
+
+        def run(backend):
+            spec = PipelineSpec(frame_format=frame_format, kernel_backend=backend)
+            result = spec.build(tracking_backend_for("mdnet")).run(sequence)
+            return (
+                [(frame.kind, frame.boxes()) for frame in result.frames],
+                [event.motion_ops for event in result.telemetry],
+            )
+
+        frames, motion_ops = run("c")
+        assert any(kind is FrameKind.EXTRAPOLATION for kind, _boxes in frames)
+        assert all(ops > 0 for ops in motion_ops[1:])
+        assert (frames, motion_ops) == run("numpy")
+
+    def test_float_raw_path_estimates_motion(self):
+        rng = np.random.default_rng(8)
+        sensor = CameraSensor(seed=2)
+        isp = ISPPipeline(ISPConfig(frame_format=None))
+        scene = rng.uniform(0, 255, (64, 96))
+        assert isp.process(sensor.capture(scene, 0)).motion_field is None
+        result = isp.process(sensor.capture(scene, 1))
+        assert result.motion_field is not None
+        assert result.luma.dtype == np.float64

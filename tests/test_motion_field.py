@@ -107,7 +107,7 @@ class TestRoiQueries:
 
     def test_roi_average_uniform(self, uniform_motion_field):
         roi = BoundingBox(5, 5, 30, 30)
-        motion = uniform_motion_field.roi_average_motion(roi)
+        motion = uniform_motion_field.roi_statistics(roi)[0]
         assert motion.u == pytest.approx(2.0)
         assert motion.v == pytest.approx(1.0)
 
@@ -118,23 +118,23 @@ class TestRoiQueries:
         field = MotionField(vectors, np.zeros((3, 4)), simple_grid)
         # ROI covers 3/4 of block (0,0) horizontally and 1/4 of block (0,1).
         roi = BoundingBox(4, 0, 16, 16)
-        motion = field.roi_average_motion(roi)
+        motion = field.roi_statistics(roi)[0]
         assert motion.u == pytest.approx(4.0 * 0.75)
 
     def test_roi_outside_frame_returns_finite(self, uniform_motion_field):
         roi = BoundingBox(1000, 1000, 10, 10)
-        motion = uniform_motion_field.roi_average_motion(roi)
+        motion = uniform_motion_field.roi_statistics(roi)[0]
         assert np.isfinite(motion.u) and np.isfinite(motion.v)
 
     def test_roi_confidence_uniform(self, uniform_motion_field, sample_box):
-        assert uniform_motion_field.roi_confidence(sample_box) == pytest.approx(1.0)
+        assert uniform_motion_field.roi_statistics(sample_box)[1] == pytest.approx(1.0)
 
     def test_roi_confidence_mixed(self, simple_grid):
         sad = np.zeros((3, 4))
         sad[0, 0] = 255.0 * 256  # zero confidence block
         field = MotionField(np.zeros((3, 4, 2)), sad, simple_grid)
         roi = BoundingBox(0, 0, 32, 16)  # half over the bad block
-        assert field.roi_confidence(roi) == pytest.approx(0.5)
+        assert field.roi_statistics(roi)[1] == pytest.approx(0.5)
 
 
 class TestMetadataAccounting:
@@ -166,7 +166,7 @@ class TestMetadataAccounting:
 def test_uniform_field_average_equals_field_motion(u, v, x, y, w, h):
     grid = MacroblockGrid(64, 48, 16)
     field = MotionField.uniform(grid, MotionVector(u, v))
-    motion = field.roi_average_motion(BoundingBox(x, y, w, h))
+    motion = field.roi_statistics(BoundingBox(x, y, w, h))[0]
     assert motion.u == pytest.approx(u, abs=1e-9)
     assert motion.v == pytest.approx(v, abs=1e-9)
 
@@ -179,5 +179,5 @@ def test_confidence_always_within_unit_interval(sad_scale):
     confidence = field.confidence()
     assert np.all(confidence >= 0.0)
     assert np.all(confidence <= 1.0)
-    roi_confidence = field.roi_confidence(BoundingBox(3, 3, 30, 20))
-    assert 0.0 <= roi_confidence <= 1.0
+    confidence = field.roi_statistics(BoundingBox(3, 3, 30, 20))[1]
+    assert 0.0 <= confidence <= 1.0

@@ -13,50 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.motion.block_matching import BlockMatcher, BlockMatchingConfig, SearchStrategy
-from repro.motion.kernels import SadKernel, frames_are_integer
+from repro.motion.kernels import SadKernel
 from repro.motion.reference import scalar_estimate
 
 
-class TestFramesAreInteger:
-    def test_uint8_frames(self):
-        assert frames_are_integer(np.zeros((4, 4), dtype=np.uint8))
-
-    def test_integer_valued_floats(self):
-        assert frames_are_integer(np.array([[1.0, 255.0], [0.0, 7.0]]))
-
-    def test_fractional_floats(self):
-        assert not frames_are_integer(np.array([[1.0, 2.5]]))
-
-    def test_mixed(self):
-        a = np.zeros((2, 2), dtype=np.uint8)
-        b = np.array([[0.25, 1.0], [2.0, 3.0]])
-        assert not frames_are_integer(a, b)
-
-    def test_huge_values_rejected(self):
-        assert not frames_are_integer(np.array([[2.0**40]]))
-
-    def test_non_finite_rejected(self):
-        assert not frames_are_integer(np.array([[np.nan, 1.0]]))
-
-
 class TestSadKernelModes:
-    def test_integer_mode_detected_for_uint8(self):
-        frame = np.zeros((16, 16), dtype=np.uint8)
-        kernel = SadKernel(frame, frame, block_size=8, search_range=2)
-        assert kernel.exact_integer
-
-    def test_float_mode_for_fractional_frames(self):
-        # 1/3 lies on no power-of-two lattice, so this is genuinely float.
-        frame = np.full((16, 16), 1.0 / 3.0)
-        kernel = SadKernel(frame, frame, block_size=8, search_range=2)
-        assert not kernel.exact_integer
-
-    def test_fixed_point_mode_for_lattice_frames(self):
-        # 0.5 lies on the Q8.4 lattice: matched in scaled integers.
-        frame = np.full((16, 16), 0.5)
-        kernel = SadKernel(frame, frame, block_size=8, search_range=2)
-        assert kernel.exact_integer
-        assert kernel.scale == 16
+    """The uint8 kernel's primitives agree, and it checks its input."""
 
     def test_uniform_and_per_block_agree_on_integers(self):
         rng = np.random.default_rng(0)
@@ -70,19 +32,15 @@ class TestSadKernelModes:
             )
             assert np.array_equal(uniform, per_block)
 
-    def test_integer_and_float_modes_agree_on_integer_frames(self):
-        rng = np.random.default_rng(1)
-        current = rng.integers(0, 256, (32, 32)).astype(np.float64)
-        previous = rng.integers(0, 256, (32, 32)).astype(np.float64)
-        fast = SadKernel(current, previous, 16, 4, exact_integer=True)
-        slow = SadKernel(current, previous, 16, 4, exact_integer=False)
-        dy = rng.integers(-4, 5, (2, 2))
-        dx = rng.integers(-4, 5, (2, 2))
-        assert np.array_equal(fast.sad_per_block(dy, dx), slow.sad_per_block(dy, dx))
-
     def test_rejects_unpadded_frames(self):
-        with pytest.raises(ValueError):
-            SadKernel(np.zeros((10, 16)), np.zeros((10, 16)), 16, 2)
+        frame = np.zeros((10, 16), dtype=np.uint8)
+        with pytest.raises(ValueError, match="multiples of the block size"):
+            SadKernel(frame, frame, 16, 2)
+
+    def test_rejects_non_uint8_frames(self):
+        frame = np.zeros((16, 16))
+        with pytest.raises(ValueError, match="uint8"):
+            SadKernel(frame, frame, 8, 2)
 
 
 def _assert_matches_oracle(current, previous, block_size, search_range, strategy):
@@ -115,9 +73,13 @@ class TestVectorizedEqualsOracle:
         width=st.integers(8, 48),
     )
     def test_tss_on_random_float_frames(self, seed, block_size, search_range, height, width):
+        """Float frames, rounded to 8 bits as the denoise stage rounds its
+        matching reference, then matched."""
         rng = np.random.default_rng(seed)
-        current = rng.uniform(0, 255, (height, width))
-        previous = rng.uniform(0, 255, (height, width))
+        current, previous = (
+            np.clip(np.rint(rng.uniform(0, 255, (height, width))), 0, 255).astype(np.uint8)
+            for _ in range(2)
+        )
         _assert_matches_oracle(
             current, previous, block_size, search_range, SearchStrategy.THREE_STEP
         )
@@ -142,8 +104,8 @@ class TestVectorizedEqualsOracle:
     def test_low_texture_ties_match_oracle(self):
         """Flat regions exercise the strict-improvement tie-breaking."""
         rng = np.random.default_rng(7)
-        current = np.full((40, 40), 100.0)
-        current[10:20, 10:20] += rng.integers(0, 3, (10, 10))
-        previous = np.full((40, 40), 100.0)
+        current = np.full((40, 40), 100, dtype=np.uint8)
+        current[10:20, 10:20] += rng.integers(0, 3, (10, 10), dtype=np.uint8)
+        previous = np.full((40, 40), 100, dtype=np.uint8)
         _assert_matches_oracle(current, previous, 8, 7, SearchStrategy.THREE_STEP)
         _assert_matches_oracle(current, previous, 8, 7, SearchStrategy.EXHAUSTIVE)

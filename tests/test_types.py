@@ -55,7 +55,7 @@ class TestSlots:
             BoundingBox(1.5, 2.0, 3.0, 4.0),
             Detection(box=BoundingBox(0, 0, 10, 10), label="car", object_id=3),
             FrameResult(
-                7, FrameKind.EXTRAPOLATION, [Detection(box=BoundingBox(1, 2, 3, 4))], 0.5, 2
+                7, FrameKind.EXTRAPOLATION, [Detection(box=BoundingBox(1, 2, 3, 4))], 2
             ),
             FrameTelemetry(7, FrameKind.INFERENCE, pixels=20736, motion_ops=3.0, total_s=0.01),
         ],
