@@ -295,10 +295,7 @@ class EuphratesSession:
         self._backend_started = oracle is None
         # Whether the ISP can ever produce a motion field for this session;
         # used by next_frame_kind() to predict the I/E decision.
-        config = isp.config
-        self._motion_possible = bool(
-            config.expose_motion_vectors and config.temporal_denoise
-        )
+        self._motion_possible = isp.config.expose_motion_vectors
 
     # ------------------------------------------------------------------
     # Introspection
@@ -473,9 +470,7 @@ class EuphratesSession:
             window_size=self._controller.current_window,
         )
         self._frames.append(result)
-        denoise = (
-            self._isp.denoise_stage if self._isp.config.temporal_denoise else None
-        )
+        denoise = self._isp.denoise_stage
         record = FrameTelemetry(
             frame_index=frame_index,
             kind=kind,
@@ -488,8 +483,8 @@ class EuphratesSession:
             stream=self.name,
             degradation=degradation,
             isp_s=isp_s,
-            motion_search_s=denoise.last_motion_s if denoise else 0.0,
-            denoise_blend_s=denoise.last_blend_s if denoise else 0.0,
+            motion_search_s=denoise.last_motion_s,
+            denoise_blend_s=denoise.last_blend_s,
             extrapolation_s=extrapolation_s,
             inference_s=inference_s,
             total_s=time.perf_counter() - frame_start,

@@ -27,7 +27,7 @@ are excluded from :meth:`PipelineSpec.cache_key`.
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Tuple, Union
 
 from ..isp.framebuffer import parse_frame_format, spell_frame_format
@@ -158,28 +158,13 @@ class PipelineSpec:
     # Alternate constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_kwargs(cls, **kwargs: object) -> "PipelineSpec":
-        """Build a spec from the legacy ``build_pipeline`` keyword arguments.
-
-        Unknown keywords raise :class:`TypeError`, exactly like the old
-        function signature did, so typos keep failing loudly.
-        """
-        known = {f.name for f in fields(cls)}
-        unknown = set(kwargs) - known
-        if unknown:
-            raise TypeError(
-                f"unknown pipeline option(s): {', '.join(sorted(map(str, unknown)))}"
-            )
-        return cls(**kwargs)  # type: ignore[arg-type]
-
-    @classmethod
     def from_preset(cls, name: str, **overrides: object) -> "PipelineSpec":
         """Build a named spec preset (see ``repro.soc.config.TUNED_SPEC_PRESETS``).
 
         Presets are configurations the design-space autotuner
         (``python -m repro.harness tune``) found Pareto-optimal; each entry
-        records plain spec kwargs, so a preset composes with explicit
-        ``overrides`` exactly like :meth:`from_kwargs`.
+        records plain spec kwargs, which explicit ``overrides`` replace (an
+        unknown keyword raises :class:`TypeError`, as in the constructor).
         """
         from ..soc.config import TUNED_SPEC_PRESETS
 
@@ -191,7 +176,7 @@ class PipelineSpec:
                 f"unknown spec preset '{name}' (expected one of: {presets})"
             ) from None
         kwargs.update(overrides)
-        return cls.from_kwargs(**kwargs)
+        return cls(**kwargs)  # type: ignore[arg-type]
 
     @classmethod
     def add_cli_options(

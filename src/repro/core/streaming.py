@@ -221,8 +221,10 @@ class StreamMultiplexer:
         self._meters: Dict[str, "CostMeter | None"] = {}
         self._results: Dict[str, SequenceResult] = {}
         self._batch_sizes: List[int] = []
-        #: I-frame batches already counted (record batch ids are per-shard).
-        self._seen_batches: set = set()
+        #: shard -> id of its last counted I-frame batch.  Batch ids are
+        #: unique per shard and a batch's records arrive together, so one id
+        #: per shard is enough to count each batch once.
+        self._last_batch_ids: Dict[str, int] = {}
         self._wall_s = 0.0
 
     @property
@@ -359,11 +361,12 @@ class StreamMultiplexer:
     # ------------------------------------------------------------------
     def _absorb(self, records: List[FrameRecord]) -> int:
         for record in records:
-            if record.batch_id >= 0:
-                batch = (record.shard, record.batch_id)
-                if batch not in self._seen_batches:
-                    self._seen_batches.add(batch)
-                    self._batch_sizes.append(record.batch_size)
+            if (
+                record.batch_id >= 0
+                and self._last_batch_ids.get(record.shard) != record.batch_id
+            ):
+                self._last_batch_ids[record.shard] = record.batch_id
+                self._batch_sizes.append(record.batch_size)
             meter = self._meters[record.key]
             if meter is not None and record.telemetry is not None:
                 # Price what actually happened, as it happens.

@@ -122,14 +122,15 @@ class AdaptiveWindowController(WindowController):
         self.initial_window = initial_window
         self._window = initial_window
         self._good_streak = 0
-        #: History of (window, disagreement) pairs, useful for analysis.
-        self.history: list[tuple[int, float]] = []
+        #: Number of disagreement reports observed (a count, so the state
+        #: stays bounded however long a stream runs).
+        self.observations = 0
 
     def should_infer(self, frames_since_inference: int) -> bool:
         return frames_since_inference >= self._window - 1
 
     def observe_disagreement(self, disagreement: float) -> None:
-        self.history.append((self._window, disagreement))
+        self.observations += 1
         if disagreement > self.disagreement_threshold:
             self._window = max(self.min_window, self._window - 1)
             self._good_streak = 0

@@ -14,8 +14,8 @@ and checks it against the floors stored there
 (:mod:`repro.harness.trajectory`).  ``--guard`` turns a violation into exit
 status 1, which is what the CI perf jobs run.
 
-* ``motion`` — TSS vs the scalar oracle, ES per candidate-scan policy, the
-  Q8.4 fixed-point path (:mod:`repro.harness.perf`);
+* ``motion`` — TSS vs the scalar oracle and ES per candidate-scan policy,
+  on 8-bit luma (:mod:`repro.harness.perf`);
 * ``pipeline`` — the whole per-frame session path, the blend speedup over
   its scalar reference and the steady-state E-frame allocation
   (:mod:`repro.harness.pipeline_perf`);

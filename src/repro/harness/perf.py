@@ -5,9 +5,8 @@ sequences and compares it against the scalar reference oracle
 (:mod:`repro.motion.reference`), so every PR can check the perf trajectory.
 Besides the three-step search (the production default) the benchmark times
 the exhaustive search under each candidate-scan policy
-(full/pruned/histogram — all result-identical) and the fixed-point
-float-frame path, the two hot-path gaps this repo's trajectory tracks.
-The kernel backend (numpy or the compiled C backend) is a parameter, so the
+(full/pruned/histogram — all result-identical).  Every frame is 8-bit
+luma, the only input the matcher takes.  The kernel backend (numpy or the compiled C backend) is a parameter, so the
 same harness measures both sides of the backend speedup.
 
 The results are appended to the ``BENCH_motion.json`` trajectory by

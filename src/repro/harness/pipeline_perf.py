@@ -238,10 +238,7 @@ def measure_blend_speedup(spec: PipelineSpec, height: int, width: int, seed: int
     current = np.asarray(frames[2])
     current_f64 = np.asarray(current, dtype=np.float64)
     previous = stage._previous_denoised.copy()
-    motion = stage._matcher.estimate(
-        stage._current_matching_reference(current, current_f64),
-        stage._previous_reference,
-    )
+    motion = stage._matcher.estimate(current, stage._previous_reference)
 
     def best_of(callable_, repeats=3):
         best = float("inf")

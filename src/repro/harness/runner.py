@@ -116,40 +116,24 @@ class SweepRunner:
         window: Union[int, str, None] = None,
         *,
         spec: Optional[PipelineSpec] = None,
-        block_size: Optional[int] = None,
-        search_range: Optional[int] = None,
-        exhaustive_search: Optional[bool] = None,
-        search_policy: Optional[str] = None,
         seed: int = 1,
     ) -> DatasetRunResult:
         """Run (or reuse) one pipeline configuration over ``dataset``.
 
-        The configuration is a :class:`~repro.core.spec.PipelineSpec`:
-        pass one via ``spec``, build one implicitly from the loose keywords,
-        or combine both — any explicitly-passed keyword (``window``,
-        ``block_size``, ...) overrides the corresponding ``spec`` field, so
-        a sweep can thread one base spec through and vary a single
-        dimension per call.  The spec's
+        The configuration is a :class:`~repro.core.spec.PipelineSpec`
+        (default: ``PipelineSpec()``); ``window``, when given, overrides its
+        extrapolation window, so a sweep can thread one base spec through
+        and vary the window per call.  The spec's
         :meth:`~repro.core.spec.PipelineSpec.cache_key` is the memoization
         key, so e.g. ``search_policy`` participates in it and
         policy-comparison experiments measure genuinely separate runs even
         though every policy returns bit-identical motion fields.
         """
-        base = spec if spec is not None else PipelineSpec()
-        overrides: Dict[str, object] = {}
         if window is not None:
-            overrides["extrapolation_window"] = window
+            base = spec if spec is not None else PipelineSpec()
+            spec = replace(base, extrapolation_window=window)
         elif spec is None:
             raise ValueError("run() needs a window (or a full PipelineSpec)")
-        if block_size is not None:
-            overrides["block_size"] = block_size
-        if search_range is not None:
-            overrides["search_range"] = search_range
-        if exhaustive_search is not None:
-            overrides["exhaustive_search"] = exhaustive_search
-        if search_policy is not None:
-            overrides["search_policy"] = search_policy
-        spec = replace(base, **overrides) if overrides else base
         point: SweepPoint = (
             self.dataset_key(dataset),
             task,

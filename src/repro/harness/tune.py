@@ -4,8 +4,8 @@ Euphrates' central claim is a *co-design* result — the right point in the
 SoC-config x extrapolation-window x algorithm space, not any single
 component.  This module closes that loop: a search driver that explores
 :class:`~repro.core.spec.PipelineSpec` points (window policy, search
-strategy/policy, block size, fixed-point format, kernel backend, SoC capture
-preset, extrapolation host), scores each point with the **same** machinery
+strategy/policy, block size, fixed-point format, sub-ROI grid, MV exposure,
+SoC capture preset, extrapolation host), scores each point with the **same** machinery
 every figure uses — the :class:`~repro.harness.runner.SweepRunner` for the
 vision run, :func:`~repro.harness.experiments.fold_energy_breakdown` /
 ``open_meter`` for energy — and emits the measured accuracy-vs-energy-vs-

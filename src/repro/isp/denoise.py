@@ -18,12 +18,13 @@ stage's matching reference is the one place where any other frame (the RAW
 path's fixed-point or float luma, the float blend output) is rounded to
 8 bits.  The blend itself stays in float.
 
-The stage keeps the session frame path allocation-free: the widened float
-frame, the blend output and the matching reference all live in per-stage
-scratch buffers reused across frames.  The blend output ping-pongs between
-two buffers — the caller receives the buffer that is *not* the previous
-frame's output, and must copy it before retaining it beyond the next
-``process()`` call (the ISP pipeline always commits a quantized copy).
+The stage keeps the frame path allocation-free: the widened float frame,
+the blend output and the matching references all live in per-stage scratch
+buffers reused across frames.  The blend output and the matching reference
+each ping-pong between two buffers — the caller receives the blend buffer
+that is *not* the previous frame's output, and must copy it before
+retaining it beyond the next ``process()`` call (the ISP pipeline always
+commits a quantized copy).
 """
 
 from __future__ import annotations
@@ -95,7 +96,7 @@ class TemporalDenoiseStage:
         self._blend_buffers: List[np.ndarray] = []
         self._current_f64: Optional[np.ndarray] = None
         self._float_scratch: Optional[np.ndarray] = None
-        self._reference_buffer: Optional[np.ndarray] = None
+        self._reference_buffers: List[np.ndarray] = []
         # Gather-staging pool for the numpy blend kernel (reused every frame).
         self._blend_scratch = KernelScratch()
 
@@ -116,47 +117,38 @@ class TemporalDenoiseStage:
         ]
         self._current_f64 = np.empty(shape, dtype=np.float64)
         self._float_scratch = np.empty(shape, dtype=np.float64)
-        self._reference_buffer = np.empty(shape, dtype=np.uint8)
+        self._reference_buffers = [
+            np.empty(shape, dtype=np.uint8),
+            np.empty(shape, dtype=np.uint8),
+        ]
 
-    def _next_blend_buffer(self) -> np.ndarray:
-        """The ping-pong buffer that is *not* the previous frame's output."""
-        if self._previous_denoised is self._blend_buffers[0]:
-            return self._blend_buffers[1]
-        return self._blend_buffers[0]
+    @staticmethod
+    def _other(buffers: List[np.ndarray], held: Optional[np.ndarray]) -> np.ndarray:
+        """The ping-pong buffer of ``buffers`` that is not ``held``."""
+        return buffers[1] if held is buffers[0] else buffers[0]
 
     # ------------------------------------------------------------------
     # Matching domain
     # ------------------------------------------------------------------
-    def _matching_reference(self, frame: np.ndarray) -> np.ndarray:
-        """The 8-bit representation of ``frame`` handed to the block matcher."""
-        return np.clip(np.rint(frame), 0.0, 255.0).astype(np.uint8)
+    def _matching_reference(self, frame: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The 8-bit representation of ``frame`` handed to the block matcher.
 
-    def _matching_reference_reused(self, frame: np.ndarray) -> np.ndarray:
-        """:meth:`_matching_reference` into the scratch reference buffer.
-
-        Safe because the previous reference is never read again once the
-        current frame's motion field has been estimated.  The
-        ``copyto(casting="unsafe")`` is the same C-truncation ``astype``
-        performs, applied to already-rounded, already-clipped values.
+        A uint8 frame already *is* its 8-bit representation
+        (``clip(rint(float64(x))) == x`` exactly), so it is returned as it
+        is.  Any other frame is rounded, clipped and narrowed into the uint8
+        buffer ``out``; the ``copyto(casting="unsafe")`` is the same
+        C-truncation ``astype`` performs, applied to already-rounded,
+        already-clipped values.
         """
+        if frame.dtype == np.uint8:
+            return frame
         np.rint(frame, out=self._float_scratch)
         if not self.output_in_unit8_range:
             # Rounded in-range values are already in [0, 255]; the clip
             # pass only matters when some frame arrived as raw float.
             np.clip(self._float_scratch, 0.0, 255.0, out=self._float_scratch)
-        np.copyto(self._reference_buffer, self._float_scratch, casting="unsafe")
-        return self._reference_buffer
-
-    def _current_matching_reference(self, raw: np.ndarray, current: np.ndarray) -> np.ndarray:
-        """Matching-domain view of the frame being denoised.
-
-        A raw uint8 capture already *is* its 8-bit matching representation
-        (``clip(rint(float64(x))) == x`` exactly), so it goes to the matcher
-        without the rint/clip/astype round-trip the float view would pay.
-        """
-        if raw.dtype == np.uint8:
-            return raw
-        return self._matching_reference(current)
+        np.copyto(out, self._float_scratch, casting="unsafe")
+        return out
 
     def process(self, luma: np.ndarray, **context) -> Tuple[np.ndarray, Optional[MotionField]]:
         """Denoise ``luma`` and return ``(denoised, motion_field)``.
@@ -185,20 +177,23 @@ class TemporalDenoiseStage:
         else:
             current = self._current_f64
             np.copyto(current, raw)
+        out = self._other(self._blend_buffers, self._previous_denoised)
+        # The previous reference is dead once the field is estimated, so the
+        # current frame's reference and the next one share a buffer.
+        reference = self._other(self._reference_buffers, self._previous_reference)
         if is_first:
             self.last_motion_field = None
             self.last_motion_ops = 0
             self.last_motion_s = 0.0
             self.last_blend_s = 0.0
-            out = self._next_blend_buffer()
             np.copyto(out, current)
             self._previous_denoised = out
-            self._previous_reference = self._matching_reference_reused(out)
+            self._previous_reference = self._matching_reference(out, reference)
             return out, None
 
         start = time.perf_counter()
         field = self._matcher.estimate(
-            self._current_matching_reference(raw, current), self._previous_reference
+            self._matching_reference(current, reference), self._previous_reference
         )
         self.last_motion_s = time.perf_counter() - start
         self.last_motion_field = field
@@ -206,11 +201,11 @@ class TemporalDenoiseStage:
 
         start = time.perf_counter()
         denoised = self._motion_compensated_blend(
-            current, self._previous_denoised, field, self._next_blend_buffer()
+            current, self._previous_denoised, field, out
         )
         self.last_blend_s = time.perf_counter() - start
         self._previous_denoised = denoised
-        self._previous_reference = self._matching_reference_reused(denoised)
+        self._previous_reference = self._matching_reference(denoised, reference)
         return denoised, field
 
     # ------------------------------------------------------------------

@@ -67,11 +67,9 @@ def motion_compensated_blend(
     ):
         return out
 
-    copied = False
     rows_full = height // block
     cols_full = width // block
     if rows_full and cols_full:
-        pool = scratch if scratch is not None else KernelScratch()
         vectors = field.vectors[:rows_full, :cols_full]
         # The block content came from (x - u, y - v) in the previous frame
         # (forward-motion convention).
@@ -89,83 +87,25 @@ def motion_compensated_blend(
             & (src_x + block <= width)
         )
         rows_idx, cols_idx = np.nonzero(valid)
-        if rows_idx.size:
-            # Displacement of each valid block in pixels (the same rounded
-            # offsets the gathers use).  Real motion fields are coherent —
-            # typically one displacement (usually (0, 0)) covers nearly every
-            # block — so the dominant group is blended with one whole-frame
-            # element-wise pass over *views* of both frames, and only the
-            # leftover blocks pay the per-block gather.  Element-wise blends
-            # and exact value moves keep the result bit-identical to the
-            # all-gather path and the scalar reference.
-            disp_y = src_y[rows_idx, cols_idx] - rows_idx * block
-            disp_x = src_x[rows_idx, cols_idx] - cols_idx * block
-            disp_keys = (disp_y + height) * (2 * width + 1) + (disp_x + width)
-            unique_keys, first_index, key_counts = np.unique(
-                disp_keys, return_index=True, return_counts=True
+        if rows_idx.size * 3 >= rows_full * cols_full:
+            # Valid blocks tile at least a third of the grid (the common
+            # case): gather only the *source* side and write straight
+            # through a blocked view of ``out`` — no destination indices,
+            # no scatter, no current-frame gather.  The dense pass
+            # overwrites the whole full-block grid, so only the ragged edge
+            # strips need the ``current`` pre-fill.
+            grid_y = rows_full * block
+            grid_x = cols_full * block
+            out[grid_y:, :] = current[grid_y:, :]
+            out[:grid_y, grid_x:] = current[:grid_y, grid_x:]
+            _blend_dense(
+                out, current, previous, src_y, src_x, valid,
+                rows_full, cols_full, block, strength,
             )
-            dominant = int(np.argmax(key_counts))
-            total_blocks = rows_full * cols_full
-            use_dominant = key_counts[dominant] * 2 >= total_blocks
-            if not use_dominant and rows_idx.size * 3 >= total_blocks:
-                # No single displacement dominates, but valid blocks tile
-                # most of the grid: gather only the *source* side and write
-                # straight through a blocked view of ``out`` — no destination
-                # indices, no scatter, no current-frame gather.  The dense
-                # pass overwrites the whole full-block grid, so only the
-                # ragged edge strips need the ``current`` pre-fill.
-                grid_y = rows_full * block
-                grid_x = cols_full * block
-                out[grid_y:, :] = current[grid_y:, :]
-                out[:grid_y, grid_x:] = current[:grid_y, grid_x:]
-                copied = True
-                _blend_dense(
-                    out, current, previous, src_y, src_x, valid,
-                    rows_full, cols_full, block, strength,
-                )
-                rows_idx = rows_idx[:0]
-                cols_idx = cols_idx[:0]
-            if not copied:
-                np.copyto(out, current)
-                copied = True
-            if use_dominant:
-                member = disp_keys == unique_keys[dominant]
-                dy = int(disp_y[first_index[dominant]])
-                dx = int(disp_x[first_index[dominant]])
-                # The in-bounds destination rectangle for this displacement;
-                # every member block lies inside it by the validity check, so
-                # one element-wise pass over frame views blends them all.
-                # ``out`` never aliases ``current``/``previous`` (documented
-                # contract), so the blend lands directly in ``out``.
-                y_lo, y_hi = max(0, -dy), height - max(0, dy)
-                x_lo, x_hi = max(0, -dx), width - max(0, dx)
-                dst_view = out[y_lo:y_hi, x_lo:x_hi]
-                cur_view = current[y_lo:y_hi, x_lo:x_hi]
-                ref_view = previous[y_lo + dy : y_hi + dy, x_lo + dx : x_hi + dx]
-                ref_term = pool.get("blend_full", (height, width), np.float64)[
-                    y_lo:y_hi, x_lo:x_hi
-                ]
-                np.multiply(cur_view, 1.0 - strength, out=dst_view)
-                np.multiply(ref_view, strength, out=ref_term)
-                dst_view += ref_term
-                # The rectangle also swept over non-member pixels — blocks of
-                # other displacement groups, invalid blocks and the ragged
-                # edge strips.  Restore those to ``current`` (cheap: the
-                # dominant group covers at least half the grid), then blend
-                # the leftover valid groups through the gather path.
-                member_grid = pool.get(
-                    "blend_member", (rows_full, cols_full), np.bool_
-                )
-                member_grid[:] = False
-                member_grid[rows_idx[member], cols_idx[member]] = True
-                restore_r, restore_c = np.nonzero(~member_grid)
-                _restore_blocks(out, current, restore_r, restore_c, block)
-                _restore_edges(
-                    out, current, rows_full * block, cols_full * block,
-                    y_lo, y_hi, x_lo, x_hi,
-                )
-                rows_idx = rows_idx[~member]
-                cols_idx = cols_idx[~member]
+        else:
+            # A sparse field (scene cuts, occlusions): the per-block gather
+            # touches only the valid blocks.
+            np.copyto(out, current)
             if rows_idx.size:
                 _blend_gathered(
                     out,
@@ -180,10 +120,9 @@ def motion_compensated_blend(
                     block,
                     width,
                     strength,
-                    pool,
+                    scratch if scratch is not None else KernelScratch(),
                 )
-
-    if not copied:
+    else:
         np.copyto(out, current)
 
     # Ragged frame edge: the partial blocks of the bottom row / right column
@@ -297,28 +236,6 @@ def _restore_blocks(
         out[y0 : y0 + block, x0 : x0 + block] = current[
             y0 : y0 + block, x0 : x0 + block
         ]
-
-
-def _restore_edges(
-    out: np.ndarray,
-    current: np.ndarray,
-    grid_y: int,
-    grid_x: int,
-    y_lo: int,
-    y_hi: int,
-    x_lo: int,
-    x_hi: int,
-) -> None:
-    """Copy ``current`` back over the ragged edge strips the whole-rectangle
-    blend swept through (rows below ``grid_y`` / columns right of ``grid_x``,
-    clipped to the blended rectangle)."""
-    if y_hi > grid_y:
-        lo = max(y_lo, grid_y)
-        out[lo:y_hi, x_lo:x_hi] = current[lo:y_hi, x_lo:x_hi]
-    if x_hi > grid_x:
-        lo = max(x_lo, grid_x)
-        top = min(y_hi, grid_y)
-        out[y_lo:top, lo:x_hi] = current[y_lo:top, lo:x_hi]
 
 
 def _blend_gathered(

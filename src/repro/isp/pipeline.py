@@ -41,8 +41,6 @@ class ISPConfig:
 
     #: Euphrates augmentation: write MVs to the frame-buffer metadata.
     expose_motion_vectors: bool = True
-    #: Enable the temporal-denoise stage (the MV producer).
-    temporal_denoise: bool = True
     block_matching: BlockMatchingConfig = BlockMatchingConfig()
     #: ISP clock in Hz (Table 1: 768 MHz).
     clock_hz: float = 768e6
@@ -61,18 +59,14 @@ class ISPConfig:
     @property
     def total_power_w(self) -> float:
         """ISP power including the motion-estimation overhead."""
-        if not self.temporal_denoise:
-            return self.active_power_w
         return self.active_power_w * (1.0 + self.motion_estimation_power_overhead)
 
 
 class ProcessedFrame:
     """Output of the ISP for one frame.
 
-    ``rgb`` is lazy: the luma-only hot path (:meth:`ISPPipeline.process_luma`)
-    never materialises an RGB image — consumers that do ask for one get the
-    luma plane replicated across three channels, computed on first access.
-    The RAW path (:meth:`ISPPipeline.process`) supplies the real RGB output.
+    ``rgb`` is the RGB image of a RAW capture (:meth:`ISPPipeline.process`);
+    frames that enter in the luma domain have none.
     """
 
     def __init__(
@@ -82,7 +76,6 @@ class ProcessedFrame:
         motion_field: Optional[MotionField],
         total_ops: float,
         motion_ops: float,
-        rgb: Optional[np.ndarray] = None,
     ) -> None:
         self.frame_index = frame_index
         self.luma = luma
@@ -91,13 +84,7 @@ class ProcessedFrame:
         self.total_ops = total_ops
         #: Operations spent on motion estimation alone.
         self.motion_ops = motion_ops
-        self._rgb = rgb
-
-    @property
-    def rgb(self) -> np.ndarray:
-        if self._rgb is None:
-            self._rgb = np.repeat(self.luma[:, :, None], 3, axis=2)
-        return self._rgb
+        self.rgb: Optional[np.ndarray] = None
 
 
 class ISPPipeline:
@@ -146,111 +133,66 @@ class ISPPipeline:
         return buffer
 
     # ------------------------------------------------------------------
-    # Main entry point
+    # Frame path
     # ------------------------------------------------------------------
     def process(self, raw: RawFrame) -> ProcessedFrame:
-        """Run the full ISP pipeline on one RAW capture and commit it."""
+        """Run the Bayer and RGB stages on one RAW capture and commit its luma.
+
+        The luma plane goes through :meth:`process_luma`, so it lives in the
+        same commit ring: it stays valid while its frame-buffer entry is
+        resident.  The result also carries the RGB image.
+        """
         image: np.ndarray = raw.bayer
         context = {"channel_map": raw.channel_map}
-        pixel_count = float(image.size)
-        total_ops = 0.0
-
-        for stage in self.bayer_stages:
+        for stage in self.bayer_stages + self.rgb_stages:
             image = stage.process(image, **context)
-            total_ops += stage.ops_per_pixel * pixel_count
-
-        rgb = image
-        for stage in self.rgb_stages:
-            rgb = stage.process(rgb, **context)
-            total_ops += stage.ops_per_pixel * pixel_count
-
-        luma = rgb_to_luma(rgb, output_format=self.config.frame_format)
-        total_ops += 2.0 * pixel_count
-
-        motion_field: Optional[MotionField] = None
-        motion_ops = 0.0
-        if self.config.temporal_denoise:
-            luma, motion_field = self.denoise_stage.process(luma)
-            motion_ops = float(self.denoise_stage.last_motion_ops)
-            total_ops += motion_ops + self.denoise_stage.ops_per_pixel * pixel_count
-            if self.config.frame_format is not None:
-                # The DRAM store is fixed-point: the committed frame lies on
-                # the datapath lattice like every other stage output.
-                luma = self.config.frame_format.quantize(luma)
-            else:
-                # The denoise stage recycles its output buffers; the
-                # committed frame must own its pixels.
-                luma = np.array(luma, dtype=np.float64, copy=True)
-
-        exposed_field = motion_field if self.config.expose_motion_vectors else None
-        entry = FrameBufferEntry(
-            frame_index=raw.frame_index,
-            pixels=luma,
-            motion_field=exposed_field,
-            pixel_format=self.config.frame_format,
+        processed = self.process_luma(
+            rgb_to_luma(image, output_format=self.config.frame_format),
+            raw.frame_index,
         )
-        self.frame_buffer.push(entry)
-        self.frames_processed += 1
+        processed.rgb = image
+        return processed
 
-        return ProcessedFrame(
-            frame_index=raw.frame_index,
-            luma=luma,
-            rgb=rgb,
-            motion_field=exposed_field,
-            total_ops=total_ops,
-            motion_ops=motion_ops,
-        )
-
-    # ------------------------------------------------------------------
-    # Lightweight path used by the large-scale experiments
-    # ------------------------------------------------------------------
     def process_luma(self, luma: np.ndarray, frame_index: int) -> ProcessedFrame:
-        """Process a frame that is already in the luma domain.
+        """Denoise a luma frame, commit it to the frame buffer and return it.
 
-        The full RAW -> RGB -> luma path exists for functional fidelity, but
-        the accuracy experiments only need the motion vectors and the luma
-        pixels.  This method skips the Bayer/RGB stages (their effect on the
-        luma plane is nearly identity for synthetic scenes) while keeping the
-        temporal-denoise stage and all the traffic/compute accounting, which
-        is what the SoC-level results depend on.
+        Frames enter here directly when the Bayer/RGB stages can be skipped
+        (their effect on the luma plane is nearly identity for synthetic
+        scenes); the stages' operations are still counted, so the SoC-level
+        accounting is that of the full path.  uint8 frames are passed
+        through unconverted: the temporal-denoise stage matches them as
+        they are and widens them only inside the blend.
 
-        uint8 frames are passed through *unconverted*: the temporal-denoise
-        stage widens to float64 exactly once for the blend while matching the
-        raw 8-bit frame as it is, so the per-frame ``astype(float64)`` copy
-        the pipeline's hot loop used to pay is gone.
+        The committed pixels live in a ring of ``depth + 1`` buffers, valid
+        while the frame's entry is resident in the frame buffer; consumers
+        that need a frame for longer copy it.
         """
         luma = np.asarray(luma)
         pixel_count = float(luma.size)
         total_ops = sum(s.ops_per_pixel for s in self.bayer_stages + self.rgb_stages)
         total_ops = total_ops * pixel_count + 2.0 * pixel_count
 
-        motion_field: Optional[MotionField] = None
-        motion_ops = 0.0
         committed = self._next_committed_buffer(luma.shape)
-        if self.config.temporal_denoise:
-            denoised, motion_field = self.denoise_stage.process(luma)
-            motion_ops = float(self.denoise_stage.last_motion_ops)
-            total_ops += motion_ops + self.denoise_stage.ops_per_pixel * pixel_count
-            if self.config.frame_format is not None:
-                # Fixed-point DRAM store, as in :meth:`process`.  Quantizes
-                # into the commit ring: the denoise output is scratch the
-                # stage will recycle.  When the stream is all-uint8 the
-                # denoise output provably fits the format's range, so the
-                # quantizer's saturation pass is skipped (an exact no-op).
-                self.config.frame_format.quantize(
-                    denoised,
-                    out=committed,
-                    assume_in_range=(
-                        self.denoise_stage.output_in_unit8_range
-                        and self.config.frame_format.max_value >= 255.0
-                    ),
-                )
-            else:
-                np.copyto(committed, denoised)
+        denoised, motion_field = self.denoise_stage.process(luma)
+        motion_ops = float(self.denoise_stage.last_motion_ops)
+        total_ops += motion_ops + self.denoise_stage.ops_per_pixel * pixel_count
+        if self.config.frame_format is not None:
+            # The DRAM store is fixed-point: the committed frame lies on the
+            # datapath lattice like every other stage output.  Quantizes
+            # into the commit ring: the denoise output is scratch the stage
+            # will recycle.  When the stream is all-uint8 the denoise output
+            # provably fits the format's range, so the quantizer's
+            # saturation pass is skipped (an exact no-op).
+            self.config.frame_format.quantize(
+                denoised,
+                out=committed,
+                assume_in_range=(
+                    self.denoise_stage.output_in_unit8_range
+                    and self.config.frame_format.max_value >= 255.0
+                ),
+            )
         else:
-            # Without the denoise stage nothing downstream widens the frame,
-            # so keep the legacy float64 contract for the committed pixels.
-            np.copyto(committed, luma)
+            np.copyto(committed, denoised)
 
         exposed_field = motion_field if self.config.expose_motion_vectors else None
         entry = FrameBufferEntry(

@@ -53,9 +53,12 @@ class NCCTemplateTracker:
     # Lifecycle
     # ------------------------------------------------------------------
     def initialize(self, frame: np.ndarray, box: BoundingBox) -> None:
-        """Capture the template from the first frame's annotation."""
+        """Capture the template from the first frame's annotation.
+
+        The template is a copy: ``frame`` may be a buffer the ISP recycles.
+        """
         self._box = box.round()
-        self._template = self._crop(frame, self._box)
+        self._template = self._crop(frame, self._box).copy()
 
     @property
     def is_initialized(self) -> bool:

@@ -68,6 +68,16 @@ class TestNCCTemplateTracker:
         result = tracker.track(frame)
         assert result.box.iou(box) > 0.9
 
+    def test_template_outlives_its_frame_buffer(self):
+        """The ISP recycles committed frames; the template must not alias one."""
+        tracker = NCCTemplateTracker(NCCTrackerConfig(template_update_rate=0))
+        frame = _scene_with_square(40, 30)
+        scene = frame.copy()
+        box = BoundingBox(40, 30, 20, 20)
+        tracker.initialize(frame, box)
+        frame[:] = 0.0  # the buffer is overwritten by a later frame
+        assert tracker.track(scene).box.iou(box) > 0.9
+
     def test_result_stays_inside_frame(self):
         tracker = NCCTemplateTracker(NCCTrackerConfig(search_radius=10))
         frame = _scene_with_square(95, 55, size=20)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
+import pytest
 
 from repro.isp.denoise import TemporalDenoiseConfig, TemporalDenoiseStage
 from repro.motion.block_matching import BlockMatchingConfig
+from repro.motion.kernels import resolve_kernel_backend
 
 
 def _noisy(frame: np.ndarray, sigma: float, seed: int) -> np.ndarray:
@@ -56,6 +60,33 @@ class TestTemporalDenoise:
         stage.process(small_sequence.frame(0).astype(float))
         _, field = stage.process(np.zeros((64, 64)))
         assert field is None
+
+
+class TestSteadyStateAllocation:
+    def test_float_frames_allocate_under_one_byte_per_pixel(self):
+        """Float frames (the RAW path's luma) reuse the stage's buffers too."""
+        if resolve_kernel_backend("c") != "c":
+            pytest.skip("the C kernels are not available")
+        rng = np.random.default_rng(5)
+        clean = np.kron(rng.uniform(40, 220, (12, 20)), np.ones((16, 16)))
+        frames = [_noisy(clean, 4.0, seed) for seed in range(8)]
+        stage = TemporalDenoiseStage(
+            TemporalDenoiseConfig(block_matching=BlockMatchingConfig(kernel_backend="c"))
+        )
+        for frame in frames[:3]:
+            stage.process(frame)
+        worst = 0
+        tracemalloc.start()
+        try:
+            for frame in frames[3:]:
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                stage.process(frame)
+                _, peak = tracemalloc.get_traced_memory()
+                worst = max(worst, peak - before)
+        finally:
+            tracemalloc.stop()
+        assert worst / clean.size < 1.0
 
 
 class TestSRAMAccounting:

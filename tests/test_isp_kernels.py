@@ -6,15 +6,17 @@ kernels must match them exactly, and the compiled C blend
 (:mod:`repro.motion.ckernels`) must match both.  Every comparison is
 ``np.array_equal`` — bit-identity, never a tolerance.
 
-Coverage steers the numpy blend through all three of its internal paths:
+The numpy blend picks one of two strategies from the valid-block count:
 
-* **dominant** — one displacement covers at least half the macroblock grid
-  (whole-rectangle view blend + restore);
-* **dense** — many distinct displacements but a near-dense valid grid
-  (source-only gather through blocked destination views);
-* **sparse** — few valid blocks (pooled flat-index gather/scatter);
+* **dense** — at least a third of the full blocks are valid (source-only
+  gather through blocked destination views, then invalid blocks restored);
+* **gathered** — fewer valid blocks (pooled flat-index gather/scatter).
 
-plus Q8.4 fixed-point frames, fractional float frames, ragged frame edges,
+The field modes feed both: ``dominant`` (one displacement covering most of
+the grid, as in a pan), ``dense`` (scattered displacements) and ``zero``
+(``search_range=0``) fields take the dense strategy, ``sparse`` fields the
+gathered one.  Inputs also cover Q8.4 fixed-point frames, fractional float
+frames, ragged frame edges,
 ``search_range=0`` fields, non-contiguous output buffers and scratch-pool
 reuse across frames.  A pinned end-to-end run asserts the vectorization
 never moved the *energy model* (satellite requirement: ``fold_energy_breakdown``
@@ -67,12 +69,12 @@ def make_field(
     mode: str,
     search_range: int = 3,
 ) -> MotionField:
-    """A motion field crafted to steer the blend down one internal path.
+    """A motion field of one displacement structure.
 
-    ``mode`` picks the displacement structure: ``dominant`` makes one
-    displacement cover most of the grid, ``dense`` scatters displacements
-    over a near-fully-valid grid, ``sparse`` marks most blocks as bad
-    matches, and ``zero`` is the ``search_range=0`` degenerate field.
+    ``mode`` picks it: ``dominant`` makes one displacement cover most of the
+    grid, ``dense`` scatters displacements over a near-fully-valid grid,
+    ``sparse`` marks most blocks as bad matches, and ``zero`` is the
+    ``search_range=0`` degenerate field.
     """
     grid = MacroblockGrid(frame_width=width, frame_height=height, block_size=block)
     if mode == "zero":
@@ -98,7 +100,7 @@ def make_field(
 
 
 class TestBlendBitIdentity:
-    """numpy blend == scalar reference, across all internal paths."""
+    """numpy blend == scalar reference, across both strategies."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -135,7 +137,7 @@ class TestBlendBitIdentity:
         assert np.array_equal(got, expected)
 
     def test_search_range_zero_field(self):
-        """A zero field blends every block in place (the dominant (0,0) path)."""
+        """A zero field blends every block in place."""
         rng = np.random.default_rng(7)
         current = make_frame(rng, 32, 40, "q8.4")
         previous = make_frame(rng, 32, 40, "q8.4")

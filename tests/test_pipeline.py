@@ -127,10 +127,10 @@ class TestAdaptiveMode:
             session.submit(frame)
         session.finish()
         # The session's own clone observed disagreement at I-frames ...
-        assert session.window_controller.history
+        assert session.window_controller.observations
         # ... and run() learns in its own clone too, never in the pipeline's.
         pipeline.run(small_sequence)
-        assert controller.history == []
+        assert controller.observations == 0
 
     def test_adaptive_window_varies(self, tiny_tracking_dataset):
         controller = AdaptiveWindowController(initial_window=2, max_window=8)
@@ -249,7 +249,7 @@ class TestParallelRunDataset:
                 tracking_backend_for("mdnet")
             )
             results = pipeline.run_dataset(tiny_tracking_dataset, max_workers=workers)
-            assert pipeline.window_controller.history == []
+            assert pipeline.window_controller.observations == 0
             return [
                 (
                     [

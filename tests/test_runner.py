@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -79,17 +80,19 @@ class TestSweepRunnerCache:
         assert (runner.cache_misses, runner.cache_hits) == (1, 1)
 
     def test_distinct_points_miss(self, tiny_dataset):
+        from repro.core.spec import PipelineSpec
+
         runner = SweepRunner()
-        base = runner.run("tracking", "mdnet", tiny_dataset, 2, seed=1)
+        spec = PipelineSpec(extrapolation_window=2)
+        base = runner.run("tracking", "mdnet", tiny_dataset, spec=spec, seed=1)
         for kwargs in (
-            dict(window=4),
-            dict(window=2, seed=2),
-            dict(window=2, block_size=8),
-            dict(window=2, exhaustive_search=True),
-            dict(window="adaptive"),
+            dict(spec=replace(spec, extrapolation_window=4)),
+            dict(spec=spec, seed=2),
+            dict(spec=replace(spec, block_size=8)),
+            dict(spec=replace(spec, exhaustive_search=True)),
+            dict(spec=replace(spec, extrapolation_window="adaptive")),
         ):
-            window = kwargs.pop("window")
-            other = runner.run("tracking", "mdnet", tiny_dataset, window, **kwargs)
+            other = runner.run("tracking", "mdnet", tiny_dataset, **kwargs)
             assert other is not base
         assert runner.cache_hits == 0
         assert runner.cache_misses == 6
@@ -141,17 +144,21 @@ class TestSweepRunnerCache:
         from repro.core.spec import PipelineSpec
 
         runner = SweepRunner()
-        base = PipelineSpec(extrapolation_window=2)
-        tss = runner.run("tracking", "mdnet", tiny_dataset, spec=base, seed=1)
-        es = runner.run(
-            "tracking", "mdnet", tiny_dataset, spec=base, exhaustive_search=True, seed=1
-        )
-        # The override must produce (and cache) a genuinely different point.
-        assert es is not tss
+        base = PipelineSpec(extrapolation_window=2, block_size=8)
+        two = runner.run("tracking", "mdnet", tiny_dataset, spec=base, seed=1)
+        four = runner.run("tracking", "mdnet", tiny_dataset, 4, spec=base, seed=1)
+        # The window override must produce (and cache) a genuinely different
+        # point, and keep the passed spec's other fields.
+        assert four is not two
         assert runner.cache_misses == 2
         assert runner.run(
-            "tracking", "mdnet", tiny_dataset, 2, exhaustive_search=True, seed=1
-        ) is es
+            "tracking",
+            "mdnet",
+            tiny_dataset,
+            spec=replace(base, extrapolation_window=4),
+            seed=1,
+        ) is four
+        assert runner.run("tracking", "mdnet", tiny_dataset, 4, seed=1) is not four
 
     def test_unknown_task_and_window_rejected(self, tiny_dataset):
         runner = SweepRunner()

@@ -118,7 +118,7 @@ class TestRunIsASessionWrapper:
         assert controller.current_window > 2
         clone = controller.clone()
         assert clone.current_window == 2
-        assert clone.history == []
+        assert clone.observations == 0
 
     def test_standalone_sessions_do_not_contend(self, small_sequence):
         pipeline = PipelineSpec().build(tracking_backend_for("mdnet"))

@@ -67,8 +67,10 @@ class TestNormalization:
 
 
 class TestFromKwargs:
+    """The constructor takes the legacy ``build_pipeline`` keyword names."""
+
     def test_accepts_exactly_the_legacy_names(self):
-        spec = PipelineSpec.from_kwargs(
+        spec = PipelineSpec(
             extrapolation_window="adaptive",
             block_size=8,
             search_range=3,
@@ -84,7 +86,9 @@ class TestFromKwargs:
 
     def test_unknown_kwarg_is_a_type_error(self):
         with pytest.raises(TypeError, match="blok_size"):
-            PipelineSpec.from_kwargs(blok_size=8)
+            PipelineSpec(blok_size=8)  # type: ignore[call-arg]
+        with pytest.raises(TypeError, match="blok_size"):
+            PipelineSpec.from_preset("tuned-ci-energy", blok_size=8)
 
 
 class TestCliRoundTrip:

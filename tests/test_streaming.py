@@ -444,6 +444,19 @@ class TestShardedWorkers:
         assert report.shared_energy is not None
         assert 0.0 < report.aggregate_energy_j < report.aggregate_energy_upper_bound_j
 
+    def test_batch_bookkeeping_keeps_one_entry_per_shard(self, tiny_tracking_dataset):
+        """Counting I-frame batches keeps one id per shard, not one per batch."""
+        sequences = tiny_tracking_dataset.sequences
+        mux = StreamMultiplexer(
+            PipelineSpec(extrapolation_window=1).build(tracking_backend_for("mdnet")),
+            workers=2,
+            max_inference_batch=2,
+        )
+        _, report = mux.run_streams(sequences)
+        assert report.inference_batches >= sum(len(s) for s in sequences) // 2
+        assert sum(report.batch_sizes) == report.inference_frames
+        assert len(mux._last_batch_ids) == 2
+
     def test_single_worker_resolves_in_process(self, pipeline):
         mux = StreamMultiplexer(pipeline, workers=1)
         assert mux.workers == 1

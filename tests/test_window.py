@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.core.window import AdaptiveWindowController, ConstantWindowController
@@ -87,12 +89,15 @@ class TestAdaptiveWindowBehaviour:
         assert not controller.should_infer(1)
         assert controller.should_infer(2)
 
-    def test_history_recorded(self):
+    def test_state_stays_bounded(self):
+        """A long-lived stream's controller does not grow per I-frame."""
         controller = AdaptiveWindowController()
         controller.observe_disagreement(0.2)
-        controller.observe_disagreement(0.6)
-        assert len(controller.history) == 2
-        assert controller.history[0] == (2, 0.2)
+        size_after_one = len(pickle.dumps(controller))
+        for index in range(10_000):
+            controller.observe_disagreement(0.6 if index % 3 else 0.1)
+        assert len(pickle.dumps(controller)) <= size_after_one + 64
+        assert controller.observations == 10_001
 
     def test_name(self):
         assert AdaptiveWindowController().name == "EW-A"
