@@ -13,6 +13,13 @@ the ROI(s) from the previous frame, the extrapolator:
    non-rigid deformation, merging them back with a minimal bounding box.
 
 The result is the new ROI: ``R_F = R_{F-1} + MV_F``.
+
+Steps 1 and 2 depend only on a (sub-)ROI and the field, so
+:meth:`MotionExtrapolator.extrapolate_detections` measures every sub-ROI
+of every detection at once: in one call into the compiled
+``euph_roi_stats`` under the ``c`` kernel backend, or through
+:meth:`~repro.motion.motion_field.MotionField.roi_statistics` per sub-ROI
+under ``numpy``, with bit-identical results.  Steps 3 and 4 run in Python.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..motion import ckernels
+from ..motion.kernels import DEFAULT_KERNEL_BACKEND, resolve_kernel_backend
 from ..motion.motion_field import MotionField
 from .geometry import BoundingBox, MotionVector, ZERO_MOTION
 from .types import Detection
@@ -69,19 +78,36 @@ class ExtrapolationResult:
 
 
 class MotionExtrapolator:
-    """Implements Eqs. 1-3 plus sub-ROI deformation handling."""
+    """Implements Eqs. 1-3 plus sub-ROI deformation handling.
+
+    ``kernel_backend`` selects who computes Eqs. 1 and 2: ``c`` makes one
+    call per frame into :func:`repro.motion.ckernels.roi_stats` for every
+    sub-ROI of every ROI, ``numpy`` calls
+    :meth:`~repro.motion.motion_field.MotionField.roi_statistics` once per
+    sub-ROI.  Both give bit-identical results; the Eq. 3 filter, the shift,
+    the union and the clip run in Python either way.
+    """
 
     def __init__(
         self,
         config: ExtrapolationConfig | None = None,
         frame_width: Optional[int] = None,
         frame_height: Optional[int] = None,
+        kernel_backend: str = DEFAULT_KERNEL_BACKEND,
     ) -> None:
         self.config = config or ExtrapolationConfig()
         self.frame_width = frame_width
         self.frame_height = frame_height
         #: Total fixed-point operations performed so far (compute accounting).
         self.total_operations = 0.0
+        # Resolved here, so building the extrapolator pays the one-time compile.
+        self._compiled = resolve_kernel_backend(kernel_backend) == "c"
+
+    @property
+    def kernel_backend(self) -> str:
+        """The backend computing Eqs. 1 and 2 (``c`` only where the C
+        kernels were built)."""
+        return "c" if self._compiled else "numpy"
 
     # ------------------------------------------------------------------
     # Single-ROI extrapolation
@@ -98,37 +124,84 @@ class MotionExtrapolator:
         object across frames to get the recursive behaviour of Eq. 3.  When
         ``state`` is ``None`` a zero-motion prior is used.
         """
-        state = state or RoiMotionState()
+        return self._extrapolate([roi], motion_field, [state or RoiMotionState()])[0]
+
+    def _extrapolate(
+        self,
+        rois: Sequence[BoundingBox],
+        motion_field: MotionField,
+        states: Sequence[RoiMotionState],
+    ) -> List[ExtrapolationResult]:
+        """Extrapolate each ROI with its state, in order.
+
+        Eqs. 1 and 2 depend on the ROI and the field only, so every sub-ROI
+        of every ROI is measured first; the filter then runs ROI by ROI, so
+        a state two ROIs share sees the first one's update, as it would one
+        ROI at a time.
+        """
         rows, cols = self.config.sub_roi_grid
-        sub_rois = roi.split(rows, cols) if (rows, cols) != (1, 1) else [roi]
-
-        moved_sub_rois: List[BoundingBox] = []
-        motions: List[MotionVector] = []
-        confidences: List[float] = []
-        for sub in sub_rois:
-            average, confidence = motion_field.roi_statistics(sub)
-            motion = self._apply_confidence_filter(average, confidence, state)
-            moved_sub_rois.append(sub.shift(motion))
-            motions.append(motion)
-            confidences.append(confidence)
-
-        merged = BoundingBox.union_of(moved_sub_rois)
-        if self.config.clip_to_frame and self.frame_width and self.frame_height:
-            clipped = merged.clip(self.frame_width, self.frame_height)
-            if not clipped.is_empty():
-                merged = clipped
-
-        mean_motion = MotionVector(
-            sum(m.u for m in motions) / len(motions),
-            sum(m.v for m in motions) / len(motions),
+        per_roi = rows * cols
+        sub_rois = (
+            [sub for roi in rois for sub in roi.split(rows, cols)]
+            if per_roi > 1
+            else list(rois)
         )
-        mean_confidence = sum(confidences) / len(confidences)
+        statistics = self._roi_statistics(sub_rois, motion_field)
+        clip = self.config.clip_to_frame and self.frame_width and self.frame_height
 
-        state.filtered_motion = mean_motion
-        state.last_confidence = mean_confidence
-        self.total_operations += self.operations_per_roi(roi)
+        results: List[ExtrapolationResult] = []
+        for index, (roi, state) in enumerate(zip(rois, states)):
+            first = index * per_roi
+            moved_sub_rois: List[BoundingBox] = []
+            motions: List[MotionVector] = []
+            confidences: List[float] = []
+            for sub, (average, confidence) in zip(
+                sub_rois[first : first + per_roi], statistics[first : first + per_roi]
+            ):
+                motion = self._apply_confidence_filter(average, confidence, state)
+                moved_sub_rois.append(sub.shift(motion))
+                motions.append(motion)
+                confidences.append(confidence)
 
-        return ExtrapolationResult(box=merged, motion=mean_motion, confidence=mean_confidence)
+            merged = BoundingBox.union_of(moved_sub_rois)
+            if clip:
+                clipped = merged.clip(self.frame_width, self.frame_height)
+                if not clipped.is_empty():
+                    merged = clipped
+
+            mean_motion = MotionVector(
+                sum(m.u for m in motions) / len(motions),
+                sum(m.v for m in motions) / len(motions),
+            )
+            mean_confidence = sum(confidences) / len(confidences)
+
+            state.filtered_motion = mean_motion
+            state.last_confidence = mean_confidence
+            self.total_operations += self.operations_per_roi(roi)
+            results.append(
+                ExtrapolationResult(box=merged, motion=mean_motion, confidence=mean_confidence)
+            )
+        return results
+
+    def _roi_statistics(
+        self, rois: Sequence[BoundingBox], motion_field: MotionField
+    ) -> List[Tuple[MotionVector, float]]:
+        """Eq. 1 average motion and Eq. 2 confidence of every ROI."""
+        if self._compiled and rois:
+            grid = motion_field.grid
+            stats = ckernels.roi_stats(
+                motion_field.vectors,
+                motion_field.confidence(),
+                grid.frame_height,
+                grid.frame_width,
+                grid.block_size,
+                [(roi.x, roi.y, roi.width, roi.height) for roi in rois],
+            )
+            if stats is not None:
+                return [(MotionVector(u, v), confidence) for u, v, confidence in stats.tolist()]
+        # Also the path of an ROI with a coordinate that is not finite,
+        # so it raises where it always did.
+        return [motion_field.roi_statistics(roi) for roi in rois]
 
     def _apply_confidence_filter(
         self, average: MotionVector, confidence: float, state: RoiMotionState
@@ -176,12 +249,15 @@ class MotionExtrapolator:
         live = set(keys)
         for stale in [key for key in states if key not in live]:
             del states[stale]
-        extrapolated: List[Detection] = []
-        for key, detection in zip(keys, detections):
-            state = states.setdefault(key, RoiMotionState())
-            result = self.extrapolate_roi(detection.box, motion_field, state)
-            extrapolated.append(detection.as_extrapolated(result.box))
-        return extrapolated
+        results = self._extrapolate(
+            [detection.box for detection in detections],
+            motion_field,
+            [states.setdefault(key, RoiMotionState()) for key in keys],
+        )
+        return [
+            detection.as_extrapolated(result.box)
+            for detection, result in zip(detections, results)
+        ]
 
     # ------------------------------------------------------------------
     # Compute accounting (Sec. 3.2, "Computation Characteristics")

@@ -145,7 +145,10 @@ class EuphratesPipeline:
                 )
             ),
             extrapolator=MotionExtrapolator(
-                self.config.extrapolation, frame_width=width, frame_height=height
+                self.config.extrapolation,
+                frame_width=width,
+                frame_height=height,
+                kernel_backend=self.config.block_matching.kernel_backend,
             ),
             backend=session_backend,
             window_controller=(

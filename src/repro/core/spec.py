@@ -83,7 +83,8 @@ class PipelineSpec:
     #: Exhaustive-search candidate-scan policy
     #: (``full``/``pruned``/``histogram``).
     search_policy: str = "pruned"
-    #: Kernel backend of motion search and the denoise blend: ``c`` (the
+    #: Kernel backend of motion search, the denoise blend and the
+    #: extrapolator's ROI statistics: ``c`` (the
     #: default; compiled, degrades to numpy where it cannot be built) or
     #: ``numpy`` (the bit-exact oracle).  All backends are bit-identical,
     #: but the knob is part of :meth:`cache_key` anyway so cached artifacts

@@ -72,9 +72,11 @@ class MultiplexerReport:
     frames_processed: int
     inference_frames: int
     extrapolation_frames: int
+    #: I-frame batches the scheduler dispatched, the frames they held and
+    #: the largest one.
     inference_batches: int
-    #: Sizes of every I-frame batch the scheduler dispatched.
-    batch_sizes: List[int] = field(default_factory=list)
+    batched_frames: int = 0
+    max_batch_size: int = 0
     #: Modeled SoC energy per stream (present when the multiplexer was
     #: given an energy model; keyed by stream id).  Each breakdown prices
     #: that camera's frames on the modeled SoC — I-frames dispatched in a
@@ -96,9 +98,9 @@ class MultiplexerReport:
 
     @property
     def mean_batch_size(self) -> float:
-        if not self.batch_sizes:
+        if not self.inference_batches:
             return 0.0
-        return sum(self.batch_sizes) / len(self.batch_sizes)
+        return self.batched_frames / self.inference_batches
 
     # -- energy aggregates (no energy model => zeros) -------------------
     #
@@ -220,7 +222,9 @@ class StreamMultiplexer:
         #: in arrival order.
         self._meters: Dict[str, "CostMeter | None"] = {}
         self._results: Dict[str, SequenceResult] = {}
-        self._batch_sizes: List[int] = []
+        self._inference_batches = 0
+        self._batched_frames = 0
+        self._max_batch_size = 0
         #: shard -> id of its last counted I-frame batch.  Batch ids are
         #: unique per shard and a batch's records arrive together, so one id
         #: per shard is enough to count each batch once.
@@ -366,7 +370,9 @@ class StreamMultiplexer:
                 and self._last_batch_ids.get(record.shard) != record.batch_id
             ):
                 self._last_batch_ids[record.shard] = record.batch_id
-                self._batch_sizes.append(record.batch_size)
+                self._inference_batches += 1
+                self._batched_frames += record.batch_size
+                self._max_batch_size = max(self._max_batch_size, record.batch_size)
             meter = self._meters[record.key]
             if meter is not None and record.telemetry is not None:
                 # Price what actually happened, as it happens.
@@ -468,8 +474,9 @@ class StreamMultiplexer:
             frames_processed=sum(s.frames_processed for s in stats),
             inference_frames=sum(s.inference_frames for s in stats),
             extrapolation_frames=sum(s.extrapolation_frames for s in stats),
-            inference_batches=len(self._batch_sizes),
-            batch_sizes=list(self._batch_sizes),
+            inference_batches=self._inference_batches,
+            batched_frames=self._batched_frames,
+            max_batch_size=self._max_batch_size,
             stream_energy=stream_energy,
             shared_energy=shared_energy,
             queueing=queueing,

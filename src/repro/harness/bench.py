@@ -38,7 +38,12 @@ from ..core.spec import PipelineSpec
 from ..core.streaming import SCHEDULING_POLICIES
 from ..motion.kernels import KERNEL_BACKENDS
 from .perf import RESOLUTIONS, benchmark_motion_estimation
-from .pipeline_perf import SCHEDULES, benchmark_pipeline, measure_blend_speedup
+from .pipeline_perf import (
+    SCHEDULES,
+    benchmark_pipeline,
+    measure_blend_speedup,
+    measure_extrapolation_speedup,
+)
 from .stream_perf import FAULT_KINDS, benchmark_multiplexer, benchmark_serving
 from .trajectory import append_entry, applicable_floors, check_floors, stamp
 from .tune import TUNE_PRESETS, benchmark_tune
@@ -170,6 +175,10 @@ def _run_pipeline(args: argparse.Namespace) -> Tuple[dict, str]:
         result["blend_vs_reference"] = measure_blend_speedup(
             spec, result["height"], result["width"], args.seed
         )
+        if args.kernel_backend == "c":
+            result["extrapolation_vs_numpy"] = measure_extrapolation_speedup(
+                spec, result["height"], result["width"], args.seed
+            )
     return entry, args.kernel_backend
 
 
@@ -189,6 +198,11 @@ def _print_pipeline(entry: dict) -> None:
             f"{result['blend_vs_reference']['speedup']:.1f}x; "
             f"E-frame alloc: {result['e_frame_alloc_mb']:.1f} MB"
         )
+        if "extrapolation_vs_numpy" in result:
+            print(
+                f"  {result['resolution']} extrapolation vs numpy: "
+                f"{result['extrapolation_vs_numpy']['speedup']:.1f}x"
+            )
 
 
 # ----------------------------------------------------------------------

@@ -28,11 +28,13 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.backends import tracking_backend_for
+from ..core.extrapolation import MotionExtrapolator
 from ..core.profiler import STAGE_NAMES, StageProfiler
 from ..core.types import FrameKind
 from ..core.spec import PipelineSpec
 from ..isp.denoise import TemporalDenoiseConfig, TemporalDenoiseStage
 from ..isp.reference import reference_motion_compensated_blend
+from ..motion.block_matching import BlockMatcher
 from ..video.synthetic import SequenceConfig, SequenceGenerator
 from .perf import RESOLUTIONS
 
@@ -282,6 +284,53 @@ def measure_blend_speedup(spec: PipelineSpec, height: int, width: int, seed: int
     }
 
 
+def measure_extrapolation_speedup(
+    spec: PipelineSpec, height: int, width: int, seed: int, calls: int = 100
+) -> dict:
+    """Same-run speedup of the C extrapolation over the numpy path.
+
+    Times the steady-state :meth:`MotionExtrapolator.extrapolate_detections`
+    call of an E-frame under each backend: the clip's ROI against the motion
+    field of its second frame, whose confidence grid is already built, with
+    a warm filter state.  Passes of ``calls`` calls alternate between the
+    backends and each keeps its best of five; both must return the same
+    detections.
+    """
+    sequence = make_sequence(height, width, 2, seed=seed)
+    field = BlockMatcher(spec.block_matching_config()).estimate(
+        sequence.frame(1), sequence.frame(0)
+    )
+    detections = sequence.truth_detections(0)
+    extrapolators = {
+        backend: MotionExtrapolator(
+            spec.euphrates_config().extrapolation,
+            frame_width=width,
+            frame_height=height,
+            kernel_backend=backend,
+        )
+        for backend in ("c", "numpy")
+    }
+    states: Dict[str, dict] = {backend: {} for backend in extrapolators}
+    outputs = [
+        extrapolator.extrapolate_detections(detections, field, states[backend])
+        for backend, extrapolator in extrapolators.items()
+    ]
+    if outputs[0] != outputs[1]:
+        raise AssertionError("C extrapolation diverged from the numpy path")
+    best = {backend: float("inf") for backend in extrapolators}
+    for _ in range(5):
+        for backend, extrapolator in extrapolators.items():
+            start = time.perf_counter()
+            for _ in range(calls):
+                extrapolator.extrapolate_detections(detections, field, states[backend])
+            best[backend] = min(best[backend], (time.perf_counter() - start) / calls)
+    return {
+        "c_s": best["c"],
+        "numpy_s": best["numpy"],
+        "speedup": best["numpy"] / best["c"] if best["c"] > 0 else 0.0,
+    }
+
+
 # ----------------------------------------------------------------------
 # Per-stage profile table (the ``profile`` subcommand)
 # ----------------------------------------------------------------------
@@ -355,6 +404,7 @@ __all__ = [
     "make_sequence",
     "measure_blend_speedup",
     "measure_eframe_alloc_mb",
+    "measure_extrapolation_speedup",
     "profile_report",
     "run_session_timed",
 ]

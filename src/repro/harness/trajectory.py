@@ -151,6 +151,12 @@ FLOORS: Tuple[Floor, ...] = (
         16.0,
         _result("720p", "e_frame_alloc_mb"),
     ),
+    Floor(
+        "min_c_extrapolation_speedup_vs_numpy_720p",
+        "pipeline",
+        1.9,
+        _on_backend("c", _result("720p", "extrapolation_vs_numpy", "speedup")),
+    ),
 )
 
 DEFAULT_FLOORS: Dict[str, float] = {floor.key: floor.default for floor in FLOORS}

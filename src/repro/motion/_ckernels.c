@@ -1,6 +1,7 @@
 /*
- * Compiled kernels for 8-bit frames: three-step search, exhaustive search
- * and the motion-compensated denoise blend, loaded through ctypes by
+ * Compiled kernels of the frame path: three-step and exhaustive search on
+ * 8-bit frames, the motion-compensated denoise blend and the ROI
+ * statistics of extrapolation, loaded through ctypes by
  * repro.motion.ckernels.  Each returns exactly what its numpy counterpart
  * returns, bit for bit:
  *
@@ -9,8 +10,9 @@
  *     tail covers the rest, and whole rows where SSE2 is absent.
  *   - A candidate's SAD stops accumulating once the partial sum shows it
  *     cannot win, which changes the work spent, never the winner.
- *   - The blend must be built with -ffp-contract=off, so its multiply and
- *     add round separately, as numpy rounds them.
+ *   - The blend and the ROI statistics must be built with
+ *     -ffp-contract=off, so each multiply and add rounds separately, as
+ *     numpy rounds them; the ROI statistics also sum in numpy's order.
  *
  * Arrays are C-contiguous.  Frames are edge-padded the way BlockMatcher pads
  * them: to a whole macroblock grid, then by the search range d on every side.
@@ -395,4 +397,159 @@ void euph_blend(const void *current, int current_u8, const double *previous, lon
             }
         }
     }
+}
+
+/* ROI statistics: MotionField.roi_statistics for a batch of ROIs.  Every
+ * operation below mirrors one of the numpy path, in its order:
+ *
+ *   - Python's min and max return their first argument on a tie, numpy's
+ *     minimum, maximum and clip their second; only signed zeros differ.
+ *   - A block index is Python's int(x // L) clamped to the grid: the true
+ *     floor, also for negative x and exact multiples of L.
+ *   - Sums follow numpy's pairwise order for contiguous float64 arrays:
+ *     under 8 terms left to right, up to 128 in eight interleaved
+ *     accumulators, beyond that two halves split at a multiple of 8.  The
+ *     reduction adds the result to an initial 0.0. */
+
+static double py_min(double a, double b) { return b < a ? b : a; }
+static double py_max(double a, double b) { return b > a ? b : a; }
+static double np_min(double a, double b) { return a < b ? a : b; }
+static double np_max(double a, double b) { return a > b ? a : b; }
+
+/* min(max(int(x // L), 0), n - 1), or -1 when x is not finite (where
+ * Python's int() raises).  Below (n - 1) * L, x / L truncates to the true
+ * floor: for x < k * L the rounded quotient stays below the integer k,
+ * because the spacing of doubles just under k * L exceeds L times half
+ * their spacing just under k. */
+static long block_of(double x, double L, long n)
+{
+    if (x - x != 0.0)
+        return -1;
+    if (x < 0.0)
+        return 0;
+    if (x >= (double)(n - 1) * L)
+        return n - 1;
+    return (long)(x / L);
+}
+
+/* One ROI against the field: blocks [r0, r0 + nr) x [c0, c0 + nc) of a grid
+ * cols wide, and the box the overlap weights are measured against. */
+typedef struct {
+    const double *vectors, *alpha;
+    long cols, r0, c0, nc;
+    double L, height, width, left, top, right, bottom;
+    int ones; /* every weight 1.0: the overlap weights summed to zero */
+} roi_t;
+
+/* The four sums of roi_statistics: weights, u and v times weight, and
+ * confidence times weight. */
+typedef struct {
+    double w, u, v, a;
+} sums_t;
+
+static sums_t add(sums_t x, sums_t y)
+{
+    return (sums_t){x.w + y.w, x.u + y.u, x.v + y.v, x.a + y.a};
+}
+
+/* np.clip(min(end, far) - max(start, near), 0.0, None) of one block row
+ * or column, its end clipped to the frame. */
+static double overlap(double start, double L, double extent, double near, double far)
+{
+    double d = np_min(np_min(start + L, extent), far) - np_max(start, near);
+    return d > 0.0 ? d : 0.0;
+}
+
+/* Terms k0 .. k0 + n - 1 of the ROI's sums, row-major over its blocks. */
+static void roi_terms(const roi_t *roi, long k0, long n, sums_t *terms)
+{
+    long i = k0 / roi->nc, j = k0 % roi->nc;
+    for (long k = 0; k < n; ++k) {
+        long r = roi->r0 + i, c = roi->c0 + j, b = r * roi->cols + c;
+        double w = 1.0;
+        if (!roi->ones)
+            w = overlap((double)c * roi->L, roi->L, roi->width, roi->left, roi->right)
+                * overlap((double)r * roi->L, roi->L, roi->height, roi->top, roi->bottom);
+        terms[k] = (sums_t){w, roi->vectors[2 * b] * w, roi->vectors[2 * b + 1] * w,
+                            roi->alpha[b] * w};
+        if (++j == roi->nc) {
+            j = 0;
+            ++i;
+        }
+    }
+}
+
+static sums_t pairwise(const roi_t *roi, long k0, long n)
+{
+    if (n > 128) {
+        long half = n / 2 - (n / 2) % 8;
+        return add(pairwise(roi, k0, half), pairwise(roi, k0 + half, n - half));
+    }
+    sums_t terms[128], total = {-0.0, -0.0, -0.0, -0.0};
+    roi_terms(roi, k0, n, terms);
+    long k = 0;
+    if (n >= 8) {
+        sums_t r[8];
+        for (long m = 0; m < 8; ++m)
+            r[m] = terms[m];
+        for (k = 8; k < n - n % 8; k += 8)
+            for (long m = 0; m < 8; ++m)
+                r[m] = add(r[m], terms[k + m]);
+        total = add(add(add(r[0], r[1]), add(r[2], r[3])), add(add(r[4], r[5]), add(r[6], r[7])));
+    }
+    for (; k < n; ++k)
+        total = add(total, terms[k]);
+    return total;
+}
+
+/* For each of the n ROIs (x, y, width, height) the overlap-weighted mean
+ * motion (u, v) of Eq. 1 and the mean Eq. 2 confidence, into out (n x 3),
+ * from vectors (rows x cols x 2) and alpha (rows x cols) of a height x width
+ * frame tiled by L-pixel blocks.  Returns 0, or -1 when an ROI needs the
+ * block of a coordinate that is not finite. */
+int euph_roi_stats(const double *vectors, const double *alpha, long height, long width,
+                   long L, const double *rois, long n, double *out)
+{
+    long rows = (height + L - 1) / L, cols = (width + L - 1) / L;
+    double H = (double)height, W = (double)width, Lf = (double)L;
+    for (long q = 0; q < n; ++q) {
+        double x = rois[4 * q], y = rois[4 * q + 1], w = rois[4 * q + 2], h = rois[4 * q + 3];
+        /* BoundingBox.clip, then BoundingBox.from_corners. */
+        double left = py_min(py_max(x, 0.0), W), top = py_min(py_max(y, 0.0), H);
+        double right = py_min(py_max(x + w, 0.0), W), bottom = py_min(py_max(y + h, 0.0), H);
+        double cx = py_min(left, right), cy = py_min(top, bottom);
+        double cw = py_max(left, right) - cx, ch = py_max(top, bottom) - cy;
+        roi_t roi = {vectors, alpha, cols, 0, 0, 1, Lf, H, W, cx, cy, cx + cw, cy + ch, 0};
+        long r1, c1;
+        if (cw == 0.0 || ch == 0.0) {
+            /* Empty once clipped: the block nearest the unclipped centre,
+             * weighed against the unclipped box. */
+            r1 = roi.r0 = block_of(y + h / 2.0, Lf, rows);
+            c1 = roi.c0 = block_of(x + w / 2.0, Lf, cols);
+            roi.left = x;
+            roi.top = y;
+            roi.right = x + w;
+            roi.bottom = y + h;
+        } else {
+            /* An edge exactly on a block boundary stays out of the next block. */
+            roi.r0 = block_of(cy, Lf, rows);
+            roi.c0 = block_of(cx, Lf, cols);
+            r1 = block_of(py_max(roi.bottom - 1e-6, cy), Lf, rows);
+            c1 = block_of(py_max(roi.right - 1e-6, cx), Lf, cols);
+        }
+        if (roi.r0 < 0 || roi.c0 < 0 || r1 < 0 || c1 < 0)
+            return -1;
+        roi.nc = c1 - roi.c0 + 1;
+        long blocks = (r1 - roi.r0 + 1) * roi.nc;
+        sums_t sums = pairwise(&roi, 0, blocks);
+        if (0.0 + sums.w <= 0.0) {
+            roi.ones = 1;
+            sums = pairwise(&roi, 0, blocks);
+        }
+        double total = 0.0 + sums.w;
+        out[3 * q] = (0.0 + sums.u) / total;
+        out[3 * q + 1] = (0.0 + sums.v) / total;
+        out[3 * q + 2] = (0.0 + sums.a) / total;
+    }
+    return 0;
 }

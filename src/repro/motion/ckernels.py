@@ -1,4 +1,9 @@
-"""Build, cache and call the compiled 8-bit kernels of ``_ckernels.c``.
+"""Build, cache and call the compiled kernels of ``_ckernels.c``.
+
+The library holds the frame path's hot loops: motion search on 8-bit
+frames (:func:`estimate_u8`), the denoise blend (:func:`blend`) and the
+extrapolator's ROI statistics (:func:`roi_stats`), each bit-identical to
+its numpy counterpart.
 
 :func:`load` compiles ``_ckernels.c`` with the system C compiler the first
 time a process asks for it, caches the shared library in the
@@ -36,8 +41,9 @@ SOURCE = Path(__file__).with_name("_ckernels.c")
 CACHE_DIR = SOURCE.parent / "__pycache__"
 COMPILER = "cc"
 #: No ``-march=native``: the cache may be shared between hosts, and SSE2 is
-#: the x86-64 baseline.  ``-ffp-contract=off`` keeps the blend's multiply
-#: and add from fusing (GCC fuses them by default on aarch64).
+#: the x86-64 baseline.  ``-ffp-contract=off`` keeps the float64 multiplies
+#: and adds of the blend and the ROI statistics from fusing (GCC fuses them
+#: by default on aarch64).
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
 #: Exhaustive-search policy codes of ``euph_es_u8``, by ``SearchPolicy`` value.
@@ -51,6 +57,7 @@ _SIGNATURES = {
     "euph_tss_u8": (ctypes.c_int, [_P, _P, _L, _L, _L, _L, _P, _P]),
     "euph_es_u8": (ctypes.c_int, [_P, _P, _L, _L, _L, _L, _P, _P, _L, ctypes.c_int, _P, _P, _P]),
     "euph_blend": (None, [_P, ctypes.c_int, _P, _L, _L, _P, _P, _L, _D, _D, _P]),
+    "euph_roi_stats": (ctypes.c_int, [_P, _P, _L, _L, _L, _P, _L, _P]),
 }
 
 
@@ -173,3 +180,31 @@ def blend(current, previous, vectors, sad, block_size, max_sad, strength, out) -
         vectors.ctypes.data, sad.ctypes.data, block_size, max_sad, strength, out.ctypes.data,
     )
     return True
+
+
+def roi_stats(vectors, alpha, height, width, block_size, rois) -> Optional[np.ndarray]:
+    """Eqs. 1 and 2 for every ``(x, y, width, height)`` row of ``rois``.
+
+    ``vectors`` (``rows x cols x 2``) and ``alpha`` (``rows x cols``) are a
+    motion field and its confidence grid over a ``height x width`` frame
+    tiled by ``block_size`` blocks.  Returns an ``(n, 3)`` array of ``u``,
+    ``v`` and confidence, each bit-identical to
+    :meth:`~repro.motion.motion_field.MotionField.roi_statistics`, or
+    ``None`` when an ROI needs the block of a coordinate that is not finite
+    (where the numpy path raises).
+    """
+    grid = (-(-height // block_size), -(-width // block_size))
+    vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+    alpha = np.ascontiguousarray(alpha, dtype=np.float64)
+    rois = np.ascontiguousarray(rois, dtype=np.float64)
+    if vectors.shape != grid + (2,) or alpha.shape != grid or rois.ndim != 2 or rois.shape[1] != 4:
+        raise ValueError(
+            f"fields {vectors.shape} and {alpha.shape} and ROIs {rois.shape} do not "
+            f"fit a {grid} block grid"
+        )
+    out = np.empty((rois.shape[0], 3), dtype=np.float64)
+    status = load().euph_roi_stats(
+        vectors.ctypes.data, alpha.ctypes.data, height, width, block_size,
+        rois.ctypes.data, rois.shape[0], out.ctypes.data,
+    )
+    return None if status else out

@@ -49,8 +49,9 @@ _GROUPED_OFFSET_LIMIT = 3
 
 #: Kernel backends selectable through ``PipelineSpec(kernel_backend=...)``.
 #: ``numpy`` is the oracle the compiled backend is property-tested against;
-#: ``c`` (the default) runs uint8 motion search and the denoise blend in
-#: the compiled kernels of :mod:`repro.motion.ckernels`.
+#: ``c`` (the default) runs uint8 motion search, the denoise blend and the
+#: extrapolator's ROI statistics in the compiled kernels of
+#: :mod:`repro.motion.ckernels`.
 KERNEL_BACKENDS = ("numpy", "c")
 
 #: The one default of ``PipelineSpec`` and ``BlockMatchingConfig``.

@@ -4,7 +4,9 @@ The ISP's temporal-denoising stage produces one motion vector and one SAD
 value per macroblock.  Euphrates packs these into the frame-buffer metadata
 (Sec. 4.2) and the motion controller consumes them for extrapolation
 (Sec. 3.2).  :class:`MotionField` is the in-memory representation of that
-metadata block.
+metadata block; its :meth:`~MotionField.roi_statistics` (Eqs. 1-2) is the
+numpy oracle of the compiled kernel the extrapolator calls under the ``c``
+backend.
 """
 
 from __future__ import annotations
@@ -198,6 +200,11 @@ class MotionField:
         weighted by each macroblock's overlap area with the ROI; one weight
         pass serves both.  The extrapolator queries every sub-ROI against
         the same field, which the memoized :meth:`confidence` grid serves.
+
+        This is the numpy oracle of the compiled ``euph_roi_stats``
+        (:func:`repro.motion.ckernels.roi_stats`), which repeats every
+        operation here in numpy's order, its pairwise sums included: a
+        change here must be made there too.
         """
         weights, rows, cols = self._roi_weights(roi)
         total = weights.sum()

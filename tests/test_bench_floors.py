@@ -69,6 +69,19 @@ PASSING = {
             }
         ],
     },
+    "pipeline_c": lambda: {
+        "benchmark": "pipeline",
+        "kernel_backend": "c",
+        "kernel_backend_active": "c",
+        "results": [
+            {
+                "resolution": "720p",
+                "blend_vs_reference": {"speedup": 99.0},
+                "e_frame_alloc_mb": 1.0,
+                "extrapolation_vs_numpy": {"speedup": 99.0},
+            }
+        ],
+    },
     "multi_stream": lambda: {
         "benchmark": "multi_stream",
         "per_stream": [
@@ -127,6 +140,9 @@ VIOLATE = {
     "max_pipeline_alloc_mb_per_eframe_720p": lambda e: _result(e, "720p").update(
         e_frame_alloc_mb=999.0
     ),
+    "min_c_extrapolation_speedup_vs_numpy_720p": lambda e: _result(e, "720p").update(
+        extrapolation_vs_numpy={"speedup": 1.0}
+    ),
 }
 
 
@@ -134,7 +150,7 @@ class TestSeeding:
     def test_fresh_trajectory_seeds_every_committed_floor(self, tmp_path):
         document = load_trajectory(tmp_path / "fresh.json")
         assert document["entries"] == []
-        assert len(document["floors"]) == len(FLOORS) == 14
+        assert len(document["floors"]) == len(FLOORS) == 15
         assert document["floors"] == DEFAULT_FLOORS
         assert DEFAULT_FLOORS == json.loads(COMMITTED.read_text())["floors"]
 
@@ -160,7 +176,7 @@ class TestFloorChecker:
 
     @pytest.mark.parametrize("floor", FLOORS, ids=lambda floor: floor.key)
     def test_violating_entry_is_reported(self, floor):
-        kind = "motion_estimation_c" if floor.key.startswith("min_c_") else floor.benchmark
+        kind = f"{floor.benchmark}_c" if floor.key.startswith("min_c_") else floor.benchmark
         entry = PASSING[kind]()
         VIOLATE[floor.key](entry)
         violations = check_floors(entry, DEFAULT_FLOORS)
@@ -185,6 +201,16 @@ class TestFloorChecker:
             result["es_pruned_speedup_vs_numpy"] = 0.5
             result["tss_speedup_vs_numpy"] = 0.5
         assert check_floors(entry, DEFAULT_FLOORS) == []
+        entry = PASSING["pipeline"]()
+        _result(entry, "720p")["extrapolation_vs_numpy"] = {"speedup": 0.5}
+        assert check_floors(entry, DEFAULT_FLOORS) == []
+
+    def test_c_pipeline_entry_must_time_the_extrapolation(self):
+        entry = PASSING["pipeline_c"]()
+        del _result(entry, "720p")["extrapolation_vs_numpy"]
+        (violation,) = check_floors(entry, DEFAULT_FLOORS)
+        assert violation.startswith("min_c_extrapolation_speedup_vs_numpy_720p:")
+        assert "not measured" in violation
 
     def test_es_vs_full_floors_follow_the_backend(self):
         """Each backend's pruning is held to its own pair of ES-vs-full

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from repro.core.backends import tracking_backend_for
+from repro.core.executor import FrameRecord
 from repro.core.spec import PipelineSpec
 from repro.core.streaming import StreamMultiplexer
+from repro.core.types import FrameKind
 
 from test_session import assert_results_identical
 
@@ -67,13 +71,13 @@ class TestScheduler:
         assert report.inference_batches > 0
         # All four streams start in phase (frame 0 is always an I-frame), so
         # the scheduler gets at least one full-width batch.
-        assert max(report.batch_sizes) == min(4, len(tiny_tracking_dataset))
-        assert sum(report.batch_sizes) == report.inference_frames
+        assert report.max_batch_size == min(4, len(tiny_tracking_dataset))
+        assert report.batched_frames == report.inference_frames
 
     def test_batch_cap_respected(self, pipeline, tiny_tracking_dataset):
         mux = StreamMultiplexer(pipeline, max_inference_batch=2)
         _, report = mux.run_streams(tiny_tracking_dataset.sequences)
-        assert max(report.batch_sizes) <= 2
+        assert report.max_batch_size <= 2
 
     def test_e_burst_bounds_per_round_work(self, tiny_tracking_dataset):
         """With burst=1, one pump round cannot drain a deep E-queue."""
@@ -454,8 +458,42 @@ class TestShardedWorkers:
         )
         _, report = mux.run_streams(sequences)
         assert report.inference_batches >= sum(len(s) for s in sequences) // 2
-        assert sum(report.batch_sizes) == report.inference_frames
+        assert report.batched_frames == report.inference_frames
         assert len(mux._last_batch_ids) == 2
+
+    def test_batch_bookkeeping_stays_bounded(self, pipeline):
+        """10,000 I-frame batch records leave the multiplexer's bookkeeping
+        the size it was: three counters, not one entry per batch."""
+        mux = StreamMultiplexer(pipeline)
+        stream = mux.add_stream(width=32, height=32)
+        records = [
+            FrameRecord(
+                shard="shard-0",
+                key=stream,
+                frame_index=index,
+                kind=FrameKind.INFERENCE,
+                batch_size=1 + index % 4,
+                batch_id=index,
+                busy_s=0.0,
+                wait_s=0.0,
+                telemetry=None,
+            )
+            for index in range(10_000)
+        ]
+        mux._absorb(records[:1])
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            mux._absorb(records[1:])
+            report = mux.report()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        mux.close()
+        assert (report.inference_batches, report.batched_frames) == (10_000, 25_000)
+        assert report.max_batch_size == 4
+        assert report.mean_batch_size == 2.5
+        assert after - before < 4_096
 
     def test_single_worker_resolves_in_process(self, pipeline):
         mux = StreamMultiplexer(pipeline, workers=1)
