@@ -137,9 +137,12 @@ class MotionExtrapolator:
         Eqs. 1 and 2 depend on the ROI and the field only, so every sub-ROI
         of every ROI is measured first; the filter then runs ROI by ROI, so
         a state two ROIs share sees the first one's update, as it would one
-        ROI at a time.
+        ROI at a time.  The arithmetic is that of
+        :meth:`MotionVector.blend` (Eq. 3), :meth:`BoundingBox.shift` and
+        :meth:`BoundingBox.union_of`, on plain floats.
         """
-        rows, cols = self.config.sub_roi_grid
+        config = self.config
+        rows, cols = config.sub_roi_grid
         per_roi = rows * cols
         sub_rois = (
             [sub for roi in rois for sub in roi.split(rows, cols)]
@@ -147,33 +150,40 @@ class MotionExtrapolator:
             else list(rois)
         )
         statistics = self._roi_statistics(sub_rois, motion_field)
-        clip = self.config.clip_to_frame and self.frame_width and self.frame_height
+        clip = config.clip_to_frame and self.frame_width and self.frame_height
 
         results: List[ExtrapolationResult] = []
         for index, (roi, state) in enumerate(zip(rois, states)):
             first = index * per_roi
-            moved_sub_rois: List[BoundingBox] = []
-            motions: List[MotionVector] = []
-            confidences: List[float] = []
-            for sub, (average, confidence) in zip(
+            prior = state.filtered_motion
+            us, vs, confidences, lefts, tops, rights, bottoms = [], [], [], [], [], [], []
+            for sub, (u, v, confidence) in zip(
                 sub_rois[first : first + per_roi], statistics[first : first + per_roi]
             ):
-                motion = self._apply_confidence_filter(average, confidence, state)
-                moved_sub_rois.append(sub.shift(motion))
-                motions.append(motion)
+                if config.use_confidence_filter:
+                    if confidence > config.confidence_threshold:
+                        beta = confidence
+                    else:
+                        beta = config.low_confidence_beta
+                    u = beta * u + (1.0 - beta) * prior.u
+                    v = beta * v + (1.0 - beta) * prior.v
+                left, top = sub.x + u, sub.y + v
+                us.append(u)
+                vs.append(v)
                 confidences.append(confidence)
+                lefts.append(left)
+                tops.append(top)
+                rights.append(left + sub.width)
+                bottoms.append(top + sub.height)
 
-            merged = BoundingBox.union_of(moved_sub_rois)
+            merged = BoundingBox.from_corners(min(lefts), min(tops), max(rights), max(bottoms))
             if clip:
                 clipped = merged.clip(self.frame_width, self.frame_height)
                 if not clipped.is_empty():
                     merged = clipped
 
-            mean_motion = MotionVector(
-                sum(m.u for m in motions) / len(motions),
-                sum(m.v for m in motions) / len(motions),
-            )
-            mean_confidence = sum(confidences) / len(confidences)
+            mean_motion = MotionVector(sum(us) / per_roi, sum(vs) / per_roi)
+            mean_confidence = sum(confidences) / per_roi
 
             state.filtered_motion = mean_motion
             state.last_confidence = mean_confidence
@@ -185,35 +195,26 @@ class MotionExtrapolator:
 
     def _roi_statistics(
         self, rois: Sequence[BoundingBox], motion_field: MotionField
-    ) -> List[Tuple[MotionVector, float]]:
-        """Eq. 1 average motion and Eq. 2 confidence of every ROI."""
-        if self._compiled and rois:
+    ) -> List[Tuple[float, float, float]]:
+        """Eq. 1 average motion ``(u, v)`` and Eq. 2 confidence of every ROI."""
+        if self._compiled:
             grid = motion_field.grid
-            stats = ckernels.roi_stats(
+            statistics = ckernels.roi_stats(
                 motion_field.vectors,
-                motion_field.confidence(),
+                motion_field.sad,
                 grid.frame_height,
                 grid.frame_width,
                 grid.block_size,
                 [(roi.x, roi.y, roi.width, roi.height) for roi in rois],
             )
-            if stats is not None:
-                return [(MotionVector(u, v), confidence) for u, v, confidence in stats.tolist()]
+            if statistics is not None:
+                return statistics
         # Also the path of an ROI with a coordinate that is not finite,
         # so it raises where it always did.
-        return [motion_field.roi_statistics(roi) for roi in rois]
-
-    def _apply_confidence_filter(
-        self, average: MotionVector, confidence: float, state: RoiMotionState
-    ) -> MotionVector:
-        """The Eq. 3 recursive filter on an already-averaged motion."""
-        if not self.config.use_confidence_filter:
-            return average
-        if confidence > self.config.confidence_threshold:
-            beta = confidence
-        else:
-            beta = self.config.low_confidence_beta
-        return average.blend(state.filtered_motion, beta)  # Eq. 3
+        return [
+            (average.u, average.v, confidence)
+            for average, confidence in map(motion_field.roi_statistics, rois)
+        ]
 
     # ------------------------------------------------------------------
     # Multi-ROI extrapolation (detection scenario)

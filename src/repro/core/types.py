@@ -36,7 +36,7 @@ class Detection:
 
     def as_extrapolated(self, box: BoundingBox) -> "Detection":
         """Return an extrapolated copy of this detection at a new location."""
-        return replace(self, box=box, extrapolated=True)
+        return Detection(box, self.label, self.score, self.object_id, extrapolated=True)
 
 
 @dataclass(frozen=True, slots=True)

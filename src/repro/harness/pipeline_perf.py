@@ -284,18 +284,17 @@ def measure_blend_speedup(spec: PipelineSpec, height: int, width: int, seed: int
     }
 
 
-def measure_extrapolation_speedup(
-    spec: PipelineSpec, height: int, width: int, seed: int, calls: int = 100
-) -> dict:
+def measure_extrapolation_speedup(spec: PipelineSpec, height: int, width: int, seed: int) -> dict:
     """Same-run speedup of the C extrapolation over the numpy path.
 
     Times the steady-state :meth:`MotionExtrapolator.extrapolate_detections`
     call of an E-frame under each backend: the clip's ROI against the motion
-    field of its second frame, whose confidence grid is already built, with
-    a warm filter state.  Passes of ``calls`` calls alternate between the
+    field of its second frame, with a warm filter state (and, for numpy, the
+    field's memoized confidence grid built).  Passes of 100 calls alternate between the
     backends and each keeps its best of five; both must return the same
     detections.
     """
+    calls = 100
     sequence = make_sequence(height, width, 2, seed=seed)
     field = BlockMatcher(spec.block_matching_config()).estimate(
         sequence.frame(1), sequence.frame(0)

@@ -154,7 +154,7 @@ FLOORS: Tuple[Floor, ...] = (
     Floor(
         "min_c_extrapolation_speedup_vs_numpy_720p",
         "pipeline",
-        1.9,
+        2.4,
         _on_backend("c", _result("720p", "extrapolation_vs_numpy", "speedup")),
     ),
 )

@@ -435,9 +435,9 @@ static long block_of(double x, double L, long n)
 /* One ROI against the field: blocks [r0, r0 + nr) x [c0, c0 + nc) of a grid
  * cols wide, and the box the overlap weights are measured against. */
 typedef struct {
-    const double *vectors, *alpha;
+    const double *vectors, *sad;
     long cols, r0, c0, nc;
-    double L, height, width, left, top, right, bottom;
+    double L, max_sad, height, width, left, top, right, bottom;
     int ones; /* every weight 1.0: the overlap weights summed to zero */
 } roi_t;
 
@@ -470,8 +470,10 @@ static void roi_terms(const roi_t *roi, long k0, long n, sums_t *terms)
         if (!roi->ones)
             w = overlap((double)c * roi->L, roi->L, roi->width, roi->left, roi->right)
                 * overlap((double)r * roi->L, roi->L, roi->height, roi->top, roi->bottom);
-        terms[k] = (sums_t){w, roi->vectors[2 * b] * w, roi->vectors[2 * b + 1] * w,
-                            roi->alpha[b] * w};
+        /* MotionField.confidence: np.clip(1 - SAD / max_sad, 0, 1). */
+        double alpha = 1.0 - roi->sad[b] / roi->max_sad;
+        alpha = alpha < 0.0 ? 0.0 : alpha > 1.0 ? 1.0 : alpha;
+        terms[k] = (sums_t){w, roi->vectors[2 * b] * w, roi->vectors[2 * b + 1] * w, alpha * w};
         if (++j == roi->nc) {
             j = 0;
             ++i;
@@ -504,14 +506,14 @@ static sums_t pairwise(const roi_t *roi, long k0, long n)
 
 /* For each of the n ROIs (x, y, width, height) the overlap-weighted mean
  * motion (u, v) of Eq. 1 and the mean Eq. 2 confidence, into out (n x 3),
- * from vectors (rows x cols x 2) and alpha (rows x cols) of a height x width
+ * from vectors (rows x cols x 2) and SADs (rows x cols) of a height x width
  * frame tiled by L-pixel blocks.  Returns 0, or -1 when an ROI needs the
  * block of a coordinate that is not finite. */
-int euph_roi_stats(const double *vectors, const double *alpha, long height, long width,
+int euph_roi_stats(const double *vectors, const double *sad, long height, long width,
                    long L, const double *rois, long n, double *out)
 {
     long rows = (height + L - 1) / L, cols = (width + L - 1) / L;
-    double H = (double)height, W = (double)width, Lf = (double)L;
+    double H = (double)height, W = (double)width, Lf = (double)L, max_sad = 255.0 * Lf * Lf;
     for (long q = 0; q < n; ++q) {
         double x = rois[4 * q], y = rois[4 * q + 1], w = rois[4 * q + 2], h = rois[4 * q + 3];
         /* BoundingBox.clip, then BoundingBox.from_corners. */
@@ -519,7 +521,7 @@ int euph_roi_stats(const double *vectors, const double *alpha, long height, long
         double right = py_min(py_max(x + w, 0.0), W), bottom = py_min(py_max(y + h, 0.0), H);
         double cx = py_min(left, right), cy = py_min(top, bottom);
         double cw = py_max(left, right) - cx, ch = py_max(top, bottom) - cy;
-        roi_t roi = {vectors, alpha, cols, 0, 0, 1, Lf, H, W, cx, cy, cx + cw, cy + ch, 0};
+        roi_t roi = {vectors, sad, cols, 0, 0, 1, Lf, max_sad, H, W, cx, cy, cx + cw, cy + ch, 0};
         long r1, c1;
         if (cw == 0.0 || ch == 0.0) {
             /* Empty once clipped: the block nearest the unclipped centre,

@@ -32,7 +32,7 @@ import subprocess
 import tempfile
 import warnings
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -182,29 +182,32 @@ def blend(current, previous, vectors, sad, block_size, max_sad, strength, out) -
     return True
 
 
-def roi_stats(vectors, alpha, height, width, block_size, rois) -> Optional[np.ndarray]:
-    """Eqs. 1 and 2 for every ``(x, y, width, height)`` row of ``rois``.
+def roi_stats(vectors, sad, height, width, block_size, rois) -> Optional[List[Tuple[float, ...]]]:
+    """Eqs. 1 and 2 for every ``(x, y, width, height)`` box of ``rois``.
 
-    ``vectors`` (``rows x cols x 2``) and ``alpha`` (``rows x cols``) are a
-    motion field and its confidence grid over a ``height x width`` frame
-    tiled by ``block_size`` blocks.  Returns an ``(n, 3)`` array of ``u``,
-    ``v`` and confidence, each bit-identical to
+    ``vectors`` (``rows x cols x 2``) and ``sad`` (``rows x cols``) are a
+    motion field over a ``height x width`` frame tiled by ``block_size``
+    blocks.  Returns one ``(u, v, confidence)`` per box, each value
+    bit-identical to
     :meth:`~repro.motion.motion_field.MotionField.roi_statistics`, or
-    ``None`` when an ROI needs the block of a coordinate that is not finite
+    ``None`` when a box needs the block of a coordinate that is not finite
     (where the numpy path raises).
     """
     grid = (-(-height // block_size), -(-width // block_size))
     vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-    alpha = np.ascontiguousarray(alpha, dtype=np.float64)
-    rois = np.ascontiguousarray(rois, dtype=np.float64)
-    if vectors.shape != grid + (2,) or alpha.shape != grid or rois.ndim != 2 or rois.shape[1] != 4:
+    sad = np.ascontiguousarray(sad, dtype=np.float64)
+    corners = [value for box in rois for value in box]
+    if vectors.shape != grid + (2,) or sad.shape != grid or len(corners) != 4 * len(rois):
         raise ValueError(
-            f"fields {vectors.shape} and {alpha.shape} and ROIs {rois.shape} do not "
-            f"fit a {grid} block grid"
+            f"a field of {vectors.shape} vectors and {sad.shape} SADs and {len(rois)} boxes "
+            f"of {len(corners)} values do not fit a {grid} block grid and (x, y, w, h) boxes"
         )
-    out = np.empty((rois.shape[0], 3), dtype=np.float64)
+    out = (ctypes.c_double * (3 * len(rois)))()
     status = load().euph_roi_stats(
-        vectors.ctypes.data, alpha.ctypes.data, height, width, block_size,
-        rois.ctypes.data, rois.shape[0], out.ctypes.data,
+        vectors.ctypes.data, sad.ctypes.data, height, width, block_size,
+        (ctypes.c_double * len(corners))(*corners), len(rois), out,
     )
-    return None if status else out
+    if status:
+        return None
+    values = out[:]
+    return [tuple(values[index : index + 3]) for index in range(0, len(values), 3)]

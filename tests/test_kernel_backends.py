@@ -131,7 +131,7 @@ def _assert_roi_stats_match(field: MotionField, rois) -> None:
     grid = field.grid
     got = ckernels.roi_stats(
         field.vectors,
-        field.confidence(),
+        field.sad,
         grid.frame_height,
         grid.frame_width,
         grid.block_size,
@@ -143,14 +143,17 @@ def _assert_roi_stats_match(field: MotionField, rois) -> None:
 
 
 def _random_field(rng, width, height, block_size) -> MotionField:
-    """Integer and fractional vectors, some -0.0, and SADs up to half the
-    Eq. 2 maximum."""
+    """Integer and fractional vectors, some -0.0, and SADs from zero to past
+    the Eq. 2 maximum, where the confidence clips to 0."""
     grid = MacroblockGrid(width, height, block_size)
     vectors = rng.normal(0.0, 3.0, (grid.rows, grid.cols, 2))
     rounded = rng.random(vectors.shape) < 0.3
     vectors[rounded] = np.round(vectors[rounded])
     vectors[rng.random(vectors.shape) < 0.2] = -0.0
-    sad = rng.uniform(0.0, 127.5 * block_size * block_size, (grid.rows, grid.cols))
+    max_sad = 255.0 * block_size * block_size
+    sad = rng.uniform(0.0, 1.2 * max_sad, (grid.rows, grid.cols))
+    sad[rng.random(sad.shape) < 0.1] = 0.0
+    sad[rng.random(sad.shape) < 0.1] = max_sad
     return MotionField(vectors, sad, grid)
 
 
@@ -396,7 +399,7 @@ class TestRoiStatistics:
         """The numpy path raises there; the extrapolator falls back to it."""
         field = MotionField.zero(MacroblockGrid(64, 48, 16))
         for roi in ((np.nan, 0.0, 1.0, 1.0), (1e308, 0.0, 1.7e308, 0.0)):
-            assert ckernels.roi_stats(field.vectors, field.confidence(), 48, 64, 16, [roi]) is None
+            assert ckernels.roi_stats(field.vectors, field.sad, 48, 64, 16, [roi]) is None
         extrapolator = MotionExtrapolator(kernel_backend="c")
         assert extrapolator.kernel_backend == "c"
         with pytest.raises(ValueError, match="NaN"):
@@ -405,9 +408,9 @@ class TestRoiStatistics:
     def test_mismatched_arrays_are_refused(self):
         field = MotionField.zero(MacroblockGrid(64, 48, 16))
         with pytest.raises(ValueError, match="block grid"):
-            ckernels.roi_stats(field.vectors, field.confidence(), 48, 80, 16, [(0, 0, 1, 1)])
+            ckernels.roi_stats(field.vectors, field.sad, 48, 80, 16, [(0, 0, 1, 1)])
         with pytest.raises(ValueError, match="block grid"):
-            ckernels.roi_stats(field.vectors, field.confidence(), 48, 64, 16, [(0, 0, 1)])
+            ckernels.roi_stats(field.vectors, field.sad, 48, 64, 16, [(0, 0, 1)])
 
 
 class TestPairwiseSummation:
