@@ -432,7 +432,7 @@ static long block_of(double x, double L, long n)
     return (long)(x / L);
 }
 
-/* One ROI against the field: blocks [r0, r0 + nr) x [c0, c0 + nc) of a grid
+/* One ROI against the field: its blocks, nc columns from (r0, c0) of a grid
  * cols wide, and the box the overlap weights are measured against. */
 typedef struct {
     const double *vectors, *sad;
