@@ -251,3 +251,88 @@ def test_filtered_motion_never_exceeds_observed_or_prior(sad_fraction, u):
     displacement = result.box.center.x - roi.center.x
     low, high = min(0.0, u), max(0.0, u)
     assert low - 1e-6 <= displacement <= high + 1e-6
+
+
+def _hex(*values):
+    """Exact float representations (tell -0.0 from 0.0)."""
+    return tuple(float(value).hex() for value in values)
+
+
+def _reference_extrapolate(extrapolator, roi, field, state):
+    """One ROI, one frame, through the geometry primitives: the numpy
+    statistics, ``MotionVector.blend`` (Eq. 3), ``BoundingBox.shift`` and
+    ``BoundingBox.union_of``.  The extrapolator runs the same arithmetic on
+    plain floats."""
+    config = extrapolator.config
+    rows, cols = config.sub_roi_grid
+    subs = roi.split(rows, cols) if (rows, cols) != (1, 1) else [roi]
+    moved, motions, confidences = [], [], []
+    for sub in subs:
+        average, confidence = field.roi_statistics(sub)
+        motion = average
+        if config.use_confidence_filter:
+            beta = (
+                confidence
+                if confidence > config.confidence_threshold
+                else config.low_confidence_beta
+            )
+            motion = average.blend(state.filtered_motion, beta)
+        moved.append(sub.shift(motion))
+        motions.append(motion)
+        confidences.append(confidence)
+    merged = BoundingBox.union_of(moved)
+    if config.clip_to_frame and extrapolator.frame_width and extrapolator.frame_height:
+        clipped = merged.clip(extrapolator.frame_width, extrapolator.frame_height)
+        if not clipped.is_empty():
+            merged = clipped
+    state.filtered_motion = MotionVector(
+        sum(m.u for m in motions) / len(motions), sum(m.v for m in motions) / len(motions)
+    )
+    state.last_confidence = sum(confidences) / len(confidences)
+    return merged
+
+
+@pytest.mark.parametrize("kernel_backend", ["numpy", "c"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        ExtrapolationConfig(),
+        ExtrapolationConfig(sub_roi_grid=(1, 1)),
+        ExtrapolationConfig(sub_roi_grid=(3, 2), use_confidence_filter=False),
+        ExtrapolationConfig(clip_to_frame=False),
+    ],
+    ids=["default", "1x1", "3x2-unfiltered", "unclipped"],
+)
+def test_extrapolation_matches_the_geometry_primitives(config, kernel_backend):
+    """Twelve frames of random fields: the same boxes and filter states,
+    bit for bit, as the object-by-object reference."""
+    rng = np.random.default_rng(21)
+    extrapolator = MotionExtrapolator(
+        config, frame_width=128, frame_height=96, kernel_backend=kernel_backend
+    )
+    rois = [
+        BoundingBox(30.25, 20.5, 40.0, 28.0),
+        BoundingBox(-12.0, 70.0, 30.0, 40.0),
+        BoundingBox(100.0, 5.0, 0.0, 12.0),
+    ]
+    states = [RoiMotionState() for _ in rois]
+    reference_states = [RoiMotionState() for _ in rois]
+    for _ in range(12):
+        vectors = np.round(rng.normal(0.0, 3.0, (GRID.rows, GRID.cols, 2)), 1)
+        sad = rng.uniform(0.0, 0.5 * 255 * 256, (GRID.rows, GRID.cols))
+        field = MotionField(vectors, sad, GRID)
+        expected = [
+            _reference_extrapolate(extrapolator, roi, field, state)
+            for roi, state in zip(rois, reference_states)
+        ]
+        got = [
+            extrapolator.extrapolate_roi(roi, field, state).box
+            for roi, state in zip(rois, states)
+        ]
+        assert [_hex(*box.as_xywh()) for box in got] == [
+            _hex(*box.as_xywh()) for box in expected
+        ]
+        assert [_hex(*s.filtered_motion.as_tuple(), s.last_confidence) for s in states] == [
+            _hex(*s.filtered_motion.as_tuple(), s.last_confidence) for s in reference_states
+        ]
+        rois = got
