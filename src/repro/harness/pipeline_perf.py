@@ -290,9 +290,9 @@ def measure_extrapolation_speedup(spec: PipelineSpec, height: int, width: int, s
     Times the steady-state :meth:`MotionExtrapolator.extrapolate_detections`
     call of an E-frame under each backend: the clip's ROI against the motion
     field of its second frame, with a warm filter state (and, for numpy, the
-    field's memoized confidence grid built).  Passes of 100 calls alternate between the
-    backends and each keeps its best of five; both must return the same
-    detections.
+    field's memoized confidence grid built).  Passes of 100 calls alternate
+    between the backends and each keeps its best of five; both must return
+    the same detections.
     """
     calls = 100
     sequence = make_sequence(height, width, 2, seed=seed)

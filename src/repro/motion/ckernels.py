@@ -199,8 +199,8 @@ def roi_stats(vectors, sad, height, width, block_size, rois) -> Optional[List[Tu
     corners = [value for box in rois for value in box]
     if vectors.shape != grid + (2,) or sad.shape != grid or len(corners) != 4 * len(rois):
         raise ValueError(
-            f"a field of {vectors.shape} vectors and {sad.shape} SADs and {len(rois)} boxes "
-            f"of {len(corners)} values do not fit a {grid} block grid and (x, y, w, h) boxes"
+            f"vectors {vectors.shape} and SADs {sad.shape} must cover the {grid} block "
+            f"grid, and each box must be (x, y, width, height)"
         )
     out = (ctypes.c_double * (3 * len(rois)))()
     status = load().euph_roi_stats(
