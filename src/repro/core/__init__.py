@@ -35,7 +35,6 @@ from .backends import (
     tracking_backend_for,
 )
 from .executor import (
-    SCHEDULING_POLICIES,
     TRANSPORTS,
     ExecutionSpec,
     FrameRecord,
@@ -94,7 +93,6 @@ __all__ = [
     "StreamMultiplexer",
     "StreamStats",
     "MultiplexerReport",
-    "SCHEDULING_POLICIES",
     "TRANSPORTS",
     "ExecutionSpec",
     "FrameRecord",

@@ -1,13 +1,12 @@
 """Sharded execution core: one scheduling layer under sweeps and serving.
 
 * :class:`StreamShard` is the scheduling core and the in-process shard:
-  the two-phase (E-burst / batched-I) fair-share and energy/deadline
-  policies over the sessions it owns end-to-end.  With ``workers <= 1``
-  the executor drives one directly; with ``workers = N`` every worker
-  process drives its own through the same calls (:class:`_ProcessShard`
-  forwards them over a pipe, and only small picklable control messages
-  cross it).  One worker and many thus share one open, submit, finish,
-  drain and failure path.
+  the two-phase (E-burst / batched-I) fair-share scheduler over the
+  sessions it owns end-to-end.  With ``workers <= 1`` the executor drives
+  one directly; with ``workers = N`` every worker process drives its own
+  through the same calls (:class:`_ProcessShard` forwards them over a
+  pipe, and only small picklable control messages cross it).  One worker
+  and many thus share one open, submit, finish, drain and failure path.
 * :class:`ShardedExecutor` places streams onto shards, keeps the
   per-stream stats registry, and is the one place that decides what a
   stream failure does.  A shard always contains a failing session to its
@@ -15,18 +14,19 @@
   folds those records, then raises :class:`StreamFailedError` (batch
   runs) or records the failure (serving, ``isolate_failures=True``).
 * :class:`SharedMemoryTransport` moves uint8 frames between processes
-  zero-copy over ``multiprocessing.shared_memory`` ring buffers.  Frames
-  are never pickled: the producer writes pixels into a free slot and
-  ships a tiny :class:`FrameRef`; the consumer maps the slot as an
-  ndarray view.  Slots are reused under generation counters so a stale
-  reference can never silently read recycled pixels.
+  zero-copy over ``multiprocessing.shared_memory`` segments.  Frames are
+  never pickled: the producer writes pixels into a free slot and ships a
+  tiny :class:`FrameRef`; the consumer maps the slot as a read-only
+  ndarray view.  Only the producer writes a slot: the shard frontend
+  hands it back once the frame's record arrives.  Slots are reused under
+  generation counters so a stale reference can never silently read
+  recycled pixels.
 
 A stream opened with a source sequence gets an oracle-fed session, and
 the executor sends the sequence's ground truth with every frame.
 Sessions are fully isolated (own backend copy, own controller clone, own
 ISP), so sharded output is bit-identical to a sequence-bound session —
-property tested in ``tests/test_executor.py`` for every task/policy
-combination.
+property tested in ``tests/test_executor.py``.
 """
 
 from __future__ import annotations
@@ -49,19 +49,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .pipeline import EuphratesPipeline
 
 
-#: Scheduling policies: ``fair`` is the round-robin fair-share scheduler;
-#: ``energy`` defers I-frames (within a deadline) to build full inference
-#: batches, maximising NNX weight reuse, and serves the deepest queues first.
-SCHEDULING_POLICIES = ("fair", "energy")
-
 #: Frame transports: ``auto`` picks shared memory when worker processes are
 #: in play and the in-process transport otherwise; ``shm`` / ``inproc``
 #: force one.
 TRANSPORTS = ("auto", "shm", "inproc")
 
-_SLOT_HEADER_BYTES = 16
-_SLOT_FREE = 0
-_SLOT_FULL = 1
+#: A slot's header: its 8-byte little-endian generation counter.
+_SLOT_HEADER_BYTES = 8
+_SLOTS_PER_SEGMENT = 16
 
 
 @dataclass(frozen=True)
@@ -87,12 +82,10 @@ class ExecutionSpec:
 
 @dataclass(frozen=True)
 class ShardSchedule:
-    """Scheduling-policy knobs a shard applies to the streams it owns."""
+    """Scheduler knobs a shard applies to the streams it owns."""
 
-    policy: str = "fair"
     e_frame_burst: int = 4
     max_inference_batch: int = 4
-    deadline_frames: int = 8
     #: Retain per-frame telemetry and reattach it to the finished
     #: :class:`SequenceResult` (the batch ``run_dataset`` contract); the
     #: multiplexer drains telemetry into its cost meters instead.
@@ -103,12 +96,6 @@ class ShardSchedule:
             raise ValueError("e_frame_burst must be >= 1")
         if self.max_inference_batch < 1:
             raise ValueError("max_inference_batch must be >= 1")
-        if self.policy not in SCHEDULING_POLICIES:
-            raise ValueError(
-                f"unknown policy '{self.policy}' (expected one of {SCHEDULING_POLICIES})"
-            )
-        if self.deadline_frames < 1:
-            raise ValueError("deadline_frames must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -314,83 +301,72 @@ class InProcessTransport:
 
 
 class _ShmSegment:
-    """Producer-side view of one shared-memory ring segment."""
+    """Producer-side view of one shared-memory segment."""
 
-    def __init__(self, shm: shared_memory.SharedMemory, slot_bytes: int, slots: int) -> None:
+    def __init__(self, shm: shared_memory.SharedMemory, slot_bytes: int) -> None:
         self.shm = shm
         self.slot_bytes = slot_bytes
-        self.slots = slots
-        self.generations = [0] * slots
+        self.generations = [0] * _SLOTS_PER_SEGMENT
 
     def header_offset(self, slot: int) -> int:
         return slot * _SLOT_HEADER_BYTES
 
     def data_offset(self, slot: int) -> int:
-        return self.slots * _SLOT_HEADER_BYTES + slot * self.slot_bytes
-
-    def state(self, slot: int) -> int:
-        return self.shm.buf[self.header_offset(slot) + 8]
+        return _SLOTS_PER_SEGMENT * _SLOT_HEADER_BYTES + slot * self.slot_bytes
 
 
 class SharedMemoryTransport:
-    """Ring-buffer frame transport over ``multiprocessing.shared_memory``.
+    """Frame transport over ``multiprocessing.shared_memory`` segments.
 
-    Segments are allocated per frame-size class, each holding a fixed
-    number of slots.  A slot is a 16-byte header (8-byte little-endian
-    generation counter + 1 state byte) plus the pixel payload.  The
-    producer claims a FREE slot, bumps its generation, writes the pixels
-    and marks it FULL; the consumer maps the payload zero-copy, validates
-    the generation against its :class:`FrameRef`, and marks the slot FREE
-    once the frame has been consumed.  When every slot of a size class is
-    in flight a new segment is allocated on demand, so producers never
-    block and never overwrite live frames.
+    Segments are allocated per frame-size class, 16 slots each.  A slot is
+    an 8-byte little-endian generation counter plus the pixel payload, and
+    only this producer writes one.  :meth:`send` pops a free slot of the
+    frame's size class, bumps its generation and writes the pixels; the
+    consumer maps the payload read-only and checks the generation against
+    its :class:`FrameRef`; :meth:`release` returns the slot to its free
+    list once the frame has been consumed (the shard frontend calls it
+    when the frame's record arrives).  A size class with no free slot
+    grows a new segment, so producers never block and never overwrite
+    live frames.
     """
 
     mode = "shm"
 
-    def __init__(self, slots_per_segment: int = 16) -> None:
-        if slots_per_segment < 1:
-            raise ValueError("slots_per_segment must be >= 1")
-        self.slots_per_segment = slots_per_segment
+    def __init__(self) -> None:
         self._segments: Dict[str, _ShmSegment] = {}
-        self._by_size: Dict[int, List[str]] = {}
+        #: Frame bytes -> free (segment, slot) pairs of that size class.
+        self._free: Dict[int, List[Tuple[_ShmSegment, int]]] = {}
+        #: (segment name, slot) -> generation of each frame sent and not
+        #: yet released.
+        self._held: Dict[Tuple[str, int], int] = {}
         self.frames_sent = 0
         self.segments_allocated = 0
 
-    def _allocate_segment(self, slot_bytes: int) -> _ShmSegment:
-        slots = self.slots_per_segment
-        size = slots * (_SLOT_HEADER_BYTES + slot_bytes)
-        shm = _create_segment_memory(size)
-        # A fresh mapping is zero-filled: every header reads generation 0,
-        # state FREE.
-        segment = _ShmSegment(shm, slot_bytes, slots)
+    def _allocate_segment(self, slot_bytes: int) -> List[Tuple[_ShmSegment, int]]:
+        shm = _create_segment_memory(_SLOTS_PER_SEGMENT * (_SLOT_HEADER_BYTES + slot_bytes))
+        segment = _ShmSegment(shm, slot_bytes)
         self._segments[shm.name] = segment
-        self._by_size.setdefault(slot_bytes, []).append(shm.name)
         self.segments_allocated += 1
-        return segment
-
-    def _claim_slot(self, slot_bytes: int) -> Tuple[_ShmSegment, int]:
-        for name in self._by_size.get(slot_bytes, ()):
-            segment = self._segments[name]
-            for slot in range(segment.slots):
-                if segment.state(slot) == _SLOT_FREE:
-                    return segment, slot
-        return self._allocate_segment(slot_bytes), 0
+        free = self._free.setdefault(slot_bytes, [])
+        # Reversed, so a fresh segment hands out slot 0 first.
+        free.extend((segment, slot) for slot in reversed(range(_SLOTS_PER_SEGMENT)))
+        return free
 
     def send(self, frame: np.ndarray) -> FrameRef:
         """Write ``frame`` into a free slot and return its reference."""
         array = np.ascontiguousarray(frame)
         if array.nbytes == 0:
             raise ValueError("cannot ship an empty frame")
-        segment, slot = self._claim_slot(array.nbytes)
+        free = self._free.get(array.nbytes) or self._allocate_segment(array.nbytes)
+        segment, slot = free.pop()
         generation = segment.generations[slot] + 1
         segment.generations[slot] = generation
         header = segment.header_offset(slot)
         data = segment.data_offset(slot)
         buf = segment.shm.buf
-        buf[header : header + 8] = generation.to_bytes(8, "little")
-        buf[data : data + array.nbytes] = array.tobytes()
-        buf[header + 8] = _SLOT_FULL
+        buf[header : header + _SLOT_HEADER_BYTES] = generation.to_bytes(8, "little")
+        buf[data : data + array.nbytes] = array.data.cast("B")
+        self._held[(segment.shm.name, slot)] = generation
         self.frames_sent += 1
         return FrameRef(
             segment=segment.shm.name,
@@ -404,33 +380,28 @@ class SharedMemoryTransport:
 
     @property
     def slots_in_flight(self) -> int:
-        return sum(
-            1
-            for segment in self._segments.values()
-            for slot in range(segment.slots)
-            if segment.state(slot) == _SLOT_FULL
-        )
+        return len(self._held)
 
     def release(self, ref: FrameRef) -> None:
-        """Producer-side slot release for a frame that never reached a shard.
+        """Return ``ref``'s slot to its free list.
 
-        Consumers normally release slots through their
-        :class:`SharedMemorySlotReader`; when a submit fails client-side
-        (dead worker, failed stream) the producer hands the slot back
-        itself so in-flight failures cannot leak ring capacity.  Stale
-        refs (slot already recycled) are ignored.
+        A ref that is not in flight (released before, or sent before the
+        slot was recycled) is ignored.
         """
-        segment = self._segments.get(ref.segment)
-        if segment is None or segment.generations[ref.slot] != ref.generation:
+        key = (ref.segment, ref.slot)
+        if self._held.get(key) != ref.generation:
             return
-        segment.shm.buf[ref.header_offset + 8] = _SLOT_FREE
+        del self._held[key]
+        segment = self._segments[ref.segment]
+        self._free[segment.slot_bytes].append((segment, ref.slot))
 
     def close(self) -> None:
         for segment in self._segments.values():
             segment.shm.close()
             _unlink_segment_memory(segment.shm)
         self._segments.clear()
-        self._by_size.clear()
+        self._free.clear()
+        self._held.clear()
 
 
 def _shm_supports_track() -> bool:
@@ -515,42 +486,33 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
 
 
 class SharedMemorySlotReader:
-    """Consumer side of :class:`SharedMemoryTransport` (one per worker)."""
+    """Consumer side of :class:`SharedMemoryTransport` (one per worker).
+
+    It never writes: the producer alone fills a slot and decides when it
+    is free again.
+    """
 
     def __init__(self) -> None:
         self._segments: Dict[str, shared_memory.SharedMemory] = {}
 
-    def _attach(self, name: str) -> shared_memory.SharedMemory:
-        shm = self._segments.get(name)
+    def read(self, ref: FrameRef) -> np.ndarray:
+        """Read-only zero-copy ndarray view of the referenced slot."""
+        shm = self._segments.get(ref.segment)
         if shm is None:
-            shm = _attach_segment(name)
-            self._segments[name] = shm
-        return shm
-
-    def _check(self, ref: FrameRef, shm: shared_memory.SharedMemory) -> None:
+            shm = _attach_segment(ref.segment)
+            self._segments[ref.segment] = shm
         header = ref.header_offset
-        generation = int.from_bytes(shm.buf[header : header + 8], "little")
-        state = shm.buf[header + 8]
-        if generation != ref.generation or state != _SLOT_FULL:
+        generation = int.from_bytes(shm.buf[header : header + _SLOT_HEADER_BYTES], "little")
+        if generation != ref.generation:
             raise RuntimeError(
                 f"stale frame ref: segment {ref.segment} slot {ref.slot} holds "
-                f"generation {generation} (state {state}), ref expects "
-                f"generation {ref.generation}"
+                f"generation {generation}, ref expects generation {ref.generation}"
             )
-
-    def read(self, ref: FrameRef) -> np.ndarray:
-        """Zero-copy ndarray view of the referenced slot."""
-        shm = self._attach(ref.segment)
-        self._check(ref, shm)
-        return np.ndarray(
+        view = np.ndarray(
             ref.shape, dtype=np.dtype(ref.dtype), buffer=shm.buf, offset=ref.data_offset
         )
-
-    def release(self, ref: FrameRef) -> None:
-        """Hand the slot back to the producer for reuse."""
-        shm = self._attach(ref.segment)
-        self._check(ref, shm)
-        shm.buf[ref.header_offset + 8] = _SLOT_FREE
+        view.flags.writeable = False
+        return view
 
     def close(self) -> None:
         for shm in self._segments.values():
@@ -562,7 +524,7 @@ class SharedMemorySlotReader:
 # The scheduling core
 # ----------------------------------------------------------------------
 class _ShardStream:
-    """One stream a shard owns: session + frame queue + deferral state."""
+    """One stream a shard owns: its session and frame queue."""
 
     def __init__(self, key: str, session) -> None:
         self.key = key
@@ -573,9 +535,6 @@ class _ShardStream:
         self.queue: Deque[
             Tuple[object, Optional[Sequence[Detection]], bool, bool, str, float]
         ] = deque()
-        #: Scheduling rounds this stream's head frame has sat as a deferred
-        #: I-frame (energy policy's age-based deadline).
-        self.i_head_rounds = 0
         self.kept_telemetry: List[FrameTelemetry] = []
 
     def head_kind(self) -> Optional[FrameKind]:
@@ -590,18 +549,15 @@ class _ShardStream:
 class StreamShard:
     """Schedules N sessions it owns end-to-end; the one scheduling core.
 
-    This is the two-phase pump that used to live inside the multiplexer:
+    This is the two-phase fair-share pump that used to live inside the
+    multiplexer.  Each round rotates the stream order by one, then:
 
-    1. **E-phase** — walk the streams in policy order (round-robin for
-       ``fair``, deepest-backlog-first for ``energy``), letting each
-       process up to ``e_frame_burst`` queued frames as long as the
-       session predicts they are cheap E-frames.
+    1. **E-phase** — walk the streams, letting each process up to
+       ``e_frame_burst`` queued frames as long as the session predicts
+       they are cheap E-frames.
     2. **I-phase** — gather the streams whose next frame needs full
        inference and dispatch up to ``max_inference_batch`` of them
-       back-to-back as one batch.  The ``energy`` policy defers a partial
-       batch — unless a gathered stream breaches its deadline (queue
-       depth or rounds-deferred reaching ``deadline_frames``) or nothing
-       else was processed this round.
+       back-to-back as one batch.
 
     Mis-predictions are benign: the authoritative I/E decision is made
     inside ``session.submit`` exactly as in the batch pipeline.  The
@@ -611,9 +567,9 @@ class StreamShard:
     bit-identical by construction.
 
     A session that raises fails only its own stream: its frame and the
-    rest of its queue are discarded (shared-memory slots released), the
-    traceback is kept in :attr:`stream_failures`, and the call still
-    returns the record of every other frame it processed.  Whether the
+    rest of its queue are discarded, the traceback is kept in
+    :attr:`stream_failures`, and the call still returns the record of
+    every other frame it processed.  Whether the
     failure raises is the executor's decision.
     """
 
@@ -665,11 +621,10 @@ class StreamShard:
     ) -> None:
         """Queue one frame.
 
-        A frame for a failed stream is dropped and its slot handed back: a
-        worker can receive submits that raced the failure notice.
+        A frame for a failed stream is dropped: a worker can receive
+        submits that raced the failure notice.
         """
         if key in self.stream_failures:
-            self._release(payload)
             return
         self.stream(key).queue.append(
             (payload, truth, force_inference, defer_inference, note, time.perf_counter())
@@ -680,17 +635,11 @@ class StreamShard:
         taken, self._new_failures = self._new_failures, []
         return taken
 
-    def _release(self, payload: object) -> None:
-        if isinstance(payload, FrameRef):
-            self._reader.release(payload)
-
     def _fail_stream(self, stream: _ShardStream, tb: str) -> None:
         """Tear down one stream whose session raised."""
         del self._streams[stream.key]
         self.stream_failures[stream.key] = tb
         self._new_failures.append((stream.key, tb))
-        for payload, *_ in stream.queue:
-            self._release(payload)
         stream.queue.clear()
         stream.session.finish()
 
@@ -712,6 +661,10 @@ class StreamShard:
     ) -> None:
         """Process the head frame; a session error fails only this stream."""
         payload, truth, force, defer, note, enqueued_at = stream.queue.popleft()
+        # A slot stays the frame's until its record reaches the producer,
+        # and the session never retains the caller's buffer past submit
+        # (the ISP denoiser widens to float64 working copies, the oracle
+        # copies frame 0).
         frame = self._reader.read(payload) if isinstance(payload, FrameRef) else payload
         start = time.perf_counter()
         try:
@@ -723,14 +676,9 @@ class StreamShard:
                 degradation=note,
             )
         except Exception:
-            self._release(payload)
             self._fail_stream(stream, traceback.format_exc())
             return
         elapsed = time.perf_counter() - start
-        # The session never retains the caller's buffer past submit (the
-        # ISP denoiser widens to float64 working copies, the oracle copies
-        # frame 0), so the slot can be recycled now.
-        self._release(payload)
         events = stream.session.take_telemetry()
         if self.schedule.keep_telemetry:
             stream.kept_telemetry.extend(events)
@@ -748,12 +696,6 @@ class StreamShard:
             )
         )
 
-    def _deadline_breached(self, stream: _ShardStream) -> bool:
-        return (
-            len(stream.queue) >= self.schedule.deadline_frames
-            or stream.i_head_rounds >= self.schedule.deadline_frames
-        )
-
     def pump(self) -> List[FrameRecord]:
         """Run one scheduling round; return a record per processed frame."""
         records: List[FrameRecord] = []
@@ -761,16 +703,11 @@ class StreamShard:
             return records
         schedule = self.schedule
         active = list(self._streams.values())
-        if schedule.policy == "energy":
-            # Deadline pressure first: the deepest backlog is the stream
-            # closest to missing its (frame-budget) deadline.
-            order = sorted(active, key=lambda stream: -len(stream.queue))
-        else:
-            # One rotation per round (shared by both phases), so the lead
-            # position really cycles over every stream.
-            offset = self._rr_offset % len(active)
-            self._rr_offset += 1
-            order = active[offset:] + active[:offset]
+        # One rotation per round (shared by both phases), so the lead
+        # position really cycles over every stream.
+        offset = self._rr_offset % len(active)
+        self._rr_offset += 1
+        order = active[offset:] + active[:offset]
 
         for stream in order:
             burst = 0
@@ -786,31 +723,11 @@ class StreamShard:
             stream
             for stream in order
             if stream.queue and stream.head_kind() is FrameKind.INFERENCE
-        ]
-        if batch and schedule.policy == "energy":
-            for stream in batch:
-                stream.i_head_rounds += 1
-            dispatch = (
-                len(batch) >= schedule.max_inference_batch
-                or any(self._deadline_breached(stream) for stream in batch)
-                or not records
-            )
-            if not dispatch:
-                batch = []
-            else:
-                # Most-overdue heads board first (age, then queue depth):
-                # the batch is about to be truncated, and the whole point
-                # of the deadline is that an aged head cannot keep losing
-                # its seat to deeper queues round after round.
-                batch.sort(
-                    key=lambda stream: (-stream.i_head_rounds, -len(stream.queue))
-                )
-        batch = batch[: schedule.max_inference_batch]
+        ][: schedule.max_inference_batch]
         if batch:
             batch_id = self._batch_counter
             self._batch_counter += 1
             for stream in batch:
-                stream.i_head_rounds = 0
                 self._process_head(stream, len(batch), batch_id, records)
         return records
 
@@ -934,10 +851,19 @@ class _ProcessShard:
 
     Offers the :class:`StreamShard` calls the executor makes.  Records the
     worker sends are buffered until the next call that returns records.
+    The frontend owns the shared-memory slots of the frames it sent: each
+    goes back to the transport when the frame's record arrives, and all of
+    a stream's go back when that stream or the whole worker fails, so the
+    worker only ever reads them.
     """
 
     def __init__(
-        self, index: int, ctx, pipeline_blob: bytes, schedule: ShardSchedule
+        self,
+        index: int,
+        ctx,
+        pipeline_blob: bytes,
+        schedule: ShardSchedule,
+        transport: SharedMemoryTransport,
     ) -> None:
         self.name = f"shard{index}"
         self.conn, child_conn = ctx.Pipe()
@@ -949,12 +875,14 @@ class _ProcessShard:
         )
         self.process.start()
         child_conn.close()
+        self._transport = transport
         self._records: List[FrameRecord] = []
         self._opened: Dict[str, Optional[str]] = {}
         self._finished: Dict[str, Optional[SequenceResult]] = {}
-        #: key -> frames submitted and not yet recorded (a failed stream
-        #: has none): the drain and flow-control condition.
-        self._pending: Dict[str, int] = {}
+        #: key -> refs of the frames sent and not yet recorded, oldest first
+        #: (a stream's records arrive in submit order); their count is the
+        #: drain and flow-control condition.
+        self._sent: Dict[str, Deque[FrameRef]] = {}
         #: key -> traceback text for streams the worker failed.
         self.stream_failures: Dict[str, str] = {}
         #: Shard-level failure reason (dead worker, broken pipe, an error
@@ -962,15 +890,24 @@ class _ProcessShard:
         #: this shard's streams.
         self.failure: Optional[str] = None
 
-    # -- message plumbing ----------------------------------------------
+    # -- failures -----------------------------------------------------
+    def _lost(self, reason: str) -> ShardError:
+        """Mark the worker lost and hand back every slot it held."""
+        self.failure = self.failure or reason
+        for sent in self._sent.values():
+            for ref in sent:
+                self._transport.release(ref)
+        self._sent.clear()
+        return ShardError(self.failure)
+
     def _dead(self, context: str = "") -> ShardError:
         detail = f" (exit code {self.process.exitcode})" if not self.process.is_alive() else ""
         reason = f"worker process for {self.name} died unexpectedly{detail}"
         if context:
             reason = f"{reason}: {context}"
-        self.failure = self.failure or reason
-        return ShardError(self.failure)
+        return self._lost(reason)
 
+    # -- message plumbing ----------------------------------------------
     def _send(self, message) -> None:
         if self.failure is not None:
             raise ShardError(self.failure)
@@ -985,19 +922,20 @@ class _ProcessShard:
         if tag == "records":
             _, records, failures = message
             for record in records:
-                if record.key in self._pending:
-                    self._pending[record.key] -= 1
+                sent = self._sent.get(record.key)
+                if sent:  # gone once the worker was lost
+                    self._transport.release(sent.popleft())
             self._records.extend(records)
             for key, tb in failures:
                 self.stream_failures[key] = tb
-                self._pending[key] = 0
+                for ref in self._sent.pop(key, ()):
+                    self._transport.release(ref)
         elif tag == "opened":
             self._opened[message[1]] = message[2]
         elif tag == "finished":
             self._finished[message[1]] = message[2]
         elif tag == "error":
-            self.failure = f"worker for {self.name} failed:\n{message[2]}"
-            raise ShardError(self.failure)
+            raise self._lost(f"worker for {self.name} failed:\n{message[2]}")
         else:  # pragma: no cover - protocol invariant
             raise ShardError(f"unknown worker message tag {tag!r}")
 
@@ -1040,11 +978,15 @@ class _ProcessShard:
         error = self._opened.pop(key)
         if error is not None:
             raise ShardError(f"stream '{key}' failed to open on {self.name}:\n{error}")
-        self._pending[key] = 0
+        self._sent[key] = deque()
 
     def submit(self, key, payload, truth, force, defer=False, note="") -> None:
-        self._send(("frame", key, payload, truth, force, defer, note))
-        self._pending[key] += 1
+        try:
+            self._send(("frame", key, payload, truth, force, defer, note))
+        except ShardError:
+            self._transport.release(payload)  # it never reached the worker
+            raise
+        self._sent[key].append(payload)
 
     def pump(self) -> List[FrameRecord]:
         """Absorb the records sent so far (the worker pumps on its own)."""
@@ -1052,7 +994,7 @@ class _ProcessShard:
         return self._take_records()
 
     def drain(self) -> List[FrameRecord]:
-        self._wait(lambda: not any(self._pending.values()))
+        self._wait(lambda: not any(self._sent.values()))
         return self._take_records()
 
     def throttle(self, limit: int) -> List[FrameRecord]:
@@ -1062,16 +1004,16 @@ class _ProcessShard:
     def finish_stream(self, key: str) -> Tuple[Optional[SequenceResult], List[FrameRecord]]:
         self._send(("finish", key))
         self._wait(lambda: key in self._finished)
-        del self._pending[key]
+        self._sent.pop(key, None)  # already gone if the stream failed
         return self._finished.pop(key), self._take_records()
 
     def pending_for(self, key: str) -> int:
         self._pump_pipe()
-        return self._pending.get(key, 0)
+        return len(self._sent.get(key, ()))
 
     def pending(self) -> int:
         self._pump_pipe()
-        return sum(self._pending.values())
+        return sum(len(sent) for sent in self._sent.values())
 
     def close(self) -> None:
         try:
@@ -1174,7 +1116,7 @@ class ShardedExecutor:
             ctx = get_context("fork" if "fork" in methods else "spawn")
             blob = pickle.dumps(pipeline)
             self._shards = [
-                _ProcessShard(index, ctx, blob, self.schedule)
+                _ProcessShard(index, ctx, blob, self.schedule, self.transport)
                 for index in range(self.workers)
             ]
 
@@ -1300,10 +1242,6 @@ class ShardedExecutor:
                 key, payload, truth, force_inference, defer_inference, degradation
             )
         except ShardError as error:
-            # The frame never reached the shard: hand its slot back so a
-            # dead worker doesn't leak ring-buffer capacity.
-            if isinstance(payload, FrameRef):
-                self.transport.release(payload)
             self._shard_failed(shard, error)
             self._raise_failed(key)
         stats.frames_submitted += 1

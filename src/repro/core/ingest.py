@@ -40,9 +40,9 @@ Wire protocol (asyncio TCP, but codec usable over any byte transport)::
     other bodies are UTF-8 JSON objects.
 
 Frame payloads stay ``uint8`` end to end: the decoder returns a zero-copy
-:class:`numpy.ndarray` view of the receive buffer, and submission writes
-it straight into the executor transport's ring slot — frames are never
-pickled.
+:class:`numpy.ndarray` view of the receive buffer, and submission copies
+it once into the executor's transport (a shared-memory slot under worker
+shards) — frames are never pickled.
 """
 
 from __future__ import annotations
@@ -197,8 +197,8 @@ def decode_frame(
     """Decode a FRAME body to ``(handle, seq, frame_view, truth)``.
 
     The returned frame is a zero-copy uint8 view of ``body`` — the caller
-    submits it straight into a transport ring slot (which copies it there)
-    and must not retain the view past the buffer's lifetime.
+    submits it straight to the executor's transport (which copies it) and
+    must not retain the view past the buffer's lifetime.
     """
     view = memoryview(body)
     if len(view) < _FRAME_HEAD.size:

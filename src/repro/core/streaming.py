@@ -10,11 +10,11 @@ makes the case for first-class concurrent-stream support).  The
   its own backend copy and its own window-controller clone, so streams never
   contaminate each other's algorithm state;
 * scheduling is delegated to the shared execution core
-  (:class:`~repro.core.executor.ShardedExecutor`): the fair-share and
-  energy/deadline policies run shard-local, so the same scheduler serves
-  the in-process single-shard path and ``workers=N`` worker processes
-  (frames then cross the process boundary over the zero-copy shared-memory
-  transport, never pickled);
+  (:class:`~repro.core.executor.ShardedExecutor`): the fair-share
+  scheduler runs shard-local, so the same scheduler serves the in-process
+  single-shard path and ``workers=N`` worker processes (frames then cross
+  the process boundary over the zero-copy shared-memory transport, never
+  pickled);
 * per-stream statistics live in the executor's registry
   (:class:`~repro.core.executor.StreamStats`, read via :meth:`stats_for`)
   and feed ``python -m repro.harness bench stream``; with an attached energy model
@@ -33,17 +33,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .executor import (
-    SCHEDULING_POLICIES,
-    FrameRecord,
-    ShardedExecutor,
-    ShardSchedule,
-    StreamStats,
-)
+from .executor import FrameRecord, ShardedExecutor, ShardSchedule, StreamStats
 from .types import Detection, SequenceResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .window import WindowController
 
 __all__ = [
-    "SCHEDULING_POLICIES",
     "MultiplexerReport",
     "StreamMultiplexer",
 ]
@@ -149,20 +142,13 @@ class StreamMultiplexer:
     process per scheduling round (fairness knob: a stream with a deep queue
     of cheap frames cannot starve the others).  ``max_inference_batch``
     bounds how many I-frames the scheduler groups into one inference batch.
-
-    ``policy`` selects the scheduler: ``"fair"`` (default) is the
-    round-robin fair-share scheduler; ``"energy"`` is energy/deadline-aware
-    — it serves the deepest queues first and *defers* I-frames until a full
-    ``max_inference_batch`` is ready (maximising NNX weight reuse), unless
-    a ready stream breaches its deadline (queue depth *or* head-frame age
-    in scheduling rounds reaches ``deadline_frames``) or no other progress
-    was possible this round.  Scheduling order affects latency and
-    energy attribution, never outputs — sessions are fully isolated, so
-    per-stream results are bit-identical under every policy.
+    Scheduling order affects latency and energy attribution, never
+    outputs: sessions are fully isolated, so per-stream results are
+    bit-identical to dedicated sessions.
 
     ``workers`` shards the streams over that many worker processes, each
-    owning its sessions end-to-end (the scheduling policies run shard-local
-    and frames cross over the shared-memory ``transport``); the default of
+    owning its sessions end-to-end (the scheduler runs shard-local and
+    frames cross over the shared-memory ``transport``); the default of
     1 keeps everything in-process.  Worker count never changes outputs.
     ``isolate_failures`` goes to the executor, which decides whether a
     failing stream raises or is recorded in :attr:`stream_failures` (see
@@ -185,8 +171,6 @@ class StreamMultiplexer:
         *,
         e_frame_burst: int = 4,
         max_inference_batch: int = 4,
-        policy: str = "fair",
-        deadline_frames: int = 8,
         soc: "VisionSoC | None" = None,
         network: "NetworkSpec | None" = None,
         extrapolation_on_cpu: bool = False,
@@ -195,10 +179,7 @@ class StreamMultiplexer:
         isolate_failures: bool = False,
     ) -> None:
         schedule = ShardSchedule(
-            policy=policy,
-            e_frame_burst=e_frame_burst,
-            max_inference_batch=max_inference_batch,
-            deadline_frames=deadline_frames,
+            e_frame_burst=e_frame_burst, max_inference_batch=max_inference_batch
         )
         if (soc is None) != (network is None):
             raise ValueError("energy metering needs both soc and network")
@@ -219,9 +200,10 @@ class StreamMultiplexer:
         #: software baseline when True).
         self._extrapolation_on_cpu = extrapolation_on_cpu
         #: stream id -> its SoC cost meter (None without an energy model),
-        #: in arrival order.
+        #: in arrival order; kept after the stream closes, for report().
         self._meters: Dict[str, "CostMeter | None"] = {}
-        self._results: Dict[str, SequenceResult] = {}
+        #: Streams not yet finished.
+        self._open: Set[str] = set()
         self._inference_batches = 0
         self._batched_frames = 0
         self._max_batch_size = 0
@@ -299,6 +281,7 @@ class StreamMultiplexer:
             window_controller=window_controller,
         )
         self._meters[name] = meter
+        self._open.add(name)
         return name
 
     @property
@@ -417,22 +400,24 @@ class StreamMultiplexer:
         """Close one stream (its queue already drained) and return its result.
 
         The serving layer's per-connection teardown: other streams keep
-        running and the multiplexer stays open for new ones.  Raises
+        running and the multiplexer stays open for new ones.  The result
+        is handed over, not kept; the stream's stats and meter stay for
+        :meth:`report`.  Raises
         :class:`~repro.core.executor.StreamFailedError` if the stream failed.
         """
-        if stream_id not in self._results:
-            result, _stats = self._executor.finish_stream(stream_id)
-            self._results[stream_id] = result
-            # Records for other streams can surface while the shard
-            # catches up; keep the meters honest.
-            self._absorb(self._executor.pump())
-        return self._results[stream_id]
+        result, _stats = self._executor.finish_stream(stream_id)
+        self._open.discard(stream_id)
+        # Records for other streams can surface while the shard catches
+        # up; keep the meters honest.
+        self._absorb(self._executor.pump())
+        return result
 
     def finish(self) -> Dict[str, SequenceResult]:
-        """Drain every queue, close every session, return per-stream results.
+        """Drain every queue, close every open session, return their results.
 
-        Also releases the execution resources (worker processes and
-        shared-memory segments when ``workers > 1``), so a finished
+        Streams closed earlier by :meth:`finish_stream` are not in the
+        result.  Also releases the execution resources (worker processes
+        and shared-memory segments when ``workers > 1``), so a finished
         multiplexer cannot accept new streams.  Streams lost to a failure
         are skipped (see :attr:`stream_failures` for the reasons); without
         ``isolate_failures`` the drain raises for a failure first.
@@ -441,11 +426,9 @@ class StreamMultiplexer:
         failures = self._executor.stream_failures
         results: Dict[str, SequenceResult] = {}
         for name in self._meters:
-            if name in failures:
-                continue
-            if name not in self._results:
-                self._results[name], _stats = self._executor.finish_stream(name)
-            results[name] = self._results[name]
+            if name in self._open and name not in failures:
+                results[name], _stats = self._executor.finish_stream(name)
+        self._open.clear()
         # Late records can surface while worker shards wind down.
         self._absorb(self._executor.pump())
         self._executor.close()

@@ -35,7 +35,6 @@ from typing import Callable, Dict, Tuple
 
 from ..core.ingest import OVERLOAD_POLICIES
 from ..core.spec import PipelineSpec
-from ..core.streaming import SCHEDULING_POLICIES
 from ..motion.kernels import KERNEL_BACKENDS
 from .perf import RESOLUTIONS, benchmark_motion_estimation
 from .pipeline_perf import (
@@ -234,12 +233,6 @@ def _stream_options(parser: argparse.ArgumentParser) -> None:
         default=4,
         help="max I-frames grouped into one inference batch (default: 4)",
     )
-    parser.add_argument(
-        "--policy",
-        choices=list(SCHEDULING_POLICIES),
-        default="fair",
-        help="scheduling policy (default: fair)",
-    )
     _workers_option(parser)
     PipelineSpec.add_cli_options(parser)
 
@@ -256,7 +249,6 @@ def _run_stream(args: argparse.Namespace) -> Tuple[dict, str]:
         seed=args.seed,
         e_frame_burst=args.e_frame_burst,
         max_inference_batch=args.max_inference_batch,
-        policy=args.policy,
         workers=_or(args.workers, spec.workers),
         transport=spec.transport,
     )

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -58,30 +59,33 @@ def synthetic_luma_sequence(
     return frames
 
 
-def _time_per_frame(estimate, frames) -> float:
-    start = time.perf_counter()
-    for index in range(1, len(frames)):
-        estimate(frames[index], frames[index - 1])
-    elapsed = time.perf_counter() - start
-    return elapsed / (len(frames) - 1)
-
-
 #: Timing passes per measurement.  Each pass times every variant of one
-#: resolution once, interleaved, and each variant keeps its fastest pass: a
+#: measurement once, interleaved, and each variant keeps its fastest pass: a
 #: slow phase of the host then slows every variant alike instead of skewing
 #: whichever ratio it happened to land on.
 TIMING_PASSES = 5
 
 
-def _best_of_interleaved(timers: Dict[str, Tuple[Callable, Sequence]]) -> Dict[str, float]:
-    """Best seconds/frame of each ``name -> (estimate, frames)`` timer."""
-    for estimate, frames in timers.values():
-        estimate(frames[1], frames[0])  # warm-up
+def best_of_interleaved(
+    timers: Dict[str, Callable[[], object]], calls: int = 1
+) -> Dict[str, float]:
+    """Best seconds per call of each ``name -> call`` over
+    :data:`TIMING_PASSES` interleaved passes, each timing ``calls`` calls
+    in a row."""
     best = {name: float("inf") for name in timers}
     for _ in range(TIMING_PASSES):
-        for name, (estimate, frames) in timers.items():
-            best[name] = min(best[name], _time_per_frame(estimate, frames))
+        for name, call in timers.items():
+            start = time.perf_counter()
+            for _ in range(calls):
+                call()
+            best[name] = min(best[name], (time.perf_counter() - start) / calls)
     return best
+
+
+def _sweep(estimate: Callable, frames: Sequence[np.ndarray]) -> None:
+    """One motion search per consecutive frame pair."""
+    for index in range(1, len(frames)):
+        estimate(frames[index], frames[index - 1])
 
 
 def benchmark_motion_estimation(
@@ -150,23 +154,26 @@ def benchmark_motion_estimation(
     results: List[Dict[str, object]] = []
     for label, (height, width) in resolutions.items():
         frames = synthetic_luma_sequence(height, width, num_frames, seed=seed)
-        timers: Dict[str, Tuple[Callable, Sequence]] = {
-            "vectorized": (BlockMatcher(config).estimate, frames)
-        }
+        estimates: Dict[str, Callable] = {"vectorized": BlockMatcher(config).estimate}
         if kernel_backend != "numpy":
             numpy_tss = BlockMatcher(replace(config, kernel_backend="numpy"))
-            timers["vectorized_numpy"] = (numpy_tss.estimate, frames)
+            estimates["vectorized_numpy"] = numpy_tss.estimate
         if include_scalar:
-            timers["scalar"] = (scalar, frames)
+            estimates["scalar"] = scalar
         es_matchers = {}
         if include_exhaustive:
             for policy in SearchPolicy:
                 es_matchers[policy.value] = exhaustive(policy, kernel_backend)
-                timers[f"es_{policy.value}"] = (es_matchers[policy.value].estimate, frames)
+                estimates[f"es_{policy.value}"] = es_matchers[policy.value].estimate
             if kernel_backend != "numpy":
                 numpy_pruned = exhaustive(SearchPolicy.PRUNED, "numpy")
-                timers["es_pruned_numpy"] = (numpy_pruned.estimate, frames)
-        seconds = _best_of_interleaved(timers)
+                estimates["es_pruned_numpy"] = numpy_pruned.estimate
+        for estimate in estimates.values():
+            estimate(frames[1], frames[0])  # warm-up
+        sweeps = best_of_interleaved(
+            {name: partial(_sweep, estimate, frames) for name, estimate in estimates.items()}
+        )
+        seconds = {name: sweep_s / (num_frames - 1) for name, sweep_s in sweeps.items()}
 
         vector_s = seconds["vectorized"]
         entry: Dict[str, object] = {

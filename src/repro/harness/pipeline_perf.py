@@ -23,6 +23,7 @@ from __future__ import annotations
 import time
 import tracemalloc
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -36,7 +37,7 @@ from ..isp.denoise import TemporalDenoiseConfig, TemporalDenoiseStage
 from ..isp.reference import reference_motion_compensated_blend
 from ..motion.block_matching import BlockMatcher
 from ..video.synthetic import SequenceConfig, SequenceGenerator
-from .perf import RESOLUTIONS
+from .perf import RESOLUTIONS, best_of_interleaved
 
 #: Schedule name -> constant extrapolation window.  ``i_heavy`` runs
 #: inference on every frame (conventional SoC); ``e_heavy`` amortises one
@@ -228,7 +229,8 @@ def measure_blend_speedup(spec: PipelineSpec, height: int, width: int, seed: int
     Measures the *steady-state* call exactly as a session pays it: the raw
     uint8 frame handed straight to the kernel, a preallocated output buffer
     and the stage's warmed gather-staging pool — the allocating first-call
-    path would understate the speedup the session actually sees.
+    path would understate the speedup the session actually sees.  The two
+    blends alternate over interleaved passes and each keeps its best.
     """
     sequence = make_sequence(height, width, 4, seed=seed)
     frames = [frame for _, frame in sequence.iter_frames()]
@@ -242,45 +244,30 @@ def measure_blend_speedup(spec: PipelineSpec, height: int, width: int, seed: int
     previous = stage._previous_denoised.copy()
     motion = stage._matcher.estimate(current, stage._previous_reference)
 
-    def best_of(callable_, repeats=3):
-        best = float("inf")
-        for _ in range(repeats):
-            start = time.perf_counter()
-            callable_()
-            best = min(best, time.perf_counter() - start)
-        return best
-
     config = stage.config
     out = np.empty(current.shape, dtype=np.float64)
 
     def optimized():
         return stage._motion_compensated_blend(current, previous, motion, out)
 
-    optimized()  # warm the gather-staging pool, like the session's steady state
-    optimized_s = best_of(optimized)
-    reference_s = best_of(
-        lambda: reference_motion_compensated_blend(
+    def reference():
+        return reference_motion_compensated_blend(
             current_f64,
             previous,
             motion,
             blend_strength=config.blend_strength,
             max_normalised_sad=config.max_normalised_sad,
         )
-    )
-    fast = optimized()
-    slow = reference_motion_compensated_blend(
-        current_f64,
-        previous,
-        motion,
-        blend_strength=config.blend_strength,
-        max_normalised_sad=config.max_normalised_sad,
-    )
-    if not np.array_equal(fast, slow):
+
+    # The first call also warms the gather-staging pool, like the
+    # session's steady state.
+    if not np.array_equal(optimized(), reference()):
         raise AssertionError("dispatched blend diverged from the scalar reference")
+    best = best_of_interleaved({"optimized": optimized, "reference": reference})
     return {
-        "optimized_s": optimized_s,
-        "reference_s": reference_s,
-        "speedup": reference_s / optimized_s if optimized_s > 0 else 0.0,
+        "optimized_s": best["optimized"],
+        "reference_s": best["reference"],
+        "speedup": best["reference"] / best["optimized"] if best["optimized"] > 0 else 0.0,
     }
 
 
@@ -291,10 +278,9 @@ def measure_extrapolation_speedup(spec: PipelineSpec, height: int, width: int, s
     call of an E-frame under each backend: the clip's ROI against the motion
     field of its second frame, with a warm filter state (and, for numpy, the
     field's memoized confidence grid built).  Passes of 100 calls alternate
-    between the backends and each keeps its best of five; both must return
-    the same detections.
+    between the backends and each keeps its best; both must return the
+    same detections.
     """
-    calls = 100
     sequence = make_sequence(height, width, 2, seed=seed)
     field = BlockMatcher(spec.block_matching_config()).estimate(
         sequence.frame(1), sequence.frame(0)
@@ -316,13 +302,15 @@ def measure_extrapolation_speedup(spec: PipelineSpec, height: int, width: int, s
     ]
     if outputs[0] != outputs[1]:
         raise AssertionError("C extrapolation diverged from the numpy path")
-    best = {backend: float("inf") for backend in extrapolators}
-    for _ in range(5):
-        for backend, extrapolator in extrapolators.items():
-            start = time.perf_counter()
-            for _ in range(calls):
-                extrapolator.extrapolate_detections(detections, field, states[backend])
-            best[backend] = min(best[backend], (time.perf_counter() - start) / calls)
+    best = best_of_interleaved(
+        {
+            backend: partial(
+                extrapolator.extrapolate_detections, detections, field, states[backend]
+            )
+            for backend, extrapolator in extrapolators.items()
+        },
+        calls=100,
+    )
     return {
         "c_s": best["c"],
         "numpy_s": best["numpy"],

@@ -64,7 +64,6 @@ def benchmark_multiplexer(
     seed: int,
     e_frame_burst: int,
     max_inference_batch: int,
-    policy: str = "fair",
     workers: int = 1,
     transport: str = "auto",
 ) -> dict:
@@ -106,16 +105,19 @@ def benchmark_multiplexer(
         spec.build(backend),
         e_frame_burst=e_frame_burst,
         max_inference_batch=max_inference_batch,
-        policy=policy,
         soc=spec.vision_soc(),
         network=build_mdnet(),
         extrapolation_on_cpu=spec.extrapolation_on_cpu,
         workers=workers,
         transport=transport,
     )
-    for sequence in sequences:
-        stream_id = multiplexer.add_stream(sequence)
-        multiplexer.feed_sequence(stream_id, sequence)
+    # Frame i of every camera before frame i+1 of any, as cameras deliver
+    # them: worker shards start on the first frames while the rest arrive,
+    # so a clip fed whole would run its I-frames without batch mates.
+    stream_ids = [multiplexer.add_stream(sequence) for sequence in sequences]
+    for index in range(frames):
+        for stream_id, sequence in zip(stream_ids, sequences):
+            multiplexer.submit(stream_id, sequence.frame(index))
     results = multiplexer.finish()
     report = multiplexer.report()
     assert all(len(results[s.name]) == s.num_frames for s in sequences)
@@ -124,7 +126,6 @@ def benchmark_multiplexer(
         "benchmark": "multi_stream",
         "spec": spec.to_cli_args(),
         "spec_label": spec.describe(),
-        "policy": policy,
         "streams": streams,
         "frames_per_stream": frames,
         "frame_width": width,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -40,10 +43,6 @@ class TestValidation:
             ShardSchedule(e_frame_burst=0)
         with pytest.raises(ValueError, match="max_inference_batch"):
             ShardSchedule(max_inference_batch=0)
-        with pytest.raises(ValueError, match="unknown policy"):
-            ShardSchedule(policy="greedy")
-        with pytest.raises(ValueError, match="deadline_frames"):
-            ShardSchedule(deadline_frames=0)
 
     def test_executor_rejects_pickle_transport(self):
         """The legacy whole-sequence process pool is gone: "pickle" is unknown."""
@@ -94,32 +93,54 @@ class TestSharedMemoryTransport:
             reader.close()
             transport.close()
 
+    def test_read_returns_a_read_only_view(self):
+        """Only the producer writes a slot; a worker cannot scribble on one."""
+        transport = SharedMemoryTransport()
+        reader = SharedMemorySlotReader()
+        try:
+            view = reader.read(transport.send(_frame(2)))
+            assert not view.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                view[0, 0] = 0
+        finally:
+            reader.close()
+            transport.close()
+
     def test_slot_reuse_bumps_generation_and_stales_old_refs(self):
         transport = SharedMemoryTransport()
         reader = SharedMemorySlotReader()
         try:
-            first = transport.send(_frame(3))
-            reader.release(first)
-            second = transport.send(_frame(4))
-            # Same size class, freed slot: the ring reuses it.
+            refs = [transport.send(_frame(seed)) for seed in range(16)]
+            first = refs[0]
+            transport.release(first)
+            assert transport.slots_in_flight == 15
+            # The segment's one free slot is reused before a new segment grows.
+            second = transport.send(_frame(99))
+            assert transport.segments_allocated == 1
             assert (second.segment, second.slot) == (first.segment, first.slot)
-            assert second.generation == first.generation + 1
+            assert second.generation > first.generation
             with pytest.raises(RuntimeError, match="stale frame ref"):
                 reader.read(first)
-            np.testing.assert_array_equal(reader.read(second), _frame(4))
+            np.testing.assert_array_equal(reader.read(second), _frame(99))
+            # A stale ref hands back nothing: the slot belongs to `second`.
+            transport.release(first)
+            assert transport.slots_in_flight == 16
         finally:
             reader.close()
             transport.close()
 
     def test_full_ring_grows_a_new_segment(self):
-        transport = SharedMemoryTransport(slots_per_segment=2)
+        transport = SharedMemoryTransport()
         reader = SharedMemorySlotReader()
         try:
-            refs = [transport.send(_frame(seed)) for seed in range(3)]
+            refs = [transport.send(_frame(seed)) for seed in range(17)]
             assert transport.segments_allocated == 2
-            assert transport.slots_in_flight == 3
+            assert transport.slots_in_flight == 17
             for seed, ref in enumerate(refs):
                 np.testing.assert_array_equal(reader.read(ref), _frame(seed))
+            for ref in refs:
+                transport.release(ref)
+            assert transport.slots_in_flight == 0
         finally:
             reader.close()
             transport.close()
@@ -239,7 +260,7 @@ class TestShardedRunDataset:
 
 
 class TestShardedEquivalenceProperty:
-    """Sharded output is bit-identical to serial for every policy mix."""
+    """Sharded output is bit-identical to serial for every search policy."""
 
     @settings(
         max_examples=4,
@@ -248,12 +269,10 @@ class TestShardedEquivalenceProperty:
     )
     @given(
         search_policy=st.sampled_from(["full", "histogram", "pruned"]),
-        scheduling_policy=st.sampled_from(["fair", "energy"]),
         forced=st.sets(st.integers(min_value=1, max_value=23), max_size=4),
     )
     def test_sharded_matches_serial(
-        self, small_sequence, fast_motion_sequence, search_policy,
-        scheduling_policy, forced,
+        self, small_sequence, fast_motion_sequence, search_policy, forced
     ):
         spec = PipelineSpec(extrapolation_window=4, search_policy=search_policy)
         sequences = [small_sequence, fast_motion_sequence]
@@ -267,11 +286,7 @@ class TestShardedEquivalenceProperty:
                 session.submit(frame, force_inference=index in forced)
             serial.append(session.finish())
 
-        executor = ShardedExecutor(
-            spec.build(tracking_backend_for("mdnet")),
-            workers=2,
-            schedule=ShardSchedule(policy=scheduling_policy),
-        )
+        executor = ShardedExecutor(spec.build(tracking_backend_for("mdnet")), workers=2)
         try:
             for position, sequence in enumerate(sequences):
                 executor.open_stream(f"s{position}", source=sequence)
@@ -374,6 +389,36 @@ class TestFailureIsolation:
             assert "died unexpectedly" in executor.stream_failures["bad"]
             result, _stats = executor.finish_stream("good")
             assert len(result.frames) == len(small_sequence)
+        finally:
+            executor.close()
+
+    def test_failed_stream_and_killed_worker_hand_their_slots_back(
+        self, small_sequence
+    ):
+        """The producer frees every slot of a stream whose session failed
+        and of a worker that died with frames in flight."""
+        executor = self._open_pair(2, small_sequence)
+        shape = small_sequence.frame(0).shape
+        try:
+            for seed in range(4):
+                executor.submit("bad", _frame(seed, shape=shape))
+            executor.drain()
+            assert set(executor.stream_failures) == {"bad"}
+            assert executor.transport.slots_in_flight == 0
+            # A stopped worker reads nothing, so its frames stay in flight.
+            worker = executor.shard_of("good").process
+            os.kill(worker.pid, signal.SIGSTOP)
+            try:
+                for index in range(4):
+                    executor.submit("good", small_sequence.frame(index))
+                in_flight = executor.transport.slots_in_flight
+            finally:
+                worker.kill()
+                worker.join(timeout=10.0)
+            assert in_flight == 4
+            executor.drain()
+            assert "died unexpectedly" in executor.stream_failures["good"]
+            assert executor.transport.slots_in_flight == 0
         finally:
             executor.close()
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
 
 import pytest
@@ -11,6 +12,7 @@ from repro.core.executor import FrameRecord
 from repro.core.spec import PipelineSpec
 from repro.core.streaming import StreamMultiplexer
 from repro.core.types import FrameKind
+from repro.video.synthetic import SequenceConfig, SequenceGenerator
 
 from test_session import assert_results_identical
 
@@ -107,6 +109,35 @@ class TestScheduler:
         assert all(count > 0 for count in progressed)
         mux.finish()
 
+    def test_truncated_batch_boards_every_stream_in_turn(self, tiny_tracking_dataset):
+        """When more I-heads are ready than max_inference_batch, the
+        rotating lead seats a head behind deeper queues within
+        streams - max_inference_batch + 1 rounds."""
+        sequences = tiny_tracking_dataset.sequences
+        assert len(sequences) >= 3
+        # Every frame is an I-frame: deep busy queues always contend.
+        spec = PipelineSpec(extrapolation_window=4, expose_motion_vectors=False)
+        mux = StreamMultiplexer(
+            spec.build(tracking_backend_for("mdnet")), max_inference_batch=2
+        )
+        busy_ids = [
+            mux.add_stream(sequences[i % len(sequences)], name=f"busy{i}")
+            for i in range(1, 4)
+        ]
+        # Opened last, so the first round seats it last.
+        starved = mux.add_stream(sequences[0], name="starved")
+        mux.submit(starved, sequences[0].frame(0))
+        rounds_waited = None
+        for round_index in range(12):
+            for i, stream_id in enumerate(busy_ids):
+                sequence = sequences[(i + 1) % len(sequences)]
+                mux.submit(stream_id, sequence.frame(round_index % sequence.num_frames))
+                mux.submit(stream_id, sequence.frame(round_index % sequence.num_frames))
+            mux.pump()
+            if rounds_waited is None and not mux.stats_for(starved).pending:
+                rounds_waited = round_index + 1
+        assert rounds_waited == 3
+
     def test_validation(self, pipeline):
         with pytest.raises(ValueError):
             StreamMultiplexer(pipeline, e_frame_burst=0)
@@ -133,6 +164,45 @@ class TestStats:
             assert stats.mean_service_latency_s > 0.0
             # EW-4 processes 1 I-frame per 4 frames.
             assert stats.inference_rate == pytest.approx(0.25, abs=0.1)
+
+    def test_closed_streams_keep_stats_not_results(self, pipeline):
+        """After open -> submit -> close cycles the multiplexer keeps each
+        stream's stats, not its result: retained memory does not grow with
+        the frames a stream ran."""
+        sequence = SequenceGenerator(
+            SequenceConfig(
+                name="cam", frame_width=64, frame_height=48, num_frames=96, seed=3
+            )
+        ).generate()
+
+        def retained(frames_per_stream: int) -> int:
+            mux = StreamMultiplexer(pipeline)
+
+            def cycle() -> None:
+                stream_id = mux.add_stream(sequence)
+                for index in range(frames_per_stream):
+                    mux.submit(stream_id, sequence.frame(index))
+                mux.drain()
+                assert len(mux.finish_stream(stream_id)) == frames_per_stream
+
+            cycle()  # first-call allocations
+            tracemalloc.start()
+            try:
+                gc.collect()
+                before, _ = tracemalloc.get_traced_memory()
+                for _ in range(8):
+                    cycle()
+                gc.collect()  # count live memory, not uncollected cycles
+                after, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert mux.finish() == {}
+            return after - before
+
+        # 8 streams x 88 more frames: kept results (about 400 B a frame)
+        # would add some 280 kB.
+        few = retained(8)
+        assert retained(96) - few < 32_768
 
     def test_pump_driven_report_has_wall_time(self, pipeline, tiny_tracking_dataset):
         """Always-on loops drive pump() directly and never drain()."""
@@ -170,7 +240,7 @@ class TestStats:
 
 
 class TestEnergyPolicy:
-    """The energy/deadline-aware scheduler and per-stream cost metering."""
+    """Per-stream cost metering under the fair-share scheduler."""
 
     def _energy_mux(self, spec=None, **kwargs):
         from repro.nn.models import build_mdnet
@@ -181,43 +251,6 @@ class TestEnergyPolicy:
         return StreamMultiplexer(
             pipeline, soc=VisionSoC(), network=build_mdnet(), **kwargs
         )
-
-    def test_energy_policy_results_identical_to_fair(self, tiny_tracking_dataset):
-        """Scheduling policy affects latency and energy, never outputs."""
-        sequences = tiny_tracking_dataset.sequences
-        spec = PipelineSpec(extrapolation_window=4)
-        fair, _ = StreamMultiplexer(
-            spec.build(tracking_backend_for("mdnet")), policy="fair"
-        ).run_streams(sequences)
-        energy, _ = StreamMultiplexer(
-            spec.build(tracking_backend_for("mdnet")), policy="energy"
-        ).run_streams(sequences)
-        for name in fair:
-            assert_results_identical(fair[name], energy[name])
-
-    def test_energy_policy_defers_partial_batches(self, tiny_tracking_dataset):
-        """Under backlog, the energy policy fills batches at least as well."""
-        sequences = tiny_tracking_dataset.sequences
-        spec = PipelineSpec(extrapolation_window=4)
-
-        def mean_batch(policy):
-            mux = StreamMultiplexer(
-                spec.build(tracking_backend_for("mdnet")),
-                policy=policy,
-                max_inference_batch=len(sequences),
-            )
-            _, report = mux.run_streams(sequences)
-            return report.mean_batch_size
-
-        assert mean_batch("energy") >= mean_batch("fair")
-
-    def test_deadline_forces_dispatch(self, tiny_tracking_dataset):
-        """A lone I-head past its deadline is dispatched, batch full or not."""
-        sequence = tiny_tracking_dataset.sequences[0]
-        mux = self._energy_mux(policy="energy", deadline_frames=2, max_inference_batch=8)
-        stream_id = mux.add_stream(sequence)
-        mux.feed_sequence(stream_id, sequence)
-        assert mux.drain() == sequence.num_frames
 
     def test_per_stream_energy_breakdowns(self, tiny_tracking_dataset):
         mux = self._energy_mux()
@@ -306,20 +339,16 @@ class TestEnergyPolicy:
         assert report.aggregate_power_w == 0.0
 
     def test_validation(self, pipeline):
-        with pytest.raises(ValueError, match="unknown policy"):
-            StreamMultiplexer(pipeline, policy="greedy")
-        with pytest.raises(ValueError, match="deadline_frames"):
-            StreamMultiplexer(pipeline, policy="energy", deadline_frames=0)
         with pytest.raises(ValueError, match="soc and network"):
             from repro.soc import VisionSoC
 
             StreamMultiplexer(pipeline, soc=VisionSoC())
 
     def test_stalled_iframe_cannot_starve_behind_e_traffic(self, tiny_tracking_dataset):
-        """A lone deferred I-head is dispatched once its round-age deadline hits,
-        even while other streams keep every pump round busy with E-frames."""
+        """A lone I-head is dispatched though its batch never fills, even
+        while another stream keeps every pump round busy with E-frames."""
         sequences = tiny_tracking_dataset.sequences[:2]
-        mux = self._energy_mux(policy="energy", deadline_frames=3, max_inference_batch=8)
+        mux = self._energy_mux(max_inference_batch=8)
         starved = mux.add_stream(sequences[0], name="starved")
         busy = mux.add_stream(sequences[1], name="busy")
         # Warm both streams past frame 0 so the busy stream has E-heads.
@@ -342,9 +371,9 @@ class TestEnergyPolicy:
             if mux.stats_for(starved).pending:
                 waited += 1
         assert mux.stats_for(starved).pending == 0
-        # ...and it did not wait for the queues to empty: it was dispatched
-        # within deadline_frames scheduling rounds.
-        assert waited <= 3
+        # ...and it did not wait for the queues to empty: every round ends
+        # with an I-phase, so it boarded the first one.
+        assert waited == 0
 
     def test_meterless_multiplexer_drains_session_telemetry(
         self, pipeline, tiny_tracking_dataset
@@ -357,40 +386,6 @@ class TestEnergyPolicy:
         mux.drain()
         session = mux._executor.shard_of(stream_id).stream(stream_id).session
         assert session._telemetry == []
-
-    def test_deadline_breached_stream_boards_a_truncated_batch(
-        self, tiny_tracking_dataset
-    ):
-        """When more I-heads are ready than max_inference_batch, an aged
-        head must not lose its seat to deeper queues round after round."""
-        sequences = tiny_tracking_dataset.sequences
-        assert len(sequences) >= 3
-        # Every frame is an I-frame: deep busy queues always contend.
-        spec = PipelineSpec(extrapolation_window=4, expose_motion_vectors=False)
-        mux = StreamMultiplexer(
-            spec.build(tracking_backend_for("mdnet")),
-            policy="energy",
-            deadline_frames=3,
-            max_inference_batch=2,
-        )
-        starved = mux.add_stream(sequences[0], name="starved")
-        busy_ids = [
-            mux.add_stream(sequences[i % len(sequences)], name=f"busy{i}")
-            for i in range(1, 4)
-        ]
-        mux.submit(starved, sequences[0].frame(0))
-        rounds_waited = None
-        for round_index in range(12):
-            for i, stream_id in enumerate(busy_ids):
-                sequence = sequences[(i + 1) % len(sequences)]
-                mux.submit(stream_id, sequence.frame(round_index % sequence.num_frames))
-                mux.submit(stream_id, sequence.frame(round_index % sequence.num_frames))
-            mux.pump()
-            if rounds_waited is None and not mux.stats_for(starved).pending:
-                rounds_waited = round_index + 1
-        # Dispatched within ~deadline_frames rounds despite never having
-        # the deepest queue.
-        assert rounds_waited is not None and rounds_waited <= 4
 
     def test_extrapolation_host_reaches_stream_meters(self, tiny_tracking_dataset):
         """extrapolation_on_cpu=True must price E-frames on the CPU cluster."""
