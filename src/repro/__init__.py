@@ -26,11 +26,12 @@ Quick start::
     results = pipeline.run_dataset(dataset)
     print(success_rate(results, dataset, iou_threshold=0.5))
 
-Streaming (frame at a time, many concurrent cameras)::
+Streaming (frame at a time, each with its ground truth; many concurrent
+cameras)::
 
-    session = pipeline.open_session(source=sequence)
-    for _, frame in sequence.iter_frames():
-        frame_result = session.submit(frame)
+    session = pipeline.open_session(sequence.width, sequence.height, name=sequence.name)
+    for index, frame in sequence.iter_frames():
+        frame_result = session.submit(frame, truth=sequence.truth_detections(index))
     sequence_result = session.finish()
 """
 

@@ -36,7 +36,6 @@ from .backends import (
 )
 from .executor import (
     TRANSPORTS,
-    ExecutionSpec,
     FrameRecord,
     FrameRef,
     ShardedExecutor,
@@ -55,7 +54,7 @@ from .ingest import (
 )
 from .pipeline import EuphratesConfig, EuphratesPipeline
 from .server import EuphratesServer, ServeClient, ServerThread
-from .session import EuphratesSession, SessionClosedError, StreamOracle
+from .session import EuphratesSession, SessionClosedError
 from .spec import PipelineSpec
 from .streaming import MultiplexerReport, StreamMultiplexer
 
@@ -88,13 +87,11 @@ __all__ = [
     "EuphratesPipeline",
     "EuphratesSession",
     "SessionClosedError",
-    "StreamOracle",
     "PipelineSpec",
     "StreamMultiplexer",
     "StreamStats",
     "MultiplexerReport",
     "TRANSPORTS",
-    "ExecutionSpec",
     "FrameRecord",
     "FrameRef",
     "ShardedExecutor",

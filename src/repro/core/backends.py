@@ -6,12 +6,17 @@ simulated CNN (the calibrated YOLOv2 / Tiny YOLO / MDNet stand-ins) or a real
 pixel-domain algorithm (the NCC template tracker).  Each backend carries the
 :class:`~repro.nn.models.NetworkSpec` describing its compute cost so the SoC
 model can price its I-frames.
+
+A backend sees one stream at a time: :meth:`InferenceBackend.start` opens
+it, and every I-frame arrives with its pixels and its ground truth.  The
+simulated CNNs model accuracy relative to that truth; the tracking backends
+follow the first annotated object of their first I-frame.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -25,10 +30,8 @@ from ..nn.profiles import (
     YOLO_V2_PROFILE,
 )
 from ..nn.tracker import SimulatedCNNTracker
+from .geometry import BoundingBox
 from .types import Detection
-
-if TYPE_CHECKING:  # imported lazily to avoid a circular package import
-    from ..video.sequence import VideoSequence
 
 
 class InferenceBackend(ABC):
@@ -42,14 +45,38 @@ class InferenceBackend(ABC):
         return self.network.name
 
     @abstractmethod
-    def start_sequence(self, sequence: "VideoSequence") -> None:
-        """Reset per-sequence state (called before the first frame)."""
+    def start(self, stream: str, width: int, height: int) -> None:
+        """Reset per-stream state (called when a session opens).
+
+        ``stream`` names the stream; the simulated networks seed their
+        noise with it.
+        """
 
     @abstractmethod
     def infer(
-        self, frame_index: int, luma: np.ndarray, sequence: "VideoSequence"
+        self, frame_index: int, luma: np.ndarray, truth: Sequence[Detection]
     ) -> List[Detection]:
-        """Produce the vision result for one I-frame."""
+        """Produce the vision result for one I-frame and its ground truth."""
+
+
+def _first_target(
+    truth: Sequence[Detection], stream: str, frame_index: int
+) -> Detection:
+    """The object a tracker follows: the first annotated one it is shown."""
+    for detection in truth:
+        if detection.object_id is not None:
+            return detection
+    raise ValueError(
+        f"stream '{stream}' has no annotated objects in the truth of frame "
+        f"{frame_index} to start tracking"
+    )
+
+
+def _box_of(truth: Sequence[Detection], object_id: int) -> Optional[BoundingBox]:
+    for detection in truth:
+        if detection.object_id == object_id:
+            return detection.box
+    return None
 
 
 class CNNDetectionBackend(InferenceBackend):
@@ -65,31 +92,24 @@ class CNNDetectionBackend(InferenceBackend):
         self.profile = profile or YOLO_V2_PROFILE
         self.seed = seed
         self._detector: Optional[SimulatedCNNDetector] = None
-        self._sequence_name = ""
+        self._stream = ""
 
-    def start_sequence(self, sequence: "VideoSequence") -> None:
-        self._sequence_name = sequence.name
+    def start(self, stream: str, width: int, height: int) -> None:
+        self._stream = stream
         self._detector = SimulatedCNNDetector(
             network=self.network,
             profile=self.profile,
             seed=self.seed,
-            frame_width=sequence.width,
-            frame_height=sequence.height,
+            frame_width=width,
+            frame_height=height,
         )
 
     def infer(
-        self, frame_index: int, luma: np.ndarray, sequence: "VideoSequence"
+        self, frame_index: int, luma: np.ndarray, truth: Sequence[Detection]
     ) -> List[Detection]:
         if self._detector is None:
-            raise RuntimeError("start_sequence must be called before infer")
-        truth = sequence.truth_detections(frame_index)
-        return self._detector.detect(
-            frame_index,
-            truth,
-            sequence_name=self._sequence_name,
-            frame_width=sequence.width,
-            frame_height=sequence.height,
-        )
+            raise RuntimeError("start must be called before infer")
+        return self._detector.detect(frame_index, truth, sequence_name=self._stream)
 
 
 class CNNTrackingBackend(InferenceBackend):
@@ -105,32 +125,29 @@ class CNNTrackingBackend(InferenceBackend):
         self.profile = profile or MDNET_PROFILE
         self.seed = seed
         self._tracker: Optional[SimulatedCNNTracker] = None
-        self._target_id: int = 0
+        self._stream = ""
+        self._target_id: Optional[int] = None
 
-    def start_sequence(self, sequence: "VideoSequence") -> None:
+    def start(self, stream: str, width: int, height: int) -> None:
+        self._stream = stream
         self._tracker = SimulatedCNNTracker(
             network=self.network, profile=self.profile, seed=self.seed
         )
-        self._target_id = sequence.primary_object_id
-        first_box = sequence.truth_for(self._target_id)[0]
-        if first_box is None:
-            raise ValueError(
-                f"sequence {sequence.name} has no first-frame annotation for tracking"
-            )
-        self._tracker.initialize(
-            first_box,
-            label=sequence.labels.get(self._target_id, "target"),
-            object_id=self._target_id,
-        )
+        self._target_id = None
 
     def infer(
-        self, frame_index: int, luma: np.ndarray, sequence: "VideoSequence"
+        self, frame_index: int, luma: np.ndarray, truth: Sequence[Detection]
     ) -> List[Detection]:
         if self._tracker is None:
-            raise RuntimeError("start_sequence must be called before infer")
-        truth = sequence.truth_for(self._target_id)[frame_index]
-        detection = self._tracker.track(frame_index, truth, sequence_name=sequence.name)
-        return [detection]
+            raise RuntimeError("start must be called before infer")
+        if self._target_id is None:
+            target = _first_target(truth, self._stream, frame_index)
+            self._target_id = target.object_id
+            self._tracker.initialize(
+                target.box, label=target.label, object_id=target.object_id
+            )
+        box = _box_of(truth, self._target_id)
+        return [self._tracker.track(frame_index, box, sequence_name=self._stream)]
 
 
 class NCCTrackingBackend(InferenceBackend):
@@ -147,28 +164,29 @@ class NCCTrackingBackend(InferenceBackend):
         self.network = network or build_tiny_yolo()
         self._config = config
         self._tracker: Optional[NCCTemplateTracker] = None
-        self._target_id: int = 0
+        self._stream = ""
+        self._target_id: Optional[int] = None
 
     @property
     def name(self) -> str:
         return "NCC"
 
-    def start_sequence(self, sequence: "VideoSequence") -> None:
+    def start(self, stream: str, width: int, height: int) -> None:
+        self._stream = stream
         self._tracker = NCCTemplateTracker(self._config)
-        self._target_id = sequence.primary_object_id
-        first_box = sequence.truth_for(self._target_id)[0]
-        if first_box is None:
-            raise ValueError(
-                f"sequence {sequence.name} has no first-frame annotation for tracking"
-            )
-        self._tracker.initialize(sequence.frame(0).astype(np.float64), first_box)
+        self._target_id = None
 
     def infer(
-        self, frame_index: int, luma: np.ndarray, sequence: "VideoSequence"
+        self, frame_index: int, luma: np.ndarray, truth: Sequence[Detection]
     ) -> List[Detection]:
         if self._tracker is None:
-            raise RuntimeError("start_sequence must be called before infer")
-        detection = self._tracker.track(np.asarray(luma, dtype=np.float64))
+            raise RuntimeError("start must be called before infer")
+        luma = np.asarray(luma, dtype=np.float64)
+        if self._target_id is None:
+            target = _first_target(truth, self._stream, frame_index)
+            self._target_id = target.object_id
+            self._tracker.initialize(luma, target.box)
+        detection = self._tracker.track(luma)
         return [
             Detection(
                 box=detection.box,

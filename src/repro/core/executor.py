@@ -22,11 +22,11 @@
   generation counters so a stale reference can never silently read
   recycled pixels.
 
-A stream opened with a source sequence gets an oracle-fed session, and
-the executor sends the sequence's ground truth with every frame.
-Sessions are fully isolated (own backend copy, own controller clone, own
-ISP), so sharded output is bit-identical to a sequence-bound session —
-property tested in ``tests/test_executor.py``.
+A stream opened with a source sequence is named after it, and the
+executor sends the sequence's ground truth with every frame.  Sessions
+are fully isolated (own backend copy, own controller clone, own ISP), so
+sharded output is bit-identical to ``EuphratesPipeline.run`` — property
+tested in ``tests/test_executor.py``.
 """
 
 from __future__ import annotations
@@ -57,27 +57,6 @@ TRANSPORTS = ("auto", "shm", "inproc")
 #: A slot's header: its 8-byte little-endian generation counter.
 _SLOT_HEADER_BYTES = 8
 _SLOTS_PER_SEGMENT = 16
-
-
-@dataclass(frozen=True)
-class ExecutionSpec:
-    """How a pipeline's dataset/stream work is executed (not *what* runs).
-
-    Execution knobs never change outputs — sharded results are bit-identical
-    to serial ones — which is why :meth:`PipelineSpec.cache_key` excludes
-    them.
-    """
-
-    workers: int = 1
-    transport: str = "auto"
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport '{self.transport}' (expected one of {TRANSPORTS})"
-            )
 
 
 @dataclass(frozen=True)
@@ -663,8 +642,7 @@ class StreamShard:
         payload, truth, force, defer, note, enqueued_at = stream.queue.popleft()
         # A slot stays the frame's until its record reaches the producer,
         # and the session never retains the caller's buffer past submit
-        # (the ISP denoiser widens to float64 working copies, the oracle
-        # copies frame 0).
+        # (the ISP denoiser widens to float64 working copies).
         frame = self._reader.read(payload) if isinstance(payload, FrameRef) else payload
         start = time.perf_counter()
         try:
@@ -1078,15 +1056,20 @@ class ShardedExecutor:
         schedule: Optional[ShardSchedule] = None,
         isolate_failures: bool = False,
     ) -> None:
-        spec = ExecutionSpec(workers=workers, transport=transport)  # validates
+        if workers < 1:
+            raise ValueError("workers must be >= 1")
+        if transport not in TRANSPORTS:
+            raise ValueError(
+                f"unknown transport '{transport}' (expected one of {TRANSPORTS})"
+            )
         self.schedule = schedule or ShardSchedule()
         self.pipeline = pipeline
-        self.workers = spec.workers
-        if spec.workers <= 1:
+        self.workers = workers
+        if workers <= 1:
             # Graceful fallback: a single shard needs no process boundary,
             # whatever transport was asked for.
             self.transport_mode = "inproc"
-        elif spec.transport == "inproc":
+        elif transport == "inproc":
             raise ValueError(
                 "transport='inproc' cannot cross process boundaries; "
                 "use workers=1 or transport='shm'"
@@ -1135,23 +1118,19 @@ class ShardedExecutor:
         """Open one stream on the next shard (round-robin placement).
 
         A shard never receives a ``source`` sequence (a worker would get
-        its frame stack pickled wholesale).  It opens an oracle-fed session
-        with the source's geometry, and :meth:`submit` sends the source's
-        ground truth with every frame.  ``oracle_name`` keeps the oracle
-        presenting the true sequence name, so simulated backends seeded by
-        sequence name stay bit-identical to a sequence-bound session.  A
-        failed open raises here and leaves the shard serving.
+        its frame stack pickled wholesale).  It opens a session with the
+        source's name and geometry — the name seeds the simulated
+        backends, so the output matches ``EuphratesPipeline.run`` — and
+        :meth:`submit` sends the source's ground truth with every frame.
+        A failed open raises here and leaves the shard serving.
         """
         if self._closed:
             raise RuntimeError("executor is closed")
         if key in self._assignment:
             raise ValueError(f"stream '{key}' already exists")
         shard = self._shards[len(self._assignment) % len(self._shards)]
-        oracle: Dict[str, object] = {}
         if source is not None:
-            name = name or source.name
-            width, height = source.width, source.height
-            oracle = {"oracle_name": source.name, "oracle_labels": dict(source.labels)}
+            name, width, height = source.name, source.width, source.height
         shard.open_stream(
             key,
             name=name,
@@ -1159,7 +1138,6 @@ class ShardedExecutor:
             height=height,
             backend=backend,
             window_controller=window_controller,
-            **oracle,
         )
         if source is not None:
             self._sources[key] = source
@@ -1233,8 +1211,6 @@ class ShardedExecutor:
         stats = self._stats[key]
         source = self._sources.get(key)
         if source is not None and truth is None:
-            # The oracle needs the truth a sequence-bound session would
-            # have read itself.
             truth = source.truth_detections(stats.frames_submitted)
         payload = self.transport.send(frame)
         try:

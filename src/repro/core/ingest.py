@@ -77,6 +77,7 @@ __all__ = [
     "DEGRADE_QUEUE_FACTOR",
     "OVERLOAD_POLICIES",
     "AdmissionError",
+    "FrameRefused",
     "IngestConfig",
     "IngestCore",
     "ProtocolError",
@@ -117,6 +118,19 @@ class ProtocolError(ValueError):
     """A malformed message on the wire."""
 
 
+class FrameRefused(ProtocolError):
+    """A FRAME whose framing holds but whose ground truth is malformed.
+
+    The connection survives: the server refuses the frame like a
+    mis-shaped one, and ``handle`` and ``seq`` say which frame it was.
+    """
+
+    def __init__(self, handle: int, seq: int, reason: str) -> None:
+        super().__init__(reason)
+        self.handle = handle
+        self.seq = seq
+
+
 def encode_message(msg_type: int, body: bytes = b"") -> bytes:
     """Frame one message: u32 length | u8 type | body."""
     return _HEADER.pack(len(body) + 1) + bytes([msg_type]) + body
@@ -154,19 +168,40 @@ def _truth_to_json(truth: Optional[Sequence[Detection]]) -> bytes:
     return json.dumps(items).encode("utf-8")
 
 
+def _detection_from_json(item: object) -> Detection:
+    if not isinstance(item, dict):
+        raise ProtocolError("truth must be a JSON list of objects")
+    try:
+        x, y, w, h = item["x"], item["y"], item["w"], item["h"]
+    except KeyError as error:
+        raise ProtocolError(f"truth box lacks {error}") from None
+    if not all(type(v) in (int, float) for v in (x, y, w, h)):
+        raise ProtocolError(
+            f"truth box fields must be numbers, got {x!r}, {y!r}, {w!r}, {h!r}"
+        )
+    if w < 0 or h < 0:
+        raise ProtocolError(f"truth box has a negative size {w}x{h}")
+    object_id = item.get("object_id")
+    if object_id is not None and type(object_id) is not int:
+        raise ProtocolError(f"truth object_id {object_id!r} is not an integer")
+    return Detection(
+        box=BoundingBox(x, y, w, h),
+        label=item.get("label", "object"),
+        score=item.get("score", 1.0),
+        object_id=object_id,
+    )
+
+
 def _truth_from_json(blob: bytes) -> Optional[List[Detection]]:
     if not blob:
         return None
-    items = json.loads(blob.decode("utf-8"))
-    return [
-        Detection(
-            box=BoundingBox(d["x"], d["y"], d["w"], d["h"]),
-            label=d.get("label", "object"),
-            score=d.get("score", 1.0),
-            object_id=d.get("object_id"),
-        )
-        for d in items
-    ]
+    try:
+        items = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise ProtocolError(f"malformed truth JSON: {error}") from None
+    if not isinstance(items, list):
+        raise ProtocolError("truth must be a JSON list of objects")
+    return [_detection_from_json(item) for item in items]
 
 
 def encode_frame(
@@ -198,7 +233,9 @@ def decode_frame(
 
     The returned frame is a zero-copy uint8 view of ``body`` — the caller
     submits it straight to the executor's transport (which copies it) and
-    must not retain the view past the buffer's lifetime.
+    must not retain the view past the buffer's lifetime.  Malformed
+    framing raises :class:`ProtocolError`; a malformed truth raises
+    :class:`FrameRefused`, which names the frame.
     """
     view = memoryview(body)
     if len(view) < _FRAME_HEAD.size:
@@ -210,7 +247,10 @@ def decode_frame(
             f"FRAME length mismatch: {len(view)} bytes for "
             f"{height}x{width} + {truth_len} truth"
         )
-    truth = _truth_from_json(bytes(view[offset : offset + truth_len]))
+    try:
+        truth = _truth_from_json(bytes(view[offset : offset + truth_len]))
+    except ProtocolError as error:
+        raise FrameRefused(handle, seq, str(error)) from None
     offset += truth_len
     frame = np.frombuffer(view, dtype=np.uint8, offset=offset).reshape(height, width)
     return handle, seq, frame, truth
@@ -533,22 +573,30 @@ class IngestCore:
     ) -> None:
         """One frame off the wire: reorder, queue under policy, feed.
 
-        A frame whose shape differs from the stream's is refused with
-        :class:`ValueError` and counted in ``frame_errors``; its seq stays
-        missing, so the reorder window seals it as a gap.
+        A frame whose shape differs from the stream's is refused (see
+        :meth:`refuse_frame`).
         """
         stream = self._stream(stream_id)
         if stream.closed:
             raise RuntimeError(f"stream '{stream_id}' is closed")
         if frame.shape != stream.shape:
-            stream.stats.frame_errors += 1
-            raise ValueError(
+            self.refuse_frame(
+                stream_id,
                 f"frame shape {frame.shape} != stream '{stream_id}' shape "
-                f"{stream.shape} (height, width)"
+                f"{stream.shape} (height, width)",
             )
         for rseq, item, gap in stream.reorder.push(seq, (frame, truth)):
             self._enqueue_ready(stream, rseq, item, gap)
         self._feed(stream)
+
+    def refuse_frame(self, stream_id: str, reason: str) -> None:
+        """Refuse one frame: count it in ``frame_errors`` and raise
+        :class:`ValueError` with ``reason``.
+
+        Its seq stays missing, so the reorder window seals it as a gap.
+        """
+        self._stream(stream_id).stats.frame_errors += 1
+        raise ValueError(reason)
 
     def _enqueue_ready(
         self, stream: _IngestStream, seq: int, item: object, gap: bool

@@ -17,14 +17,14 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from ..isp.framebuffer import DEFAULT_FRAME_FORMAT, FixedPointFormat
 from ..isp.pipeline import ISPConfig, ISPPipeline
 from ..motion.block_matching import BlockMatchingConfig
 from .backends import InferenceBackend
-from .executor import ExecutionSpec, ShardedExecutor, ShardSchedule
-from .session import EuphratesSession, StreamOracle
+from .executor import ShardedExecutor, ShardSchedule
+from .session import EuphratesSession
 
 if TYPE_CHECKING:  # imported lazily to avoid a circular package import
     from ..video.datasets import Dataset
@@ -62,43 +62,30 @@ class EuphratesPipeline:
         self.backend = backend
         self.window_controller = window_controller or ConstantWindowController(2)
         self.config = config or EuphratesConfig()
-        #: How dataset/stream work is executed (worker count, frame
-        #: transport); :meth:`PipelineSpec.build` installs the spec's knobs
-        #: here.  Never affects outputs, only where sessions run.
-        self.execution = ExecutionSpec()
+        #: Frame transport of :meth:`run_dataset`'s worker shards (see
+        #: :data:`~repro.core.executor.TRANSPORTS`); :meth:`PipelineSpec.build`
+        #: installs the spec's.  Never affects outputs.
+        self.transport = "auto"
 
     # ------------------------------------------------------------------
     # Sessions: the incremental frame-at-a-time API
     # ------------------------------------------------------------------
     def open_session(
         self,
-        width: Optional[int] = None,
-        height: Optional[int] = None,
+        width: int,
+        height: int,
         *,
-        source: "VideoSequence | None" = None,
         name: Optional[str] = None,
-        oracle_name: Optional[str] = None,
-        oracle_labels: Optional[Dict[int, str]] = None,
         backend: Optional[InferenceBackend] = None,
         window_controller: Optional[WindowController] = None,
     ) -> EuphratesSession:
-        """Open an incremental session; see :class:`EuphratesSession`.
+        """Open an incremental session on ``width`` x ``height`` frames.
 
-        Sessions come in two flavours:
-
-        * ``source=sequence`` binds the session to an annotated
-          :class:`~repro.video.sequence.VideoSequence` whose ground truth
-          feeds the simulated backends; frames are then submitted one at a
-          time and must match the sequence's frames for the results to mean
-          anything.
-        * ``open_session(width, height)`` opens a dimension-bound live
-          stream: per-frame ground truth is handed to
-          :meth:`EuphratesSession.submit` and collected in a
-          :class:`~repro.core.session.StreamOracle`.  ``oracle_name`` (and
-          optionally ``oracle_labels``) lets the oracle present a different
-          identity than the session — worker shards use this to replay a
-          named sequence frame-by-frame so simulated backends seeded by
-          sequence name produce bit-identical outputs.
+        Frames and their ground truth are handed to
+        :meth:`EuphratesSession.submit` one at a time.  ``name`` names the
+        stream (default ``"stream"``); the simulated backends seed their
+        noise with it, so a session named after a sequence reproduces
+        :meth:`run` on it.
 
         Every session gets its *own* ISP, extrapolator, backend copy and
         window-controller clone, so any number of sessions can run
@@ -106,28 +93,9 @@ class EuphratesPipeline:
         :meth:`run_dataset` and :class:`~repro.core.streaming.StreamMultiplexer`
         all open their sessions here.
         """
-        if source is not None:
-            if oracle_name is not None or oracle_labels is not None:
-                raise ValueError(
-                    "oracle_name/oracle_labels apply to live (width/height) "
-                    "sessions only; a source sequence carries its own identity"
-                )
-            width = source.width
-            height = source.height
-            name = name or source.name
-        else:
-            if width is None or height is None:
-                raise ValueError("open_session needs either a source sequence or width and height")
-            name = name or "stream"
-
-        oracle: Optional[StreamOracle] = None
-        backend_source: object = source
-        if source is None:
-            oracle = StreamOracle(
-                oracle_name or name, width, height, labels=oracle_labels
-            )
-            backend_source = oracle
-
+        if width is None or height is None:
+            raise ValueError("open_session needs a width and height")
+        name = name or "stream"
         if backend is self.backend:
             raise ValueError(
                 "backend is this pipeline's own engine; sessions (and shards) "
@@ -156,11 +124,8 @@ class EuphratesPipeline:
                 if window_controller is not None
                 else self.window_controller.clone()
             ),
-            source=backend_source,
-            oracle=oracle,
         )
-        if source is not None:
-            session_backend.start_sequence(source)
+        session_backend.start(name, width, height)
         return session
 
     # ------------------------------------------------------------------
@@ -169,26 +134,26 @@ class EuphratesPipeline:
     def run(self, sequence: "VideoSequence") -> SequenceResult:
         """Process one video sequence and return per-frame results.
 
-        Implemented as ``open_session`` + one ``submit`` per frame +
-        ``finish`` — bit-identical to submitting the frames yourself.  The
-        session starts from a fresh controller clone, so repeated runs
-        return identical results and never change the pipeline.
+        Implemented as ``open_session`` + one ``submit`` per frame, with
+        that frame's ground truth, + ``finish`` — bit-identical to
+        submitting the frames yourself.  The session starts from a fresh
+        controller clone, so repeated runs return identical results and
+        never change the pipeline.
         """
-        session = self.open_session(source=sequence)
-        for _, frame in sequence.iter_frames():
-            session.submit(frame)
+        session = self.open_session(sequence.width, sequence.height, name=sequence.name)
+        for index, frame in sequence.iter_frames():
+            session.submit(frame, truth=sequence.truth_detections(index))
         return session.finish()
 
     def run_dataset(
         self,
         dataset: "Dataset | Iterable[VideoSequence]",
-        max_workers: Optional[int] = None,
+        max_workers: int = 1,
     ) -> List[SequenceResult]:
         """Process every sequence of a dataset; results in dataset order.
 
         The sequences run on a :class:`~repro.core.executor.ShardedExecutor`
-        with ``max_workers`` shards (default: ``pipeline.execution``,
-        installed by ``PipelineSpec.build``).  One worker is the in-process
+        with ``max_workers`` shards.  One worker is the in-process
         shard; more fork shard workers that own their sessions end to end
         and receive frames over the shared-memory transport, never pickled.
         Every sequence runs in its own session from a fresh controller
@@ -197,12 +162,10 @@ class EuphratesPipeline:
         :class:`~repro.core.executor.StreamFailedError`.
         """
         sequences = dataset.sequences if hasattr(dataset, "sequences") else list(dataset)
-        if max_workers is None:
-            max_workers = self.execution.workers
         with ShardedExecutor(
             self,
             workers=max(1, min(max_workers, len(sequences))),
-            transport=self.execution.transport,
+            transport=self.transport,
             schedule=ShardSchedule(keep_telemetry=True),
         ) as executor:
             outcomes = executor.run_sequences(sequences)

@@ -16,7 +16,7 @@ from typing import Dict, List
 from .types import FrameKind, FrameTelemetry
 
 #: Stage display order.  ``other`` is the residual: total frame time minus
-#: every attributed stage (controller logic, oracle bookkeeping, dispatch).
+#: every attributed stage (controller logic, state pruning, dispatch).
 STAGE_NAMES = (
     "isp_other",
     "motion_search",

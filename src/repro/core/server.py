@@ -57,6 +57,7 @@ from .ingest import (
     MSG_RESULT,
     MSG_STATS,
     AdmissionError,
+    FrameRefused,
     IngestCore,
     ProtocolError,
     decode_frame,
@@ -234,7 +235,12 @@ class EuphratesServer:
     def _handle_message(self, conn: _Connection, msg_type: int, body: bytes) -> bool:
         """Process one message; returns False to end the connection."""
         if msg_type == MSG_FRAME:
-            handle, seq, frame, truth = decode_frame(body)
+            try:
+                handle, seq, frame, truth = decode_frame(body)
+                refusal = None
+            except FrameRefused as error:
+                handle, seq, frame, truth = error.handle, error.seq, None, None
+                refusal = f"bad FRAME truth: {error}"
             stream_id = conn.handles.get(handle)
             if stream_id is None:
                 self._offer(
@@ -243,6 +249,8 @@ class EuphratesServer:
                 )
                 return True
             try:
+                if refusal is not None:
+                    self.ingest.refuse_frame(stream_id, refusal)
                 self.ingest.push_frame(stream_id, seq, frame, truth)
             except ValueError as error:
                 # A refused frame: the stream stays open and seals the gap.
@@ -268,9 +276,7 @@ class EuphratesServer:
             self._handle_hello(conn, decode_json(body))
             return True
         if msg_type == MSG_BYE:
-            payload = decode_json(body)
-            handle = int(payload.get("handle", -1))
-            self._handle_bye(conn, handle)
+            self._handle_bye(conn, decode_json(body).get("handle"))
             return True
         if msg_type == MSG_STATS:
             self._offer(conn, encode_json(MSG_STATS, self.ingest.stats()))
@@ -285,17 +291,20 @@ class EuphratesServer:
         return True
 
     def _handle_hello(self, conn: _Connection, config: dict) -> None:
-        handle = int(config.get("handle", len(conn.handles)))
-        if handle in conn.handles:
+        handle = config.get("handle", len(conn.handles))
+        name = config.get("stream") or f"net{self._next_stream_id}"
+        refusal = None
+        if type(handle) is not int:
+            refusal = f"bad HELLO: handle {handle!r} is not an integer"
+        elif not isinstance(name, str):
+            refusal = f"bad HELLO: stream {name!r} is not a string"
+        elif handle in conn.handles:
+            refusal = f"handle {handle} is already open"
+        if refusal is not None:
             self._offer(
-                conn,
-                encode_json(
-                    MSG_REJECT,
-                    {"handle": handle, "reason": f"handle {handle} is already open"},
-                ),
+                conn, encode_json(MSG_REJECT, {"handle": handle, "reason": refusal})
             )
             return
-        name = config.get("stream") or f"net{self._next_stream_id}"
         self._next_stream_id += 1
         try:
             self.ingest.open_stream(
@@ -312,7 +321,7 @@ class EuphratesServer:
                 encode_json(MSG_REJECT, {"handle": handle, "reason": str(error)}),
             )
             return
-        except (KeyError, ValueError) as error:
+        except (KeyError, TypeError, ValueError) as error:
             self._offer(
                 conn,
                 encode_json(
@@ -326,8 +335,8 @@ class EuphratesServer:
             conn, encode_json(MSG_HELLO_OK, {"handle": handle, "stream": name})
         )
 
-    def _handle_bye(self, conn: _Connection, handle: int) -> None:
-        stream_id = conn.handles.get(handle)
+    def _handle_bye(self, conn: _Connection, handle: object) -> None:
+        stream_id = conn.handles.get(handle) if type(handle) is int else None
         if stream_id is None:
             self._offer(
                 conn,

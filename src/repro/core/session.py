@@ -1,32 +1,25 @@
 """Frame-at-a-time streaming sessions over the Euphrates pipeline.
 
-The original API could only process pre-recorded whole sequences
-(``EuphratesPipeline.run(sequence)``), which rules out the always-on usage
-the paper targets: frames arriving one at a time from a live camera, many
-cameras sharing one SoC.  :class:`EuphratesSession` extracts the per-frame
-body of that monolithic loop — ISP, window-controller I/E decision, backend
-inference or motion extrapolation, disagreement measurement, state pruning —
-behind an incremental interface::
+Frames arrive one at a time from a live camera, and many cameras share one
+SoC.  :class:`EuphratesSession` runs the per-frame body of the algorithm —
+ISP, window-controller I/E decision, backend inference or motion
+extrapolation, disagreement measurement, state pruning — behind an
+incremental interface::
 
-    session = pipeline.open_session(source=sequence)
-    for _, frame in sequence.iter_frames():
-        result = session.submit(frame)          # one FrameResult per frame
+    session = pipeline.open_session(sequence.width, sequence.height, name=sequence.name)
+    for index, frame in sequence.iter_frames():
+        result = session.submit(frame, truth=sequence.truth_detections(index))
     sequence_result = session.finish()
 
-``EuphratesPipeline.run`` is now a thin wrapper over exactly this loop, so
-the streaming path is bit-identical to the batch path by construction.
+Each frame comes with its ground truth, which the backend sees on
+I-frames (the simulated CNNs perturb it).  ``EuphratesPipeline.run`` is
+exactly this loop, so every path — ``run()``, ``run_dataset``, the
+:class:`repro.core.streaming.StreamMultiplexer` and TCP serving — drives
+the same session.
 
 Every session owns its ISP, extrapolator, backend copy and window-controller
 clone, so any number can run concurrently and each stream's adaptive window
-learns only from its own frames — whether the session comes from ``run()``,
-``run_dataset`` or :class:`repro.core.streaming.StreamMultiplexer`.
-
-A session may be bound to a :class:`~repro.video.sequence.VideoSequence`
-(whose annotations feed the simulated-CNN backends' ground-truth oracle) or
-opened on bare ``(width, height)`` dimensions, in which case per-frame truth
-is supplied with each :meth:`EuphratesSession.submit` call and collected in a
-:class:`StreamOracle` that mimics the minimal sequence interface the
-backends consume.
+learns only from its own frames.
 """
 
 from __future__ import annotations
@@ -41,7 +34,6 @@ from .types import Detection, FrameKind, FrameResult, FrameTelemetry, SequenceRe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..isp.pipeline import ISPPipeline
-    from ..video.sequence import VideoSequence
     from .backends import InferenceBackend
     from .window import WindowController
 
@@ -121,141 +113,6 @@ def measure_disagreement(
     return float(np.mean(disagreements))
 
 
-class _TruthSeries:
-    """Per-object box-per-frame view over a :class:`StreamOracle`.
-
-    Implements just enough of the ``sequence.truth_for(object_id)`` list
-    protocol (``[frame_index]``) for the tracking backends.
-    """
-
-    def __init__(self, oracle: "StreamOracle", object_id: int) -> None:
-        self._oracle = oracle
-        self._object_id = object_id
-
-    def __getitem__(self, frame_index: int):
-        truth = self._oracle.truth_at_frame(frame_index)
-        for detection in truth:
-            if detection.object_id == self._object_id:
-                return detection.box
-        return None
-
-
-class StreamOracle:
-    """Minimal sequence facade for sessions fed frame by frame.
-
-    The simulated CNN backends model accuracy *relative to ground truth*, so
-    they query their sequence for per-frame annotations.  A live stream has
-    no pre-recorded sequence; instead the caller hands each frame's truth to
-    :meth:`EuphratesSession.submit` and this oracle accumulates it, exposing
-    the handful of accessors the backends actually touch (``width``,
-    ``height``, ``name``, ``frame(0)``, ``truth_detections``, ``truth_for``,
-    ``primary_object_id``, ``labels``).
-    """
-
-    #: How many recent frames' truth to retain.  Backends only ever query
-    #: the frame currently being submitted, so an always-on stream must not
-    #: accumulate truth without bound; a small window keeps late readers
-    #: (diagnostics) working while bounding memory.
-    TRUTH_WINDOW = 8
-
-    def __init__(
-        self,
-        name: str,
-        width: int,
-        height: int,
-        fps: float = 60.0,
-        *,
-        labels: Optional[Dict[int, str]] = None,
-    ) -> None:
-        self.name = name
-        self.width = int(width)
-        self.height = int(height)
-        self.fps = fps
-        #: Object-id -> class-label map.  Grows as truth is observed; may be
-        #: primed up front (worker shards replaying a known sequence prime
-        #: it with the sequence's full label map).
-        self.labels: Dict[int, str] = dict(labels or {})
-        self._truth: Dict[int, List[Detection]] = {}
-        self._next_frame = 0
-        self._primary_object_id: Optional[int] = None
-        self._first_frame: Optional[np.ndarray] = None
-
-    # -- feeding -------------------------------------------------------
-    def observe(
-        self,
-        frame_index: int,
-        frame: np.ndarray,
-        truth: Optional[Sequence[Detection]],
-    ) -> None:
-        """Record one submitted frame's annotations (called by the session)."""
-        if frame_index != self._next_frame:
-            raise ValueError(
-                f"frames must be observed in order (got {frame_index}, "
-                f"expected {self._next_frame})"
-            )
-        detections = list(truth) if truth else []
-        self._truth[frame_index] = detections
-        self._next_frame = frame_index + 1
-        for detection in detections:
-            if detection.object_id is not None:
-                if self._primary_object_id is None:
-                    self._primary_object_id = detection.object_id
-                self.labels.setdefault(detection.object_id, detection.label)
-        if frame_index == 0:
-            # Copy, never reference: a live capture loop typically reuses
-            # one buffer per frame, which would silently rewrite "frame 0".
-            self._first_frame = np.array(frame, copy=True)
-        stale = frame_index - self.TRUTH_WINDOW
-        if stale in self._truth:
-            del self._truth[stale]
-
-    def forget(self, frame_index: int) -> None:
-        """Roll back the most recent :meth:`observe` (failed submit).
-
-        Keeps the oracle in sync with the session's frame counter so the
-        caller can retry the frame (e.g. resubmitting with the truth a
-        tracking backend needed to start).
-        """
-        if frame_index == self._next_frame - 1:
-            self._truth.pop(frame_index, None)
-            self._next_frame = frame_index
-            if frame_index == 0:
-                self._first_frame = None
-                self._primary_object_id = None
-
-    # -- the sequence protocol consumed by the backends ----------------
-    def frame(self, index: int) -> np.ndarray:
-        if index != 0 or self._first_frame is None:
-            raise ValueError("a stream oracle only retains the first frame")
-        return self._first_frame
-
-    def truth_at_frame(self, frame_index: int) -> List[Detection]:
-        if frame_index >= self._next_frame:
-            raise ValueError(
-                f"no truth observed yet for frame {frame_index} "
-                f"({self._next_frame} frames submitted)"
-            )
-        try:
-            return self._truth[frame_index]
-        except KeyError:
-            raise ValueError(
-                f"truth for frame {frame_index} was evicted (only the last "
-                f"{self.TRUTH_WINDOW} frames are retained)"
-            ) from None
-
-    def truth_detections(self, frame_index: int) -> List[Detection]:
-        return list(self.truth_at_frame(frame_index))
-
-    def truth_for(self, object_id: int) -> _TruthSeries:
-        return _TruthSeries(self, object_id)
-
-    @property
-    def primary_object_id(self) -> int:
-        if self._primary_object_id is None:
-            raise ValueError(f"stream '{self.name}' has no annotated objects yet")
-        return self._primary_object_id
-
-
 class EuphratesSession:
     """Incremental frame-at-a-time execution of the Euphrates algorithm.
 
@@ -270,16 +127,12 @@ class EuphratesSession:
         extrapolator: MotionExtrapolator,
         backend: "InferenceBackend",
         window_controller: "WindowController",
-        source: "VideoSequence | StreamOracle | None" = None,
-        oracle: Optional[StreamOracle] = None,
     ) -> None:
         self.name = name
         self._isp = isp
         self._extrapolator = extrapolator
         self._backend = backend
         self._controller = window_controller
-        self._source = source
-        self._oracle = oracle
         # Per-stream algorithm state, previously locals of the run() loop.
         self._states: Dict[int, RoiMotionState] = {}
         self._last_detections: List[Detection] = []
@@ -290,9 +143,6 @@ class EuphratesSession:
         self._telemetry: List[FrameTelemetry] = []
         self._next_index = 0
         self._closed = False
-        # Sequence-bound sessions start their backend at open (the pipeline
-        # does it); oracle-fed ones defer until the first frame's truth is in.
-        self._backend_started = oracle is None
         # Whether the ISP can ever produce a motion field for this session;
         # used by next_frame_kind() to predict the I/E decision.
         self._motion_possible = isp.config.expose_motion_vectors
@@ -352,63 +202,23 @@ class EuphratesSession:
     ) -> FrameResult:
         """Process one captured frame and return its :class:`FrameResult`.
 
-        ``truth`` feeds the ground-truth oracle of dimension-bound sessions
-        (ignored, and rejected, when the session is bound to an annotated
-        source sequence).  ``force_inference`` turns this frame into an
-        I-frame regardless of the window controller — a mid-stream reset,
-        e.g. after a scene cut signalled by the application.
-        ``defer_inference`` does the opposite under overload: a controller-
-        scheduled inference is postponed (the window effectively widens) so
-        the frame extrapolates instead of stalling the queue; frames that
-        *must* infer (first frame, no motion field, explicit force) still
-        do.  ``degradation`` tags the emitted telemetry event with the
-        serving-layer context that requested the special handling.
+        ``truth`` is the frame's ground truth; the backend receives it if
+        this frame becomes an I-frame.  ``force_inference`` turns this
+        frame into an I-frame regardless of the window controller — a
+        mid-stream reset, e.g. after a scene cut signalled by the
+        application.  ``defer_inference`` does the opposite under overload:
+        a controller-scheduled inference is postponed (the window
+        effectively widens) so the frame extrapolates instead of stalling
+        the queue; frames that *must* infer (first frame, no motion field,
+        explicit force) still do.  ``degradation`` tags the emitted
+        telemetry event with the serving-layer context that requested the
+        special handling.
         """
         if self._closed:
             raise SessionClosedError(f"session '{self.name}' is finished")
         frame_index = self._next_index
-
-        if self._oracle is not None:
-            self._oracle.observe(frame_index, frame, truth)
-            try:
-                return self._process(
-                    frame_index, frame, force_inference, defer_inference, degradation
-                )
-            except BaseException:
-                # Keep the oracle in lockstep with the frame counter so the
-                # caller can retry (e.g. resubmitting with the truth a tracking
-                # backend needed to start).  If the ISP already ran, its
-                # temporal reference has advanced and a retry is functional
-                # but not bit-exact — failures before the ISP (backend
-                # start, bad truth) retry cleanly.
-                self._oracle.forget(frame_index)
-                raise
-        if truth is not None:
-            raise ValueError(
-                "per-frame truth is only accepted by sessions opened without "
-                "a source sequence"
-            )
-        return self._process(
-            frame_index, frame, force_inference, defer_inference, degradation
-        )
-
-    def _process(
-        self,
-        frame_index: int,
-        frame: np.ndarray,
-        force_inference: bool,
-        defer_inference: bool = False,
-        degradation: str = "",
-    ) -> FrameResult:
-        """The per-frame algorithm body (split out for submit's rollback)."""
         frame_start = time.perf_counter()
         ops_before = self._extrapolator.total_operations
-        if not self._backend_started:
-            # Dimension-bound sessions defer backend start until the first
-            # frame so the oracle already holds that frame's annotations
-            # (tracking backends read the first-frame box at start).
-            self._backend.start_sequence(self._source)
-            self._backend_started = True
 
         isp_start = time.perf_counter()
         processed = self._isp.process_luma(frame, frame_index)
@@ -445,7 +255,9 @@ class EuphratesSession:
                 )
                 extrapolation_s += time.perf_counter() - stage_start
             stage_start = time.perf_counter()
-            detections = self._backend.infer(frame_index, processed.luma, self._source)
+            detections = self._backend.infer(
+                frame_index, processed.luma, () if truth is None else truth
+            )
             inference_s = time.perf_counter() - stage_start
             if predicted is not None:
                 disagreement = measure_disagreement(detections, predicted)

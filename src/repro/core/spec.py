@@ -17,11 +17,11 @@ single hashable value object:
   round-trip a spec through the command line, so a result's provenance can be
   reproduced by pasting the printed flags back into the harness.
 
-The spec also carries *execution* knobs (``workers``, ``transport``) that
-select where sessions run on :class:`~repro.core.executor.ShardedExecutor`:
-in-process, or sharded over worker processes.  Every sequence runs in its
-own session, so execution knobs never change outputs (property-tested) and
-are excluded from :meth:`PipelineSpec.cache_key`.
+The spec also carries one *execution* knob, ``transport``: how frames
+reach the worker shards of :class:`~repro.core.executor.ShardedExecutor`
+(the worker count is each tool's ``--workers``).  Every sequence runs in
+its own session, so execution never changes outputs (property-tested) and
+``transport`` is excluded from :meth:`PipelineSpec.cache_key`.
 """
 
 from __future__ import annotations
@@ -108,11 +108,9 @@ class PipelineSpec:
     #: dedicated motion-controller IP (``mc``) or software on the CPU
     #: cluster (``cpu``, the Fig. 9b EW-N@CPU baseline).
     extrapolation_host: str = "mc"
-    #: Worker shards for dataset runs and the stream multiplexer; 1 keeps
-    #: everything in-process.  Never changes outputs.
-    workers: int = 1
-    #: Frame transport between client and shards: ``auto`` (shared memory
-    #: when workers > 1), ``shm`` or ``inproc``.
+    #: Frame transport between client and worker shards: ``auto`` (shared
+    #: memory when there are worker processes), ``shm`` or ``inproc``.
+    #: Never changes outputs.
     transport: str = "auto"
 
     def __post_init__(self) -> None:
@@ -150,10 +148,12 @@ class PipelineSpec:
         from ..soc.config import resolve_soc_config
 
         resolve_soc_config(self.soc_config)
-        # Execution knobs share the executor's validation.
-        from .executor import ExecutionSpec
+        from .executor import TRANSPORTS
 
-        ExecutionSpec(workers=self.workers, transport=self.transport)
+        if self.transport not in TRANSPORTS:
+            raise ValueError(
+                f"unknown transport '{self.transport}' (expected one of {TRANSPORTS})"
+            )
 
     # ------------------------------------------------------------------
     # Alternate constructors
@@ -288,16 +288,6 @@ class PipelineSpec:
             "motion-controller IP or software on the CPU cluster "
             f"(default: {defaults.extrapolation_host})",
         )
-        # Named --exec-workers (not --workers): harness tools own a
-        # --workers flag of their own for dataset-level parallelism.
-        parser.add_argument(
-            "--exec-workers",
-            dest="spec_workers",
-            type=int,
-            default=defaults.workers,
-            help="worker shards for dataset runs and stream serving; 1 stays "
-            f"in-process (default: {defaults.workers})",
-        )
         from .executor import TRANSPORTS
 
         parser.add_argument(
@@ -341,7 +331,6 @@ class PipelineSpec:
             "expose_motion_vectors": args.spec_expose_motion_vectors,
             "soc_config": args.spec_soc_config,
             "extrapolation_host": args.spec_extrapolation_host,
-            "workers": getattr(args, "spec_workers", defaults.workers),
             "transport": getattr(args, "spec_transport", defaults.transport),
         }
         preset = getattr(args, "spec_preset", None)
@@ -388,8 +377,6 @@ class PipelineSpec:
             tokens += ["--soc-config", self.soc_config]
         if self.extrapolation_host != defaults.extrapolation_host:
             tokens += ["--extrapolation-host", self.extrapolation_host]
-        if self.workers != defaults.workers:
-            tokens += ["--exec-workers", str(self.workers)]
         if self.transport != defaults.transport:
             tokens += ["--transport", self.transport]
         return tokens
@@ -397,12 +384,12 @@ class PipelineSpec:
     def cache_key(self) -> Tuple[object, ...]:
         """A stable hashable key identifying this configuration.
 
-        The harness stores sweep results under this key.  Execution knobs
-        (``workers``, ``transport``) are deliberately excluded: they select
-        where sessions run, never what they compute (output is identical at
-        any worker count, property-tested), so results are shared across
-        execution modes.  Two specs that agree on every *algorithmic*
-        knob therefore share a key even if their execution knobs differ.
+        The harness stores sweep results under this key.  ``transport`` is
+        deliberately excluded: it selects how frames reach the worker
+        shards, never what they compute (output is identical at any worker
+        count, property-tested), so results are shared across execution
+        modes.  Two specs that agree on every *algorithmic* knob therefore
+        share a key even if their transports differ.
         """
         return (
             str(self.extrapolation_window),
@@ -441,8 +428,6 @@ class PipelineSpec:
             label += f"/soc:{self.soc_config}"
         if self.extrapolation_host != "mc":
             label += f"/ew@{self.extrapolation_host}"
-        if self.workers != 1:
-            label += f"/x{self.workers}"
         return label
 
     # ------------------------------------------------------------------
@@ -478,7 +463,6 @@ class PipelineSpec:
 
     def build(self, backend: "InferenceBackend") -> "EuphratesPipeline":
         """Assemble a ready-to-run pipeline around ``backend``."""
-        from .executor import ExecutionSpec
         from .pipeline import EuphratesPipeline
 
         pipeline = EuphratesPipeline(
@@ -486,9 +470,7 @@ class PipelineSpec:
             window_controller=self.window_controller(),
             config=self.euphrates_config(),
         )
-        pipeline.execution = ExecutionSpec(
-            workers=self.workers, transport=self.transport
-        )
+        pipeline.transport = self.transport
         return pipeline
 
     def with_window(self, window: Union[int, str]) -> "PipelineSpec":

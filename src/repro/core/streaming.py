@@ -237,11 +237,12 @@ class StreamMultiplexer:
     ) -> str:
         """Register a stream and return its id (the session name).
 
-        Pass ``source`` for a sequence-bound stream (ground truth comes from
-        the sequence) or ``width``/``height`` for a live stream whose truth
-        arrives per frame via :meth:`submit`.  ``soc_config`` prices this
-        stream's frames on a different modeled capture setting than the
-        shared SoC (heterogeneous cameras on one backend); it needs the
+        Pass ``source`` to replay a sequence (its session is named after
+        the sequence, and :meth:`submit` sends the sequence's ground truth
+        with each frame) or ``width``/``height`` for a live stream whose
+        truth arrives per frame via :meth:`submit`.  ``soc_config`` prices
+        this stream's frames on a different modeled capture setting than
+        the shared SoC (heterogeneous cameras on one backend); it needs the
         energy model attached.
         """
         if name is None:

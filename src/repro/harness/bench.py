@@ -211,9 +211,8 @@ def _workers_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
         type=int,
-        default=None,
-        help="worker shards serving the streams (default: the spec's "
-        "--exec-workers value; 1 stays in-process)",
+        default=1,
+        help="worker shards serving the streams (default: 1, in-process)",
     )
 
 
@@ -249,7 +248,7 @@ def _run_stream(args: argparse.Namespace) -> Tuple[dict, str]:
         seed=args.seed,
         e_frame_burst=args.e_frame_burst,
         max_inference_batch=args.max_inference_batch,
-        workers=_or(args.workers, spec.workers),
+        workers=args.workers,
         transport=spec.transport,
     )
     return entry, spec.kernel_backend
@@ -350,7 +349,7 @@ def _run_serve(args: argparse.Namespace) -> Tuple[dict, str]:
         drop_rate=args.drop_rate,
         reorder_rate=args.reorder_rate,
         burst_rate=args.burst_rate,
-        workers=_or(args.workers, spec.workers),
+        workers=args.workers,
         queue_capacity=args.queue_capacity,
         overload_policy=args.overload_policy,
         target_utilization=args.target_utilization,
@@ -400,8 +399,7 @@ def _tune_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _run_tune(args: argparse.Namespace) -> Tuple[dict, str]:
-    workers = args.workers if args.workers and args.workers > 1 else None
-    entry = benchmark_tune(args.preset, args.seed, workers)
+    entry = benchmark_tune(args.preset, args.seed, args.workers)
     return entry, PipelineSpec().kernel_backend
 
 

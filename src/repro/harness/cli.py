@@ -344,8 +344,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
     from .reporting import artifact_to_dict
     from .tune import TuneError, run_tune
 
-    workers = args.workers if args.workers and args.workers > 1 else None
-
     def log(message: str) -> None:
         print(message, file=sys.stderr)
 
@@ -358,7 +356,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
             seed=args.seed,
             store_path=args.store,
             resume=args.resume,
-            max_workers=workers,
+            max_workers=args.workers,
             base_spec=PipelineSpec.from_cli_args(args),
             log=log,
         )
@@ -447,10 +445,9 @@ def cmd_list_json() -> int:
 
 
 def _make_context(args: argparse.Namespace) -> ExperimentContext:
-    workers = args.workers if args.workers and args.workers > 1 else None
     datasets = DatasetSpec.smoke() if args.smoke else DatasetSpec()
     return ExperimentContext(
-        runner=SweepRunner(max_workers=workers),
+        runner=SweepRunner(max_workers=args.workers),
         datasets=datasets,
         seed=args.seed,
         base_spec=PipelineSpec.from_cli_args(args),

@@ -103,12 +103,13 @@ def run_session_timed(
     """
     backend = tracking_backend_for("mdnet", seed=seed)
     pipeline = spec.build(backend)
-    session = pipeline.open_session(source=sequence)
+    session = pipeline.open_session(sequence.width, sequence.height, name=sequence.name)
 
     submit_s: List[float] = []
-    for _, frame in sequence.iter_frames():
+    for index, frame in sequence.iter_frames():
+        truth = sequence.truth_detections(index)
         start = time.perf_counter()
-        session.submit(frame)
+        session.submit(frame, truth=truth)
         submit_s.append(time.perf_counter() - start)
 
     telemetry = session.take_telemetry()
@@ -151,17 +152,18 @@ def measure_eframe_alloc_mb(
     """
     backend = tracking_backend_for("mdnet", seed=seed)
     pipeline = spec.build(backend)
-    session = pipeline.open_session(source=sequence)
+    session = pipeline.open_session(sequence.width, sequence.height, name=sequence.name)
 
     frames = list(sequence.iter_frames())
     worst_mb = 0.0
     tracemalloc.start()
     try:
-        for index, (_, frame) in enumerate(frames):
+        for index, frame in frames:
+            truth = sequence.truth_detections(index)
             is_e_frame = session.next_frame_kind() is FrameKind.EXTRAPOLATION
             before, _ = tracemalloc.get_traced_memory()
             tracemalloc.reset_peak()
-            session.submit(frame)
+            session.submit(frame, truth=truth)
             _, peak = tracemalloc.get_traced_memory()
             if index >= warmup_frames and is_e_frame:
                 worst_mb = max(worst_mb, (peak - before) / 1e6)

@@ -93,7 +93,7 @@ class SweepRunner:
     what an isolated run would have produced.
     """
 
-    def __init__(self, max_workers: Optional[int] = None) -> None:
+    def __init__(self, max_workers: int = 1) -> None:
         self.max_workers = max_workers
         self.cache_hits = 0
         self.cache_misses = 0

@@ -77,23 +77,20 @@ def benchmark_multiplexer(
     # measure frame processing only — the multiplexer's wall_s likewise
     # covers drain(), with session setup done in untimed add_stream().
     serial_sessions = [
-        spec.build(tracking_backend_for("mdnet", seed=seed)).open_session(source=sequence)
+        spec.build(tracking_backend_for("mdnet", seed=seed)).open_session(
+            sequence.width, sequence.height, name=sequence.name
+        )
         for sequence in sequences
     ]
     # Warm-up: run one stream through a throwaway session so neither timed
     # region pays first-call costs (allocator, code paths) — the serial
     # region runs first and would otherwise absorb them all.
-    warmup = spec.build(tracking_backend_for("mdnet", seed=seed)).open_session(
-        source=sequences[0]
-    )
-    for _, frame in sequences[0].iter_frames():
-        warmup.submit(frame)
-    warmup.finish()
+    spec.build(tracking_backend_for("mdnet", seed=seed)).run(sequences[0])
 
     serial_start = time.perf_counter()
     for session, sequence in zip(serial_sessions, sequences):
-        for _, frame in sequence.iter_frames():
-            session.submit(frame)
+        for index, frame in sequence.iter_frames():
+            session.submit(frame, truth=sequence.truth_detections(index))
         session.finish()
     serial_s = time.perf_counter() - serial_start
     total_frames = sum(sequence.num_frames for sequence in sequences)

@@ -58,8 +58,8 @@ from .runner import ExperimentArtifact, SweepRunner
 #: Accuracy is scored at the IoU threshold the paper quotes.
 ACCURACY_IOU_THRESHOLD = 0.5
 
-#: Spec fields the tuner may sweep.  Execution knobs (``workers``,
-#: ``transport``, ``kernel_backend``) are excluded by construction: they
+#: Spec fields the tuner may sweep.  Execution knobs (``transport``,
+#: ``kernel_backend``) are excluded by construction: they
 #: never change outputs *or* modeled cost (fps is modeled too), so
 #: searching them would only produce duplicate points.
 SEARCHABLE_FIELDS: Tuple[str, ...] = (
@@ -522,7 +522,7 @@ def run_tune(
     seed: int = 1,
     store_path: Union[str, Path] = "out/tune/store.jsonl",
     resume: bool = False,
-    max_workers: Optional[int] = None,
+    max_workers: int = 1,
     base_spec: Optional[PipelineSpec] = None,
     log: Optional[Callable[[str], None]] = None,
 ) -> TuneReport:
@@ -729,7 +729,7 @@ def best_at_baseline_accuracy(
     return min(results, key=lambda r: (r.energy_per_frame_mj, -r.fps))
 
 
-def benchmark_tune(fidelity_preset: str, seed: int, workers: Optional[int]) -> dict:
+def benchmark_tune(fidelity_preset: str, seed: int, workers: int) -> dict:
     """One grid sweep of the ``ci`` space plus a resume pass: a trajectory entry.
 
     The entry records the measured frontier, the lowest modeled

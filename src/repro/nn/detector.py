@@ -11,7 +11,7 @@ depend on the extrapolation-window schedule.
 from __future__ import annotations
 
 import hashlib
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -56,13 +56,10 @@ class SimulatedCNNDetector:
         frame_index: int,
         truth: Sequence[Detection],
         sequence_name: str = "",
-        frame_width: Optional[int] = None,
-        frame_height: Optional[int] = None,
     ) -> List[Detection]:
         """Run one simulated inference pass and return detections."""
         rng = _stable_rng(self.seed, sequence_name or self.network.name, frame_index)
-        width = frame_width or self.frame_width
-        height = frame_height or self.frame_height
+        width, height = self.frame_width, self.frame_height
         profile = self.profile
         self.inference_count += 1
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.core.backends import detection_backend_for, tracking_backend_for
 from repro.core.executor import (
-    ExecutionSpec,
     ShardedExecutor,
     ShardError,
     ShardSchedule,
@@ -24,7 +23,7 @@ from repro.core.executor import (
 )
 from repro.core.spec import PipelineSpec
 
-from test_session import assert_results_identical
+from test_session import assert_results_identical, open_on
 
 
 def _frame(seed: int, shape=(24, 32)) -> np.ndarray:
@@ -33,10 +32,11 @@ def _frame(seed: int, shape=(24, 32)) -> np.ndarray:
 
 class TestValidation:
     def test_execution_spec(self):
+        pipeline = PipelineSpec().build(tracking_backend_for("mdnet"))
         with pytest.raises(ValueError, match="workers must be >= 1"):
-            ExecutionSpec(workers=0)
+            ShardedExecutor(pipeline, workers=0)
         with pytest.raises(ValueError, match="unknown transport"):
-            ExecutionSpec(transport="smoke-signals")
+            ShardedExecutor(pipeline, transport="smoke-signals")
 
     def test_shard_schedule(self):
         with pytest.raises(ValueError, match="e_frame_burst"):
@@ -185,7 +185,7 @@ class TestEngineLease:
     def test_standalone_session_rejects_the_pipelines_own_engine(self):
         pipeline = PipelineSpec().build(tracking_backend_for("mdnet"))
         with pytest.raises(ValueError, match="own engine"):
-            pipeline.open_session(width=64, height=64, backend=pipeline.backend)
+            pipeline.open_session(64, 64, backend=pipeline.backend)
 
     def test_shard_streams_never_share_a_backend(self, tiny_tracking_dataset):
         """Concurrent shard ownership: every session gets its own engine copy."""
@@ -279,11 +279,13 @@ class TestShardedEquivalenceProperty:
 
         serial = []
         for sequence in sequences:
-            session = spec.build(tracking_backend_for("mdnet")).open_session(
-                source=sequence
-            )
+            session = open_on(spec.build(tracking_backend_for("mdnet")), sequence)
             for index, frame in sequence.iter_frames():
-                session.submit(frame, force_inference=index in forced)
+                session.submit(
+                    frame,
+                    truth=sequence.truth_detections(index),
+                    force_inference=index in forced,
+                )
             serial.append(session.finish())
 
         executor = ShardedExecutor(spec.build(tracking_backend_for("mdnet")), workers=2)
@@ -319,7 +321,7 @@ class TestFailureIsolation:
         executor.open_stream(
             "bad", width=sequence.width, height=sequence.height, name="bad"
         )
-        executor.open_stream("good", source=sequence, name="good")
+        executor.open_stream("good", source=sequence)
         return executor
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -347,12 +349,7 @@ class TestFailureIsolation:
     def test_isolated_failure_matches_serial_for_survivors(self, small_sequence):
         """The surviving stream's output is untouched by its neighbour dying."""
         spec = PipelineSpec(extrapolation_window=4)
-        session = spec.build(tracking_backend_for("mdnet")).open_session(
-            source=small_sequence
-        )
-        for _index, frame in small_sequence.iter_frames():
-            session.submit(frame)
-        expected = session.finish()
+        expected = spec.build(tracking_backend_for("mdnet")).run(small_sequence)
 
         executor = self._open_pair(2, small_sequence)
         try:

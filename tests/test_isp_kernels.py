@@ -396,11 +396,7 @@ class TestEnergyModelUnchanged:
         ).generate()
         spec = PipelineSpec(extrapolation_window=4)
         pipeline = spec.build(tracking_backend_for("mdnet", seed=7))
-        session = pipeline.open_session(source=sequence)
-        for _, frame in sequence.iter_frames():
-            session.submit(frame)
-        telemetry = session.take_telemetry()
-        session.finish()
+        telemetry = pipeline.run(sequence).telemetry
 
         kinds = "".join(
             "E" if record.kind.name == "EXTRAPOLATION" else "I"

@@ -457,7 +457,7 @@ class TestExtrapolatorBackends:
     def test_sessions_pass_the_spec_backend(self):
         for backend in KERNEL_BACKENDS:
             pipeline = PipelineSpec(kernel_backend=backend).build(tracking_backend_for("mdnet"))
-            session = pipeline.open_session(name="s", width=64, height=48)
+            session = pipeline.open_session(64, 48, name="s")
             assert session._extrapolator.kernel_backend == backend
 
 

@@ -13,16 +13,18 @@ from repro.core.types import DatasetRunResult, FrameKind
 from repro.core.window import AdaptiveWindowController, ConstantWindowController
 from repro.motion.block_matching import SearchStrategy
 
+from test_session import open_on, submit_all
+
 
 class _ExplodingBackend:
     """A backend whose every inference raises (module level: picklable)."""
 
     network = None
 
-    def start_sequence(self, sequence):
+    def start(self, stream, width, height):
         pass
 
-    def infer(self, frame_index, luma, sequence):
+    def infer(self, frame_index, luma, truth):
         raise RuntimeError("backend died")
 
 
@@ -122,9 +124,8 @@ class TestAdaptiveMode:
     def test_adaptive_controller_receives_feedback(self, small_sequence):
         controller = AdaptiveWindowController(initial_window=2)
         pipeline = EuphratesPipeline(tracking_backend_for("mdnet"), controller)
-        session = pipeline.open_session(source=small_sequence)
-        for _, frame in small_sequence.iter_frames():
-            session.submit(frame)
+        session = open_on(pipeline, small_sequence)
+        submit_all(session, small_sequence)
         session.finish()
         # The session's own clone observed disagreement at I-frames ...
         assert session.window_controller.observations

@@ -32,12 +32,7 @@ def run_tiny_session(num_frames: int = 9, window: int = 4):
     spec = PipelineSpec(extrapolation_window=window)
     pipeline = spec.build(tracking_backend_for("mdnet"))
     sequence = make_sequence(96, 128, num_frames, seed=0)
-    session = pipeline.open_session(source=sequence)
-    for _, frame in sequence.iter_frames():
-        session.submit(frame)
-    telemetry = session.take_telemetry()
-    session.finish()
-    return telemetry
+    return pipeline.run(sequence).telemetry
 
 
 class TestTelemetryStageClocks:

@@ -11,7 +11,9 @@ and every fault lands in telemetry or a fault counter.
 
 from __future__ import annotations
 
+import logging
 import random
+import struct
 import time
 
 import pytest
@@ -23,13 +25,19 @@ from repro.core.executor import StreamFailedError, StreamStats
 from repro.core.ingest import (
     MSG_BYE,
     MSG_BYE_OK,
+    MSG_ERROR,
+    MSG_FRAME,
     MSG_HEALTH,
+    MSG_HELLO,
+    MSG_HELLO_OK,
+    MSG_REJECT,
     MSG_RESULT,
     MSG_STATS,
     AdmissionError,
     IngestConfig,
     IngestCore,
     encode_json,
+    encode_message,
 )
 from repro.core.server import ServeClient, ServerThread
 from repro.core.spec import PipelineSpec
@@ -461,6 +469,116 @@ class TestWireValidation:
         kinds = [acks[s]["kind"][0].upper() for s in sorted(acks)]
         assert "".join(kinds) == "IEIE" + "IEIEIEI"
         assert "dropped-frame-gap" in acks[5]["degradation"]
+        server.shutdown()
+
+
+def _frame_with_truth_blob(handle: int, seq: int, frame, blob: bytes) -> bytes:
+    """A well-framed FRAME message carrying ``blob`` as its truth bytes."""
+    height, width = frame.shape
+    head = struct.pack(">IIHHI", handle, seq, height, width, len(blob))
+    return encode_message(MSG_FRAME, head + blob + frame.tobytes())
+
+
+@pytest.fixture
+def no_unhandled_exception(caplog):
+    """Fail if the server's event loop logs an exception nobody handled."""
+    caplog.set_level(logging.ERROR, logger="asyncio")
+    yield
+    unhandled = [r for r in caplog.records if "Unhandled exception" in r.getMessage()]
+    assert not unhandled, unhandled[0].getMessage()
+
+
+@pytest.mark.usefixtures("no_unhandled_exception")
+class TestMalformedFields:
+    """A well-framed message with a bad field gets a reply, never a dropped
+    connection; the connection's other streams keep running."""
+
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            b"\xff\xfe\x00",
+            b"[{",
+            b'{"x": 1, "y": 1, "w": 4, "h": 4}',
+            b"[1, 2]",
+            b'[{"x": 1, "y": 1, "w": 4}]',
+            b'[{"x": 1, "y": 1, "w": -4, "h": 4}]',
+            b'[{"x": "left", "y": 1, "w": 4, "h": 4}]',
+        ],
+        ids=[
+            "not-utf8", "not-json", "not-a-list", "not-objects",
+            "missing-h", "negative-size", "non-numeric-x",
+        ],
+    )
+    def test_frame_with_malformed_truth_is_refused_and_sealed_as_a_gap(self, blob):
+        seq_obj = _sequence(12, width=96, height=54)
+        with ServerThread(_make_ingest(reorder_window=4)) as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                for handle, stream in ((1, "cam"), (2, "other")):
+                    client.hello(
+                        handle=handle, stream=stream,
+                        width=seq_obj.width, height=seq_obj.height,
+                    )
+                for seq in range(12):
+                    if seq == 4:
+                        client.send_raw(
+                            _frame_with_truth_blob(1, seq, seq_obj.frame(seq), blob)
+                        )
+                    else:
+                        _stream_all(client, 1, seq_obj, [seq])
+                    _stream_all(client, 2, seq_obj, [seq])
+                _, error = client.wait_for(MSG_ERROR, timeout=10.0)
+                assert client.stats()["streams"]["cam"]["faults"]["frame_errors"] == 1
+                summary = client.bye(1, timeout=10.0)
+                other = client.bye(2, timeout=10.0)
+        assert (error["handle"], error["seq"]) == (1, 4)
+        assert error["reason"].startswith("bad FRAME truth")
+        assert summary["status"] == "ok"
+        assert summary["faults"]["frame_errors"] == 1
+        assert summary["faults"]["gaps"] == 1
+        assert summary["frames_processed"] == 11
+        assert other["status"] == "ok" and other["frames_processed"] == 12
+        server.shutdown()
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"handle": "two", "width": 96, "height": 54},
+            {"handle": [2], "width": 96, "height": 54},
+            {"handle": 2, "stream": ["cam2"], "width": 96, "height": 54},
+            {"handle": 2, "width": [96], "height": 54},
+            {"handle": 2, "width": 96, "height": 54, "fps": {"rate": 30}},
+        ],
+        ids=["handle-string", "handle-list", "stream-list", "width-list", "fps-object"],
+    )
+    def test_malformed_hello_is_rejected(self, config):
+        seq_obj = _sequence(8, width=96, height=54)
+        with ServerThread(_make_ingest()) as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                client.hello(handle=1, stream="cam", width=96, height=54)
+                _stream_all(client, 1, seq_obj, range(4))
+                client.send_raw(encode_json(MSG_HELLO, config))
+                msg_type, reply = client.wait_for(MSG_HELLO_OK, MSG_REJECT, timeout=10.0)
+                _stream_all(client, 1, seq_obj, range(4, 8))
+                summary = client.bye(1, timeout=10.0)
+        assert msg_type == MSG_REJECT
+        assert reply["reason"].startswith("bad HELLO")
+        assert summary["status"] == "ok" and summary["frames_processed"] == 8
+        report = server.shutdown()
+        assert [stats.name for stats in report.streams] == ["cam"]
+
+    @pytest.mark.parametrize("handle", ["one", [1]], ids=["string", "list"])
+    def test_bye_with_a_non_integer_handle_names_no_stream(self, handle):
+        seq_obj = _sequence(8, width=96, height=54)
+        with ServerThread(_make_ingest()) as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                client.hello(handle=1, stream="cam", width=96, height=54)
+                _stream_all(client, 1, seq_obj, range(4))
+                client.send_raw(encode_json(MSG_BYE, {"handle": handle}))
+                _, error = client.wait_for(MSG_ERROR, timeout=10.0)
+                _stream_all(client, 1, seq_obj, range(4, 8))
+                summary = client.bye(1, timeout=10.0)
+        assert error == {"handle": handle, "reason": "no stream"}
+        assert summary["status"] == "ok" and summary["frames_processed"] == 8
         server.shutdown()
 
 

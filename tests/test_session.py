@@ -1,10 +1,10 @@
 """Streaming/batch equivalence tests for the session API.
 
 The contract under test: ``run(sequence)`` is a thin wrapper over
-``open_session`` + per-frame ``submit`` + ``finish``, so submitting the
-frames yourself must be *bit-identical* to the batch path — for detection
-and tracking, for constant and adaptive windows, and for every
-``search_policy`` variant.
+``open_session`` + per-frame ``submit`` (with the frame's ground truth) +
+``finish``, so submitting the frames yourself must be *bit-identical* to
+the batch path — for detection and tracking, for constant and adaptive
+windows, and for every ``search_policy`` variant.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.backends import detection_backend_for, tracking_backend_for
-from repro.core.session import SessionClosedError, StreamOracle
+from repro.core.session import SessionClosedError
 from repro.core.spec import PipelineSpec
 from repro.core.types import FrameKind
 
@@ -31,11 +31,20 @@ def assert_results_identical(batch, streamed):
             assert da.extrapolated == db.extrapolated
 
 
-def run_streamed(spec, backend, sequence, **submit_kwargs):
-    pipeline = spec.build(backend)
-    session = pipeline.open_session(source=sequence)
-    for _, frame in sequence.iter_frames():
-        session.submit(frame, **submit_kwargs)
+def open_on(pipeline, sequence):
+    """A session on ``sequence``'s frame size, named after it as run() names it."""
+    return pipeline.open_session(sequence.width, sequence.height, name=sequence.name)
+
+
+def submit_all(session, sequence):
+    """Submit every frame of ``sequence`` with its ground truth."""
+    for index, frame in sequence.iter_frames():
+        session.submit(frame, truth=sequence.truth_detections(index))
+
+
+def run_streamed(spec, backend, sequence):
+    session = open_on(spec.build(backend), sequence)
+    submit_all(session, sequence)
     return session.finish()
 
 
@@ -80,10 +89,10 @@ class TestRunIsASessionWrapper:
         class ExplodingBackend:
             network = None
 
-            def start_sequence(self, sequence):
+            def start(self, stream, width, height):
                 pass
 
-            def infer(self, frame_index, luma, sequence):
+            def infer(self, frame_index, luma, truth):
                 raise RuntimeError("backend died")
 
         pipeline = PipelineSpec().build(ExplodingBackend())
@@ -97,10 +106,10 @@ class TestRunIsASessionWrapper:
         class ExplodingStart:
             network = None
 
-            def start_sequence(self, sequence):
+            def start(self, stream, width, height):
                 raise ValueError("no first-frame annotation")
 
-            def infer(self, frame_index, luma, sequence):
+            def infer(self, frame_index, luma, truth):
                 raise AssertionError("unreachable")
 
         pipeline = PipelineSpec().build(ExplodingStart())
@@ -122,11 +131,11 @@ class TestRunIsASessionWrapper:
 
     def test_standalone_sessions_do_not_contend(self, small_sequence):
         pipeline = PipelineSpec().build(tracking_backend_for("mdnet"))
-        a = pipeline.open_session(source=small_sequence)
-        b = pipeline.open_session(source=small_sequence)
-        for _, frame in small_sequence.iter_frames():
-            a.submit(frame)
-            b.submit(frame)
+        a = open_on(pipeline, small_sequence)
+        b = open_on(pipeline, small_sequence)
+        for index, frame in small_sequence.iter_frames():
+            a.submit(frame, truth=small_sequence.truth_detections(index))
+            b.submit(frame, truth=small_sequence.truth_detections(index))
         assert_results_identical(a.finish(), b.finish())
 
 
@@ -134,10 +143,14 @@ class TestMidStreamBehaviour:
     def test_forced_iframe_resets_the_window_phase(self, small_sequence):
         spec = PipelineSpec(extrapolation_window=4)
         pipeline = spec.build(tracking_backend_for("mdnet"))
-        session = pipeline.open_session(source=small_sequence)
+        session = open_on(pipeline, small_sequence)
         force_at = 6  # mid-window: frames 4..7 would be I,E,E,E
         for index, frame in small_sequence.iter_frames():
-            result = session.submit(frame, force_inference=(index == force_at))
+            result = session.submit(
+                frame,
+                truth=small_sequence.truth_detections(index),
+                force_inference=(index == force_at),
+            )
         result = session.finish()
         kinds = [frame.kind for frame in result.frames]
         assert kinds[force_at] is FrameKind.INFERENCE
@@ -149,36 +162,42 @@ class TestMidStreamBehaviour:
         spec = PipelineSpec(extrapolation_window=4)
         batch = spec.build(tracking_backend_for("mdnet")).run(small_sequence)
         pipeline = spec.build(tracking_backend_for("mdnet"))
-        session = pipeline.open_session(source=small_sequence)
+        session = open_on(pipeline, small_sequence)
         for index, frame in small_sequence.iter_frames():
             # Index 8 is an I-frame anyway under EW-4; forcing it must not
             # perturb anything.
-            session.submit(frame, force_inference=(index == 8))
+            session.submit(
+                frame,
+                truth=small_sequence.truth_detections(index),
+                force_inference=(index == 8),
+            )
         assert_results_identical(batch, session.finish())
 
     def test_next_frame_kind_predicts_every_frame(self, small_sequence):
         pipeline = PipelineSpec(extrapolation_window=3).build(tracking_backend_for("mdnet"))
-        session = pipeline.open_session(source=small_sequence)
-        for _, frame in small_sequence.iter_frames():
+        session = open_on(pipeline, small_sequence)
+        for index, frame in small_sequence.iter_frames():
             predicted = session.next_frame_kind()
-            assert session.submit(frame).kind is predicted
+            truth = small_sequence.truth_detections(index)
+            assert session.submit(frame, truth=truth).kind is predicted
 
     def test_next_frame_kind_with_motion_vectors_disabled(self, small_sequence):
         pipeline = PipelineSpec(expose_motion_vectors=False).build(
             tracking_backend_for("mdnet")
         )
-        session = pipeline.open_session(source=small_sequence)
-        for _, frame in small_sequence.iter_frames():
+        session = open_on(pipeline, small_sequence)
+        for index, frame in small_sequence.iter_frames():
             assert session.next_frame_kind() is FrameKind.INFERENCE
-            assert session.submit(frame).kind is FrameKind.INFERENCE
+            truth = small_sequence.truth_detections(index)
+            assert session.submit(frame, truth=truth).kind is FrameKind.INFERENCE
         session.finish()
 
 
 class TestSessionLifecycle:
     def test_submit_after_finish_raises(self, small_sequence):
         pipeline = PipelineSpec().build(tracking_backend_for("mdnet"))
-        session = pipeline.open_session(source=small_sequence)
-        session.submit(small_sequence.frame(0))
+        session = open_on(pipeline, small_sequence)
+        session.submit(small_sequence.frame(0), truth=small_sequence.truth_detections(0))
         session.finish()
         with pytest.raises(SessionClosedError):
             session.submit(small_sequence.frame(1))
@@ -187,26 +206,18 @@ class TestSessionLifecycle:
 
     def test_session_stats(self, small_sequence):
         pipeline = PipelineSpec(extrapolation_window=2).build(tracking_backend_for("mdnet"))
-        session = pipeline.open_session(source=small_sequence)
-        for _, frame in small_sequence.iter_frames():
-            session.submit(frame)
+        session = open_on(pipeline, small_sequence)
+        submit_all(session, small_sequence)
         assert session.frames_submitted == small_sequence.num_frames
         result = session.finish()
         assert result.inference_count + result.extrapolation_count == len(result)
         assert result.inference_rate == pytest.approx(0.5, abs=0.05)
         assert sum(event.extrapolation_ops for event in result.telemetry) > 0
 
-    def test_truth_rejected_for_sequence_bound_sessions(self, small_sequence):
-        pipeline = PipelineSpec().build(tracking_backend_for("mdnet"))
-        session = pipeline.open_session(source=small_sequence)
-        truth = small_sequence.truth_detections(0)
-        with pytest.raises(ValueError, match="without"):
-            session.submit(small_sequence.frame(0), truth=truth)
-
     def test_open_session_needs_dimensions_or_source(self):
         pipeline = PipelineSpec().build(tracking_backend_for("mdnet"))
         with pytest.raises(ValueError, match="width and height"):
-            pipeline.open_session()
+            pipeline.open_session(64, None)
 
 
 class TestDimensionBoundSessions:
@@ -239,43 +250,28 @@ class TestDimensionBoundSessions:
             session.submit(frame, truth=multi_object_sequence.truth_detections(index))
         assert_results_identical(batch, session.finish())
 
-    def test_oracle_requires_in_order_frames(self):
-        oracle = StreamOracle("cam", 64, 48)
-        with pytest.raises(ValueError, match="in order"):
-            oracle.observe(1, None, [])
-
-    def test_failed_first_submit_is_retryable_with_truth(self, small_sequence):
-        """A tracking backend cannot start without frame-0 truth; the failed
-        submit must roll the oracle back so the retry (with truth) works."""
+    @pytest.mark.parametrize("network", ["mdnet", "ncc"])
+    def test_tracking_needs_an_annotated_object_on_its_first_frame(
+        self, small_sequence, network
+    ):
+        """A tracker takes its target from its first I-frame's truth: without
+        one, that frame raises; a fresh session fed truth matches run()."""
         spec = PipelineSpec(extrapolation_window=2)
-        pipeline = spec.build(tracking_backend_for("mdnet", seed=3))
-        session = pipeline.open_session(
-            small_sequence.width, small_sequence.height, name=small_sequence.name
-        )
-        with pytest.raises(ValueError, match="no annotated objects"):
-            session.submit(small_sequence.frame(0))  # no truth: backend start fails
-        for index, frame in small_sequence.iter_frames():
-            session.submit(frame, truth=small_sequence.truth_detections(index))
-        batch = spec.build(tracking_backend_for("mdnet", seed=3)).run(small_sequence)
-        assert_results_identical(batch, session.finish())
+        pipeline = spec.build(tracking_backend_for(network, seed=3))
+        session = open_on(pipeline, small_sequence)
+        with pytest.raises(ValueError, match="no annotated objects in the truth of frame 0"):
+            session.submit(small_sequence.frame(0))
+        assert session.frames_submitted == 0
 
-    def test_oracle_truth_window_is_bounded(self, small_sequence):
-        pipeline = PipelineSpec(extrapolation_window=2).build(
-            tracking_backend_for("mdnet", seed=3)
-        )
-        session = pipeline.open_session(
-            small_sequence.width, small_sequence.height, name=small_sequence.name
-        )
-        for index, frame in small_sequence.iter_frames():
-            session.submit(frame, truth=small_sequence.truth_detections(index))
-        oracle = session._oracle
-        assert len(oracle._truth) <= StreamOracle.TRUTH_WINDOW + 1
+        fresh = open_on(pipeline, small_sequence)
+        submit_all(fresh, small_sequence)
+        assert_results_identical(pipeline.run(small_sequence), fresh.finish())
 
     def test_take_results_drains_the_frame_buffer(self, small_sequence):
         pipeline = PipelineSpec(extrapolation_window=2).build(tracking_backend_for("mdnet"))
-        session = pipeline.open_session(source=small_sequence)
+        session = open_on(pipeline, small_sequence)
         for index, frame in small_sequence.iter_frames():
-            session.submit(frame)
+            session.submit(frame, truth=small_sequence.truth_detections(index))
             if index == 9:
                 drained = session.take_results()
                 assert [f.frame_index for f in drained] == list(range(10))
@@ -309,9 +305,9 @@ class TestTelemetry:
 
     def test_take_telemetry_drains_like_take_results(self, small_sequence):
         pipeline = PipelineSpec(extrapolation_window=2).build(tracking_backend_for("mdnet"))
-        session = pipeline.open_session(source=small_sequence)
+        session = open_on(pipeline, small_sequence)
         for index, frame in small_sequence.iter_frames():
-            session.submit(frame)
+            session.submit(frame, truth=small_sequence.truth_detections(index))
             if index == 9:
                 drained = session.take_telemetry()
                 assert [e.frame_index for e in drained] == list(range(10))
@@ -327,8 +323,8 @@ class TestTelemetry:
         spec = PipelineSpec(extrapolation_window=2)
         batch = spec.build(tracking_backend_for("mdnet")).run(small_sequence)
         pipeline = spec.build(tracking_backend_for("mdnet"))
-        session = pipeline.open_session(source=small_sequence)
-        for _, frame in small_sequence.iter_frames():
-            session.submit(frame)
+        session = open_on(pipeline, small_sequence)
+        for index, frame in small_sequence.iter_frames():
+            session.submit(frame, truth=small_sequence.truth_detections(index))
             session.take_telemetry()
         assert_results_identical(batch, session.finish())

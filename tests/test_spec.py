@@ -220,41 +220,36 @@ class TestBuild:
 
 
 class TestExecutionKnobs:
-    """workers/transport select where sessions run, never what they compute."""
+    """The transport selects how frames reach the shards, never what they compute."""
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="workers"):
-            PipelineSpec(workers=0)
         with pytest.raises(ValueError, match="unknown transport"):
             PipelineSpec(transport="carrier-pigeon")
+        # The worker count is each tool's --workers, not a spec field.
+        with pytest.raises(TypeError, match="workers"):
+            PipelineSpec(workers=2)
 
     def test_excluded_from_cache_key(self):
         base = PipelineSpec(extrapolation_window=4)
-        sharded = PipelineSpec(extrapolation_window=4, workers=4, transport="shm")
+        sharded = PipelineSpec(extrapolation_window=4, transport="shm")
         assert base.cache_key() == sharded.cache_key()
+        assert base.describe() == sharded.describe()
         # ...but algorithmic fields still split the key.
         assert base.cache_key() != PipelineSpec(extrapolation_window=2).cache_key()
 
     def test_cli_roundtrip(self):
-        spec = PipelineSpec(extrapolation_window=4, workers=2, transport="shm")
+        spec = PipelineSpec(extrapolation_window=4, transport="shm")
         parser = argparse.ArgumentParser()
         PipelineSpec.add_cli_options(parser)
         args = parser.parse_args(spec.to_cli_args())
         assert PipelineSpec.from_cli_args(args) == spec
-
-    def test_describe_marks_sharded_specs(self):
-        assert "/x2" in PipelineSpec(workers=2).describe()
-        assert "/x" not in PipelineSpec().describe()
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--exec-workers", "2"])
 
     def test_build_installs_execution_spec(self):
-        pipeline = PipelineSpec(workers=2, transport="shm").build(
-            tracking_backend_for("mdnet")
-        )
-        assert pipeline.execution.workers == 2
-        assert pipeline.execution.transport == "shm"
-        assert PipelineSpec().build(
-            tracking_backend_for("mdnet")
-        ).execution.workers == 1
+        pipeline = PipelineSpec(transport="shm").build(tracking_backend_for("mdnet"))
+        assert pipeline.transport == "shm"
+        assert PipelineSpec().build(tracking_backend_for("mdnet")).transport == "auto"
 
     def test_build_pipeline_shim_is_gone(self):
         with pytest.raises(ImportError):

@@ -238,6 +238,23 @@ class TestStats:
         with pytest.raises(ValueError, match="already exists"):
             mux.add_stream(sequence, name=first)
 
+    def test_a_repeated_sequence_reproduces_run(self, pipeline, tiny_tracking_dataset):
+        """A ``name#1`` stream's session is named after its sequence, which
+        seeds the simulated network as run() does."""
+        sequence = tiny_tracking_dataset.sequences[0]
+        mux = StreamMultiplexer(pipeline)
+        stream_ids = [mux.add_stream(sequence), mux.add_stream(sequence)]
+        for index in range(sequence.num_frames):
+            for stream_id in stream_ids:
+                mux.submit(stream_id, sequence.frame(index))
+        results = mux.finish()
+        repeat = results[f"{sequence.name}#1"]
+        assert repeat.sequence_name == sequence.name
+        expected = PipelineSpec(extrapolation_window=4).build(
+            tracking_backend_for("mdnet")
+        ).run(sequence)
+        assert_results_identical(expected, repeat)
+
 
 class TestEnergyPolicy:
     """Per-stream cost metering under the fair-share scheduler."""
