@@ -22,16 +22,17 @@
   generation counters so a stale reference can never silently read
   recycled pixels.
 
-A stream opened with a source sequence is named after it, and the
-executor sends the sequence's ground truth with every frame.  Sessions
-are fully isolated (own backend copy, own controller clone, own ISP), so
-sharded output is bit-identical to ``EuphratesPipeline.run`` — property
-tested in ``tests/test_executor.py``.
+A stream opens from a name, a width and a height, and every caller
+hands each frame its ground truth.  Sessions are fully isolated (own
+backend copy, own controller clone, own ISP), so a stream named after a
+sequence and fed its truth is bit-identical to ``EuphratesPipeline.run``
+on it — property tested in ``tests/test_executor.py``.
 """
 
 from __future__ import annotations
 
 import pickle
+import signal
 import time
 import traceback
 from collections import deque
@@ -236,9 +237,7 @@ def _assert_frame_free(obj: object, _depth: int = 0) -> None:
 
     Frames must travel through the shared-memory transport; everything the
     control pipe carries is small (refs, truth boxes, records).  The scan
-    is shallow on purpose — it catches a raw frame slipped into a message,
-    not arrays legitimately embedded deep inside opaque objects such as a
-    custom backend shipped at stream-open time.
+    is shallow: it catches a raw frame slipped into a message.
     """
     if isinstance(obj, np.ndarray):
         raise TypeError(
@@ -577,10 +576,10 @@ class StreamShard:
         self._batch_counter = 0
 
     # -- stream management ---------------------------------------------
-    def open_stream(self, key: str, **session_kwargs) -> None:
+    def open_stream(self, key: str, *, name: str, width: int, height: int) -> None:
         if key in self._streams:
             raise ValueError(f"stream '{key}' already exists")
-        session = self.pipeline.open_session(**session_kwargs)
+        session = self.pipeline.open_session(width, height, name=name)
         self._streams[key] = _ShardStream(key, session)
 
     def stream(self, key: str) -> _ShardStream:
@@ -767,8 +766,9 @@ def _shard_worker_main(
 
     Control protocol (all messages tuples, tag first):
 
-    * main -> worker: ``("open", key, kwargs)``, ``("frame", key, ref,
-      truth, force, defer, note)``, ``("finish", key)``, ``("stop",)``.
+    * main -> worker: ``("open", key, name, width, height)``, ``("frame",
+      key, ref, truth, force, defer, note)``, ``("finish", key)``,
+      ``("stop",)``.
     * worker -> main: ``("opened", key, error)``, ``("records", [FrameRecord],
       [(key, traceback)])``, ``("finished", key, result)``, ``("error",
       shard, traceback)``.
@@ -778,7 +778,13 @@ def _shard_worker_main(
     the streams it failed.  A failed open answers with its traceback
     (``error``, else ``None``); ``result`` is ``None`` for a failed stream.
     Any other exception ends the worker with an ``error`` message.
+
+    The worker ignores SIGINT.  Ctrl-C reaches the whole process group,
+    and the main process drains its workers and then stops them through
+    the pipe, so a worker interrupted on its own would lose its queued
+    frames.
     """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     reader = SharedMemorySlotReader()
     try:
         shard = StreamShard(
@@ -802,9 +808,9 @@ def _shard_worker_main(
             if tag == "frame":
                 shard.submit(*message[1:])
             elif tag == "open":
-                _, key, kwargs = message
+                _, key, name, width, height = message
                 try:
-                    shard.open_stream(key, **kwargs)
+                    shard.open_stream(key, name=name, width=width, height=height)
                 except Exception:
                     conn.send(("opened", key, traceback.format_exc()))
                 else:
@@ -950,8 +956,8 @@ class _ProcessShard:
         return records
 
     # -- the StreamShard calls -----------------------------------------
-    def open_stream(self, key: str, **kwargs) -> None:
-        self._send(("open", key, kwargs))
+    def open_stream(self, key: str, *, name: str, width: int, height: int) -> None:
+        self._send(("open", key, name, width, height))
         self._wait(lambda: key in self._opened)
         error = self._opened.pop(key)
         if error is not None:
@@ -1078,7 +1084,6 @@ class ShardedExecutor:
             self.transport_mode = "shm"
 
         self.isolate_failures = bool(isolate_failures)
-        self._sources: Dict[str, "VideoSequence"] = {}
         self._assignment: Dict[str, object] = {}
         self._stats: Dict[str, StreamStats] = {}
         #: Folded records the next pump()/drain() hands out.
@@ -1104,24 +1109,12 @@ class ShardedExecutor:
             ]
 
     # -- stream management ---------------------------------------------
-    def open_stream(
-        self,
-        key: str,
-        *,
-        source: "VideoSequence | None" = None,
-        name: Optional[str] = None,
-        width: Optional[int] = None,
-        height: Optional[int] = None,
-        backend=None,
-        window_controller=None,
-    ) -> None:
+    def open_stream(self, key: str, *, name: str, width: int, height: int) -> None:
         """Open one stream on the next shard (round-robin placement).
 
-        A shard never receives a ``source`` sequence (a worker would get
-        its frame stack pickled wholesale).  It opens a session with the
-        source's name and geometry — the name seeds the simulated
-        backends, so the output matches ``EuphratesPipeline.run`` — and
-        :meth:`submit` sends the source's ground truth with every frame.
+        The shard opens a session named ``name`` on ``width`` x ``height``
+        frames; the name seeds the simulated backends, so a stream named
+        after a sequence and fed its truth matches ``EuphratesPipeline.run``.
         A failed open raises here and leaves the shard serving.
         """
         if self._closed:
@@ -1129,18 +1122,7 @@ class ShardedExecutor:
         if key in self._assignment:
             raise ValueError(f"stream '{key}' already exists")
         shard = self._shards[len(self._assignment) % len(self._shards)]
-        if source is not None:
-            name, width, height = source.name, source.width, source.height
-        shard.open_stream(
-            key,
-            name=name,
-            width=width,
-            height=height,
-            backend=backend,
-            window_controller=window_controller,
-        )
-        if source is not None:
-            self._sources[key] = source
+        shard.open_stream(key, name=name, width=width, height=height)
         self._assignment[key] = shard
         self._stats[key] = StreamStats(name=key)
 
@@ -1184,10 +1166,6 @@ class ShardedExecutor:
             raise error
         self._fail_shard(shard, str(error))
 
-    def _forget(self, key: str) -> None:
-        self._assignment.pop(key, None)
-        self._sources.pop(key, None)
-
     def _raise_failed(self, key: str) -> None:
         if key in self._unraised:
             self._unraised.remove(key)
@@ -1208,10 +1186,6 @@ class ShardedExecutor:
         if key in self._failures:
             self._raise_failed(key)
         shard = self.shard_of(key)
-        stats = self._stats[key]
-        source = self._sources.get(key)
-        if source is not None and truth is None:
-            truth = source.truth_detections(stats.frames_submitted)
         payload = self.transport.send(frame)
         try:
             shard.submit(
@@ -1220,7 +1194,7 @@ class ShardedExecutor:
         except ShardError as error:
             self._shard_failed(shard, error)
             self._raise_failed(key)
-        stats.frames_submitted += 1
+        self._stats[key].frames_submitted += 1
 
     def pending_for(self, key: str) -> int:
         if key in self._failures:
@@ -1302,7 +1276,7 @@ class ShardedExecutor:
             else:
                 self._fold(records)
                 self._sync_failures()
-        self._forget(key)
+        self._assignment.pop(key, None)
         if result is None:
             self._raise_failed(key)
         return result, self._stats[key]
@@ -1320,7 +1294,9 @@ class ShardedExecutor:
         sequences = list(sequences)
         keys = [f"seq{index}" for index in range(len(sequences))]
         for key, sequence in zip(keys, sequences):
-            self.open_stream(key, source=sequence, name=sequence.name)
+            self.open_stream(
+                key, name=sequence.name, width=sequence.width, height=sequence.height
+            )
         longest = max((s.num_frames for s in sequences), default=0)
         for frame_index in range(longest):
             for key, sequence in zip(keys, sequences):
@@ -1329,7 +1305,11 @@ class ShardedExecutor:
                 self._absorb(
                     self.shard_of(key), lambda shard: shard.throttle(max_outstanding)
                 )
-                self.submit(key, sequence.frame(frame_index))
+                self.submit(
+                    key,
+                    sequence.frame(frame_index),
+                    truth=sequence.truth_detections(frame_index),
+                )
         self.drain()
         return [self.finish_stream(key) for key in keys]
 

@@ -518,14 +518,12 @@ class IngestCore:
         fps: float = 30.0,
         window_size: int = 1,
         rois: int = 1,
-        **mux_kwargs,
     ) -> None:
         """Admit and open one live stream (raises :class:`AdmissionError`).
 
         ``fps``/``window_size``/``rois`` describe the stream's projected
-        demand for the capacity budget; extra keyword arguments go to
-        :meth:`StreamMultiplexer.add_stream`.  Each side must fit a FRAME's
-        u16 field (1..65535), or :class:`ValueError` is raised.
+        demand for the capacity budget.  Each side must fit a FRAME's u16
+        field (1..65535), or :class:`ValueError` is raised.
         """
         if stream_id in self._streams:
             raise ValueError(f"stream '{stream_id}' already exists")
@@ -546,9 +544,7 @@ class IngestCore:
                     f"utilization {projected.utilization:.3f} >= 1 "
                     f"({len(admitted)} streams admitted)"
                 )
-        self.multiplexer.add_stream(
-            name=stream_id, width=width, height=height, **mux_kwargs
-        )
+        self.multiplexer.add_stream(stream_id, width=width, height=height)
         self._streams[stream_id] = _IngestStream(
             stream_id,
             (height, width),

@@ -71,13 +71,7 @@ class EuphratesPipeline:
     # Sessions: the incremental frame-at-a-time API
     # ------------------------------------------------------------------
     def open_session(
-        self,
-        width: int,
-        height: int,
-        *,
-        name: Optional[str] = None,
-        backend: Optional[InferenceBackend] = None,
-        window_controller: Optional[WindowController] = None,
+        self, width: int, height: int, *, name: Optional[str] = None
     ) -> EuphratesSession:
         """Open an incremental session on ``width`` x ``height`` frames.
 
@@ -96,13 +90,7 @@ class EuphratesPipeline:
         if width is None or height is None:
             raise ValueError("open_session needs a width and height")
         name = name or "stream"
-        if backend is self.backend:
-            raise ValueError(
-                "backend is this pipeline's own engine; sessions (and shards) "
-                "must never share a live backend — pass a copy or leave "
-                "backend unset"
-            )
-        session_backend = backend if backend is not None else copy.deepcopy(self.backend)
+        backend = copy.deepcopy(self.backend)
         session = EuphratesSession(
             name=name,
             isp=ISPPipeline(
@@ -118,14 +106,10 @@ class EuphratesPipeline:
                 frame_height=height,
                 kernel_backend=self.config.block_matching.kernel_backend,
             ),
-            backend=session_backend,
-            window_controller=(
-                window_controller
-                if window_controller is not None
-                else self.window_controller.clone()
-            ),
+            backend=backend,
+            window_controller=self.window_controller.clone(),
         )
-        session_backend.start(name, width, height)
+        backend.start(name, width, height)
         return session
 
     # ------------------------------------------------------------------

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import socket
+import sys
 import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
@@ -73,6 +74,31 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .streaming import MultiplexerReport
 
 __all__ = ["EuphratesServer", "ServeClient", "ServerThread"]
+
+
+def _hello_stream_fields(config: dict) -> Dict[str, object]:
+    """A HELLO's geometry and demand fields, checked by JSON type.
+
+    ``width``, ``height``, ``window_size`` and ``rois`` must be JSON
+    integers (``true`` is not one) and ``fps`` a finite positive JSON
+    number; anything else raises :class:`ValueError`.
+    """
+    fields: Dict[str, object] = {
+        "width": config.get("width"),
+        "height": config.get("height"),
+        "window_size": config.get("window_size", 1),
+        "rois": config.get("rois", 1),
+    }
+    for key, value in fields.items():
+        if type(value) is not int:
+            raise ValueError(f"{key} {value!r} is not an integer")
+    fps = config.get("fps", 30.0)
+    # Compared, never converted first: NaN fails both bounds, and a JSON
+    # integer too large for a float fails the upper one.
+    if type(fps) not in (int, float) or not 0 < fps <= sys.float_info.max:
+        raise ValueError(f"fps {fps!r} is not a finite positive number")
+    fields["fps"] = float(fps)
+    return fields
 
 
 @dataclass
@@ -307,21 +333,14 @@ class EuphratesServer:
             return
         self._next_stream_id += 1
         try:
-            self.ingest.open_stream(
-                name,
-                width=int(config["width"]),
-                height=int(config["height"]),
-                fps=float(config.get("fps", 30.0)),
-                window_size=int(config.get("window_size", 1)),
-                rois=int(config.get("rois", 1)),
-            )
+            self.ingest.open_stream(name, **_hello_stream_fields(config))
         except AdmissionError as error:
             self._offer(
                 conn,
                 encode_json(MSG_REJECT, {"handle": handle, "reason": str(error)}),
             )
             return
-        except (KeyError, TypeError, ValueError) as error:
+        except ValueError as error:
             self._offer(
                 conn,
                 encode_json(

@@ -6,9 +6,10 @@ makes the case for first-class concurrent-stream support).  The
 :class:`~repro.core.session.EuphratesSession` objects over one
 :class:`~repro.core.pipeline.EuphratesPipeline` template:
 
-* each stream has its own frame queue (frames are pushed as they "arrive"),
-  its own backend copy and its own window-controller clone, so streams never
-  contaminate each other's algorithm state;
+* each stream opens from a name and a frame size, and has its own frame
+  queue (frames are pushed as they "arrive", each with its ground truth),
+  its own backend copy and its own window-controller clone, so streams
+  never contaminate each other's algorithm state;
 * scheduling is delegated to the shared execution core
   (:class:`~repro.core.executor.ShardedExecutor`): the fair-share
   scheduler runs shard-local, so the same scheduler serves the in-process
@@ -23,10 +24,11 @@ makes the case for first-class concurrent-stream support).  The
   batched I-frames — and a :class:`~repro.soc.frame_cost.SharedSoCPool`
   settles the shared static-power terms exactly once across all streams.
 
-Because sessions are fully isolated, the per-stream results are bit-identical
-to running each sequence through its own pipeline — scheduling order and
-worker count affect latency, never output (property-tested in
-``tests/test_streaming.py`` and ``tests/test_executor.py``).
+Because sessions are fully isolated, a stream named after a sequence and
+fed its frames and truth is bit-identical to running that sequence through
+its own pipeline — scheduling order and worker count affect latency, never
+output (property-tested in ``tests/test_streaming.py`` and
+``tests/test_executor.py``).
 """
 
 from __future__ import annotations
@@ -42,13 +44,10 @@ from .types import Detection, SequenceResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..nn.models import NetworkSpec
-    from ..soc.config import SoCConfig
     from ..soc.frame_cost import CostMeter, QueueingEstimate
     from ..soc.soc import EnergyBreakdown, VisionSoC
     from ..video.sequence import VideoSequence
-    from .backends import InferenceBackend
     from .pipeline import EuphratesPipeline
-    from .window import WindowController
 
 __all__ = [
     "MultiplexerReport",
@@ -160,9 +159,8 @@ class StreamMultiplexer:
     amortising the weight DRAM traffic over the batch.  The meters hang
     off a :class:`~repro.soc.frame_cost.SharedSoCPool`, so :meth:`report`
     carries both per-stream breakdowns and the exact shared-static-power
-    aggregate (plus an M/D/1 queueing estimate).  Streams may override the
-    modeled capture setting per camera via ``add_stream(soc_config=...)``.
-    Metering is observe-only.
+    aggregate (plus an M/D/1 queueing estimate).  Every meter prices on
+    the one modeled SoC.  Metering is observe-only.
     """
 
     def __init__(
@@ -224,70 +222,27 @@ class StreamMultiplexer:
     # ------------------------------------------------------------------
     # Stream management
     # ------------------------------------------------------------------
-    def add_stream(
-        self,
-        source: "VideoSequence | None" = None,
-        *,
-        name: Optional[str] = None,
-        width: Optional[int] = None,
-        height: Optional[int] = None,
-        backend: "InferenceBackend | None" = None,
-        window_controller: "WindowController | None" = None,
-        soc_config: "str | SoCConfig | None" = None,
-    ) -> str:
-        """Register a stream and return its id (the session name).
+    def add_stream(self, name: str, *, width: int, height: int) -> None:
+        """Register a stream of ``width`` x ``height`` frames as ``name``.
 
-        Pass ``source`` to replay a sequence (its session is named after
-        the sequence, and :meth:`submit` sends the sequence's ground truth
-        with each frame) or ``width``/``height`` for a live stream whose
-        truth arrives per frame via :meth:`submit`.  ``soc_config`` prices
-        this stream's frames on a different modeled capture setting than
-        the shared SoC (heterogeneous cameras on one backend); it needs the
-        energy model attached.
+        ``name`` is the stream id and names its session: the simulated
+        backends seed their noise with it, so a stream named after a
+        sequence and fed its frames and truth reproduces
+        ``pipeline.run(sequence)``.  A name already registered raises
+        :class:`ValueError`.
         """
-        if name is None:
-            base = source.name if source is not None else "stream"
-            name = base
-            suffix = 1
-            while name in self._meters:
-                name = f"{base}#{suffix}"
-                suffix += 1
         if name in self._meters:
             raise ValueError(f"stream '{name}' already exists")
+        self._executor.open_stream(name, name=name, width=width, height=height)
         meter = None
-        if soc_config is not None and self._pool is None:
-            raise ValueError(
-                "per-stream soc_config needs an energy model (soc and network)"
-            )
         if self._pool is not None:
-            stream_soc = None
-            if soc_config is not None:
-                from ..soc.config import resolve_soc_config
-                from ..soc.soc import VisionSoC
-
-                stream_soc = VisionSoC(resolve_soc_config(soc_config))
             meter = self._pool.open_meter(
                 self._network,
-                soc=stream_soc,
                 extrapolation_on_cpu=self._extrapolation_on_cpu,
                 label=name,
             )
-        self._executor.open_stream(
-            name,
-            source=source,
-            name=name,
-            width=width,
-            height=height,
-            backend=backend,
-            window_controller=window_controller,
-        )
         self._meters[name] = meter
         self._open.add(name)
-        return name
-
-    @property
-    def stream_ids(self) -> List[str]:
-        return list(self._meters)
 
     def stats_for(self, stream_id: str) -> StreamStats:
         """The stream's entry in the executor's stats registry."""
@@ -334,11 +289,6 @@ class StreamMultiplexer:
         stats.max_queue_depth = max(
             stats.max_queue_depth, self._executor.pending_for(stream_id)
         )
-
-    def feed_sequence(self, stream_id: str, sequence: "VideoSequence") -> None:
-        """Enqueue every frame of ``sequence`` on ``stream_id``."""
-        for _, frame in sequence.iter_frames():
-            self.submit(stream_id, frame)
 
     @property
     def pending_frames(self) -> int:
@@ -474,8 +424,13 @@ class StreamMultiplexer:
     def run_streams(
         self, sequences: Sequence["VideoSequence"]
     ) -> Tuple[Dict[str, SequenceResult], MultiplexerReport]:
-        """Feed one stream per sequence, drain, and return (results, report)."""
+        """Feed one stream per sequence, drain, and return (results, report).
+
+        Each stream is named after its sequence, and each frame goes in
+        with its ground truth.
+        """
         for sequence in sequences:
-            stream_id = self.add_stream(sequence)
-            self.feed_sequence(stream_id, sequence)
+            self.add_stream(sequence.name, width=sequence.width, height=sequence.height)
+            for index, frame in sequence.iter_frames():
+                self.submit(sequence.name, frame, truth=sequence.truth_detections(index))
         return self.finish(), self.report()

@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tune_parser.add_argument(
         "--strategy",
-        choices=["auto", "grid", "random", "halving"],
+        choices=["auto", "grid", "random"],
         default="auto",
         help="search strategy (default: auto = grid when the space fits "
         "the budget, random otherwise)",

@@ -266,7 +266,6 @@ class ExperimentContext:
         runner: Optional[SweepRunner] = None,
         datasets: Optional[DatasetSpec] = None,
         seed: int = 1,
-        search_policy: Optional[str] = None,
         base_spec: Optional[PipelineSpec] = None,
     ) -> None:
         self.runner = runner or SweepRunner()
@@ -275,11 +274,7 @@ class ExperimentContext:
         #: The base pipeline configuration experiments start their sweeps
         #: from (the CLI builds it from the spec flags); each experiment
         #: overrides only the dimensions it sweeps.
-        if base_spec is None:
-            base_spec = PipelineSpec()
-        if search_policy is not None:
-            base_spec = replace(base_spec, search_policy=search_policy)
-        self.base_spec = base_spec
+        self.base_spec = base_spec or PipelineSpec()
         self._dataset_cache: Dict[str, Dataset] = {}
         self._artifacts: Dict[str, ExperimentArtifact] = {}
         self._vision_soc = None

@@ -111,10 +111,15 @@ def benchmark_multiplexer(
     # Frame i of every camera before frame i+1 of any, as cameras deliver
     # them: worker shards start on the first frames while the rest arrive,
     # so a clip fed whole would run its I-frames without batch mates.
-    stream_ids = [multiplexer.add_stream(sequence) for sequence in sequences]
+    for sequence in sequences:
+        multiplexer.add_stream(sequence.name, width=width, height=height)
     for index in range(frames):
-        for stream_id, sequence in zip(stream_ids, sequences):
-            multiplexer.submit(stream_id, sequence.frame(index))
+        for sequence in sequences:
+            multiplexer.submit(
+                sequence.name,
+                sequence.frame(index),
+                truth=sequence.truth_detections(index),
+            )
     results = multiplexer.finish()
     report = multiplexer.report()
     assert all(len(results[s.name]) == s.num_frames for s in sequences)

@@ -19,11 +19,9 @@ Design points:
   result.  Killing the process mid-sweep loses at most the point in
   flight; re-running with ``resume=True`` replays the store and evaluates
   only what is missing (zero repeated evaluations — tested).
-* **Pluggable strategies.**  ``grid`` exhausts small spaces; ``random``
-  draws a seeded sample for large ones; ``halving`` runs successive
-  halving with dataset-size fidelity rungs (cheap short sequences first,
-  survivors re-measured at full fidelity).  ``auto`` picks grid when the
-  space fits the budget, random otherwise.
+* **Two strategies.**  ``grid`` exhausts small spaces; ``random`` draws
+  a seeded sample for large ones.  ``auto`` picks grid when the space
+  fits the budget, random otherwise.
 * **One pricing core.**  A point's vision outputs are independent of its
   ``soc_config``/``extrapolation_host``, so the pipeline runs once under a
   normalized spec (shared through the runner cache across all SoC variants)
@@ -76,7 +74,7 @@ SEARCHABLE_FIELDS: Tuple[str, ...] = (
 )
 
 #: Strategies :func:`run_tune` accepts.
-STRATEGIES = ("auto", "grid", "random", "halving")
+STRATEGIES = ("auto", "grid", "random")
 
 
 class TuneError(RuntimeError):
@@ -244,9 +242,6 @@ class TuneFidelity:
             "frames": self.frames,
             "dataset_seed": self.dataset_seed,
         }
-
-    def with_frames(self, frames: int) -> "TuneFidelity":
-        return replace(self, frames=frames)
 
 
 #: Dataset-size presets (mirroring the harness ``--smoke``/full profiles).
@@ -469,21 +464,6 @@ def pareto_frontier(results: Sequence[TuneResult]) -> List[TuneResult]:
     return frontier
 
 
-def nondominated_rank(results: Sequence[TuneResult]) -> Dict[str, int]:
-    """NSGA-style fronts: rank 0 = the frontier, rank 1 = next peel, ..."""
-    remaining = list(results)
-    ranks: Dict[str, int] = {}
-    rank = 0
-    while remaining:
-        front = pareto_frontier(remaining)
-        front_keys = {r.key for r in front}
-        for result in front:
-            ranks[result.key] = rank
-        remaining = [r for r in remaining if r.key not in front_keys]
-        rank += 1
-    return ranks
-
-
 # ----------------------------------------------------------------------
 # The search driver
 # ----------------------------------------------------------------------
@@ -496,21 +476,6 @@ class TuneReport:
     evaluated: int = 0
     reused: int = 0
     skipped_budget: int = 0
-
-
-def _halving_rungs(fidelity: TuneFidelity, min_frames: int = 6) -> List[TuneFidelity]:
-    """Fidelity ladder for successive halving: quarter -> half -> full frames."""
-    rungs: List[TuneFidelity] = []
-    for divisor in (4, 2, 1):
-        frames = max(min_frames, fidelity.frames // divisor)
-        rung = fidelity.with_frames(frames)
-        if not rungs or rungs[-1] != rung:
-            rungs.append(rung)
-    return rungs
-
-
-class _BudgetExhausted(Exception):
-    """Internal control flow: the evaluation budget ran out."""
 
 
 def run_tune(
@@ -563,15 +528,24 @@ def run_tune(
     evaluator = TuneEvaluator(SweepRunner(max_workers=max_workers), seed=seed)
     counters = {"evaluated": 0, "reused": 0}
 
-    def measure(spec: PipelineSpec, rung: TuneFidelity) -> TuneResult:
-        key = point_key(spec, rung, seed)
-        cached = store.get(key)
-        if cached is not None:
+    # Resolve the strategy and the evaluation schedule.
+    if strategy == "auto":
+        strategy = "grid" if budget is None or len(candidates) <= budget else "random"
+    schedule = list(candidates)
+    if strategy == "random":
+        tail = schedule[1:]
+        random.Random(seed).shuffle(tail)
+        schedule = schedule[:1] + tail
+    skipped_budget = 0
+    for spec in schedule:
+        if store.get(point_key(spec, fidelity, seed)) is not None:
             counters["reused"] += 1
-            return cached
+            continue
         if budget is not None and counters["evaluated"] >= budget:
-            raise _BudgetExhausted()
-        result = evaluator.evaluate(spec, rung)
+            skipped_budget = 1  # at least one point was left unevaluated
+            emit(f"budget of {budget} evaluation(s) exhausted; frontier uses the store")
+            break
+        result = evaluator.evaluate(spec, fidelity)
         store.add(result)
         counters["evaluated"] += 1
         emit(
@@ -579,46 +553,6 @@ def run_tune(
             f"{result.describe}: accuracy {result.accuracy:.3f}, "
             f"{result.energy_per_frame_mj:.2f} mJ/frame, {result.fps:.1f} fps"
         )
-        return result
-
-    # Resolve the strategy and the evaluation schedule.
-    if strategy == "auto":
-        strategy = "grid" if budget is None or len(candidates) <= budget else "random"
-    rng = random.Random(seed)
-    skipped_budget = 0
-    try:
-        if strategy in ("grid", "random"):
-            schedule = list(candidates)
-            if strategy == "random":
-                tail = schedule[1:]
-                rng.shuffle(tail)
-                schedule = schedule[:1] + tail
-            for spec in schedule:
-                measure(spec, fidelity)
-        else:  # halving
-            rungs = _halving_rungs(fidelity)
-            survivors = list(candidates)
-            if budget is not None and len(survivors) > budget:
-                tail = survivors[1:]
-                rng.shuffle(tail)
-                survivors = survivors[:1] + tail[: budget - 1]
-            for index, rung in enumerate(rungs):
-                emit(
-                    f"halving rung {index + 1}/{len(rungs)}: "
-                    f"{len(survivors)} candidate(s) at {rung.frames} frames"
-                )
-                rung_results = [(spec, measure(spec, rung)) for spec in survivors]
-                if index == len(rungs) - 1:
-                    break
-                ranks = nondominated_rank([result for _, result in rung_results])
-                rung_results.sort(
-                    key=lambda pair: (ranks[pair[1].key], pair[1].energy_per_frame_mj)
-                )
-                keep = max(1, math.ceil(len(rung_results) / 2))
-                survivors = [spec for spec, _ in rung_results[:keep]]
-    except _BudgetExhausted:
-        skipped_budget = 1  # at least one point was left unevaluated
-        emit(f"budget of {budget} evaluation(s) exhausted; frontier uses the store")
 
     # The frontier is computed over every full-fidelity point the store
     # knows (this run + anything a previous run of the same store added).

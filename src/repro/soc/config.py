@@ -205,8 +205,7 @@ def resolve_soc_config(name: "str | SoCConfig") -> SoCConfig:
 
     Accepts a preset name (see :data:`SOC_CAPTURE_PRESETS`), an explicit
     ``WIDTHxHEIGHT@FPS`` capture spelling (e.g. ``1280x720@30``), or an
-    already-built :class:`SoCConfig` (returned as-is, so per-stream
-    heterogeneous configuration can pass either form); unknown names raise
+    already-built :class:`SoCConfig` (returned as-is); unknown names raise
     :class:`ValueError` listing the presets.
     """
     if isinstance(name, SoCConfig):

@@ -335,8 +335,7 @@ class SharedSoCPool:
     run concurrently, so the interval is the *longest* per-stream wall):
 
     * dynamic terms (unit-active energy, DRAM traffic, CPU, per-camera
-      sensor+ISP frontend) are summed per meter — each on the meter's own
-      SoC, so heterogeneous per-stream ``soc_config`` prices correctly;
+      sensor+ISP frontend) are summed per meter;
     * static terms are charged exactly once on the pool's shared SoC.
 
     The result is <= the per-stream sum always, and equal for one stream
@@ -353,19 +352,13 @@ class SharedSoCPool:
         self,
         network: "NetworkSpec",
         *,
-        soc: "VisionSoC | None" = None,
         extrapolation_on_cpu: bool = False,
         assume_nominal_capture: bool = False,
         label: Optional[str] = None,
     ) -> CostMeter:
-        """A per-stream meter whose dynamic terms this pool will aggregate.
-
-        ``soc`` overrides the modeled SoC for this stream's *dynamic*
-        pricing (heterogeneous capture settings in one multiplexer); the
-        shared static terms always settle on the pool's SoC.
-        """
+        """A per-stream meter on the pool's SoC, aggregated by this pool."""
         meter = CostMeter(
-            soc or self.soc,
+            self.soc,
             network,
             extrapolation_on_cpu=extrapolation_on_cpu,
             assume_nominal_capture=assume_nominal_capture,
@@ -373,10 +366,6 @@ class SharedSoCPool:
         )
         self._meters.append(meter)
         return meter
-
-    @property
-    def meters(self) -> List[CostMeter]:
-        return list(self._meters)
 
     def _metered(self) -> List[CostMeter]:
         return [meter for meter in self._meters if meter.frames]
@@ -402,12 +391,11 @@ class SharedSoCPool:
         inference = sum(meter.inference_frames for meter in metered)
 
         # Per-camera terms: every stream has its own sensor + ISP capturing
-        # for its own wall time, priced on its own (possibly heterogeneous)
-        # capture setting.
+        # for its own wall time.
         frontend = sum(
             meter.soc.config.frontend_power_w * meter.wall_time_s for meter in metered
         )
-        # Dynamic backend terms per meter, on the meter's own SoC.
+        # Dynamic backend terms per meter.
         nnx_active = sum(
             meter.soc.nnx.config.active_power_w * meter.nnx_active_s
             for meter in metered

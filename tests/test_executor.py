@@ -30,6 +30,20 @@ def _frame(seed: int, shape=(24, 32)) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, 255, size=shape, dtype=np.uint8)
 
 
+def _open_on(executor, key, sequence):
+    """Open ``key`` on ``sequence``'s frame size, named after it as run() names it."""
+    executor.open_stream(
+        key, name=sequence.name, width=sequence.width, height=sequence.height
+    )
+
+
+def _submit(executor, key, sequence, index, **kwargs):
+    """Submit frame ``index`` of ``sequence`` with its ground truth."""
+    executor.submit(
+        key, sequence.frame(index), truth=sequence.truth_detections(index), **kwargs
+    )
+
+
 class TestValidation:
     def test_execution_spec(self):
         pipeline = PipelineSpec().build(tracking_backend_for("mdnet"))
@@ -182,11 +196,6 @@ class TestSharedMemoryTransport:
 
 
 class TestEngineLease:
-    def test_standalone_session_rejects_the_pipelines_own_engine(self):
-        pipeline = PipelineSpec().build(tracking_backend_for("mdnet"))
-        with pytest.raises(ValueError, match="own engine"):
-            pipeline.open_session(64, 64, backend=pipeline.backend)
-
     def test_shard_streams_never_share_a_backend(self, tiny_tracking_dataset):
         """Concurrent shard ownership: every session gets its own engine copy."""
         pipeline = PipelineSpec(extrapolation_window=4).build(
@@ -196,7 +205,7 @@ class TestEngineLease:
         try:
             sequences = tiny_tracking_dataset.sequences[:2]
             for index, sequence in enumerate(sequences):
-                executor.open_stream(f"s{index}", source=sequence)
+                _open_on(executor, f"s{index}", sequence)
             shard = executor.shard_of("s0")
             backends = [
                 shard.stream(f"s{index}").session.backend
@@ -291,13 +300,15 @@ class TestShardedEquivalenceProperty:
         executor = ShardedExecutor(spec.build(tracking_backend_for("mdnet")), workers=2)
         try:
             for position, sequence in enumerate(sequences):
-                executor.open_stream(f"s{position}", source=sequence)
+                _open_on(executor, f"s{position}", sequence)
             for index in range(max(len(s) for s in sequences)):
                 for position, sequence in enumerate(sequences):
                     if index < len(sequence):
-                        executor.submit(
+                        _submit(
+                            executor,
                             f"s{position}",
-                            sequence.frame(index),
+                            sequence,
+                            index,
                             force_inference=index in forced,
                         )
             executor.drain()
@@ -321,7 +332,7 @@ class TestFailureIsolation:
         executor.open_stream(
             "bad", width=sequence.width, height=sequence.height, name="bad"
         )
-        executor.open_stream("good", source=sequence)
+        _open_on(executor, "good", sequence)
         return executor
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -331,8 +342,8 @@ class TestFailureIsolation:
             # First frame of a live tracking stream with no truth: its
             # session raises inside the shard.
             executor.submit("bad", _frame(8, shape=small_sequence.frame(0).shape))
-            for index, frame in small_sequence.iter_frames():
-                executor.submit("good", frame)
+            for index in range(len(small_sequence)):
+                _submit(executor, "good", small_sequence, index)
             executor.drain()  # must NOT raise: only 'bad' is lost
             failures = executor.stream_failures
             assert set(failures) == {"bad"}
@@ -354,8 +365,8 @@ class TestFailureIsolation:
         executor = self._open_pair(2, small_sequence)
         try:
             executor.submit("bad", _frame(8, shape=small_sequence.frame(0).shape))
-            for _index, frame in small_sequence.iter_frames():
-                executor.submit("good", frame)
+            for index in range(len(small_sequence)):
+                _submit(executor, "good", small_sequence, index)
             executor.drain()
             result, _stats = executor.finish_stream("good")
             assert_results_identical(expected, result)
@@ -379,8 +390,8 @@ class TestFailureIsolation:
                     executor.submit(
                         "bad", _frame(9, shape=small_sequence.frame(0).shape)
                     )
-            for _index, frame in small_sequence.iter_frames():
-                executor.submit("good", frame)
+            for index in range(len(small_sequence)):
+                _submit(executor, "good", small_sequence, index)
             executor.drain()
             assert "bad" in executor.stream_failures
             assert "died unexpectedly" in executor.stream_failures["bad"]
@@ -407,7 +418,7 @@ class TestFailureIsolation:
             os.kill(worker.pid, signal.SIGSTOP)
             try:
                 for index in range(4):
-                    executor.submit("good", small_sequence.frame(index))
+                    _submit(executor, "good", small_sequence, index)
                 in_flight = executor.transport.slots_in_flight
             finally:
                 worker.kill()
@@ -454,13 +465,16 @@ class TestFailureIsolation:
             # Round-robin placement puts 'bad' and 'good' on one shard.
             for key in ("bad", "idle"):
                 executor.open_stream(
-                    key, width=small_sequence.width, height=small_sequence.height
+                    key,
+                    name=key,
+                    width=small_sequence.width,
+                    height=small_sequence.height,
                 )
-            executor.open_stream("good", source=small_sequence)
+            _open_on(executor, "good", small_sequence)
             assert executor.shard_of("good") is executor.shard_of("bad")
             executor.submit("bad", _frame(8, shape=shape))
             for index in range(6):
-                executor.submit("good", small_sequence.frame(index))
+                _submit(executor, "good", small_sequence, index)
             with pytest.raises(StreamFailedError, match="no annotated objects"):
                 executor.drain()
             assert executor.stats_for("good").frames_processed == 6
@@ -475,12 +489,15 @@ class TestFailureIsolation:
         executor = ShardedExecutor(spec.build(tracking_backend_for("mdnet")))
         try:
             executor.open_stream(
-                "bad", width=small_sequence.width, height=small_sequence.height
+                "bad",
+                name="bad",
+                width=small_sequence.width,
+                height=small_sequence.height,
             )
-            executor.open_stream("good", source=small_sequence)
+            _open_on(executor, "good", small_sequence)
             executor.submit("bad", _frame(8, shape=small_sequence.frame(0).shape))
             for index in range(6):
-                executor.submit("good", small_sequence.frame(index))
+                _submit(executor, "good", small_sequence, index)
             # One round: both frame-0 I-heads board one batch.
             with pytest.raises(StreamFailedError, match="no annotated objects"):
                 executor.pump()
@@ -504,12 +521,43 @@ class TestFailureIsolation:
         )
         try:
             with pytest.raises((ValueError, ShardError), match="width and height"):
-                executor.open_stream("broken")
-            executor.open_stream("good", source=small_sequence)
-            for _index, frame in small_sequence.iter_frames():
-                executor.submit("good", frame)
+                executor.open_stream("broken", name="broken", width=None, height=None)
+            _open_on(executor, "good", small_sequence)
+            for index in range(len(small_sequence)):
+                _submit(executor, "good", small_sequence, index)
             executor.drain()
             result, _stats = executor.finish_stream("good")
             assert len(result.frames) == len(small_sequence)
+        finally:
+            executor.close()
+
+
+class TestCtrlC:
+    def test_workers_ignore_sigint_and_the_drain_loses_no_frame(
+        self, small_sequence, fast_motion_sequence
+    ):
+        """Ctrl-C reaches every process of the group.  The main process
+        drains and stops its workers, so a worker must not die of it."""
+        spec = PipelineSpec(extrapolation_window=4)
+        sequences = [small_sequence, fast_motion_sequence]
+        expected = [spec.build(tracking_backend_for("mdnet")).run(s) for s in sequences]
+        executor = ShardedExecutor(spec.build(tracking_backend_for("mdnet")), workers=2)
+        try:
+            keys = [f"s{position}" for position in range(len(sequences))]
+            for key, sequence in zip(keys, sequences):
+                _open_on(executor, key, sequence)
+            assert executor.shard_of("s0") is not executor.shard_of("s1")
+            interrupt_at = min(len(s) for s in sequences) // 2
+            for index in range(max(len(s) for s in sequences)):
+                if index == interrupt_at:
+                    for key in keys:
+                        os.kill(executor.shard_of(key).process.pid, signal.SIGINT)
+                for key, sequence in zip(keys, sequences):
+                    if index < len(sequence):
+                        _submit(executor, key, sequence, index)
+            executor.drain()
+            for key, want in zip(keys, expected):
+                result, _stats = executor.finish_stream(key)
+                assert_results_identical(want, result)
         finally:
             executor.close()

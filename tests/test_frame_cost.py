@@ -271,21 +271,6 @@ class TestSharedSoCPool:
         # terms, so the exact figure is bounded below by them too.
         assert aggregate.total_energy_j > upper_bound / len(meters)
 
-    def test_heterogeneous_stream_socs_price_dynamically_per_stream(self, mdnet):
-        from repro.soc.config import resolve_soc_config
-
-        pool = VisionSoC().open_pool()
-        slow = pool.open_meter(mdnet, soc=VisionSoC(resolve_soc_config("1080p30")))
-        fast = pool.open_meter(mdnet, soc=VisionSoC(resolve_soc_config("1080p60")))
-        self._fill(slow)
-        self._fill(fast)
-        # Same frames, but the 30 FPS camera's capture-bound wall is twice
-        # as long, so its frontend term dominates.
-        assert slow.breakdown().frontend_energy_j > fast.breakdown().frontend_energy_j
-        aggregate = pool.aggregate()
-        upper_bound = sum(m.breakdown().total_energy_j for m in (slow, fast))
-        assert aggregate.total_energy_j < upper_bound
-
     def test_pool_queueing_can_overload_past_unity(self, soc, yolo):
         pool = soc.open_pool()
         for index in range(3):

@@ -139,11 +139,12 @@ class TestStreamStatsCarryThrough:
         )
         mux = StreamMultiplexer(pipeline)
         sequence = make_sequence(96, 128, 8, seed=0)
-        stream_id = mux.add_stream(sequence)
-        mux.feed_sequence(stream_id, sequence)
+        mux.add_stream("cam", width=sequence.width, height=sequence.height)
+        for index, frame in sequence.iter_frames():
+            mux.submit("cam", frame, truth=sequence.truth_detections(index))
         mux.drain()
         mux.finish()
-        stats = mux.stats_for(stream_id)
+        stats = mux.stats_for("cam")
         assert set(stats.stage_s) == set(STAGE_NAMES)
         assert stats.stage_s["motion_search"] > 0.0
         assert stats.stage_s["denoise_blend"] > 0.0

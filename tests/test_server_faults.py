@@ -489,6 +489,25 @@ def no_unhandled_exception(caplog):
 
 
 @pytest.mark.usefixtures("no_unhandled_exception")
+def _hello_reply(config: dict) -> dict:
+    """The REJECT a HELLO of ``config`` gets beside a running stream, which
+    must go on unharmed (admission is off)."""
+    seq_obj = _sequence(8, width=96, height=54)
+    with ServerThread(_make_ingest()) as server:
+        with ServeClient("127.0.0.1", server.port) as client:
+            client.hello(handle=1, stream="cam", width=96, height=54)
+            _stream_all(client, 1, seq_obj, range(4))
+            client.send_raw(encode_json(MSG_HELLO, config))
+            msg_type, reply = client.wait_for(MSG_HELLO_OK, MSG_REJECT, timeout=10.0)
+            _stream_all(client, 1, seq_obj, range(4, 8))
+            summary = client.bye(1, timeout=10.0)
+    assert msg_type == MSG_REJECT, reply
+    assert summary["status"] == "ok" and summary["frames_processed"] == 8
+    report = server.shutdown()
+    assert [stats.name for stats in report.streams] == ["cam"]
+    return reply
+
+
 class TestMalformedFields:
     """A well-framed message with a bad field gets a reply, never a dropped
     connection; the connection's other streams keep running."""
@@ -551,20 +570,30 @@ class TestMalformedFields:
         ids=["handle-string", "handle-list", "stream-list", "width-list", "fps-object"],
     )
     def test_malformed_hello_is_rejected(self, config):
-        seq_obj = _sequence(8, width=96, height=54)
-        with ServerThread(_make_ingest()) as server:
-            with ServeClient("127.0.0.1", server.port) as client:
-                client.hello(handle=1, stream="cam", width=96, height=54)
-                _stream_all(client, 1, seq_obj, range(4))
-                client.send_raw(encode_json(MSG_HELLO, config))
-                msg_type, reply = client.wait_for(MSG_HELLO_OK, MSG_REJECT, timeout=10.0)
-                _stream_all(client, 1, seq_obj, range(4, 8))
-                summary = client.bye(1, timeout=10.0)
-        assert msg_type == MSG_REJECT
-        assert reply["reason"].startswith("bad HELLO")
-        assert summary["status"] == "ok" and summary["frames_processed"] == 8
-        report = server.shutdown()
-        assert [stats.name for stats in report.streams] == ["cam"]
+        assert _hello_reply(config)["reason"].startswith("bad HELLO")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("width", "96"),
+            ("width", 96.7),
+            ("height", True),
+            ("window_size", "4"),
+            ("rois", 2.9),
+            ("fps", "30"),
+            ("fps", float("nan")),
+        ],
+        ids=[
+            "width-string", "width-float", "height-bool", "window-string",
+            "rois-float", "fps-string", "fps-nan",
+        ],
+    )
+    def test_hello_numbers_are_checked_by_json_type(self, field, value):
+        """Sizes, window and ROI count must be JSON integers and fps a finite
+        positive number; nothing is coerced, even with admission off."""
+        config = {"handle": 2, "stream": "cam2", "width": 96, "height": 54, field: value}
+        reason = _hello_reply(config)["reason"]
+        assert reason.startswith(f"bad HELLO: {field} ")
 
     @pytest.mark.parametrize("handle", ["one", [1]], ids=["string", "list"])
     def test_bye_with_a_non_integer_handle_names_no_stream(self, handle):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import itertools
 import tracemalloc
 
 import pytest
@@ -20,6 +21,24 @@ from test_session import assert_results_identical
 @pytest.fixture
 def pipeline():
     return PipelineSpec(extrapolation_window=4).build(tracking_backend_for("mdnet"))
+
+
+def add_sequence(mux, sequence, name=None):
+    """Open a stream on ``sequence``'s frame size, named after it by default."""
+    name = name or sequence.name
+    mux.add_stream(name, width=sequence.width, height=sequence.height)
+    return name
+
+
+def submit_frame(mux, stream_id, sequence, index):
+    """Submit frame ``index`` of ``sequence`` with its ground truth."""
+    mux.submit(stream_id, sequence.frame(index), truth=sequence.truth_detections(index))
+
+
+def feed(mux, stream_id, sequence):
+    """Submit every frame of ``sequence`` with its ground truth."""
+    for index in range(sequence.num_frames):
+        submit_frame(mux, stream_id, sequence, index)
 
 
 class TestSchedulingEquivalence:
@@ -51,12 +70,12 @@ class TestSchedulingEquivalence:
         """Frames can arrive round-robin (as live cameras would deliver them)."""
         sequences = tiny_tracking_dataset.sequences[:2]
         mux = StreamMultiplexer(pipeline)
-        ids = [mux.add_stream(sequence) for sequence in sequences]
+        ids = [add_sequence(mux, sequence) for sequence in sequences]
         num_frames = max(sequence.num_frames for sequence in sequences)
         for index in range(num_frames):
             for stream_id, sequence in zip(ids, sequences):
                 if index < sequence.num_frames:
-                    mux.submit(stream_id, sequence.frame(index))
+                    submit_frame(mux, stream_id, sequence, index)
             mux.pump()
         results = mux.finish()
         for stream_id, sequence in zip(ids, sequences):
@@ -87,8 +106,8 @@ class TestScheduler:
         pipeline = spec.build(tracking_backend_for("mdnet"))
         mux = StreamMultiplexer(pipeline, e_frame_burst=1, max_inference_batch=1)
         sequence = tiny_tracking_dataset.sequences[0]
-        stream_id = mux.add_stream(sequence)
-        mux.feed_sequence(stream_id, sequence)
+        stream_id = add_sequence(mux, sequence)
+        feed(mux, stream_id, sequence)
         processed = mux.pump()
         # One I-frame (frame 0) or one E-frame per round, never more.
         assert processed == 1
@@ -100,8 +119,8 @@ class TestScheduler:
         mux = StreamMultiplexer(pipeline, e_frame_burst=2)
         ids = []
         for sequence in sequences:
-            stream_id = mux.add_stream(sequence)
-            mux.feed_sequence(stream_id, sequence)
+            stream_id = add_sequence(mux, sequence)
+            feed(mux, stream_id, sequence)
             ids.append(stream_id)
         mux.pump()
         mux.pump()
@@ -121,18 +140,19 @@ class TestScheduler:
             spec.build(tracking_backend_for("mdnet")), max_inference_batch=2
         )
         busy_ids = [
-            mux.add_stream(sequences[i % len(sequences)], name=f"busy{i}")
+            add_sequence(mux, sequences[i % len(sequences)], name=f"busy{i}")
             for i in range(1, 4)
         ]
         # Opened last, so the first round seats it last.
-        starved = mux.add_stream(sequences[0], name="starved")
-        mux.submit(starved, sequences[0].frame(0))
+        starved = add_sequence(mux, sequences[0], name="starved")
+        submit_frame(mux, starved, sequences[0], 0)
         rounds_waited = None
         for round_index in range(12):
             for i, stream_id in enumerate(busy_ids):
                 sequence = sequences[(i + 1) % len(sequences)]
-                mux.submit(stream_id, sequence.frame(round_index % sequence.num_frames))
-                mux.submit(stream_id, sequence.frame(round_index % sequence.num_frames))
+                index = round_index % sequence.num_frames
+                submit_frame(mux, stream_id, sequence, index)
+                submit_frame(mux, stream_id, sequence, index)
             mux.pump()
             if rounds_waited is None and not mux.stats_for(starved).pending:
                 rounds_waited = round_index + 1
@@ -177,11 +197,13 @@ class TestStats:
 
         def retained(frames_per_stream: int) -> int:
             mux = StreamMultiplexer(pipeline)
+            # A closed stream keeps its name (and stats): each cycle takes a new one.
+            names = (f"cam{n}" for n in itertools.count())
 
             def cycle() -> None:
-                stream_id = mux.add_stream(sequence)
+                stream_id = add_sequence(mux, sequence, next(names))
                 for index in range(frames_per_stream):
-                    mux.submit(stream_id, sequence.frame(index))
+                    submit_frame(mux, stream_id, sequence, index)
                 mux.drain()
                 assert len(mux.finish_stream(stream_id)) == frames_per_stream
 
@@ -208,9 +230,9 @@ class TestStats:
         """Always-on loops drive pump() directly and never drain()."""
         mux = StreamMultiplexer(pipeline)
         sequence = tiny_tracking_dataset.sequences[0]
-        stream_id = mux.add_stream(sequence)
+        stream_id = add_sequence(mux, sequence)
         for index in range(8):
-            mux.submit(stream_id, sequence.frame(index))
+            submit_frame(mux, stream_id, sequence, index)
             mux.pump()
         report = mux.report()
         assert report.frames_processed == 8
@@ -228,32 +250,25 @@ class TestStats:
         assert report.aggregate_fps > 0.0
         assert report.mean_batch_size >= 1.0
 
-    def test_duplicate_stream_names_get_suffixes(self, pipeline, tiny_tracking_dataset):
-        mux = StreamMultiplexer(pipeline)
-        sequence = tiny_tracking_dataset.sequences[0]
-        first = mux.add_stream(sequence)
-        second = mux.add_stream(sequence)
-        assert first == sequence.name
-        assert second == f"{sequence.name}#1"
-        with pytest.raises(ValueError, match="already exists"):
-            mux.add_stream(sequence, name=first)
-
     def test_a_repeated_sequence_reproduces_run(self, pipeline, tiny_tracking_dataset):
-        """A ``name#1`` stream's session is named after its sequence, which
-        seeds the simulated network as run() does."""
+        """Two streams fed one sequence need two names.  The stream named
+        after the sequence reproduces run(); the other is seeded with its own
+        name; a name already open is refused."""
         sequence = tiny_tracking_dataset.sequences[0]
         mux = StreamMultiplexer(pipeline)
-        stream_ids = [mux.add_stream(sequence), mux.add_stream(sequence)]
+        stream_ids = [add_sequence(mux, sequence), add_sequence(mux, sequence, "replay")]
+        with pytest.raises(ValueError, match="already exists"):
+            add_sequence(mux, sequence)
         for index in range(sequence.num_frames):
             for stream_id in stream_ids:
-                mux.submit(stream_id, sequence.frame(index))
+                submit_frame(mux, stream_id, sequence, index)
         results = mux.finish()
-        repeat = results[f"{sequence.name}#1"]
-        assert repeat.sequence_name == sequence.name
+        assert set(results) == {sequence.name, "replay"}
+        assert results["replay"].sequence_name == "replay"
         expected = PipelineSpec(extrapolation_window=4).build(
             tracking_backend_for("mdnet")
         ).run(sequence)
-        assert_results_identical(expected, repeat)
+        assert_results_identical(expected, results[sequence.name])
 
 
 class TestEnergyPolicy:
@@ -303,36 +318,6 @@ class TestEnergyPolicy:
             report.aggregate_energy_upper_bound_j
         )
 
-    def test_per_stream_soc_config_prices_heterogeneous_cameras(
-        self, tiny_tracking_dataset
-    ):
-        """Streams may meter against different capture settings (one SoC pool)."""
-        sequences = tiny_tracking_dataset.sequences[:2]
-        mux = self._energy_mux()
-        # Same pixel stream, but the slow camera's modeled frame period is
-        # twice as long, so its capture-bound wall clock (and therefore its
-        # frontend energy) must come out higher.
-        slow = mux.add_stream(sequences[0], name="slow", soc_config="1080p30")
-        fast = mux.add_stream(sequences[1], name="fast", soc_config="1080p60")
-        for sequence, stream_id in zip(sequences, (slow, fast)):
-            mux.feed_sequence(stream_id, sequence)
-        mux.finish()
-        report = mux.report()
-        assert (
-            report.stream_energy["slow"].wall_time_s
-            > report.stream_energy["fast"].wall_time_s
-        )
-        assert (
-            report.stream_energy["slow"].frontend_energy_j
-            > report.stream_energy["fast"].frontend_energy_j
-        )
-        assert report.shared_energy is not None
-
-    def test_soc_config_requires_energy_model(self, pipeline):
-        mux = StreamMultiplexer(pipeline)
-        with pytest.raises(ValueError, match="needs an energy model"):
-            mux.add_stream(width=64, height=64, name="cam", soc_config="720p30")
-
     def test_batched_iframes_amortise_weight_traffic(self, tiny_tracking_dataset):
         """Multi-stream batches must price below one-stream-at-a-time runs."""
         sequences = tiny_tracking_dataset.sequences
@@ -366,24 +351,24 @@ class TestEnergyPolicy:
         while another stream keeps every pump round busy with E-frames."""
         sequences = tiny_tracking_dataset.sequences[:2]
         mux = self._energy_mux(max_inference_batch=8)
-        starved = mux.add_stream(sequences[0], name="starved")
-        busy = mux.add_stream(sequences[1], name="busy")
+        starved = add_sequence(mux, sequences[0], name="starved")
+        busy = add_sequence(mux, sequences[1], name="busy")
         # Warm both streams past frame 0 so the busy stream has E-heads.
         for index in range(2):
-            mux.submit(starved, sequences[0].frame(index))
-            mux.submit(busy, sequences[1].frame(index))
+            submit_frame(mux, starved, sequences[0], index)
+            submit_frame(mux, busy, sequences[1], index)
         mux.drain()
         # The starved stream now queues exactly one I-frame (EW-4 phase
         # puts frame 4 on an inference boundary takes submitting 2 more).
         for index in range(2, 5):
-            mux.submit(starved, sequences[0].frame(index))
+            submit_frame(mux, starved, sequences[0], index)
         mux.drain()
         assert mux.stats_for(starved).pending == 0
         # Lone I-head, batch never fills, busy stream keeps the pump going.
-        mux.submit(starved, sequences[0].frame(5))
+        submit_frame(mux, starved, sequences[0], 5)
         waited = 0
         for index in range(2, sequences[1].num_frames):
-            mux.submit(busy, sequences[1].frame(index))
+            submit_frame(mux, busy, sequences[1], index)
             mux.pump()
             if mux.stats_for(starved).pending:
                 waited += 1
@@ -398,8 +383,8 @@ class TestEnergyPolicy:
         """Without an energy model the telemetry buffer must still be freed."""
         sequence = tiny_tracking_dataset.sequences[0]
         mux = StreamMultiplexer(pipeline)
-        stream_id = mux.add_stream(sequence)
-        mux.feed_sequence(stream_id, sequence)
+        stream_id = add_sequence(mux, sequence)
+        feed(mux, stream_id, sequence)
         mux.drain()
         session = mux._executor.shard_of(stream_id).stream(stream_id).session
         assert session._telemetry == []
@@ -477,7 +462,8 @@ class TestShardedWorkers:
         """10,000 I-frame batch records leave the multiplexer's bookkeeping
         the size it was: three counters, not one entry per batch."""
         mux = StreamMultiplexer(pipeline)
-        stream = mux.add_stream(width=32, height=32)
+        stream = "cam"
+        mux.add_stream(stream, width=32, height=32)
         records = [
             FrameRecord(
                 shard="shard-0",
