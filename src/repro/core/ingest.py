@@ -143,7 +143,7 @@ def encode_json(msg_type: int, payload: dict) -> bytes:
 def decode_json(body: bytes) -> dict:
     try:
         payload = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except ValueError as error:  # bad UTF-8, bad JSON, an integer over 4300 digits
         raise ProtocolError(f"malformed JSON body: {error}") from error
     if not isinstance(payload, dict):
         raise ProtocolError("JSON body must be an object")
@@ -197,7 +197,7 @@ def _truth_from_json(blob: bytes) -> Optional[List[Detection]]:
         return None
     try:
         items = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except ValueError as error:  # bad UTF-8, bad JSON, an integer over 4300 digits
         raise ProtocolError(f"malformed truth JSON: {error}") from None
     if not isinstance(items, list):
         raise ProtocolError("truth must be a JSON list of objects")

@@ -47,6 +47,7 @@ import numpy as np
 
 from .executor import ShardError, StreamFailedError, StreamStats
 from .ingest import (
+    MAX_FRAME_SIDE,
     MSG_BYE,
     MSG_BYE_OK,
     MSG_ERROR,
@@ -80,8 +81,9 @@ def _hello_stream_fields(config: dict) -> Dict[str, object]:
     """A HELLO's geometry and demand fields, checked by JSON type.
 
     ``width``, ``height``, ``window_size`` and ``rois`` must be JSON
-    integers (``true`` is not one) and ``fps`` a finite positive JSON
-    number; anything else raises :class:`ValueError`.
+    integers (``true`` is not one), ``window_size`` in 1..65535 and
+    ``rois`` in 0..65535, and ``fps`` a finite positive JSON number;
+    anything else raises :class:`ValueError`.
     """
     fields: Dict[str, object] = {
         "width": config.get("width"),
@@ -92,6 +94,11 @@ def _hello_stream_fields(config: dict) -> Dict[str, object]:
     for key, value in fields.items():
         if type(value) is not int:
             raise ValueError(f"{key} {value!r} is not an integer")
+    # Bounded like a frame side, so no JSON integer reaches the capacity
+    # model's float arithmetic too large to convert.
+    for key, low in (("window_size", 1), ("rois", 0)):
+        if not low <= fields[key] <= MAX_FRAME_SIDE:
+            raise ValueError(f"{key} {fields[key]} outside {low}..{MAX_FRAME_SIDE}")
     fps = config.get("fps", 30.0)
     # Compared, never converted first: NaN fails both bounds, and a JSON
     # integer too large for a float fails the upper one.

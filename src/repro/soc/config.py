@@ -200,16 +200,13 @@ SOC_CAPTURE_PRESETS: Dict[str, Tuple[int, int, float]] = {
 _CAPTURE_PATTERN = re.compile(r"^(\d+)x(\d+)@(\d+(?:\.\d+)?)$")
 
 
-def resolve_soc_config(name: "str | SoCConfig") -> SoCConfig:
+def resolve_soc_config(name: str) -> SoCConfig:
     """Build the :class:`SoCConfig` a ``--soc-config`` value names.
 
-    Accepts a preset name (see :data:`SOC_CAPTURE_PRESETS`), an explicit
-    ``WIDTHxHEIGHT@FPS`` capture spelling (e.g. ``1280x720@30``), or an
-    already-built :class:`SoCConfig` (returned as-is); unknown names raise
-    :class:`ValueError` listing the presets.
+    Accepts a preset name (see :data:`SOC_CAPTURE_PRESETS`) or an explicit
+    ``WIDTHxHEIGHT@FPS`` capture spelling (e.g. ``1280x720@30``); unknown
+    names raise :class:`ValueError` listing the presets.
     """
-    if isinstance(name, SoCConfig):
-        return name
     key = name.strip().lower()
     if key in SOC_CAPTURE_PRESETS:
         width, height, fps = SOC_CAPTURE_PRESETS[key]

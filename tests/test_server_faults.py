@@ -42,6 +42,8 @@ from repro.core.ingest import (
 from repro.core.server import ServeClient, ServerThread
 from repro.core.spec import PipelineSpec
 from repro.core.streaming import StreamMultiplexer
+from repro.nn.models import build_mdnet
+from repro.soc.frame_cost import CapacityModel
 from repro.video.synthetic import SequenceConfig, SequenceGenerator
 
 from test_session import assert_results_identical
@@ -64,7 +66,10 @@ def _make_ingest(*, workers: int = 1, **config_kwargs) -> IngestCore:
     mux = StreamMultiplexer(pipeline, workers=workers, isolate_failures=True)
     config_kwargs.setdefault("admission", False)
     config_kwargs.setdefault("reorder_window", 4)
-    return IngestCore(mux, config=IngestConfig(**config_kwargs))
+    capacity = None
+    if config_kwargs["admission"]:
+        capacity = CapacityModel(spec.vision_soc(), build_mdnet())
+    return IngestCore(mux, capacity=capacity, config=IngestConfig(**config_kwargs))
 
 
 def _stream_all(client: ServeClient, handle: int, seq_obj, seqs) -> None:
@@ -488,12 +493,11 @@ def no_unhandled_exception(caplog):
     assert not unhandled, unhandled[0].getMessage()
 
 
-@pytest.mark.usefixtures("no_unhandled_exception")
-def _hello_reply(config: dict) -> dict:
+def _hello_reply(config: dict, *, admission: bool = False) -> dict:
     """The REJECT a HELLO of ``config`` gets beside a running stream, which
-    must go on unharmed (admission is off)."""
+    must go on unharmed."""
     seq_obj = _sequence(8, width=96, height=54)
-    with ServerThread(_make_ingest()) as server:
+    with ServerThread(_make_ingest(admission=admission)) as server:
         with ServeClient("127.0.0.1", server.port) as client:
             client.hello(handle=1, stream="cam", width=96, height=54)
             _stream_all(client, 1, seq_obj, range(4))
@@ -508,6 +512,7 @@ def _hello_reply(config: dict) -> dict:
     return reply
 
 
+@pytest.mark.usefixtures("no_unhandled_exception")
 class TestMalformedFields:
     """A well-framed message with a bad field gets a reply, never a dropped
     connection; the connection's other streams keep running."""
@@ -522,10 +527,11 @@ class TestMalformedFields:
             b'[{"x": 1, "y": 1, "w": 4}]',
             b'[{"x": 1, "y": 1, "w": -4, "h": 4}]',
             b'[{"x": "left", "y": 1, "w": 4, "h": 4}]',
+            b'[{"x": ' + b"1" * 5000 + b', "y": 1, "w": 4, "h": 4}]',
         ],
         ids=[
             "not-utf8", "not-json", "not-a-list", "not-objects",
-            "missing-h", "negative-size", "non-numeric-x",
+            "missing-h", "negative-size", "non-numeric-x", "x-too-long-to-parse",
         ],
     )
     def test_frame_with_malformed_truth_is_refused_and_sealed_as_a_gap(self, blob):
@@ -572,6 +578,7 @@ class TestMalformedFields:
     def test_malformed_hello_is_rejected(self, config):
         assert _hello_reply(config)["reason"].startswith("bad HELLO")
 
+    @pytest.mark.parametrize("admission", [False, True], ids=["open", "admission"])
     @pytest.mark.parametrize(
         "field, value",
         [
@@ -582,17 +589,24 @@ class TestMalformedFields:
             ("rois", 2.9),
             ("fps", "30"),
             ("fps", float("nan")),
+            ("window_size", 0),
+            ("window_size", 10**400),
+            ("rois", -1),
+            ("rois", 10**400),
         ],
         ids=[
             "width-string", "width-float", "height-bool", "window-string",
-            "rois-float", "fps-string", "fps-nan",
+            "rois-float", "fps-string", "fps-nan", "window-zero", "window-huge",
+            "rois-negative", "rois-huge",
         ],
     )
-    def test_hello_numbers_are_checked_by_json_type(self, field, value):
-        """Sizes, window and ROI count must be JSON integers and fps a finite
-        positive number; nothing is coerced, even with admission off."""
+    def test_hello_numbers_are_checked_by_json_type(self, field, value, admission):
+        """Sizes, window and ROI count must be JSON integers, the window and
+        ROI count within 1..65535 and 0..65535, and fps a finite positive
+        number; nothing is coerced, and the check comes before admission
+        prices the demand."""
         config = {"handle": 2, "stream": "cam2", "width": 96, "height": 54, field: value}
-        reason = _hello_reply(config)["reason"]
+        reason = _hello_reply(config, admission=admission)["reason"]
         assert reason.startswith(f"bad HELLO: {field} ")
 
     @pytest.mark.parametrize("handle", ["one", [1]], ids=["string", "list"])
