@@ -8,7 +8,7 @@
   pipe, and only small picklable control messages cross it).  One worker
   and many thus share one open, submit, finish, drain and failure path.
 * :class:`ShardedExecutor` places streams onto shards, keeps the
-  per-stream stats registry, and is the one place that decides what a
+  table of open streams, and is the one place that decides what a
   stream failure does.  A shard always contains a failing session to its
   own stream and hands back every record of the round; the executor
   folds those records, then raises :class:`StreamFailedError` (batch
@@ -127,7 +127,7 @@ _FAULT_KEYS = (
 
 @dataclass
 class StreamStats:
-    """The one per-stream stats record (the executor's registry entry).
+    """The one per-stream stats record.
 
     The executor counts submits and folds every :class:`FrameRecord`; the
     multiplexer tracks queue depth; the ingest core and the server count
@@ -568,7 +568,7 @@ class StreamShard:
         self.schedule = schedule
         self.name = name
         self._reader = reader
-        #: key -> traceback text for every stream this shard has failed.
+        #: key -> traceback text for every failed stream not yet finished.
         self.stream_failures: Dict[str, str] = {}
         self._new_failures: List[Tuple[str, str]] = []
         self._streams: Dict[str, _ShardStream] = {}
@@ -610,7 +610,9 @@ class StreamShard:
 
     def take_new_failures(self) -> List[Tuple[str, str]]:
         """Drain stream failures recorded since the last call."""
-        taken, self._new_failures = self._new_failures, []
+        taken = self._new_failures
+        if taken:
+            self._new_failures = []
         return taken
 
     def _fail_stream(self, stream: _ShardStream, tb: str) -> None:
@@ -735,10 +737,10 @@ class StreamShard:
 
         Returns its result and the records of every round this took (other
         streams' frames included).  The result is ``None`` when the stream
-        failed, before or during the call; :attr:`stream_failures` says why.
+        failed, before or during the call; the failure is then forgotten.
         """
         records = self._pump_while(lambda: self.pending_for(key))
-        if key in self.stream_failures:
+        if self.stream_failures.pop(key, None) is not None:
             return None, records
         stream = self._streams.pop(key)
         result = stream.session.finish()
@@ -867,8 +869,8 @@ class _ProcessShard:
         #: (a stream's records arrive in submit order); their count is the
         #: drain and flow-control condition.
         self._sent: Dict[str, Deque[FrameRef]] = {}
-        #: key -> traceback text for streams the worker failed.
-        self.stream_failures: Dict[str, str] = {}
+        #: (key, traceback) of the streams the worker failed, until taken.
+        self._new_failures: List[Tuple[str, str]] = []
         #: Shard-level failure reason (dead worker, broken pipe, an error
         #: outside any session).  Once set, the executor scopes the loss to
         #: this shard's streams.
@@ -910,8 +912,8 @@ class _ProcessShard:
                 if sent:  # gone once the worker was lost
                     self._transport.release(sent.popleft())
             self._records.extend(records)
-            for key, tb in failures:
-                self.stream_failures[key] = tb
+            self._new_failures.extend(failures)
+            for key, _tb in failures:
                 for ref in self._sent.pop(key, ()):
                     self._transport.release(ref)
         elif tag == "opened":
@@ -956,6 +958,8 @@ class _ProcessShard:
         return records
 
     # -- the StreamShard calls -----------------------------------------
+    take_new_failures = StreamShard.take_new_failures
+
     def open_stream(self, key: str, *, name: str, width: int, height: int) -> None:
         self._send(("open", key, name, width, height))
         self._wait(lambda: key in self._opened)
@@ -1016,13 +1020,23 @@ class _ProcessShard:
 # ----------------------------------------------------------------------
 # The executor
 # ----------------------------------------------------------------------
+@dataclass
+class _OpenStream:
+    """The executor's entry for one open stream."""
+
+    shard: object
+    stats: StreamStats
+    #: Why the stream failed (its session raised or its shard was lost).
+    failure: Optional[str] = None
+
+
 class ShardedExecutor:
     """Places streams onto shards; one execution layer for sweeps and serving.
 
     ``workers <= 1`` drives one in-process :class:`StreamShard` over the
     in-process transport.  ``workers = N`` forks N shard workers, each
     driving its own :class:`StreamShard` through the same calls; streams
-    are placed round-robin, frames cross over the shared-memory transport,
+    are placed by load, frames cross over the shared-memory transport,
     and only small control messages are ever pickled.
 
     Lifecycle: :meth:`open_stream` places a stream on a shard (the
@@ -1031,9 +1045,10 @@ class ShardedExecutor:
     :meth:`drain` collect completed :class:`FrameRecord` batches, and
     :meth:`finish_stream` closes one stream and returns its
     :class:`~repro.core.types.SequenceResult` plus its :class:`StreamStats`.
-    The executor owns the per-stream stats registry: it counts every
+    The executor keeps the table of open streams: it counts every
     submit and folds every record it hands out, and :meth:`stats_for`
-    keeps a stream's entry readable after it finishes.
+    reads a stream's stats until it finishes, failed or not (its key is
+    then free again).
     :meth:`run_sequences` wraps that cycle for batch sweeps; the serving
     front end (:class:`~repro.core.ingest.IngestCore` via
     :class:`~repro.core.streaming.StreamMultiplexer`) drives it
@@ -1084,13 +1099,10 @@ class ShardedExecutor:
             self.transport_mode = "shm"
 
         self.isolate_failures = bool(isolate_failures)
-        self._assignment: Dict[str, object] = {}
-        self._stats: Dict[str, StreamStats] = {}
+        #: key -> entry of every open stream, in arrival order.
+        self._streams: Dict[str, _OpenStream] = {}
         #: Folded records the next pump()/drain() hands out.
         self._records: List[FrameRecord] = []
-        #: key -> reason for every failed stream (its own session raising,
-        #: or its shard's worker process dying).
-        self._failures: Dict[str, str] = {}
         #: Failed streams no call has raised for yet (without isolation).
         self._unraised: List[str] = []
         self._closed = False
@@ -1110,7 +1122,7 @@ class ShardedExecutor:
 
     # -- stream management ---------------------------------------------
     def open_stream(self, key: str, *, name: str, width: int, height: int) -> None:
-        """Open one stream on the next shard (round-robin placement).
+        """Open one stream on the live shard with the fewest open streams.
 
         The shard opens a session named ``name`` on ``width`` x ``height``
         frames; the name seeds the simulated backends, so a stream named
@@ -1119,57 +1131,62 @@ class ShardedExecutor:
         """
         if self._closed:
             raise RuntimeError("executor is closed")
-        if key in self._assignment:
+        if key in self._streams:
             raise ValueError(f"stream '{key}' already exists")
-        shard = self._shards[len(self._assignment) % len(self._shards)]
+        # Ties go to the lowest index; with every shard dead, one refuses.
+        live = [s for s in self._shards if s.failure is None] or self._shards
+        opened = [entry.shard for entry in self._streams.values()]
+        shard = min(live, key=opened.count)
         shard.open_stream(key, name=name, width=width, height=height)
-        self._assignment[key] = shard
-        self._stats[key] = StreamStats(name=key)
+        self._streams[key] = _OpenStream(shard, StreamStats(name=key))
+
+    def _entry(self, key: str) -> _OpenStream:
+        try:
+            return self._streams[key]
+        except KeyError:
+            raise KeyError(f"unknown stream '{key}'") from None
 
     def stats_for(self, key: str) -> StreamStats:
-        """The stream's registry entry (kept after it finishes)."""
-        try:
-            return self._stats[key]
-        except KeyError:
-            raise KeyError(f"unknown stream '{key}'") from None
+        """The open stream's stats (:meth:`finish_stream` hands them over)."""
+        return self._entry(key).stats
 
     def shard_of(self, key: str):
-        try:
-            return self._assignment[key]
-        except KeyError:
-            raise KeyError(f"unknown stream '{key}'") from None
+        return self._entry(key).shard
 
     # -- failure scoping -------------------------------------------------
     @property
     def stream_failures(self) -> Dict[str, str]:
-        """key -> reason for every failed stream."""
+        """key -> reason for every failed stream not yet finished."""
         self._sync_failures()
-        return dict(self._failures)
+        return {
+            key: entry.failure
+            for key, entry in self._streams.items()
+            if entry.failure is not None
+        }
 
     def _sync_failures(self) -> None:
         for shard in self._shards:
-            for key, reason in shard.stream_failures.items():
-                if key not in self._failures:
-                    self._failures[key] = f"stream '{key}' failed on {shard.name}:\n{reason}"
+            for key, reason in shard.take_new_failures():
+                # A stream can close first when its worker dies finishing it.
+                entry = self._streams.get(key)
+                if entry is not None and entry.failure is None:
+                    entry.failure = f"stream '{key}' failed on {shard.name}:\n{reason}"
                     if not self.isolate_failures:
                         self._unraised.append(key)
 
-    def _fail_shard(self, shard, reason: str) -> None:
-        """Scope the loss of one shard to the streams placed on it."""
-        shard.failure = shard.failure or reason
-        for key in [k for k, s in self._assignment.items() if s is shard]:
-            self._failures.setdefault(key, f"stream '{key}' lost: {reason}")
-
     def _shard_failed(self, shard, error: ShardError) -> None:
-        """Handle a shard-level error according to the isolation policy."""
+        """Scope the loss of one shard to its streams (raise without isolation)."""
+        shard.failure = shard.failure or str(error)
+        for key, entry in self._streams.items():
+            if entry.shard is shard and entry.failure is None:
+                entry.failure = f"stream '{key}' lost: {error}"
         if not self.isolate_failures:
             raise error
-        self._fail_shard(shard, str(error))
 
-    def _raise_failed(self, key: str) -> None:
+    def _raise_failed(self, key: str, reason: str) -> None:
         if key in self._unraised:
             self._unraised.remove(key)
-        raise StreamFailedError(key, self._failures[key])
+        raise StreamFailedError(key, reason)
 
     # -- frame ingress --------------------------------------------------
     def submit(
@@ -1183,27 +1200,27 @@ class ShardedExecutor:
         degradation: str = "",
     ) -> None:
         self._sync_failures()
-        if key in self._failures:
-            self._raise_failed(key)
-        shard = self.shard_of(key)
+        entry = self._entry(key)
+        if entry.failure is not None:
+            self._raise_failed(key, entry.failure)
         payload = self.transport.send(frame)
         try:
-            shard.submit(
+            entry.shard.submit(
                 key, payload, truth, force_inference, defer_inference, degradation
             )
         except ShardError as error:
-            self._shard_failed(shard, error)
-            self._raise_failed(key)
-        self._stats[key].frames_submitted += 1
+            self._shard_failed(entry.shard, error)
+            self._raise_failed(key, entry.failure)
+        entry.stats.frames_submitted += 1
 
     def pending_for(self, key: str) -> int:
-        if key in self._failures:
+        entry = self._entry(key)
+        if entry.failure is not None:
             return 0
-        shard = self.shard_of(key)
         try:
-            return shard.pending_for(key)
+            return entry.shard.pending_for(key)
         except ShardError as error:
-            self._shard_failed(shard, error)
+            self._shard_failed(entry.shard, error)
             return 0
 
     @property
@@ -1221,7 +1238,7 @@ class ShardedExecutor:
     # -- scheduling ------------------------------------------------------
     def _fold(self, records: List[FrameRecord]) -> None:
         for record in records:
-            self._stats[record.key].fold(record)
+            self._streams[record.key].stats.fold(record)
         self._records.extend(records)
 
     def _absorb(self, shard, call) -> None:
@@ -1239,7 +1256,8 @@ class ShardedExecutor:
         self._sync_failures()
         if self._unraised:
             # The round's records stay folded and queued for the next call.
-            self._raise_failed(self._unraised[0])
+            key = self._unraised[0]
+            self._raise_failed(key, self._streams[key].failure)
         records, self._records = self._records, []
         return records
 
@@ -1266,20 +1284,20 @@ class ShardedExecutor:
         the original traceback; other streams stay serviceable.
         """
         self._sync_failures()
+        entry = self._entry(key)
         result = None
-        if key not in self._failures:
-            shard = self.shard_of(key)
+        if entry.shard.failure is None:
             try:
-                result, records = shard.finish_stream(key)
+                result, records = entry.shard.finish_stream(key)
             except ShardError as error:
-                self._shard_failed(shard, error)
+                self._shard_failed(entry.shard, error)
             else:
                 self._fold(records)
                 self._sync_failures()
-        self._assignment.pop(key, None)
+        del self._streams[key]
         if result is None:
-            self._raise_failed(key)
-        return result, self._stats[key]
+            self._raise_failed(key, entry.failure)
+        return result, entry.stats
 
     # -- whole-dataset convenience --------------------------------------
     def run_sequences(
@@ -1318,6 +1336,7 @@ class ShardedExecutor:
         if self._closed:
             return
         self._closed = True
+        self._streams.clear()
         for shard in self._shards:
             shard.close()
         self.transport.close()

@@ -164,13 +164,6 @@ class BoundingBox:
     def center(self) -> Point:
         return Point(self.x + self.width / 2.0, self.y + self.height / 2.0)
 
-    @property
-    def aspect_ratio(self) -> float:
-        """Width divided by height; ``inf`` for degenerate zero-height boxes."""
-        if self.height == 0:
-            return math.inf
-        return self.width / self.height
-
     def is_empty(self) -> bool:
         """True when the box has zero area."""
         return self.width == 0 or self.height == 0
@@ -210,15 +203,6 @@ class BoundingBox:
         """True when ``point`` lies inside (or on the boundary of) the box."""
         return self.left <= point.x <= self.right and self.top <= point.y <= self.bottom
 
-    def contains_box(self, other: "BoundingBox") -> bool:
-        """True when ``other`` lies completely inside this box."""
-        return (
-            other.left >= self.left
-            and other.top >= self.top
-            and other.right <= self.right
-            and other.bottom <= self.bottom
-        )
-
     # ------------------------------------------------------------------
     # Transformations
     # ------------------------------------------------------------------
@@ -236,16 +220,6 @@ class BoundingBox:
             sy = sx
         c = self.center
         return BoundingBox.from_center(c.x, c.y, self.width * sx, self.height * sy)
-
-    def inflate(self, margin: float) -> "BoundingBox":
-        """Return the box grown by ``margin`` pixels on every side.
-
-        A negative margin shrinks the box; dimensions are clamped at zero.
-        """
-        new_w = max(0.0, self.width + 2 * margin)
-        new_h = max(0.0, self.height + 2 * margin)
-        c = self.center
-        return BoundingBox.from_center(c.x, c.y, new_w, new_h)
 
     def clip(self, frame_width: float, frame_height: float) -> "BoundingBox":
         """Return the box clipped to ``[0, frame_width] x [0, frame_height]``."""

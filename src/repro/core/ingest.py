@@ -24,7 +24,7 @@ with an I-frame forced at every gap — to a serial
 :class:`~repro.core.session.EuphratesSession`.  Degradation is observable
 but never silent: every drop, deferral and gap lands in
 :class:`~repro.core.types.FrameTelemetry` and the fault counters of the
-stream's :class:`~repro.core.executor.StreamStats` registry entry.
+stream's :class:`~repro.core.executor.StreamStats`.
 
 Admission control prices a new stream on the
 :class:`~repro.soc.frame_cost.CapacityModel` M/D/1 budget: a stream is
@@ -429,7 +429,8 @@ class _IngestStream:
         #: frame index -> source seq of submitted frames not yet recorded;
         #: holds at most the frames in flight.
         self.labels: Dict[int, int] = {}
-        self.closed = False
+        #: Why the execution core failed the stream, once a feed saw it.
+        self.failure: Optional[str] = None
 
 
 class IngestCore:
@@ -457,8 +458,7 @@ class IngestCore:
 
     The core is its multiplexer's record observer.  It labels every
     :class:`FrameRecord` with the source seq of its frame and hands the
-    ``(record, seq)`` pair to :attr:`on_record`, or buffers it for
-    :meth:`take_records` when no observer is set.
+    ``(record, seq)`` pair to :attr:`on_record`.
     """
 
     def __init__(
@@ -481,7 +481,6 @@ class IngestCore:
         #: Observer of every ``(record, seq)`` pair (the server's ack hook).
         self.on_record = on_record
         multiplexer.on_record = self._record
-        self._record_sink: List[Tuple[FrameRecord, Optional[int]]] = []
 
     # -- observation ----------------------------------------------------
     def _record(self, record: FrameRecord) -> None:
@@ -489,13 +488,6 @@ class IngestCore:
         seq = stream.labels.pop(record.frame_index, None) if stream else None
         if self.on_record is not None:
             self.on_record(record, seq)
-        else:
-            self._record_sink.append((record, seq))
-
-    def take_records(self) -> List[Tuple[FrameRecord, Optional[int]]]:
-        """Drain buffered ``(record, seq)`` pairs (no ``on_record`` mode)."""
-        records, self._record_sink = self._record_sink, []
-        return records
 
     # -- admission ------------------------------------------------------
     def admitted_demands(self) -> List[object]:
@@ -570,11 +562,12 @@ class IngestCore:
         """One frame off the wire: reorder, queue under policy, feed.
 
         A frame whose shape differs from the stream's is refused (see
-        :meth:`refuse_frame`).
+        :meth:`refuse_frame`); a frame for a failed stream raises
+        :class:`StreamFailedError`.
         """
         stream = self._stream(stream_id)
-        if stream.closed:
-            raise RuntimeError(f"stream '{stream_id}' is closed")
+        if stream.failure is not None:
+            raise StreamFailedError(stream_id, stream.failure)
         if frame.shape != stream.shape:
             self.refuse_frame(
                 stream_id,
@@ -650,8 +643,8 @@ class IngestCore:
                     defer_inference=defer,
                     degradation=",".join(tags),
                 )
-            except StreamFailedError:
-                stream.closed = True
+            except StreamFailedError as error:
+                stream.failure = str(error)
                 raise
             stream.labels[index] = seq
 
@@ -659,7 +652,7 @@ class IngestCore:
         """One scheduling round: process frames, then refill from queues."""
         processed = self.multiplexer.pump()
         for stream in self._streams.values():
-            if not stream.closed:
+            if stream.failure is None:
                 try:
                     self._feed(stream)
                 except StreamFailedError:
@@ -675,7 +668,7 @@ class IngestCore:
         gaps), the ready queue feeds through, and the session closes.
         """
         stream = self._stream(stream_id)
-        if not stream.closed:
+        if stream.failure is None:
             try:
                 for rseq, item, gap in stream.reorder.flush():
                     self._enqueue_ready(stream, rseq, item, gap)
@@ -687,7 +680,6 @@ class IngestCore:
                 self.multiplexer.drain()
             except StreamFailedError:
                 pass
-            stream.closed = True
         try:
             result = self.multiplexer.finish_stream(stream.stream_id)
         finally:
@@ -695,16 +687,18 @@ class IngestCore:
         return result
 
     def abort_stream(self, stream_id: str) -> None:
-        """Drop a failed/abandoned stream without draining it."""
-        stream = self._streams.pop(stream_id, None)
-        if stream is None:
+        """Close a failed stream without draining it."""
+        if self._streams.pop(stream_id, None) is None:
             return
-        stream.closed = True
+        try:
+            self.multiplexer.finish_stream(stream_id)
+        except StreamFailedError:
+            pass
 
     def drain(self) -> None:
         """Feed every queue through and drain the execution core."""
         for stream in self._streams.values():
-            if stream.closed:
+            if stream.failure is not None:
                 continue
             for rseq, item, gap in stream.reorder.flush():
                 self._enqueue_ready(stream, rseq, item, gap)
@@ -713,7 +707,7 @@ class IngestCore:
             self.multiplexer.drain()
             moved = False
             for stream in self._streams.values():
-                if stream.closed or not stream.ready:
+                if stream.failure is not None or not stream.ready:
                     continue
                 before = len(stream.ready)
                 try:
@@ -726,19 +720,14 @@ class IngestCore:
         """Graceful server drain: flush everything, settle the shared SoC.
 
         Returns per-stream results; streams lost to isolated failures are
-        omitted (their reasons are in ``multiplexer.stream_failures``).
+        omitted.
         """
         self.drain()
         results = self.multiplexer.finish()
-        for stream in self._streams.values():
-            stream.closed = True
+        self._streams.clear()
         return results
 
     # -- introspection --------------------------------------------------
-    @property
-    def stream_ids(self) -> List[str]:
-        return list(self._streams)
-
     def stats(self) -> Dict[str, object]:
         """Health/stats snapshot (the server's /stats endpoint body)."""
         projection = self.projected_queueing()

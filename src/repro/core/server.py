@@ -341,7 +341,7 @@ class EuphratesServer:
         self._next_stream_id += 1
         try:
             self.ingest.open_stream(name, **_hello_stream_fields(config))
-        except AdmissionError as error:
+        except (AdmissionError, ShardError) as error:  # a dead worker refuses too
             self._offer(
                 conn,
                 encode_json(MSG_REJECT, {"handle": handle, "reason": str(error)}),

@@ -16,13 +16,14 @@ makes the case for first-class concurrent-stream support).  The
   single-shard path and ``workers=N`` worker processes (frames then cross
   the process boundary over the zero-copy shared-memory transport, never
   pickled);
-* per-stream statistics live in the executor's registry
+* per-stream statistics live on each open stream
   (:class:`~repro.core.executor.StreamStats`, read via :meth:`stats_for`)
   and feed ``python -m repro.harness bench stream``; with an attached energy model
   (``soc`` + ``network``) each stream's frames are priced on the modeled
   SoC as they are processed — including amortised weight traffic across
   batched I-frames — and a :class:`~repro.soc.frame_cost.SharedSoCPool`
-  settles the shared static-power terms exactly once across all streams.
+  settles the shared static-power terms exactly once across all streams;
+* closing a stream frees its name and leaves only its report row.
 
 Because sessions are fully isolated, a stream named after a sequence and
 fed its frames and truth is bit-identical to running that sequence through
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,7 +73,8 @@ class MultiplexerReport:
     #: Modeled SoC energy per stream (present when the multiplexer was
     #: given an energy model; keyed by stream id).  Each breakdown prices
     #: that camera's frames on the modeled SoC — I-frames dispatched in a
-    #: batch of k amortise the NNX weight traffic over k streams.
+    #: batch of k amortise the NNX weight traffic over k streams.  A reused
+    #: name maps to its latest stream; the aggregates cover every stream.
     stream_energy: Dict[str, "EnergyBreakdown"] = field(default_factory=dict)
     #: Exact shared-SoC aggregate: static power (NNX idle, DRAM background,
     #: MC idle) settled once across all streams instead of once per stream.
@@ -80,6 +82,8 @@ class MultiplexerReport:
     shared_energy: "EnergyBreakdown | None" = None
     #: M/D/1 queueing view of the shared backend serving every stream.
     queueing: "QueueingEstimate | None" = None
+    #: Per-stream-sum energy over every row (see the aggregates below).
+    aggregate_energy_upper_bound_j: float = 0.0
     #: Execution configuration the run used (for benchmark provenance).
     workers: int = 1
     transport: str = "inproc"
@@ -103,35 +107,27 @@ class MultiplexerReport:
     # ``shared_energy`` settles those terms exactly once on the shared SoC
     # (dynamic terms, including cross-stream weight-batch amortisation,
     # are identical in both), so the aggregates below report the exact
-    # figure whenever an energy model is attached: always <= the upper
-    # bound, equal for a single stream.
-    @property
-    def aggregate_energy_upper_bound_j(self) -> float:
-        """Per-stream-sum energy: static power counted once per stream."""
-        return sum(b.total_energy_j for b in self.stream_energy.values())
-
+    # figure: always <= the upper bound, equal for a single stream.
     @property
     def aggregate_energy_j(self) -> float:
-        """Total modeled energy (exact shared-SoC figure when metered)."""
-        if self.shared_energy is not None:
-            return self.shared_energy.total_energy_j
-        return self.aggregate_energy_upper_bound_j
+        """Total modeled energy: the exact shared-SoC figure."""
+        if self.shared_energy is None:
+            return 0.0
+        return self.shared_energy.total_energy_j
 
     @property
     def aggregate_energy_per_frame_j(self) -> float:
-        frames = sum(b.num_frames for b in self.stream_energy.values())
-        if not frames:
+        if self.shared_energy is None:
             return 0.0
-        return self.aggregate_energy_j / frames
+        return self.shared_energy.energy_per_frame_j
 
     @property
     def aggregate_power_w(self) -> float:
         """Aggregate power: streams run concurrently in model time, so the
         denominator is the longest per-stream wall clock, not the sum."""
-        wall = max((b.wall_time_s for b in self.stream_energy.values()), default=0.0)
-        if wall <= 0:
+        if self.shared_energy is None or self.shared_energy.wall_time_s <= 0:
             return 0.0
-        return self.aggregate_energy_j / wall
+        return self.shared_energy.total_energy_j / self.shared_energy.wall_time_s
 
 
 class StreamMultiplexer:
@@ -197,11 +193,10 @@ class StreamMultiplexer:
         #: E-frame pricing host for the attached meters (the EW-N@CPU
         #: software baseline when True).
         self._extrapolation_on_cpu = extrapolation_on_cpu
-        #: stream id -> its SoC cost meter (None without an energy model),
-        #: in arrival order; kept after the stream closes, for report().
-        self._meters: Dict[str, "CostMeter | None"] = {}
-        #: Streams not yet finished.
-        self._open: Set[str] = set()
+        #: open stream id -> its SoC cost meter (None without an energy model).
+        self._open: Dict[str, "CostMeter | None"] = {}
+        #: report()'s rows: (stats, meter) of every stream opened, in order.
+        self._rows: List[Tuple[StreamStats, "CostMeter | None"]] = []
         self._inference_batches = 0
         self._batched_frames = 0
         self._max_batch_size = 0
@@ -228,11 +223,9 @@ class StreamMultiplexer:
         ``name`` is the stream id and names its session: the simulated
         backends seed their noise with it, so a stream named after a
         sequence and fed its frames and truth reproduces
-        ``pipeline.run(sequence)``.  A name already registered raises
+        ``pipeline.run(sequence)``.  A name that is open raises
         :class:`ValueError`.
         """
-        if name in self._meters:
-            raise ValueError(f"stream '{name}' already exists")
         self._executor.open_stream(name, name=name, width=width, height=height)
         meter = None
         if self._pool is not None:
@@ -241,11 +234,11 @@ class StreamMultiplexer:
                 extrapolation_on_cpu=self._extrapolation_on_cpu,
                 label=name,
             )
-        self._meters[name] = meter
-        self._open.add(name)
+        self._open[name] = meter
+        self._rows.append((self._executor.stats_for(name), meter))
 
     def stats_for(self, stream_id: str) -> StreamStats:
-        """The stream's entry in the executor's stats registry."""
+        """The open stream's stats (:class:`KeyError` once it closed)."""
         return self._executor.stats_for(stream_id)
 
     def pending_for(self, stream_id: str) -> int:
@@ -307,7 +300,7 @@ class StreamMultiplexer:
                 self._inference_batches += 1
                 self._batched_frames += record.batch_size
                 self._max_batch_size = max(self._max_batch_size, record.batch_size)
-            meter = self._meters[record.key]
+            meter = self._open[record.key]
             if meter is not None and record.telemetry is not None:
                 # Price what actually happened, as it happens.
                 meter.record(record.telemetry, batch_size=record.batch_size)
@@ -344,7 +337,7 @@ class StreamMultiplexer:
     # ------------------------------------------------------------------
     @property
     def stream_failures(self) -> Dict[str, str]:
-        """stream id -> reason, for every failed stream."""
+        """stream id -> reason, for every failed stream still open."""
         return self._executor.stream_failures
 
     def finish_stream(self, stream_id: str) -> SequenceResult:
@@ -356,11 +349,13 @@ class StreamMultiplexer:
         :meth:`report`.  Raises
         :class:`~repro.core.executor.StreamFailedError` if the stream failed.
         """
-        result, _stats = self._executor.finish_stream(stream_id)
-        self._open.discard(stream_id)
-        # Records for other streams can surface while the shard catches
-        # up; keep the meters honest.
-        self._absorb(self._executor.pump())
+        try:
+            result, _stats = self._executor.finish_stream(stream_id)
+        finally:
+            # Price the stream's last records, and other streams' that
+            # surfaced while its shard caught up, before it leaves the table.
+            self._absorb(self._executor.pump())
+            self._open.pop(stream_id, None)
         return result
 
     def finish(self) -> Dict[str, SequenceResult]:
@@ -376,12 +371,12 @@ class StreamMultiplexer:
         self.drain()
         failures = self._executor.stream_failures
         results: Dict[str, SequenceResult] = {}
-        for name in self._meters:
-            if name in self._open and name not in failures:
+        for name in self._open:
+            if name not in failures:
                 results[name], _stats = self._executor.finish_stream(name)
-        self._open.clear()
         # Late records can surface while worker shards wind down.
         self._absorb(self._executor.pump())
+        self._open.clear()
         self._executor.close()
         return results
 
@@ -390,13 +385,13 @@ class StreamMultiplexer:
         self._executor.close()
 
     def report(self) -> MultiplexerReport:
-        """Aggregate scheduling statistics accumulated so far."""
-        stats = [self._executor.stats_for(name) for name in self._meters]
-        stream_energy: Dict[str, "EnergyBreakdown"] = {
-            name: meter.breakdown()
-            for name, meter in self._meters.items()
+        """Aggregate statistics so far, one row per stream ever opened."""
+        stats = [row_stats for row_stats, _meter in self._rows]
+        priced = [
+            (row_stats.name, meter.breakdown())
+            for row_stats, meter in self._rows
             if meter is not None and meter.frames
-        }
+        ]
         shared_energy = None
         queueing = None
         if self._pool is not None and self._pool.frames:
@@ -411,9 +406,10 @@ class StreamMultiplexer:
             inference_batches=self._inference_batches,
             batched_frames=self._batched_frames,
             max_batch_size=self._max_batch_size,
-            stream_energy=stream_energy,
+            stream_energy=dict(priced),
             shared_energy=shared_energy,
             queueing=queueing,
+            aggregate_energy_upper_bound_j=sum(b.total_energy_j for _, b in priced),
             workers=self.workers,
             transport=self.transport_mode,
         )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from .geometry import BoundingBox
 
@@ -193,11 +193,3 @@ class DatasetRunResult:
         if total == 0:
             return 0.0
         return self.inference_count / total
-
-
-def merge_sequence_results(results: Sequence[SequenceResult]) -> List[FrameResult]:
-    """Concatenate the per-frame results of several sequences."""
-    frames: List[FrameResult] = []
-    for result in results:
-        frames.extend(result.frames)
-    return frames

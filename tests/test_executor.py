@@ -512,6 +512,42 @@ class TestFailureIsolation:
             executor.close()
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_finished_failed_stream_frees_its_key(self, small_sequence, workers):
+        """Finishing a failed stream closes it on the executor and on its
+        shard: its stats and failure are gone, and the key opens again (on
+        the same shard) on a fresh session."""
+        spec = PipelineSpec(extrapolation_window=4)
+        executor = ShardedExecutor(
+            spec.build(tracking_backend_for("mdnet")),
+            workers=workers,
+            isolate_failures=True,
+        )
+        try:
+            _open_on(executor, "s", small_sequence)
+            first_shard = executor.shard_of("s")
+            executor.submit("s", _frame(8, shape=small_sequence.frame(0).shape))
+            executor.drain()
+            assert set(executor.stream_failures) == {"s"}
+            with pytest.raises(StreamFailedError, match="no annotated objects"):
+                executor.finish_stream("s")
+            assert executor.stream_failures == {}
+            for lookup in (executor.stats_for, executor.shard_of):
+                with pytest.raises(KeyError, match="unknown stream"):
+                    lookup("s")
+
+            _open_on(executor, "s", small_sequence)
+            assert executor.shard_of("s") is first_shard
+            for index in range(len(small_sequence)):
+                _submit(executor, "s", small_sequence, index)
+            executor.drain()
+            result, stats = executor.finish_stream("s")
+            expected = spec.build(tracking_backend_for("mdnet")).run(small_sequence)
+            assert_results_identical(expected, result)
+            assert stats.frames_processed == len(small_sequence)
+        finally:
+            executor.close()
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_failed_open_raises_and_the_shard_keeps_serving(
         self, small_sequence, workers
     ):
@@ -528,6 +564,27 @@ class TestFailureIsolation:
             executor.drain()
             result, _stats = executor.finish_stream("good")
             assert len(result.frames) == len(small_sequence)
+        finally:
+            executor.close()
+
+
+class TestPlacement:
+    def test_a_new_stream_goes_to_the_shard_with_fewest_open_streams(self):
+        """Ties go to the lowest index, so streams that all open before any
+        closes land round-robin; a stream opened after a close fills the
+        shard it left."""
+        pipeline = PipelineSpec().build(tracking_backend_for("mdnet"))
+        executor = ShardedExecutor(pipeline, workers=2)
+        try:
+            for key in ("a", "b"):
+                executor.open_stream(key, name=key, width=32, height=24)
+            assert executor.shard_of("a").name == "shard0"
+            assert executor.shard_of("b").name == "shard1"
+            executor.finish_stream("a")
+            executor.open_stream("c", name="c", width=32, height=24)
+            assert executor.shard_of("c").name == "shard0"
+            executor.open_stream("d", name="d", width=32, height=24)
+            assert executor.shard_of("d").name == "shard0"
         finally:
             executor.close()
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.backends import tracking_backend_for
+from repro.core.executor import StreamFailedError
 from repro.core.geometry import BoundingBox
 from repro.core.ingest import (
     DEGRADE_QUEUE_FACTOR,
@@ -31,9 +32,18 @@ from repro.core.types import Detection
 from repro.nn.models import build_mdnet
 from repro.soc.frame_cost import CapacityModel, StreamDemand, _md1_wait_s
 
+from test_session import assert_results_identical
+
 
 def _frame(seed: int, shape=(24, 32)) -> np.ndarray:
     return np.random.default_rng(seed).integers(0, 255, size=shape, dtype=np.uint8)
+
+
+def collect_records(core: IngestCore) -> list:
+    """Observe ``core``: every ``(record, seq)`` pair lands in the list returned."""
+    records: list = []
+    core.on_record = lambda record, seq: records.append((record, seq))
+    return records
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +266,7 @@ class TestIngestAdmission:
         core.open_stream("b", width=32, height=24, fps=fps, window_size=4)
         with pytest.raises(AdmissionError, match="utilization"):
             core.open_stream("c", width=32, height=24, fps=fps, window_size=4)
-        assert core.stream_ids == ["a", "b"]
+        assert list(core.stats()["streams"]) == ["a", "b"]
         core.finish()
 
     def test_closed_stream_frees_capacity(self, capacity):
@@ -319,6 +329,7 @@ class TestOverloadPolicies:
 
     def test_drop_oldest_sheds_and_seals_gap(self):
         core = self._core("drop-oldest", capacity_frames=3, feed_depth=1)
+        records = collect_records(core)
         seq = self._sequence()
         core.open_stream("cam", width=seq.width, height=seq.height)
         # feed_depth=1 with no pumping: the ready queue backs up past 3.
@@ -334,7 +345,6 @@ class TestOverloadPolicies:
         assert len(result.frames) == 12 - faults.overload_drops
         # The telemetry records the drops as forced-I gap seals (runs of
         # consecutive drops collapse into one seal on the next survivor).
-        records = core.take_records()
         gap_tagged = [
             r
             for r, _seq in records
@@ -342,16 +352,17 @@ class TestOverloadPolicies:
             and "dropped-frame-gap" in r.telemetry.degradation
         ]
         assert len(gap_tagged) >= 1
-        assert core.multiplexer.stats_for("cam").degraded_frames == len(gap_tagged)
+        assert faults.degraded_frames == len(gap_tagged)
         core.finish()
 
     def test_degrade_defers_inference_instead_of_dropping(self):
         # Capacity 6: the 11-frame backlog stays under the degrade bound
         # (DEGRADE_QUEUE_FACTOR * capacity) but past capacity.
         core = self._core("degrade", capacity_frames=6, feed_depth=1)
+        records = collect_records(core)
         seq = self._sequence()
         core.open_stream("cam", width=seq.width, height=seq.height)
-        # faults is the live registry entry: it keeps updating through the
+        # faults is the stream's live stats: it keeps updating through the
         # backlogged feed that close_stream() drives.
         faults = core.multiplexer.stats_for("cam")
         for index in range(12):
@@ -362,7 +373,6 @@ class TestOverloadPolicies:
         assert faults.overload_drops == 0
         assert faults.degraded_submits > 0
         assert len(result.frames) == 12  # nothing shed
-        records = core.take_records()
         degraded = [
             r
             for r, _seq in records
@@ -416,6 +426,7 @@ class TestOverloadPolicies:
 
     def test_telemetry_records_every_fault_event(self):
         core = self._core("drop-oldest", capacity_frames=8, feed_depth=8)
+        records = collect_records(core)
         seq = self._sequence()
         core.open_stream("cam", width=seq.width, height=seq.height)
         # Drop seq 2 entirely; deliver 5 twice; 7 before 6.
@@ -430,8 +441,55 @@ class TestOverloadPolicies:
         assert faults.reordered > 0
         tags = [
             r.telemetry.degradation
-            for r, _seq in core.take_records()
+            for r, _seq in records
             if r.telemetry is not None and r.telemetry.degradation
         ]
         assert any("dropped-frame-gap" in tag for tag in tags)
+        core.finish()
+
+
+# ----------------------------------------------------------------------
+# Failed streams
+# ----------------------------------------------------------------------
+class TestFailedStreams:
+    def test_a_failure_the_pump_finds_is_raised_by_the_next_frame(self):
+        """The pump can find a stream failed while a frame still waits in its
+        ready queue.  The stream's next frame raises StreamFailedError with
+        the reason, and aborting the stream closes it in every layer, so its
+        name is served again from a fresh session."""
+        from repro.video.synthetic import SequenceConfig, SequenceGenerator
+
+        seq = SequenceGenerator(
+            SequenceConfig(
+                name="cam", frame_width=64, frame_height=48,
+                num_frames=6, num_objects=1, seed=3,
+            )
+        ).generate()
+        spec = PipelineSpec(extrapolation_window=4)
+        mux = StreamMultiplexer(
+            spec.build(tracking_backend_for("mdnet")), isolate_failures=True
+        )
+        core = IngestCore(mux, config=IngestConfig(admission=False, feed_depth=1))
+        core.open_stream("cam", width=seq.width, height=seq.height)
+        # A tracking stream starts from its first frame's truth: frame 0
+        # fails the session while frame 1 waits behind it.
+        core.push_frame("cam", 0, seq.frame(0))
+        core.push_frame("cam", 1, seq.frame(1))
+        core.pump()
+        assert "no annotated objects" in core.stats()["failures"]["cam"]
+        with pytest.raises(StreamFailedError, match="no annotated objects"):
+            core.push_frame("cam", 2, seq.frame(2))
+        core.abort_stream("cam")
+        assert core.stats()["failures"] == {}
+        with pytest.raises(KeyError):
+            mux.stats_for("cam")
+
+        core.open_stream("cam", width=seq.width, height=seq.height)
+        for index in range(seq.num_frames):
+            core.push_frame("cam", index, seq.frame(index), seq.truth_detections(index))
+        reborn = core.close_stream("cam")
+        assert_results_identical(
+            spec.build(tracking_backend_for("mdnet")).run(seq), reborn
+        )
+        assert [stats.name for stats in mux.report().streams] == ["cam", "cam"]
         core.finish()

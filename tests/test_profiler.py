@@ -144,7 +144,7 @@ class TestStreamStatsCarryThrough:
             mux.submit("cam", frame, truth=sequence.truth_detections(index))
         mux.drain()
         mux.finish()
-        stats = mux.stats_for("cam")
+        (stats,) = mux.report().streams
         assert set(stats.stage_s) == set(STAGE_NAMES)
         assert stats.stage_s["motion_search"] > 0.0
         assert stats.stage_s["denoise_blend"] > 0.0

@@ -6,7 +6,8 @@ stops reading its acks, and a worker process dying under an active
 connection.  The invariants: the server never deadlocks, frame
 *processing* is never corrupted (the hypothesis property pins accepted
 frames bit-identical to a serial session fed the surviving subsequence),
-and every fault lands in telemetry or a fault counter.
+every fault lands in telemetry or a fault counter, and the server's event
+loop never logs an exception nobody handled (checked on every test).
 """
 
 from __future__ import annotations
@@ -46,7 +47,20 @@ from repro.nn.models import build_mdnet
 from repro.soc.frame_cost import CapacityModel
 from repro.video.synthetic import SequenceConfig, SequenceGenerator
 
+from test_ingest import collect_records
 from test_session import assert_results_identical
+
+
+@pytest.fixture
+def no_unhandled_exception(caplog):
+    """Fail if the server's event loop logs an exception nobody handled."""
+    caplog.set_level(logging.ERROR, logger="asyncio")
+    yield
+    unhandled = [r for r in caplog.records if "Unhandled exception" in r.getMessage()]
+    assert not unhandled, unhandled[0].getMessage()
+
+
+pytestmark = pytest.mark.usefixtures("no_unhandled_exception")
 
 
 def _sequence(
@@ -222,15 +236,51 @@ class TestServerFaults:
                     client.poll(timeout=0.05)
                 assert client.errors, "worker death never reported to the client"
                 assert "died unexpectedly" in client.errors[0]["reason"]
+                # The ERROR settled the failure: the server holds no failed
+                # stream, and the name opens again on the live shard.
+                assert client.stats()["failures"] == {}
+                client.hello(
+                    handle=3, stream="doomed",
+                    width=seq_obj.width, height=seq_obj.height,
+                )
+                assert executor.shard_of("doomed") is executor.shard_of("survivor")
 
                 # The sibling stream on the healthy shard still completes.
                 _stream_all(client, 2, seq_obj, range(4, 20))
+                _stream_all(client, 3, seq_obj, range(8))
                 summary = client.bye(2)
+                reborn = client.bye(3)
         assert summary["status"] == "ok"
         assert summary["frames_processed"] == 20
-        assert "doomed" in ingest.multiplexer.stream_failures
+        assert reborn["status"] == "ok"
+        assert reborn["frames_processed"] == 8
         report = server.shutdown()
-        assert report is not None  # graceful drain despite the dead worker
+        # graceful drain despite the dead worker
+        assert [s.name for s in report.streams] == ["doomed", "survivor", "doomed"]
+
+    def test_hello_placed_on_a_dead_worker_is_rejected(self):
+        """A worker that died holding no stream, before any pump round
+        noticed, is found by the HELLO placed on it: REJECT with the reason,
+        and a retry opens on a live worker."""
+        ingest = _make_ingest(workers=2)
+        executor = ingest.multiplexer._executor
+        with ServerThread(ingest) as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                for handle, stream in ((1, "a"), (2, "b")):
+                    client.hello(handle=handle, stream=stream, width=64, height=48)
+                idle = executor.shard_of("a")
+                client.bye(1)
+                # Pause the pump rounds, which would notice the death first;
+                # the STATS round trip outlasts any round already running.
+                ingest.pump = lambda: 0
+                client.stats()
+                idle.process.kill()
+                idle.process.join(timeout=10.0)
+                with pytest.raises(AdmissionError, match="died unexpectedly"):
+                    client.hello(handle=3, stream="c", width=64, height=48)
+                client.hello(handle=3, stream="c", width=64, height=48)
+                assert executor.shard_of("c") is executor.shard_of("b")
+        server.shutdown()
 
     def test_bye_on_failed_stream_raises_promptly(self):
         # A tracking stream poisoned mid-flight (no truth on the first
@@ -261,6 +311,82 @@ class TestServerFaults:
                 with pytest.raises(StreamFailedError, match="no stream"):
                     client.bye(99, timeout=30.0)
         server.shutdown()
+
+    def test_a_failure_the_pump_finds_is_answered_with_error(self):
+        """The pump can find a stream failed while a frame still waits in
+        its ready queue.  The client's next frame gets ERROR with the
+        reason, the connection lives on, and the name is free again."""
+        seq_obj = _sequence(8)
+        with ServerThread(_make_ingest(feed_depth=1)) as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                client.hello(
+                    handle=1, stream="cam", width=seq_obj.width, height=seq_obj.height
+                )
+                # No truth on frame 0 fails the tracking session.  Frame 1
+                # goes first, so the reorder window releases both at once
+                # and frame 1 waits in the ready queue behind frame 0.
+                client.send_frame(1, 1, seq_obj.frame(1))
+                client.send_frame(1, 0, seq_obj.frame(0))
+                deadline = time.monotonic() + 30.0
+                while "cam" not in client.stats()["failures"]:
+                    assert time.monotonic() < deadline, "failure never found"
+                    time.sleep(0.02)
+                client.send_frame(1, 2, seq_obj.frame(2))
+                _, error = client.wait_for(MSG_ERROR, timeout=10.0)
+                assert client.stats()["failures"] == {}
+                client.hello(
+                    handle=1, stream="cam", width=seq_obj.width, height=seq_obj.height
+                )
+                _stream_all(client, 1, seq_obj, range(8))
+                summary = client.bye(1)
+        assert (error["handle"], error["stream"]) == (1, "cam")
+        assert "no annotated objects" in error["reason"]
+        assert summary["status"] == "ok" and summary["frames_processed"] == 8
+        report = server.shutdown()
+        assert [s.name for s in report.streams] == ["cam", "cam"]
+
+
+class TestNameReuse:
+    def test_a_name_is_admitted_again_after_bye(self):
+        """A camera that says BYE and reconnects under its own name is
+        admitted; each BYE_OK and report row counts only its own stream,
+        and the energy aggregates cover both."""
+        seq_obj = _sequence(12)
+        spec = PipelineSpec(extrapolation_window=4)
+        mux = StreamMultiplexer(
+            spec.build(tracking_backend_for("mdnet")),
+            soc=spec.vision_soc(),
+            network=build_mdnet(),
+            isolate_failures=True,
+        )
+        ingest = IngestCore(mux, config=IngestConfig(admission=False, reorder_window=4))
+        summaries = []
+        with ServerThread(ingest) as server:
+            for frames in (8, 12):
+                with ServeClient("127.0.0.1", server.port) as client:
+                    client.hello(
+                        handle=1, stream="cam",
+                        width=seq_obj.width, height=seq_obj.height,
+                    )
+                    _stream_all(client, 1, seq_obj, range(frames))
+                    summaries.append(client.bye(1))
+        report = server.shutdown()
+        assert [s["status"] for s in summaries] == ["ok", "ok"]
+        assert [s["frames_submitted"] for s in summaries] == [8, 12]
+        assert [s["frames_processed"] for s in summaries] == [8, 12]
+        assert [s.name for s in report.streams] == ["cam", "cam"]
+        assert [s.frames_processed for s in report.streams] == [8, 12]
+        assert report.frames_processed == 20
+        # The aggregates read the pool, which prices all 20 frames; the
+        # name-keyed breakdown maps to the later stream.
+        assert report.shared_energy.num_frames == 20
+        assert report.aggregate_energy_per_frame_j == pytest.approx(
+            report.shared_energy.total_energy_j / 20, rel=1e-12
+        )
+        assert report.stream_energy["cam"].num_frames == 12
+        later = report.stream_energy["cam"].total_energy_j
+        assert report.aggregate_energy_upper_bound_j > later
+        assert report.aggregate_energy_j < report.aggregate_energy_upper_bound_j
 
 
 class TestAcceptedSubsequenceProperty:
@@ -299,6 +425,7 @@ class TestAcceptedSubsequenceProperty:
                 queue_capacity=256, feed_depth=256,
             ),
         )
+        labelled = collect_records(core)
         core.open_stream("cam", width=seq_obj.width, height=seq_obj.height)
         for seq in arrivals:
             core.push_frame(
@@ -307,7 +434,6 @@ class TestAcceptedSubsequenceProperty:
             core.pump()
         streamed = core.close_stream("cam")
         core.finish()
-        labelled = core.take_records()
         assert [r.frame_index for r, _ in labelled] == list(range(len(labelled)))
         accepted = [seq for _, seq in labelled]
 
@@ -368,7 +494,6 @@ class TestByeSettlesBeforeAnswering:
             largest = max(largest, len(stream.labels))
             if seq % 3 == 2:
                 core.pump()
-                core.take_records()
         core.close_stream("cam")
         assert stream.labels == {}
         assert largest == 4
@@ -411,7 +536,7 @@ class TestWireValidation:
         core = _make_ingest()
         with pytest.raises(ValueError, match="outside 1..65535"):
             core.open_stream("cam", width=width, height=height)
-        assert core.stream_ids == []
+        assert core.stats()["streams"] == {}
         core.finish()
 
     def test_hello_with_bad_size_is_rejected(self):
@@ -484,15 +609,6 @@ def _frame_with_truth_blob(handle: int, seq: int, frame, blob: bytes) -> bytes:
     return encode_message(MSG_FRAME, head + blob + frame.tobytes())
 
 
-@pytest.fixture
-def no_unhandled_exception(caplog):
-    """Fail if the server's event loop logs an exception nobody handled."""
-    caplog.set_level(logging.ERROR, logger="asyncio")
-    yield
-    unhandled = [r for r in caplog.records if "Unhandled exception" in r.getMessage()]
-    assert not unhandled, unhandled[0].getMessage()
-
-
 def _hello_reply(config: dict, *, admission: bool = False) -> dict:
     """The REJECT a HELLO of ``config`` gets beside a running stream, which
     must go on unharmed."""
@@ -512,7 +628,6 @@ def _hello_reply(config: dict, *, admission: bool = False) -> dict:
     return reply
 
 
-@pytest.mark.usefixtures("no_unhandled_exception")
 class TestMalformedFields:
     """A well-framed message with a bad field gets a reply, never a dropped
     connection; the connection's other streams keep running."""

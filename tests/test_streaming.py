@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import itertools
 import tracemalloc
 
 import pytest
@@ -186,9 +185,9 @@ class TestStats:
             assert stats.inference_rate == pytest.approx(0.25, abs=0.1)
 
     def test_closed_streams_keep_stats_not_results(self, pipeline):
-        """After open -> submit -> close cycles the multiplexer keeps each
-        stream's stats, not its result: retained memory does not grow with
-        the frames a stream ran."""
+        """After open -> submit -> close cycles under one name the
+        multiplexer keeps each stream's report row, not its result:
+        retained memory does not grow with the frames a stream ran."""
         sequence = SequenceGenerator(
             SequenceConfig(
                 name="cam", frame_width=64, frame_height=48, num_frames=96, seed=3
@@ -197,15 +196,15 @@ class TestStats:
 
         def retained(frames_per_stream: int) -> int:
             mux = StreamMultiplexer(pipeline)
-            # A closed stream keeps its name (and stats): each cycle takes a new one.
-            names = (f"cam{n}" for n in itertools.count())
 
             def cycle() -> None:
-                stream_id = add_sequence(mux, sequence, next(names))
+                stream_id = add_sequence(mux, sequence)
                 for index in range(frames_per_stream):
                     submit_frame(mux, stream_id, sequence, index)
                 mux.drain()
                 assert len(mux.finish_stream(stream_id)) == frames_per_stream
+                with pytest.raises(KeyError):
+                    mux.stats_for(stream_id)
 
             cycle()  # first-call allocations
             tracemalloc.start()
@@ -219,6 +218,7 @@ class TestStats:
             finally:
                 tracemalloc.stop()
             assert mux.finish() == {}
+            assert [stats.name for stats in mux.report().streams] == ["cam"] * 9
             return after - before
 
         # 8 streams x 88 more frames: kept results (about 400 B a frame)

@@ -13,7 +13,6 @@ from repro.core.types import (
     FrameResult,
     FrameTelemetry,
     SequenceResult,
-    merge_sequence_results,
 )
 
 
@@ -111,9 +110,3 @@ class TestSequenceResult:
     def test_iteration(self):
         result = self._make()
         assert [f.frame_index for f in result] == [0, 1, 2, 3]
-
-    def test_merge(self):
-        a = self._make()
-        b = self._make()
-        merged = merge_sequence_results([a, b])
-        assert len(merged) == 8

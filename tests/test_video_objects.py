@@ -54,7 +54,8 @@ class TestMovingObjectGeometry:
         obj = _simple_object(parts=[torso, limb])
         box = obj.bounding_box(0)
         for part_box in obj.part_boxes(0):
-            assert box.contains_box(part_box)
+            assert box.left <= part_box.left and part_box.right <= box.right
+            assert box.top <= part_box.top and part_box.bottom <= box.bottom
 
 
 class TestGroundTruth:
