@@ -1127,17 +1127,30 @@ class ShardedExecutor:
         The shard opens a session named ``name`` on ``width`` x ``height``
         frames; the name seeds the simulated backends, so a stream named
         after a sequence and fed its truth matches ``EuphratesPipeline.run``.
-        A failed open raises here and leaves the shard serving.
+        A failed open raises here and leaves the shard serving.  With
+        ``isolate_failures``, a worker that turns out dead when the open
+        reaches it is marked lost and the open moves to the next live
+        shard; it raises once no shard is live.
         """
         if self._closed:
             raise RuntimeError("executor is closed")
         if key in self._streams:
             raise ValueError(f"stream '{key}' already exists")
-        # Ties go to the lowest index; with every shard dead, one refuses.
-        live = [s for s in self._shards if s.failure is None] or self._shards
-        opened = [entry.shard for entry in self._streams.values()]
-        shard = min(live, key=opened.count)
-        shard.open_stream(key, name=name, width=width, height=height)
+        while True:
+            # Ties go to the lowest index; with every shard dead, one refuses.
+            live = [s for s in self._shards if s.failure is None] or self._shards
+            opened = [entry.shard for entry in self._streams.values()]
+            shard = min(live, key=opened.count)
+            try:
+                shard.open_stream(key, name=name, width=width, height=height)
+                break
+            except ShardError as error:
+                # A session that refused the stream leaves its shard live.
+                if shard.failure is None or not self.isolate_failures:
+                    raise
+                self._shard_failed(shard, error)
+                if all(s.failure is not None for s in self._shards):
+                    raise
         self._streams[key] = _OpenStream(shard, StreamStats(name=key))
 
     def _entry(self, key: str) -> _OpenStream:

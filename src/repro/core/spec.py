@@ -2,12 +2,11 @@
 
 Before :class:`PipelineSpec` existed, the tunable knobs of the pipeline
 (``extrapolation_window``, ``block_size``, ``search_range``,
-``exhaustive_search``, ``search_policy``, ``sub_roi_grid``,
-``expose_motion_vectors``) were threaded as loose keyword arguments through
-three independent layers — ``build_pipeline``, the harness
-:class:`~repro.harness.runner.SweepRunner`, and the CLI — each with its own
-defaults and its own ad-hoc cache key.  A spec collapses all of that into a
-single hashable value object:
+``exhaustive_search``, ``sub_roi_grid``, ``expose_motion_vectors``) were
+threaded as loose keyword arguments through three independent layers —
+``build_pipeline``, the harness :class:`~repro.harness.runner.SweepRunner`,
+and the CLI — each with its own defaults and its own ad-hoc cache key.  A
+spec collapses all of that into a single hashable value object:
 
 * :meth:`PipelineSpec.build` constructs the pipeline (what ``build_pipeline``
   used to do);
@@ -31,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, List, Tuple, Union
 
 from ..isp.framebuffer import parse_frame_format, spell_frame_format
-from ..motion.block_matching import BlockMatchingConfig, SearchPolicy, SearchStrategy
+from ..motion.block_matching import BlockMatchingConfig, SearchStrategy
 from ..motion.kernels import DEFAULT_KERNEL_BACKEND, KERNEL_BACKENDS
 from .extrapolation import ExtrapolationConfig
 from .window import (
@@ -80,9 +79,6 @@ class PipelineSpec:
     search_range: int = 7
     #: Exhaustive search instead of the three-step search.
     exhaustive_search: bool = False
-    #: Exhaustive-search candidate-scan policy
-    #: (``full``/``pruned``/``histogram``).
-    search_policy: str = "pruned"
     #: Kernel backend of motion search, the denoise blend and the
     #: extrapolator's ROI statistics: ``c`` (the
     #: default; compiled, degrades to numpy where it cannot be built) or
@@ -123,7 +119,6 @@ class PipelineSpec:
             raise ValueError("block_size must be >= 1")
         if self.search_range < 0:
             raise ValueError("search_range must be >= 0")
-        object.__setattr__(self, "search_policy", SearchPolicy(self.search_policy).value)
         if self.kernel_backend not in KERNEL_BACKENDS:
             raise ValueError(
                 f"unknown kernel backend '{self.kernel_backend}' "
@@ -231,14 +226,6 @@ class PipelineSpec:
             help="use exhaustive search instead of three-step search",
         )
         parser.add_argument(
-            "--search-policy",
-            dest="spec_search_policy",
-            choices=[policy.value for policy in SearchPolicy],
-            default=defaults.search_policy,
-            help="exhaustive-search candidate-scan policy; all policies are "
-            f"result-identical (default: {defaults.search_policy})",
-        )
-        parser.add_argument(
             "--kernel-backend",
             dest="spec_kernel_backend",
             choices=list(KERNEL_BACKENDS),
@@ -322,7 +309,6 @@ class PipelineSpec:
             "block_size": args.spec_block_size,
             "search_range": args.spec_search_range,
             "exhaustive_search": args.spec_exhaustive_search,
-            "search_policy": args.spec_search_policy,
             "kernel_backend": getattr(
                 args, "spec_kernel_backend", defaults.kernel_backend
             ),
@@ -363,8 +349,6 @@ class PipelineSpec:
             tokens += ["--search-range", str(self.search_range)]
         if self.exhaustive_search:
             tokens += ["--exhaustive-search"]
-        if self.search_policy != defaults.search_policy:
-            tokens += ["--search-policy", self.search_policy]
         if self.kernel_backend != defaults.kernel_backend:
             tokens += ["--kernel-backend", self.kernel_backend]
         if self.frame_format != defaults.frame_format:
@@ -396,7 +380,6 @@ class PipelineSpec:
             self.block_size,
             self.search_range,
             self.exhaustive_search,
-            self.search_policy,
             self.kernel_backend,
             self.frame_format,
             self.sub_roi_grid,
@@ -406,7 +389,7 @@ class PipelineSpec:
         )
 
     def describe(self) -> str:
-        """Short human-readable label (``EW-2/b16/r7/tss/pruned``)."""
+        """Short human-readable label (``EW-2/b16/r7/tss``)."""
         window = (
             "EW-A"
             if self.extrapolation_window == "adaptive"
@@ -414,8 +397,6 @@ class PipelineSpec:
         )
         search = "es" if self.exhaustive_search else "tss"
         label = f"{window}/b{self.block_size}/r{self.search_range}/{search}"
-        if self.exhaustive_search:
-            label += f"/{self.search_policy}"
         if self.kernel_backend != DEFAULT_KERNEL_BACKEND:
             label += f"/k:{self.kernel_backend}"
         if self.frame_format != PipelineSpec().frame_format:
@@ -441,7 +422,6 @@ class PipelineSpec:
             block_size=self.block_size,
             search_range=self.search_range,
             strategy=strategy,
-            search_policy=SearchPolicy(self.search_policy),
             kernel_backend=self.kernel_backend,
         )
 

@@ -45,7 +45,6 @@ from .experiments import (
     figure11a_macroblock_sensitivity,
     figure11b_es_vs_tss,
     figure12_attribute_sensitivity,
-    search_policy_comparison,
     table1_soc_configuration,
     table2_workloads,
 )
@@ -82,6 +81,5 @@ __all__ = [
     "figure10c_per_sequence_success",
     "figure11a_macroblock_sensitivity",
     "figure11b_es_vs_tss",
-    "search_policy_comparison",
     "figure12_attribute_sensitivity",
 ]

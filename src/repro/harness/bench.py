@@ -14,7 +14,7 @@ and checks it against the floors stored there
 (:mod:`repro.harness.trajectory`).  ``--guard`` turns a violation into exit
 status 1, which is what the CI perf jobs run.
 
-* ``motion`` — TSS vs the scalar oracle and ES per candidate-scan policy,
+* ``motion`` — TSS vs the scalar oracle, and the pruned exhaustive search,
   on 8-bit luma (:mod:`repro.harness.perf`);
 * ``pipeline`` — the whole per-frame session path, the blend speedup over
   its scalar reference and the steady-state E-frame allocation
@@ -102,7 +102,7 @@ def _motion_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--skip-exhaustive",
         action="store_true",
-        help="skip the exhaustive-search policy timings",
+        help="skip the exhaustive-search timing",
     )
     parser.add_argument(
         "--kernel-backend",
@@ -134,11 +134,8 @@ def _print_motion(entry: dict) -> None:
             line += f" ({result['speedup']:.1f}x scalar)"
         if "es_pruned_fps" in result:
             line += (
-                f"; ES full {result['es_full_fps']:.1f} -> pruned "
-                f"{result['es_pruned_fps']:.1f} fps "
-                f"({result['es_pruned_speedup_vs_full']:.1f}x, "
-                f"{result['es_pruned_evaluated_fraction']:.1%} candidates), "
-                f"histogram {result['es_histogram_speedup_vs_full']:.1f}x"
+                f"; ES {result['es_pruned_fps']:.1f} fps "
+                f"({result['es_pruned_evaluated_fraction']:.1%} candidates)"
             )
         if "tss_speedup_vs_numpy" in result:
             line += (
@@ -435,7 +432,7 @@ class Bench:
 
 BENCHES: Dict[str, Bench] = {
     "motion": Bench(
-        "motion-estimation kernels: TSS vs the scalar oracle, ES per policy",
+        "motion-estimation kernels: TSS vs the scalar oracle, and ES",
         MOTION_PRESETS,
         _motion_options,
         _run_motion,

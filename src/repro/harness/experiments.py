@@ -18,14 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..core.spec import PipelineSpec
-
 from ..eval.attributes import attribute_precision
 from ..eval.detection import precision_curve
 from ..eval.tracking import per_sequence_success, success_curve, success_rate
-from ..motion.kernels import DEFAULT_KERNEL_BACKEND
 from ..nn.models import (
     FIG1_REFERENCE_DETECTORS,
     MOBILE_TOPS_BUDGET,
@@ -527,21 +523,16 @@ def figure11b_es_vs_tss(
     thresholds: Sequence[float] = (0.1, 0.3, 0.5, 0.7, 0.9),
     seed: int = 1,
     runner: Optional[SweepRunner] = None,
-    search_policy: Optional[str] = None,
     spec: Optional[PipelineSpec] = None,
 ) -> Dict[str, List[Tuple[float, float, float]]]:
     """Fig. 11b: success rate with exhaustive search vs three-step search.
 
     Returns, per EW configuration, a list of ``(iou_threshold, es, tss)``
-    points — the scatter data of the figure.  ``search_policy`` picks the ES
-    candidate-scan policy; because every policy is result-identical the
-    scatter does not depend on it, only the work spent producing it does.
+    points — the scatter data of the figure.
     """
     dataset = dataset or build_tracking_dataset(otb_sequences=8, vot_sequences=0)
     runner = runner or SweepRunner()
     spec = spec or PipelineSpec()
-    if search_policy is not None:
-        spec = replace(spec, search_policy=search_policy)
     scatter: Dict[str, List[Tuple[float, float, float]]] = {}
     for window in ew_values:
         es_run = runner.run(
@@ -566,69 +557,6 @@ def figure11b_es_vs_tss(
             (float(t), es_curve[float(t)], tss_curve[float(t)]) for t in thresholds
         ]
     return scatter
-
-
-def search_policy_comparison(
-    height: int = 192,
-    width: int = 256,
-    block_size: int = 16,
-    search_range: int = 7,
-    kernel_backend: str = DEFAULT_KERNEL_BACKEND,
-    seed: int = 0,
-) -> List[Tuple[str, float, int, bool, str]]:
-    """Compare ES candidate-scan policies on one synthetic frame pair.
-
-    Returns rows of ``(policy, evaluated_candidate_fraction, operation
-    count, identical_to_full, active_kernel_backend)`` — the work each
-    policy spends to produce the motion field the full scan would, a direct
-    bit-identity check, and the kernel backend that actually ran (``c``
-    degrades to ``numpy`` where it cannot be built, and the artifact must
-    record what happened).  Deterministic (op counts, not wall time),
-    so experiment artifacts and CI smoke runs can assert on it.
-    """
-    from ..motion.block_matching import (
-        BlockMatcher,
-        BlockMatchingConfig,
-        SearchPolicy,
-        SearchStrategy,
-    )
-    from .perf import synthetic_luma_sequence
-
-    frames = synthetic_luma_sequence(height, width, 2, seed=seed)
-    rows: List[Tuple[str, float, int, bool, str]] = []
-    reference = None
-    for policy in (
-        SearchPolicy.FULL,
-        SearchPolicy.PRUNED,
-        SearchPolicy.HISTOGRAM,
-    ):
-        matcher = BlockMatcher(
-            BlockMatchingConfig(
-                block_size=block_size,
-                search_range=search_range,
-                strategy=SearchStrategy.EXHAUSTIVE,
-                search_policy=policy,
-                kernel_backend=kernel_backend,
-            )
-        )
-        field = matcher.estimate(frames[1], frames[0])
-        if reference is None:
-            reference = field
-        identical = bool(
-            np.array_equal(field.vectors, reference.vectors)
-            and np.array_equal(field.sad, reference.sad)
-        )
-        stats = matcher.last_search_stats
-        rows.append(
-            (
-                policy.value,
-                stats.evaluated_fraction,
-                matcher.last_operation_count,
-                identical,
-                matcher.last_kernel_backend,
-            )
-        )
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -895,27 +823,9 @@ def _fig11b(context: ExperimentContext) -> ExperimentArtifact:
             for threshold, es, tss in points
         ],
     )
-    kernel_backend = context.base_spec.kernel_backend
-    artifact.add_table(
-        [
-            "search_policy",
-            "evaluated_fraction",
-            "operation_count",
-            "identical_to_full",
-            "kernel_backend",
-        ],
-        [
-            [policy, round(fraction, 4), ops, identical, backend]
-            for policy, fraction, ops, identical, backend in search_policy_comparison(
-                kernel_backend=kernel_backend
-            )
-        ],
-        title="ES candidate-scan policies: work spent for the identical result",
-    )
     artifact.metadata.update(_dataset_metadata(context.small_tracking_dataset))
     artifact.metadata["seed"] = context.seed
-    artifact.metadata["search_policy"] = context.search_policy
-    artifact.metadata["kernel_backend"] = kernel_backend
+    artifact.metadata["kernel_backend"] = context.base_spec.kernel_backend
     return artifact
 
 

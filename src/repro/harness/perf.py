@@ -4,10 +4,10 @@ Measures frames/sec of the vectorized block matcher on synthetic 720p/1080p
 sequences and compares it against the scalar reference oracle
 (:mod:`repro.motion.reference`), so every PR can check the perf trajectory.
 Besides the three-step search (the production default) the benchmark times
-the exhaustive search under each candidate-scan policy
-(full/pruned/histogram — all result-identical).  Every frame is 8-bit
-luma, the only input the matcher takes.  The kernel backend (numpy or the compiled C backend) is a parameter, so the
-same harness measures both sides of the backend speedup.
+the pruned exhaustive search.  Every frame is 8-bit luma, the only input
+the matcher takes.  The kernel backend (numpy or the compiled C backend) is
+a parameter, so the same harness measures both sides of the backend
+speedup.
 
 The results are appended to the ``BENCH_motion.json`` trajectory by
 ``python -m repro.harness bench motion`` (which also enforces the stored
@@ -23,12 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..motion.block_matching import (
-    BlockMatcher,
-    BlockMatchingConfig,
-    SearchPolicy,
-    SearchStrategy,
-)
+from ..motion.block_matching import BlockMatcher, BlockMatchingConfig, SearchStrategy
 from ..motion.kernels import resolve_kernel_backend
 from ..motion.reference import scalar_estimate
 
@@ -105,13 +100,12 @@ def benchmark_motion_estimation(
     * vectorized TSS frames/sec and latency (the legacy ``vectorized_*``
       keys), the analytical op counts, and — with ``include_scalar`` — the
       scalar-oracle timing and the vectorized-vs-scalar ``speedup``;
-    * with ``include_exhaustive``, exhaustive-search timing per candidate
-      scan policy (``es_full_*``/``es_pruned_*``/``es_histogram_*``), the
-      pruned policy's evaluated-candidate fraction, and the headline
-      ``es_pruned_speedup_vs_full`` and ``es_pruned_vs_tss`` ratios; under a
-      non-numpy ``kernel_backend`` also the numpy-backend pruned ES
-      (``es_pruned_numpy_s_per_frame``) and the backend speedup over it
-      (``es_pruned_speedup_vs_numpy``);
+    * with ``include_exhaustive``, the pruned exhaustive search's timing
+      (``es_pruned_*``), the share of candidates it evaluated
+      (``es_pruned_evaluated_fraction``) and the ``es_pruned_vs_tss``
+      ratio; under a non-numpy ``kernel_backend`` also the numpy-backend
+      exhaustive search (``es_pruned_numpy_s_per_frame``) and the backend
+      speedup over it (``es_pruned_speedup_vs_numpy``);
     * under a non-numpy ``kernel_backend``, the numpy-backend TSS
       (``tss_numpy_s_per_frame``) and the backend speedup over it
       (``tss_speedup_vs_numpy``).
@@ -135,17 +129,6 @@ def benchmark_motion_estimation(
         kernel_backend=kernel_backend,
     )
 
-    def exhaustive(policy: SearchPolicy, backend: str) -> BlockMatcher:
-        return BlockMatcher(
-            BlockMatchingConfig(
-                block_size=block_size,
-                search_range=search_range,
-                strategy=SearchStrategy.EXHAUSTIVE,
-                search_policy=policy,
-                kernel_backend=backend,
-            )
-        )
-
     def scalar(current, previous):
         return scalar_estimate(
             current, previous, block_size=block_size, search_range=search_range
@@ -160,14 +143,13 @@ def benchmark_motion_estimation(
             estimates["vectorized_numpy"] = numpy_tss.estimate
         if include_scalar:
             estimates["scalar"] = scalar
-        es_matchers = {}
         if include_exhaustive:
-            for policy in SearchPolicy:
-                es_matchers[policy.value] = exhaustive(policy, kernel_backend)
-                estimates[f"es_{policy.value}"] = es_matchers[policy.value].estimate
+            es_config = replace(config, strategy=SearchStrategy.EXHAUSTIVE)
+            es_matcher = BlockMatcher(es_config)
+            estimates["es_pruned"] = es_matcher.estimate
             if kernel_backend != "numpy":
-                numpy_pruned = exhaustive(SearchPolicy.PRUNED, "numpy")
-                estimates["es_pruned_numpy"] = numpy_pruned.estimate
+                numpy_es = BlockMatcher(replace(es_config, kernel_backend="numpy"))
+                estimates["es_pruned_numpy"] = numpy_es.estimate
         for estimate in estimates.values():
             estimate(frames[1], frames[0])  # warm-up
         sweeps = best_of_interleaved(
@@ -194,16 +176,10 @@ def benchmark_motion_estimation(
             entry["scalar_fps"] = 1.0 / seconds["scalar"]
             entry["speedup"] = seconds["scalar"] / vector_s
         if include_exhaustive:
-            for policy in es_matchers:
-                es_s = seconds[f"es_{policy}"]
-                entry[f"es_{policy}_s_per_frame"] = es_s
-                entry[f"es_{policy}_fps"] = 1.0 / es_s
+            entry["es_pruned_s_per_frame"] = seconds["es_pruned"]
+            entry["es_pruned_fps"] = 1.0 / seconds["es_pruned"]
             entry["es_pruned_evaluated_fraction"] = (
-                es_matchers["pruned"].last_search_stats.evaluated_fraction
-            )
-            entry["es_pruned_speedup_vs_full"] = seconds["es_full"] / seconds["es_pruned"]
-            entry["es_histogram_speedup_vs_full"] = (
-                seconds["es_full"] / seconds["es_histogram"]
+                es_matcher.last_search_stats.evaluated_fraction
             )
             # > 1 means pruned ES is still slower than TSS; the trajectory
             # tracks this gap closing.

@@ -125,9 +125,7 @@ class SweepRunner:
         extrapolation window, so a sweep can thread one base spec through
         and vary the window per call.  The spec's
         :meth:`~repro.core.spec.PipelineSpec.cache_key` is the memoization
-        key, so e.g. ``search_policy`` participates in it and
-        policy-comparison experiments measure genuinely separate runs even
-        though every policy returns bit-identical motion fields.
+        key.
         """
         if window is not None:
             base = spec if spec is not None else PipelineSpec()
@@ -278,11 +276,6 @@ class ExperimentContext:
         self._dataset_cache: Dict[str, Dataset] = {}
         self._artifacts: Dict[str, ExperimentArtifact] = {}
         self._vision_soc = None
-
-    @property
-    def search_policy(self) -> str:
-        """ES candidate-scan policy of :attr:`base_spec` (Fig. 11b sweeps)."""
-        return self.base_spec.search_policy
 
     @property
     def vision_soc(self):

@@ -83,17 +83,17 @@ def _per_stream(entry: dict) -> Measured:
 
 #: Every floor the benches enforce.  Wall-clock floors are same-run ratios
 #: (machine speed cancels); the energy ceilings are absolute because the
-#: modeled energy is deterministic for a given spec and workload.  The
-#: ``min_c_*`` floors apply to C entries; each backend's ES-vs-full pair
-#: times pruning against its own full scan.  See docs/benchmarking.md for
-#: how each value is recalibrated.
+#: modeled energy is deterministic for a given spec and workload, and so is
+#: the share of candidates the exhaustive search evaluates, which guards its
+#: pruning on both backends.  The ``min_c_*`` floors apply to C entries.
+#: See docs/benchmarking.md for how each value is recalibrated.
 FLOORS: Tuple[Floor, ...] = (
     Floor("min_tss_speedup_720p", "motion_estimation", 8.0, _result("720p", "speedup")),
     Floor(
-        "min_es_pruned_speedup_vs_full_720p",
+        "max_es_pruned_evaluated_fraction_720p",
         "motion_estimation",
-        1.7,
-        _on_backend("numpy", _result("720p", "es_pruned_speedup_vs_full")),
+        0.2,
+        _result("720p", "es_pruned_evaluated_fraction"),
     ),
     Floor(
         "max_stream_energy_per_frame_mj", "multi_stream", 14.18, _per_stream
@@ -116,24 +116,6 @@ FLOORS: Tuple[Floor, ...] = (
         "motion_estimation",
         10.0,
         _on_backend("c", _result("720p", "tss_speedup_vs_numpy")),
-    ),
-    Floor(
-        "min_c_es_pruned_speedup_vs_full_720p",
-        "motion_estimation",
-        1.1,
-        _on_backend("c", _result("720p", "es_pruned_speedup_vs_full")),
-    ),
-    Floor(
-        "min_c_es_histogram_speedup_vs_full_720p",
-        "motion_estimation",
-        1.2,
-        _on_backend("c", _result("720p", "es_histogram_speedup_vs_full")),
-    ),
-    Floor(
-        "min_es_histogram_speedup_vs_full_720p",
-        "motion_estimation",
-        2.5,
-        _on_backend("numpy", _result("720p", "es_histogram_speedup_vs_full")),
     ),
     Floor("min_tune_frontier_points", "tune", 3, _field("frontier_points")),
     Floor(

@@ -4,7 +4,7 @@ Euphrates' central claim is a *co-design* result — the right point in the
 SoC-config x extrapolation-window x algorithm space, not any single
 component.  This module closes that loop: a search driver that explores
 :class:`~repro.core.spec.PipelineSpec` points (window policy, search
-strategy/policy, block size, fixed-point format, sub-ROI grid, MV exposure,
+strategy, block size, fixed-point format, sub-ROI grid, MV exposure,
 SoC capture preset, extrapolation host), scores each point with the **same** machinery
 every figure uses — the :class:`~repro.harness.runner.SweepRunner` for the
 vision run, :func:`~repro.harness.experiments.fold_energy_breakdown` /
@@ -47,7 +47,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.spec import EXTRAPOLATION_HOSTS, PipelineSpec, normalize_window
 from ..eval.tracking import success_rate
-from ..motion.block_matching import SearchPolicy
 from ..nn.models import build_mdnet
 from ..video.datasets import build_tracking_dataset
 from .experiments import fold_energy_breakdown
@@ -65,7 +64,6 @@ SEARCHABLE_FIELDS: Tuple[str, ...] = (
     "block_size",
     "search_range",
     "exhaustive_search",
-    "search_policy",
     "frame_format",
     "sub_roi_grid",
     "expose_motion_vectors",
@@ -97,7 +95,6 @@ TUNE_SPACES: Dict[str, Dict[str, List[object]]] = {
         "extrapolation_window": [1, 2, 4, 8, 16, 32, "adaptive"],
         "block_size": [8, 16, 32],
         "exhaustive_search": [False, True],
-        "search_policy": ["pruned", "histogram"],
         "frame_format": ["q8.4", "q8.8", "float"],
         "soc_config": ["default", "1080p30", "720p60", "720p30"],
         "extrapolation_host": ["mc", "cpu"],
@@ -146,16 +143,8 @@ def load_space(space: Union[str, Dict[str, List[object]]]) -> Tuple[str, Dict[st
 
 
 def _redundant_combo(combo: Dict[str, object]) -> bool:
-    """Skip combinations that cannot produce a new point.
-
-    * a non-default ES candidate-scan policy under TSS (the policy only
-      applies to exhaustive search; every policy is result-identical, so
-      these combos would duplicate the TSS point at extra cost);
-    * a CPU extrapolation host at EW-1 (no E-frames exist to price there).
-    """
-    if not combo.get("exhaustive_search", False):
-        if combo.get("search_policy", "pruned") != "pruned":
-            return True
+    """Skip combinations that cannot produce a new point: a CPU
+    extrapolation host at EW-1 (no E-frames exist to price there)."""
     if combo.get("extrapolation_host", "mc") == "cpu":
         if normalize_window(combo.get("extrapolation_window", 2)) == 1:
             return True
@@ -204,7 +193,6 @@ def searchable_dimensions() -> Dict[str, Dict[str, object]]:
         "block_size": None,
         "search_range": None,
         "exhaustive_search": [False, True],
-        "search_policy": [policy.value for policy in SearchPolicy],
         "frame_format": None,  # any qM.F spelling, or "float"
         "sub_roi_grid": None,
         "expose_motion_vectors": [False, True],

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Deque, Optional
 
 import numpy as np
@@ -61,14 +61,6 @@ class FixedPointFormat:
     def max_value(self) -> float:
         """Largest representable value (all code bits set)."""
         return ((1 << self.total_bits) - 1) / self.scale
-
-    @property
-    def storage_dtype(self) -> np.dtype:
-        """Narrowest unsigned dtype that holds a raw code."""
-        for candidate in (np.uint8, np.uint16, np.uint32):
-            if self.total_bits <= 8 * np.dtype(candidate).itemsize:
-                return np.dtype(candidate)
-        return np.dtype(np.uint64)
 
     def quantize(
         self,
@@ -115,16 +107,6 @@ class FixedPointFormat:
             np.clip(out, 0.0, top_code, out=out)
         np.divide(out, float(self.scale), out=out)
         return out
-
-    def to_raw(self, values: np.ndarray) -> np.ndarray:
-        """Quantize and pack into raw integer codes (the DRAM representation)."""
-        scaled = np.rint(np.asarray(values, dtype=np.float64) * self.scale)
-        clipped = np.clip(scaled, 0.0, (1 << self.total_bits) - 1)
-        return clipped.astype(self.storage_dtype)
-
-    def from_raw(self, raw: np.ndarray) -> np.ndarray:
-        """Expand raw codes back to lattice-aligned float64 values."""
-        return np.asarray(raw, dtype=np.float64) / self.scale
 
 
 #: The pipeline's default frame format: Q8.4 — the 8-bit range real ISPs
@@ -266,8 +248,3 @@ class FrameBuffer:
         entry = self.get(frame_index)
         self.bytes_read += entry.motion_metadata_bytes
         return entry.motion_field
-
-    def reset_traffic_counters(self) -> None:
-        """Zero the read/write byte counters (e.g. between experiments)."""
-        self.bytes_written = 0
-        self.bytes_read = 0

@@ -26,9 +26,6 @@
 #include <emmintrin.h>
 #endif
 
-/* Exhaustive-search policies; ckernels.POLICY_CODES passes these codes. */
-enum { POLICY_FULL = 0, POLICY_PRUNED = 1, POLICY_HISTOGRAM = 2 };
-
 /* SAD over rows [first, last) of two L-wide blocks. */
 static inline int64_t rows_sad(const uint8_t *a, long a_stride, const uint8_t *b,
                                long b_stride, long L, long first, long last)
@@ -190,19 +187,6 @@ int euph_tss_u8(const uint8_t *cur, const uint8_t *prev, long height, long width
     return 0;
 }
 
-typedef struct {
-    int64_t score;
-    long index;
-} scored_t;
-
-static int by_score(const void *a, const void *b)
-{
-    const scored_t *x = a, *y = b;
-    if (x->score != y->score)
-        return x->score < y->score ? -1 : 1;
-    return (x->index > y->index) - (x->index < y->index);
-}
-
 /* Sums of every L x L window of the padded previous frame, by top-left
  * corner, in a table (pad_w - L + 1) wide, from running column sums.
  * Returns NULL when out of memory. */
@@ -230,70 +214,41 @@ static int64_t *window_sums(const frames_t *f)
 }
 
 /* Exhaustive search over the n candidate offsets (dys[k], dxs[k]), given
- * in spiral order: index k is the candidate's spiral rank, the tie-break.
- * The winner is the (SAD, spiral rank) minimum under every policy.
- *
- *   POLICY_FULL       evaluates every candidate of every block;
- *   POLICY_PRUNED     skips a candidate whose partial-sum lower bound
- *                     |sum(block) - sum(reference)| cannot beat the best
- *                     SAD, and stops a block once no remaining candidate
- *                     can beat its SAD-0 match;
- *   POLICY_HISTOGRAM  does the same, visiting candidates by ascending
- *                     whole-frame partial-sum score (rank 0 first).
+ * in spiral order, with offset 0 first.  A block's best moves only on a
+ * strictly smaller SAD, so the earliest candidate wins a tie.  A candidate
+ * is skipped when its partial-sum lower bound |sum(block) - sum(reference)|
+ * cannot beat the best SAD, and a block stops at its first SAD-0 match.
  *
  * stats receives the numpy driver's accounting: candidates evaluated,
  * lower-bound checks (one per block for every offset visited before the
  * last block stopped) and offsets no block evaluated.  Returns 0, or -1
  * when out of memory. */
 int euph_es_u8(const uint8_t *cur, const uint8_t *prev, long height, long width, long L,
-               long d, const int64_t *dys, const int64_t *dxs, long n, int policy,
-               double *vectors, double *sad, int64_t *stats)
+               long d, const int64_t *dys, const int64_t *dxs, long n, double *vectors,
+               double *sad, int64_t *stats)
 {
     frames_t f;
     if (pad_frames(&f, cur, prev, height, width, L, d))
         return -1;
     long blocks = f.rows * f.cols, sums_w = f.pad_w - L + 1;
-    int64_t *work = calloc((size_t)(2 * blocks + 6 * n), sizeof(int64_t));
-    int64_t *sums = policy == POLICY_FULL ? NULL : window_sums(&f);
-    scored_t *order = malloc(sizeof(scored_t) * n);
+    int64_t *work = calloc((size_t)(2 * blocks + 3 * n), sizeof(int64_t));
+    int64_t *sums = window_sums(&f);
     uint8_t *zeros = calloc((size_t)L, 1);
-    if (!work || !order || !zeros || (policy != POLICY_FULL && !sums)) {
+    if (!work || !sums || !zeros) {
         free(work);
         free(sums);
-        free(order);
         free(zeros);
         free(f.buffer);
         return -1;
     }
     /* Per block: its pixel sum and the index of its zero-offset window sum.
-     * Per spiral rank: the histogram score.  Per visiting index k: the
-     * candidate's spiral rank, the least rank from k on, its offsets into
-     * the window sums and into the padded previous frame, and how many
-     * blocks evaluated it. */
-    int64_t *block_sums = work, *block_at = block_sums + blocks, *score = block_at + blocks;
-    int64_t *rank = score + n, *suffix_min = rank + n, *sums_at = suffix_min + n;
+     * Per candidate: its offsets into the window sums and into the padded
+     * previous frame, and how many blocks evaluated it. */
+    int64_t *block_sums = work, *block_at = block_sums + blocks, *sums_at = block_at + blocks;
     int64_t *prev_at = sums_at + n, *evaluated = prev_at + n;
-
-    for (long r = 0; sums && r < f.rows; ++r)
-        for (long c = 0; c < f.cols; ++c) {
-            long b = r * f.cols + c;
-            /* A block's SAD against zeros is its pixel sum. */
-            block_sums[b] = block_sad(block(&f, r, c), f.grid_w, zeros, 0, L, INT64_MAX);
-            block_at[b] = (d + r * L) * sums_w + d + c * L;
-            for (long k = 0; policy == POLICY_HISTOGRAM && k < n; ++k) {
-                int64_t diff = block_sums[b] - sums[block_at[b] + dys[k] * sums_w + dxs[k]];
-                score[k] += diff < 0 ? -diff : diff;
-            }
-        }
-    for (long k = 0; k < n; ++k)
-        order[k] = (scored_t){score[k], k};
-    if (policy == POLICY_HISTOGRAM && n > 1)
-        qsort(order + 1, (size_t)(n - 1), sizeof(scored_t), by_score);
-    for (long k = n - 1; k >= 0; --k) {
-        rank[k] = order[k].index;
-        suffix_min[k] = k + 1 < n && suffix_min[k + 1] < rank[k] ? suffix_min[k + 1] : rank[k];
-        sums_at[k] = dys[rank[k]] * sums_w + dxs[rank[k]];
-        prev_at[k] = dys[rank[k]] * f.pad_w + dxs[rank[k]];
+    for (long k = 0; k < n; ++k) {
+        sums_at[k] = dys[k] * sums_w + dxs[k];
+        prev_at[k] = dys[k] * f.pad_w + dxs[k];
     }
 
     long last_stop = 1;
@@ -301,36 +256,30 @@ int euph_es_u8(const uint8_t *cur, const uint8_t *prev, long height, long width,
         for (long c = 0; c < f.cols; ++c) {
             long b = r * f.cols + c;
             const uint8_t *a = block(&f, r, c), *o = origin(&f, r, c);
+            /* A block's SAD against zeros is its pixel sum. */
+            block_sums[b] = block_sad(a, f.grid_w, zeros, 0, L, INT64_MAX);
+            block_at[b] = (d + r * L) * sums_w + d + c * L;
             int64_t best = block_sad(a, f.grid_w, o, f.pad_w, L, INT64_MAX);
-            int64_t best_rank = rank[0];
             long best_k = 0, stop = n;
             ++evaluated[0];
             for (long k = 1; k < n; ++k) {
-                if (sums) {
-                    if (best == 0) {
-                        if (best_rank < suffix_min[k]) {
-                            stop = k;
-                            break;
-                        }
-                        if (rank[k] > best_rank)
-                            continue;
-                    }
-                    int64_t diff = block_sums[b] - sums[block_at[b] + sums_at[k]];
-                    int64_t bound = diff < 0 ? -diff : diff;
-                    if (bound > best || (bound == best && rank[k] > best_rank))
-                        continue;
+                if (best == 0) {
+                    stop = k;
+                    break;
                 }
-                int64_t sad_here = block_sad(a, f.grid_w, o + prev_at[k], f.pad_w, L, best);
+                int64_t diff = block_sums[b] - sums[block_at[b] + sums_at[k]];
+                if ((diff < 0 ? -diff : diff) >= best)
+                    continue;
+                int64_t sad_here = block_sad(a, f.grid_w, o + prev_at[k], f.pad_w, L, best - 1);
                 ++evaluated[k];
-                if (sad_here < best || (sad_here == best && rank[k] < best_rank)) {
+                if (sad_here < best) {
                     best = sad_here;
-                    best_rank = rank[k];
                     best_k = k;
                 }
             }
             if (stop > last_stop)
                 last_stop = stop;
-            store(vectors, sad, b, dys[rank[best_k]], dxs[rank[best_k]], best);
+            store(vectors, sad, b, dys[best_k], dxs[best_k], best);
         }
     }
 
@@ -339,10 +288,9 @@ int euph_es_u8(const uint8_t *cur, const uint8_t *prev, long height, long width,
         stats[0] += evaluated[k];
         stats[2] += evaluated[k] == 0;
     }
-    stats[1] = policy == POLICY_FULL ? 0 : (int64_t)blocks * (last_stop - 1);
+    stats[1] = (int64_t)blocks * (last_stop - 1);
     free(work);
     free(sums);
-    free(order);
     free(zeros);
     free(f.buffer);
     return 0;

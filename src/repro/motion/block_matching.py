@@ -17,22 +17,17 @@ of NumPy dispatches regardless of frame size.  The original per-macroblock
 Python loops live on in :mod:`repro.motion.reference` as the bit-identical
 correctness oracle.
 
-Exhaustive search additionally supports three **search policies**, all of
-which return bit-identical motion fields (same argmin, same SAD — the
-pruning rules only ever skip candidates that provably cannot *strictly*
-improve a block's best SAD, which is exactly the full scan's update rule):
-
-* ``FULL`` — evaluate every block at every offset, in nearest-to-zero
-  spiral order; the original scan.
-* ``PRUNED`` — the same spiral order, but skip blocks whose best SAD
-  already hit 0 (SAD is non-negative, so no candidate can strictly beat a
-  perfect match), stop outright once every block is perfect, and evaluate
-  a block at an offset only when the triangle-inequality bound
-  ``|sum(block) - sum(reference)|`` is still below its best SAD.  The bound
-  costs O(1) per block per offset from summed-area tables, versus ``L^2``
-  for the SAD it avoids, and is exact in integer arithmetic.
-* ``HISTOGRAM`` — ``PRUNED`` with candidates visited in global-SAD-score
-  order (see :class:`SearchPolicy`).
+Exhaustive search scans the window in nearest-to-zero spiral order and
+prunes, returning the field an unpruned scan would (same argmin, same
+SAD; the pruning rules only ever skip candidates that provably cannot
+*strictly* improve a block's best SAD, which is the scan's update rule).
+It skips blocks whose best SAD already hit 0 (SAD is non-negative, so no
+candidate can strictly beat a perfect match), stops outright once every
+block is perfect, and evaluates a block at an offset only when the
+triangle-inequality bound ``|sum(block) - sum(reference)|`` is still
+below its best SAD.  The bound costs O(1) per block per offset from
+summed-area tables, versus ``L^2`` for the SAD it avoids, and is exact in
+integer arithmetic.
 
 Both strategies run on 8-bit luma, the frames the ISP's temporal-denoise
 stage holds (:class:`~repro.isp.denoise.TemporalDenoiseStage` rounds any
@@ -71,31 +66,16 @@ class SearchStrategy(Enum):
     THREE_STEP = "three_step"
 
 
-class SearchPolicy(Enum):
-    """Candidate-scan policy of the exhaustive search (result-identical)."""
-
-    FULL = "full"
-    PRUNED = "pruned"
-    #: Pruned scan that visits candidates ranked by a *global SAD histogram*
-    #: (ascending whole-frame partial-sum score) instead of the fixed
-    #: spiral.  SAD ties break on spiral rank, so the motion field stays
-    #: bit-identical to the full scan; visiting globally promising offsets
-    #: first tightens every block's best SAD early, which makes the pruning
-    #: rules skip more candidates on panning scenes whose true motion sits
-    #: far from the window centre.
-    HISTOGRAM = "histogram"
-
-
 @dataclass(frozen=True)
 class SearchStats:
     """Work accounting for one exhaustive-search invocation.
 
-    ``candidates_total`` is what the full scan would evaluate
-    (``num_blocks * (2d+1)^2``); ``candidates_evaluated`` is what the active
-    policy actually computed SADs for.  ``lower_bound_checks`` counts the
-    O(1) partial-sum bound evaluations the pruned policy spent to avoid the
-    skipped SADs, and ``offsets_skipped`` counts candidate offsets for which
-    no block needed evaluation at all.
+    ``candidates_total`` is what an unpruned scan would evaluate
+    (``num_blocks * (2d+1)^2``); ``candidates_evaluated`` is what the search
+    actually computed SADs for.  ``lower_bound_checks`` counts the O(1)
+    partial-sum bound evaluations it spent to avoid the skipped SADs, and
+    ``offsets_skipped`` counts candidate offsets for which no block needed
+    evaluation at all.
     """
 
     candidates_total: int
@@ -136,13 +116,6 @@ class BlockMatchingConfig:
         collapses to the co-located block).
     strategy:
         Exhaustive or three-step search.
-    search_policy:
-        Candidate-scan policy of the exhaustive search (accepts the enum or
-        its string value).  All policies produce bit-identical motion
-        fields; ``PRUNED`` (the default) skips provably non-improving
-        candidates via the spiral early-exit and the partial-sum lower
-        bound; ``HISTOGRAM`` additionally reorders candidates by a global
-        SAD histogram.  Ignored by the three-step search.
     kernel_backend:
         Kernel backend (``c``/``numpy``).  ``c``, the default, runs a whole
         search in one compiled call (:mod:`repro.motion.ckernels`); where
@@ -153,7 +126,6 @@ class BlockMatchingConfig:
     block_size: int = 16
     search_range: int = 7
     strategy: SearchStrategy = SearchStrategy.THREE_STEP
-    search_policy: SearchPolicy = SearchPolicy.PRUNED
     kernel_backend: str = DEFAULT_KERNEL_BACKEND
 
     def __post_init__(self) -> None:
@@ -161,8 +133,6 @@ class BlockMatchingConfig:
             raise ValueError("block_size must be positive")
         if self.search_range < 0:
             raise ValueError("search_range must be non-negative")
-        if not isinstance(self.search_policy, SearchPolicy):
-            object.__setattr__(self, "search_policy", SearchPolicy(self.search_policy))
         if self.kernel_backend not in KERNEL_BACKENDS:
             raise ValueError(
                 f"unknown kernel backend '{self.kernel_backend}' "
@@ -189,8 +159,8 @@ class BlockMatcher:
         self.config = config or BlockMatchingConfig()
         #: Arithmetic-operation count of the most recent :meth:`estimate` call.
         #: Three-step search uses the analytical per-macroblock formula;
-        #: exhaustive search counts the candidates its policy actually
-        #: evaluated (identical to the analytical formula for ``FULL``).
+        #: exhaustive search counts the candidates it actually evaluated
+        #: and the lower-bound checks it spent.
         self.last_operation_count = 0
         #: Candidate accounting of the most recent exhaustive search
         #: (``None`` after a three-step run).
@@ -236,11 +206,8 @@ class BlockMatcher:
         grid = MacroblockGrid(width, height, block)
         exhaustive = self.config.strategy is SearchStrategy.EXHAUSTIVE
         if self._compiled:
-            policy = self.config.search_policy.value if exhaustive else None
             offsets = _spiral_offsets(d) if exhaustive else None
-            vectors, sad, stats = ckernels.estimate_u8(
-                current, previous, block, d, policy, offsets
-            )
+            vectors, sad, stats = ckernels.estimate_u8(current, previous, block, d, offsets)
             self.last_kernel_backend = "c"
             if exhaustive:
                 self.last_search_stats = SearchStats(grid.num_blocks * offsets.shape[1], *stats)
@@ -285,79 +252,39 @@ class BlockMatcher:
     # Exhaustive search
     # ------------------------------------------------------------------
     def _exhaustive(self, kernel: SadKernel) -> Tuple[np.ndarray, np.ndarray]:
-        """Candidate scan over the window, with policy-dependent pruning.
+        """Pruned spiral scan over the window.
 
-        All policies return bit-identical fields.  The full and pruned
-        policies visit candidates in the same nearest-to-zero order and
-        update only on *strict* SAD improvement, so their pruning rules
-        (skip a block whose best SAD is 0; skip a block whose partial-sum
-        lower bound is not below its best SAD) can only skip candidates the
-        full scan would have rejected anyway.  The histogram policy visits
-        candidates out of spiral order (globally promising offsets first)
-        and therefore breaks SAD ties on the *spiral rank* instead — the
-        winner is the (SAD, spiral-rank) lexicographic minimum, which is
-        exactly what the spiral scan's strict-improvement rule computes.
-        The C kernel (``euph_es_u8``) runs the same rules per macroblock.
+        Candidates are visited nearest-to-zero first and a block's best
+        updates only on *strict* SAD improvement, so the pruning rules (skip
+        a block whose best SAD is 0; skip a block whose partial-sum lower
+        bound is not below its best SAD) only skip candidates that could not
+        have won.  The C kernel (``euph_es_u8``) runs the same rules per
+        macroblock.
         """
-        policy = self.config.search_policy
         d = self.config.search_range
         rows, cols = kernel.rows, kernel.cols
         num_blocks = rows * cols
         offsets = self._window_offsets(d)
 
-        # The histogram policy ranks candidates by their global partial-sum
-        # SAD score.
-        ranked = policy is SearchPolicy.HISTOGRAM
-        ranks = np.arange(len(offsets), dtype=np.int64)
-        if ranked:
-            ranks = kernel.histogram_order(offsets)
-            offsets = [offsets[int(index)] for index in ranks]
-
-        # The first visited offset is always (0, 0) (spiral rank 0, pinned
-        # first by histogram_order too): evaluating it up front seeds every
-        # block's best SAD without an inf sentinel.
+        # The first offset is always (0, 0): evaluating it up front seeds
+        # every block's best SAD without an inf sentinel.
         best_sad = kernel.sad_uniform(0, 0)
         best_dy = np.zeros((rows, cols), dtype=np.int64)
         best_dx = np.zeros((rows, cols), dtype=np.int64)
-        best_rank = np.zeros((rows, cols), dtype=np.int64)
 
         evaluated = num_blocks
         lower_bound_checks = 0
         offsets_skipped = 0
-        # min(ranks[i:]): lets a perfect-match early exit stay correct under
-        # out-of-spiral-order visiting (a remaining candidate can still win
-        # a SAD tie only if its spiral rank undercuts a block's best rank).
-        suffix_min_rank = np.minimum.accumulate(ranks[::-1])[::-1]
-
         for index, (dy, dx) in enumerate(offsets[1:], start=1):
-            if policy is SearchPolicy.FULL:
-                sad = kernel.sad_uniform(dy, dx)
-                improved = sad < best_sad
-                best_sad = np.where(improved, sad, best_sad)
-                best_dy[improved] = dy
-                best_dx[improved] = dx
-                evaluated += num_blocks
-                continue
-
-            rank = int(ranks[index])
             need = best_sad > 0.0
-            if ranked:
-                need |= best_rank > rank
-                all_perfect = not (best_sad > 0.0).any()
-            else:
-                all_perfect = not need.any()
-            if all_perfect and best_rank.max() < suffix_min_rank[index]:
-                # Every block has a perfect match no remaining candidate
-                # can beat, not even on a spiral-rank tie.  Early exit —
-                # this offset and everything after it goes unevaluated.
+            if not need.any():
+                # Every block has a perfect match no later candidate can
+                # strictly beat: this offset and everything after it goes
+                # unevaluated.
                 offsets_skipped += len(offsets) - index
                 break
             lower_bound_checks += num_blocks
-            lower = kernel.lower_bound_uniform(dy, dx)
-            if ranked:
-                need &= (lower < best_sad) | ((lower <= best_sad) & (best_rank > rank))
-            else:
-                need &= lower < best_sad
+            need &= kernel.lower_bound_uniform(dy, dx) < best_sad
             rows_idx, cols_idx = np.nonzero(need)
             count = rows_idx.size
             if count == 0:
@@ -367,27 +294,18 @@ class BlockMatcher:
             if count == num_blocks:
                 sad = kernel.sad_uniform(dy, dx)
                 improved = sad < best_sad
-                if ranked:
-                    improved |= (sad == best_sad) & (best_rank > rank)
                 best_sad = np.where(improved, sad, best_sad)
                 best_dy[improved] = dy
                 best_dx[improved] = dx
-                best_rank[improved] = rank
             else:
                 sad = kernel.sad_subset(dy, dx, rows_idx, cols_idx)
-                current_best = best_sad[rows_idx, cols_idx]
-                improved = sad < current_best
-                if ranked:
-                    improved |= (sad == current_best) & (
-                        best_rank[rows_idx, cols_idx] > rank
-                    )
+                improved = sad < best_sad[rows_idx, cols_idx]
                 if improved.any():
                     sel_rows = rows_idx[improved]
                     sel_cols = cols_idx[improved]
                     best_sad[sel_rows, sel_cols] = sad[improved]
                     best_dy[sel_rows, sel_cols] = dy
                     best_dx[sel_rows, sel_cols] = dx
-                    best_rank[sel_rows, sel_cols] = rank
 
         self.last_search_stats = SearchStats(
             candidates_total=num_blocks * len(offsets),

@@ -46,16 +46,13 @@ COMPILER = "cc"
 #: by default on aarch64).
 FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 
-#: Exhaustive-search policy codes of ``euph_es_u8``, by ``SearchPolicy`` value.
-POLICY_CODES = {"full": 0, "pruned": 1, "histogram": 2}
-
 #: ``(library or None, why it is None)`` once :func:`load` has run.
 _loaded: Optional[Tuple[Optional[ctypes.CDLL], str]] = None
 
 _P, _L, _D = ctypes.c_void_p, ctypes.c_long, ctypes.c_double
 _SIGNATURES = {
     "euph_tss_u8": (ctypes.c_int, [_P, _P, _L, _L, _L, _L, _P, _P]),
-    "euph_es_u8": (ctypes.c_int, [_P, _P, _L, _L, _L, _L, _P, _P, _L, ctypes.c_int, _P, _P, _P]),
+    "euph_es_u8": (ctypes.c_int, [_P, _P, _L, _L, _L, _L, _P, _P, _L, _P, _P, _P]),
     "euph_blend": (None, [_P, ctypes.c_int, _P, _L, _L, _P, _P, _L, _D, _D, _P]),
     "euph_roi_stats": (ctypes.c_int, [_P, _P, _L, _L, _L, _P, _L, _P]),
 }
@@ -118,14 +115,13 @@ def estimate_u8(
     previous: np.ndarray,
     block_size: int,
     search_range: int,
-    policy: Optional[str] = None,
     offsets: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[int, int, int]]]:
     """Block matching of two uint8 frames in one C call.
 
-    ``policy`` is ``None`` for the three-step search, else an
-    exhaustive-search policy value searching ``offsets``: a C-contiguous
-    ``(2, n)`` int64 array, rows ``dy`` and ``dx``, in spiral order.
+    ``offsets`` is ``None`` for the three-step search, else the exhaustive
+    search's candidates: a C-contiguous ``(2, n)`` int64 array, rows ``dy``
+    and ``dx``, in spiral order.
     Returns ``(vectors, sad, stats)`` as
     :class:`~repro.motion.motion_field.MotionField` takes them, with
     ``stats = (evaluated, lower_bound_checks, offsets_skipped)`` for
@@ -138,7 +134,7 @@ def estimate_u8(
     vectors = np.empty(grid + (2,), dtype=np.float64)
     sad = np.empty(grid, dtype=np.float64)
     frames = (current.ctypes.data, previous.ctypes.data, height, width, block_size, search_range)
-    stats = None if policy is None else np.empty(3, dtype=np.int64)
+    stats = None if offsets is None else np.empty(3, dtype=np.int64)
     if stats is None:
         status = load().euph_tss_u8(*frames, vectors.ctypes.data, sad.ctypes.data)
     else:
@@ -147,7 +143,6 @@ def estimate_u8(
             offsets[0].ctypes.data,
             offsets[1].ctypes.data,
             offsets.shape[1],
-            POLICY_CODES[policy],
             vectors.ctypes.data,
             sad.ctypes.data,
             stats.ctypes.data,

@@ -18,13 +18,13 @@ differences.  Results are bit-identical to the scalar float64 reference
 (:mod:`repro.motion.reference`) by exactness.
 
 On top of the two full-grid primitives the kernel exposes the pruning
-primitives that make the pruned/histogram exhaustive-search policies cheap:
+primitives that make the exhaustive search cheap:
 :meth:`sad_subset` evaluates one offset for a *subset* of macroblocks, and
 :meth:`lower_bound_uniform` computes the partial-sum (triangle-inequality)
 SAD lower bound ``|sum(block) - sum(reference patch)| <= SAD`` for every
 macroblock from O(1) summed-area-table lookups.  The lower bound is computed
 in exact integer arithmetic, so pruning on it can never discard a candidate
-the full scan would have accepted.
+an unpruned scan would have accepted.
 
 This module is the ``numpy`` kernel backend, the oracle of the compiled
 ``c`` backend (:mod:`repro.motion.ckernels`), which serves uint8 frames in
@@ -33,7 +33,7 @@ one C call per search and returns the same fields bit for bit.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -331,40 +331,6 @@ class SadKernel:
         self._ensure_prune_tables()
         references = self._window_sums[self._base_y + dy, self._base_x + dx]
         return np.abs(self._block_sums - references).astype(np.float64)
-
-    # ------------------------------------------------------------------
-    # Candidate ordering
-    # ------------------------------------------------------------------
-    def histogram_order(self, offsets: Sequence[Tuple[int, int]]) -> np.ndarray:
-        """Visit order for the histogram search policy.
-
-        Scores every candidate offset with the *global* partial-sum SAD
-        histogram — ``sum over blocks of |sum(block) - sum(reference)|``, an
-        O(1)-per-block whole-frame lower bound from the summed-area tables —
-        and returns the candidate indices sorted by ascending score (spiral
-        rank breaks score ties, and the rank-0 ``(0, 0)`` candidate is
-        always visited first as the seed).  Visiting globally promising
-        displacements early tightens every block's best SAD sooner, so the
-        per-block pruning rules skip more work than the fixed spiral does on
-        panning scenes whose true motion sits far from the window centre.
-
-        The returned indices double as the candidates' spiral ranks, which
-        is what makes out-of-spiral-order scanning bit-identical: updates
-        break SAD ties on the smaller spiral rank, so the winner is the
-        (SAD, spiral-rank) lexicographic minimum regardless of visit order.
-        """
-        self._ensure_prune_tables()
-        dys = np.ascontiguousarray([o[0] for o in offsets], dtype=np.int64)
-        dxs = np.ascontiguousarray([o[1] for o in offsets], dtype=np.int64)
-        scores = np.empty(len(offsets), dtype=np.int64)
-        for index in range(len(offsets)):
-            references = self._window_sums[
-                self._base_y + dys[index], self._base_x + dxs[index]
-            ]
-            scores[index] = np.abs(self._block_sums - references).sum()
-        # lexsort: last key is primary — ascending score, spiral rank on ties.
-        order = np.lexsort((np.arange(len(offsets)), scores))
-        return np.concatenate(([0], order[order != 0])).astype(np.int64)
 
     # ------------------------------------------------------------------
     # Per-block kernels

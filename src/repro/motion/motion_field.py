@@ -61,14 +61,6 @@ class MacroblockGrid:
         row = min(max(row, 0), self.rows - 1)
         return row, col
 
-    def block_box(self, row: int, col: int) -> BoundingBox:
-        """Pixel-space bounding box of macroblock ``(row, col)``."""
-        x = col * self.block_size
-        y = row * self.block_size
-        w = min(self.block_size, self.frame_width - x)
-        h = min(self.block_size, self.frame_height - y)
-        return BoundingBox(float(x), float(y), float(w), float(h))
-
     def blocks_overlapping(self, roi: BoundingBox) -> Tuple[slice, slice]:
         """Return (row_slice, col_slice) of macroblocks overlapping ``roi``."""
         clipped = roi.clip(self.frame_width, self.frame_height)
@@ -183,15 +175,6 @@ class MotionField:
     # ------------------------------------------------------------------
     # ROI queries (used by the extrapolation algorithm)
     # ------------------------------------------------------------------
-    def vector_at(self, x: float, y: float) -> MotionVector:
-        """Motion vector of the macroblock containing pixel ``(x, y)``.
-
-        Each pixel inherits the MV of the macroblock it belongs to (Sec. 3.2).
-        """
-        row, col = self.grid.block_index_for_pixel(x, y)
-        u, v = self.vectors[row, col]
-        return MotionVector(float(u), float(v))
-
     def roi_statistics(self, roi: BoundingBox) -> Tuple[MotionVector, float]:
         """Average motion (Eq. 1) and confidence (Eq. 2) of the ROI.
 

@@ -9,9 +9,9 @@ changes how often they run.  This package therefore provides two things:
   :mod:`repro.soc`.
 * **Functional backends** — a simulated CNN detector/tracker whose accuracy
   profile (localisation noise, miss rate, false positives) is calibrated per
-  network, and real pixel-domain baselines (NCC template tracker,
-  frame-difference detector) that exercise genuine image-processing code
-  paths.  See DESIGN.md, "Substitutions".
+  network, and a real pixel-domain baseline (the NCC template tracker) that
+  exercises genuine image-processing code paths.  See DESIGN.md,
+  "Substitutions".
 """
 
 from .layers import ConvLayer, FullyConnectedLayer, LayerSpec, PoolLayer
@@ -27,7 +27,7 @@ from .models import (
 from .profiles import AccuracyProfile, MDNET_PROFILE, TINY_YOLO_PROFILE, YOLO_V2_PROFILE
 from .detector import SimulatedCNNDetector
 from .tracker import SimulatedCNNTracker
-from .classical import FrameDifferenceDetector, NCCTemplateTracker
+from .classical import NCCTemplateTracker
 
 __all__ = [
     "LayerSpec",
@@ -47,6 +47,5 @@ __all__ = [
     "MDNET_PROFILE",
     "SimulatedCNNDetector",
     "SimulatedCNNTracker",
-    "FrameDifferenceDetector",
     "NCCTemplateTracker",
 ]

@@ -1,22 +1,20 @@
-"""Classical (non-CNN) vision baselines operating on real pixels.
+"""A classical (non-CNN) tracking baseline operating on real pixels.
 
-These algorithms play two roles:
+The NCC template tracker plays two roles:
 
-* they are genuine pixel-domain implementations, so the library's end-to-end
+* it is a genuine pixel-domain implementation, so the library's end-to-end
   path (sensor -> ISP -> backend) can be exercised without any simulated
   component, and
-* they stand in for the hand-crafted approaches (Haar/HOG-class detectors,
-  KCF-class trackers) that the paper uses as low-compute/low-accuracy
-  reference points.
+* it stands in for the hand-crafted approaches (KCF-class trackers) that
+  the paper uses as low-compute/low-accuracy reference points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy import ndimage
 
 from ..core.geometry import BoundingBox
 from ..core.types import Detection
@@ -123,57 +121,3 @@ def _normalised_cross_correlation(a: np.ndarray, b: np.ndarray) -> float:
     if denom < 1e-9:
         return 0.0
     return float((a * b).sum() / denom)
-
-
-@dataclass(frozen=True)
-class FrameDifferenceConfig:
-    """Configuration of the frame-difference detector."""
-
-    #: Minimum per-pixel absolute difference to count as motion.
-    difference_threshold: float = 18.0
-    #: Minimum connected-component area (pixels) to report a detection.
-    min_area: int = 40
-    #: Number of binary dilation iterations used to close small gaps.
-    dilation_iterations: int = 2
-
-
-class FrameDifferenceDetector:
-    """Detects moving objects by thresholding inter-frame differences.
-
-    A stand-in for classic low-compute detectors: cheap, workable when the
-    camera is static, and far less accurate than CNN detection — exactly the
-    trade-off Fig. 1 illustrates.
-    """
-
-    def __init__(self, config: FrameDifferenceConfig | None = None) -> None:
-        self.config = config or FrameDifferenceConfig()
-        self._previous: Optional[np.ndarray] = None
-
-    def reset(self) -> None:
-        self._previous = None
-
-    def detect(self, frame: np.ndarray) -> List[Detection]:
-        """Return moving-region detections for ``frame``."""
-        frame = np.asarray(frame, dtype=np.float64)
-        if self._previous is None or self._previous.shape != frame.shape:
-            self._previous = frame
-            return []
-        difference = np.abs(frame - self._previous)
-        self._previous = frame
-
-        mask = difference > self.config.difference_threshold
-        if self.config.dilation_iterations > 0:
-            mask = ndimage.binary_dilation(mask, iterations=self.config.dilation_iterations)
-        labelled, count = ndimage.label(mask)
-        detections: List[Detection] = []
-        for component in ndimage.find_objects(labelled):
-            if component is None:
-                continue
-            y_slice, x_slice = component
-            height = y_slice.stop - y_slice.start
-            width = x_slice.stop - x_slice.start
-            if height * width < self.config.min_area:
-                continue
-            box = BoundingBox(float(x_slice.start), float(y_slice.start), float(width), float(height))
-            detections.append(Detection(box=box, label="moving_object", score=0.5))
-        return detections

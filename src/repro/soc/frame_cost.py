@@ -66,9 +66,6 @@ class FrameCost:
     traffic_bytes: int
     #: Vision-algorithm compute (CNN ops or MC fixed-point ops).
     ops: float
-    #: ISP motion-estimation ops actually spent (0 on the analytic path;
-    #: informational — ISP energy is modeled as capture power x time).
-    isp_motion_ops: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -148,7 +145,6 @@ class CostMeter:
         self.cpu_energy_j = 0.0
         self.traffic_bytes = 0
         self.ops = 0.0
-        self.isp_motion_ops = 0.0
 
     # ------------------------------------------------------------------
     # Pricing (pure)
@@ -206,7 +202,6 @@ class CostMeter:
             cpu_energy_j=cpu_energy,
             traffic_bytes=int(frontend_traffic + metadata_bytes + payload),
             ops=ops,
-            isp_motion_ops=float(event.motion_ops),
         )
 
     # ------------------------------------------------------------------
@@ -237,7 +232,6 @@ class CostMeter:
         self.cpu_energy_j += count * cost.cpu_energy_j
         self.traffic_bytes += count * cost.traffic_bytes
         self.ops += count * cost.ops
-        self.isp_motion_ops += count * cost.isp_motion_ops
         return cost
 
     def record_all(self, events, batch_size: int = 1) -> int:

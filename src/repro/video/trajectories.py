@@ -130,14 +130,3 @@ class CompositeTrajectory:
             px + self.offset_x + self.local_amplitude_x * math.sin(angle),
             py + self.offset_y + self.local_amplitude_y * math.cos(angle),
         )
-
-
-@dataclass(frozen=True)
-class StationaryTrajectory:
-    """An object that does not move; useful for background distractors."""
-
-    x: float
-    y: float
-
-    def position(self, frame_index: int) -> Tuple[float, float]:
-        return (self.x, self.y)

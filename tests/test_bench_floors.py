@@ -35,8 +35,7 @@ PASSING = {
             {
                 "resolution": resolution,
                 "speedup": 99.0,
-                "es_pruned_speedup_vs_full": 99.0,
-                "es_histogram_speedup_vs_full": 99.0,
+                "es_pruned_evaluated_fraction": 0.01,
             }
             for resolution in ("720p", "1080p")
         ],
@@ -49,8 +48,7 @@ PASSING = {
             {
                 "resolution": resolution,
                 "speedup": 99.0,
-                "es_pruned_speedup_vs_full": 99.0,
-                "es_histogram_speedup_vs_full": 99.0,
+                "es_pruned_evaluated_fraction": 0.01,
                 "es_pruned_speedup_vs_numpy": 99.0,
                 "tss_speedup_vs_numpy": 99.0,
             }
@@ -106,11 +104,8 @@ def _result(entry: dict, resolution: str) -> dict:
 #: Floor key -> how to push a passing entry past that one floor.
 VIOLATE = {
     "min_tss_speedup_720p": lambda e: _result(e, "720p").update(speedup=1.0),
-    "min_es_pruned_speedup_vs_full_720p": lambda e: _result(e, "720p").update(
-        es_pruned_speedup_vs_full=1.0
-    ),
-    "min_es_histogram_speedup_vs_full_720p": lambda e: _result(e, "720p").update(
-        es_histogram_speedup_vs_full=1.0
+    "max_es_pruned_evaluated_fraction_720p": lambda e: _result(e, "720p").update(
+        es_pruned_evaluated_fraction=0.5
     ),
     "min_c_es_pruned_speedup_vs_numpy_720p": lambda e: _result(e, "720p").update(
         es_pruned_speedup_vs_numpy=1.0
@@ -120,12 +115,6 @@ VIOLATE = {
     ),
     "min_c_tss_speedup_vs_numpy_720p": lambda e: _result(e, "720p").update(
         tss_speedup_vs_numpy=1.0
-    ),
-    "min_c_es_pruned_speedup_vs_full_720p": lambda e: _result(e, "720p").update(
-        es_pruned_speedup_vs_full=0.9
-    ),
-    "min_c_es_histogram_speedup_vs_full_720p": lambda e: _result(e, "720p").update(
-        es_histogram_speedup_vs_full=0.9
     ),
     # Only the second stream breaches: the ceiling applies to each stream.
     "max_stream_energy_per_frame_mj": lambda e: e["per_stream"][1].update(
@@ -150,7 +139,7 @@ class TestSeeding:
     def test_fresh_trajectory_seeds_every_committed_floor(self, tmp_path):
         document = load_trajectory(tmp_path / "fresh.json")
         assert document["entries"] == []
-        assert len(document["floors"]) == len(FLOORS) == 15
+        assert len(document["floors"]) == len(FLOORS) == 12
         assert document["floors"] == DEFAULT_FLOORS
         assert DEFAULT_FLOORS == json.loads(COMMITTED.read_text())["floors"]
 
@@ -212,34 +201,18 @@ class TestFloorChecker:
         assert violation.startswith("min_c_extrapolation_speedup_vs_numpy_720p:")
         assert "not measured" in violation
 
-    def test_es_vs_full_floors_follow_the_backend(self):
-        """Each backend's pruning is held to its own pair of ES-vs-full
-        floors: the C full scan already stops each candidate early, so
-        pruning saves it less than it saves numpy."""
-        es_vs_full = {
-            floor.key for floor in FLOORS if floor.key.endswith("speedup_vs_full_720p")
-        }
-        for kind, expected in (
-            (
-                "motion_estimation",
-                {"min_es_pruned_speedup_vs_full_720p", "min_es_histogram_speedup_vs_full_720p"},
-            ),
-            (
-                "motion_estimation_c",
-                {
-                    "min_c_es_pruned_speedup_vs_full_720p",
-                    "min_c_es_histogram_speedup_vs_full_720p",
-                },
-            ),
-        ):
+    def test_evaluated_fraction_ceiling_holds_on_both_backends(self):
+        """Both backends evaluate the same candidates, so one ceiling on
+        the pruned search's evaluated share guards each."""
+        key = "max_es_pruned_evaluated_fraction_720p"
+        for kind in ("motion_estimation", "motion_estimation_c"):
             entry = PASSING[kind]()
-            assert {floor.key for floor in applicable_floors(entry)} & es_vs_full == expected
-            # A pruned or histogram scan slower than the full scan fails.
+            assert key in {floor.key for floor in applicable_floors(entry)}, kind
+            # A search that stops pruning evaluates every candidate.
             for result in entry["results"]:
-                result["es_pruned_speedup_vs_full"] = 0.9
-                result["es_histogram_speedup_vs_full"] = 0.9
-            violated = {v.split(":")[0] for v in check_floors(entry, DEFAULT_FLOORS)}
-            assert violated == expected, kind
+                result["es_pruned_evaluated_fraction"] = 1.0
+            (violation,) = check_floors(entry, DEFAULT_FLOORS)
+            assert violation.startswith(f"{key}:"), kind
 
     @pytest.mark.parametrize("kind", ["motion_estimation_c", "pipeline"])
     def test_c_request_that_ran_numpy_fails(self, kind):

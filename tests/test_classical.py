@@ -1,4 +1,4 @@
-"""Tests for the classical pixel-domain baselines (NCC tracker, frame-diff)."""
+"""Tests for the classical pixel-domain baseline, the NCC tracker."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import pytest
 
 from repro.core.geometry import BoundingBox
 from repro.nn.classical import (
-    FrameDifferenceConfig,
-    FrameDifferenceDetector,
     NCCTemplateTracker,
     NCCTrackerConfig,
     _normalised_cross_correlation,
@@ -86,39 +84,3 @@ class TestNCCTemplateTracker:
         result = tracker.track(_scene_with_square(99, 59, size=20))
         assert result.box.right <= 120 + 1e-6
         assert result.box.bottom <= 80 + 1e-6
-
-
-class TestFrameDifferenceDetector:
-    def test_first_frame_yields_nothing(self):
-        detector = FrameDifferenceDetector()
-        assert detector.detect(_scene_with_square(10, 10)) == []
-
-    def test_detects_moving_square(self):
-        detector = FrameDifferenceDetector(FrameDifferenceConfig(min_area=20))
-        detector.detect(_scene_with_square(20, 20))
-        detections = detector.detect(_scene_with_square(32, 24))
-        assert detections
-        truth = BoundingBox(20, 20, 32, 24)  # union of the two positions roughly
-        best = max(detections, key=lambda d: d.box.iou(truth))
-        assert best.box.iou(truth) > 0.2
-
-    def test_static_scene_produces_no_detections(self):
-        detector = FrameDifferenceDetector()
-        frame = _scene_with_square(20, 20)
-        detector.detect(frame)
-        assert detector.detect(frame.copy()) == []
-
-    def test_min_area_filters_small_blobs(self):
-        permissive = FrameDifferenceDetector(FrameDifferenceConfig(min_area=1))
-        strict = FrameDifferenceDetector(FrameDifferenceConfig(min_area=100000))
-        first = _scene_with_square(20, 20)
-        second = _scene_with_square(26, 22)
-        permissive.detect(first)
-        strict.detect(first)
-        assert len(permissive.detect(second)) >= len(strict.detect(second))
-
-    def test_reset_forgets_reference(self):
-        detector = FrameDifferenceDetector()
-        detector.detect(_scene_with_square(20, 20))
-        detector.reset()
-        assert detector.detect(_scene_with_square(40, 30)) == []

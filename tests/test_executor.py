@@ -269,7 +269,7 @@ class TestShardedRunDataset:
 
 
 class TestShardedEquivalenceProperty:
-    """Sharded output is bit-identical to serial for every search policy."""
+    """Sharded output is bit-identical to serial under either search."""
 
     @settings(
         max_examples=4,
@@ -277,13 +277,13 @@ class TestShardedEquivalenceProperty:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(
-        search_policy=st.sampled_from(["full", "histogram", "pruned"]),
+        exhaustive_search=st.booleans(),
         forced=st.sets(st.integers(min_value=1, max_value=23), max_size=4),
     )
     def test_sharded_matches_serial(
-        self, small_sequence, fast_motion_sequence, search_policy, forced
+        self, small_sequence, fast_motion_sequence, exhaustive_search, forced
     ):
-        spec = PipelineSpec(extrapolation_window=4, search_policy=search_policy)
+        spec = PipelineSpec(extrapolation_window=4, exhaustive_search=exhaustive_search)
         sequences = [small_sequence, fast_motion_sequence]
 
         serial = []
@@ -585,6 +585,33 @@ class TestPlacement:
             assert executor.shard_of("c").name == "shard0"
             executor.open_stream("d", name="d", width=32, height=24)
             assert executor.shard_of("d").name == "shard0"
+        finally:
+            executor.close()
+
+    def test_an_open_that_finds_its_worker_dead_moves_to_a_live_shard(self):
+        """With isolation, a worker that died before anything noticed is
+        marked lost by the open placed on it, and the stream opens on the
+        next live shard.  A session's own refusal still raises, and with
+        every worker dead one attempt raises."""
+        pipeline = PipelineSpec().build(tracking_backend_for("mdnet"))
+        executor = ShardedExecutor(pipeline, workers=2, isolate_failures=True)
+        first, second = executor._shards
+        try:
+            with pytest.raises(ShardError, match="width and height"):
+                executor.open_stream("broken", name="broken", width=None, height=None)
+            assert first.failure is None
+            first.process.kill()
+            first.process.join(timeout=10.0)
+            executor.open_stream("a", name="a", width=32, height=24)
+            assert executor.shard_of("a") is second
+            assert "died unexpectedly" in first.failure
+            second.process.kill()
+            second.process.join(timeout=10.0)
+            with pytest.raises(ShardError, match="died unexpectedly"):
+                executor.open_stream("b", name="b", width=32, height=24)
+            assert "died unexpectedly" in executor.stream_failures["a"]
+            with pytest.raises(ShardError, match="died unexpectedly"):
+                executor.open_stream("b", name="b", width=32, height=24)
         finally:
             executor.close()
 

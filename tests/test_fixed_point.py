@@ -36,14 +36,6 @@ class TestFixedPointFormat:
         # Every value is an exact multiple of the lattice step.
         assert np.array_equal(quantized * fmt.scale, np.rint(quantized * fmt.scale))
 
-    def test_raw_codes_pack_and_unpack(self):
-        fmt = DEFAULT_FRAME_FORMAT
-        assert fmt.storage_dtype == np.uint16  # 12-bit codes
-        values = np.array([0.0, 1.5, 255.9375])
-        raw = fmt.to_raw(values)
-        assert raw.dtype == np.uint16
-        assert np.array_equal(fmt.from_raw(raw), values)
-
     def test_invalid_formats_rejected(self):
         with pytest.raises(ValueError):
             FixedPointFormat(int_bits=0)

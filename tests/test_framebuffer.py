@@ -87,11 +87,3 @@ class TestFrameBuffer:
         assert pixel_traffic == entry.pixel_bytes
         assert metadata_traffic == entry.motion_metadata_bytes
         assert metadata_traffic < pixel_traffic
-
-    def test_reset_traffic_counters(self):
-        buffer = FrameBuffer()
-        buffer.push(_entry(0))
-        buffer.read_pixels(0)
-        buffer.reset_traffic_counters()
-        assert buffer.bytes_written == 0
-        assert buffer.bytes_read == 0

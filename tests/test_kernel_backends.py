@@ -9,7 +9,7 @@ match both -- vectors, SADs, the exhaustive search's ``SearchStats`` and
 * resolution -- ``resolve_kernel_backend`` validates names and returns
   ``c`` where the library builds, and the matcher then runs C on every
   frame;
-* equivalence -- hypothesis drives TSS and every ES policy over ragged
+* equivalence -- hypothesis drives TSS and ES over ragged
   uint8 frames, with blocks of 4, 8, 16 and 24 pixels so the 16-byte,
   8-byte and scalar tails of the SAD all run, at d = 0..7; once more
   against a build without SSE2;
@@ -45,33 +45,21 @@ from repro.core.geometry import BoundingBox
 from repro.core.spec import PipelineSpec
 from repro.core.types import Detection
 from repro.motion import ckernels
-from repro.motion.block_matching import (
-    BlockMatcher,
-    BlockMatchingConfig,
-    SearchPolicy,
-    SearchStrategy,
-)
+from repro.motion.block_matching import BlockMatcher, BlockMatchingConfig, SearchStrategy
 from repro.motion.kernels import KERNEL_BACKENDS, resolve_kernel_backend
 from repro.motion.motion_field import MacroblockGrid, MotionField
-from repro.motion.reference import scalar_estimate
+from repro.motion.reference import scalar_estimate, scalar_exhaustive
 from repro.video.datasets import build_otb_like_dataset
 from repro.video.synthetic import SequenceConfig, SequenceGenerator
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-#: Every search the matcher runs: TSS, and ES under each policy.
-SEARCHES = [(SearchStrategy.THREE_STEP, SearchPolicy.PRUNED)] + [
-    (SearchStrategy.EXHAUSTIVE, policy) for policy in SearchPolicy
-]
-
-
-def _match(current, previous, strategy, policy, backend, block_size, search_range):
+def _match(current, previous, strategy, backend, block_size, search_range):
     matcher = BlockMatcher(
         BlockMatchingConfig(
             block_size=block_size,
             search_range=search_range,
             strategy=strategy,
-            search_policy=policy,
             kernel_backend=backend,
         )
     )
@@ -79,15 +67,13 @@ def _match(current, previous, strategy, policy, backend, block_size, search_rang
 
 
 def _assert_c_equals_numpy(current, previous, block_size, search_range, oracle=True):
-    """C and numpy agree on every search, and both equal the scalar oracle."""
-    for strategy, policy in SEARCHES:
-        c_matcher, c_field = _match(
-            current, previous, strategy, policy, "c", block_size, search_range
-        )
+    """C and numpy agree on both searches, and both equal the scalar oracle."""
+    for strategy in SearchStrategy:
+        c_matcher, c_field = _match(current, previous, strategy, "c", block_size, search_range)
         np_matcher, np_field = _match(
-            current, previous, strategy, policy, "numpy", block_size, search_range
+            current, previous, strategy, "numpy", block_size, search_range
         )
-        label = (strategy.value, policy.value)
+        label = strategy.value
         assert c_matcher.last_kernel_backend == "c", label
         assert np_matcher.last_kernel_backend == "numpy", label
         assert np.array_equal(c_field.vectors, np_field.vectors), label
@@ -299,10 +285,10 @@ class TestBackendResolution:
 
     def test_integer_frames_activate_forced_backend(self):
         frame = np.zeros((16, 16), dtype=np.uint8)
-        for strategy, policy in SEARCHES:
-            matcher, _field = _match(frame, frame, strategy, policy, "c", 8, 2)
+        for strategy in SearchStrategy:
+            matcher, _field = _match(frame, frame, strategy, "c", 8, 2)
             assert matcher.last_kernel_backend == "c"
-        numpy_matcher, _field = _match(frame, frame, *SEARCHES[0], "numpy", 8, 2)
+        numpy_matcher, _field = _match(frame, frame, SearchStrategy.THREE_STEP, "numpy", 8, 2)
         assert numpy_matcher.last_kernel_backend == "numpy"
 
 
@@ -318,7 +304,7 @@ class TestBackendEquivalence:
         width=st.integers(9, 60),
         kind=st.sampled_from(["noise", "shifted", "flat"]),
     )
-    def test_integer_frames_all_policies(
+    def test_integer_frames_both_searches(
         self, seed, block_size, search_range, height, width, kind
     ):
         rng = np.random.default_rng(seed)
@@ -335,11 +321,11 @@ class TestBackendEquivalence:
 
     def test_flat_frame_early_exit_accounting(self):
         """Flat frames stop every block at once; the work accounting of the
-        C driver equals numpy's under every policy."""
+        C driver equals numpy's."""
         flat = np.full((32, 40), 200, dtype=np.uint8)
         for search_range in (0, 1, 3, 7):
             _assert_c_equals_numpy(flat, flat, 8, search_range)
-        matcher, field = _match(flat, flat, *SEARCHES[2], "c", 8, 3)
+        matcher, field = _match(flat, flat, SearchStrategy.EXHAUSTIVE, "c", 8, 3)
         stats = matcher.last_search_stats
         num_offsets = (2 * 3 + 1) ** 2
         assert field.max_magnitude() == 0.0
@@ -349,16 +335,23 @@ class TestBackendEquivalence:
 
     def test_block_sums_beyond_32_bits(self):
         """One 4200-pixel block of bright pixels sums past 2**31; its lower
-        bound must stay exact, so pruning keeps the full scan's winner."""
+        bound must stay exact, so pruning keeps the scalar oracle's winner."""
         rng = np.random.default_rng(3)
         previous = rng.integers(240, 256, (40, 40), dtype=np.uint8)
         current = np.roll(previous, (1, 2), (0, 1))
-        _full_matcher, full = _match(current, previous, *SEARCHES[1], "c", 4200, 2)
-        assert full.vectors.tolist() == [[[-2.0, 1.0]]]
-        for strategy, policy in SEARCHES[2:]:
-            _matcher, field = _match(current, previous, strategy, policy, "c", 4200, 2)
-            assert np.array_equal(field.vectors, full.vectors), policy
-            assert np.array_equal(field.sad, full.sad), policy
+        _matcher, field = _match(current, previous, SearchStrategy.EXHAUSTIVE, "c", 4200, 2)
+        assert field.vectors.tolist() == [[[-2.0, 1.0]]]
+        # The oracle on the matcher's edge padding, in int16: exact
+        # differences at a quarter of scalar_estimate's float64 footprint.
+        pad = ((0, 4160), (0, 4160))
+        vectors, sad = scalar_exhaustive(
+            np.pad(current, pad, mode="edge").astype(np.int16),
+            np.pad(previous, pad, mode="edge").astype(np.int16),
+            MacroblockGrid(40, 40, 4200),
+            2,
+        )
+        assert np.array_equal(field.vectors, vectors)
+        assert np.array_equal(field.sad, sad)
 
     def test_luma_sequence_accounting(self):
         """On a textured pan, C's lower-bound checks and operation count
@@ -367,7 +360,7 @@ class TestBackendEquivalence:
 
         frames = synthetic_luma_sequence(48, 64, 2)
         _assert_c_equals_numpy(frames[1], frames[0], 16, 7, oracle=False)
-        matcher, _field = _match(frames[1], frames[0], *SEARCHES[2], "c", 16, 7)
+        matcher, _field = _match(frames[1], frames[0], SearchStrategy.EXHAUSTIVE, "c", 16, 7)
         assert matcher.last_search_stats.lower_bound_checks == 2688
         assert matcher.last_operation_count == 216064
 

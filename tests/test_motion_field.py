@@ -35,12 +35,6 @@ class TestMacroblockGrid:
         assert simple_grid.block_index_for_pixel(-10, -10) == (0, 0)
         assert simple_grid.block_index_for_pixel(1000, 1000) == (2, 3)
 
-    def test_block_box_edges_are_cropped(self):
-        grid = MacroblockGrid(frame_width=70, frame_height=50, block_size=16)
-        edge_box = grid.block_box(3, 4)
-        assert edge_box.width == 70 - 64
-        assert edge_box.height == 50 - 48
-
     def test_blocks_overlapping_roi(self, simple_grid):
         rows, cols = simple_grid.blocks_overlapping(BoundingBox(10, 10, 20, 20))
         assert (rows.start, rows.stop) == (0, 2)
@@ -99,12 +93,6 @@ class TestConfidence:
 
 
 class TestRoiQueries:
-    def test_vector_at_pixel(self, simple_grid):
-        vectors = np.zeros((3, 4, 2))
-        vectors[1, 2] = (5.0, -3.0)
-        field = MotionField(vectors, np.zeros((3, 4)), simple_grid)
-        assert field.vector_at(2 * 16 + 3, 1 * 16 + 3) == MotionVector(5.0, -3.0)
-
     def test_roi_average_uniform(self, uniform_motion_field):
         roi = BoundingBox(5, 5, 30, 30)
         motion = uniform_motion_field.roi_statistics(roi)[0]

@@ -4,7 +4,7 @@ The contract under test: ``run(sequence)`` is a thin wrapper over
 ``open_session`` + per-frame ``submit`` (with the frame's ground truth) +
 ``finish``, so submitting the frames yourself must be *bit-identical* to
 the batch path — for detection and tracking, for constant and adaptive
-windows, and for every ``search_policy`` variant.
+windows, and for three-step and exhaustive search.
 """
 
 from __future__ import annotations
@@ -54,9 +54,7 @@ def run_streamed(spec, backend, sequence):
         PipelineSpec(extrapolation_window=2),
         PipelineSpec(extrapolation_window=4, sub_roi_grid=(1, 1)),
         PipelineSpec(extrapolation_window="adaptive"),
-        PipelineSpec(extrapolation_window=2, exhaustive_search=True, search_policy="full"),
-        PipelineSpec(extrapolation_window=2, exhaustive_search=True, search_policy="histogram"),
-        PipelineSpec(extrapolation_window=2, exhaustive_search=True, search_policy="pruned"),
+        PipelineSpec(extrapolation_window=2, exhaustive_search=True),
     ],
     ids=lambda spec: spec.describe(),
 )

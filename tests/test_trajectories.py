@@ -11,7 +11,6 @@ from repro.video.trajectories import (
     CompositeTrajectory,
     LinearTrajectory,
     SinusoidalTrajectory,
-    StationaryTrajectory,
 )
 
 
@@ -78,19 +77,13 @@ class TestCompositeTrajectory:
         assert part.position(10) == (15.0, -2.0)
 
     def test_local_oscillation_bounded(self):
-        parent = StationaryTrajectory(0.0, 0.0)
+        parent = LinearTrajectory(0.0, 0.0, 0.0, 0.0)
         part = CompositeTrajectory(
             parent, local_amplitude_x=3.0, local_amplitude_y=1.0, local_period_frames=8.0
         )
         xs = [part.position(t)[0] for t in range(32)]
         assert max(xs) <= 3.0 + 1e-9
         assert min(xs) >= -3.0 - 1e-9
-
-
-class TestStationaryTrajectory:
-    def test_never_moves(self):
-        trajectory = StationaryTrajectory(12.0, 34.0)
-        assert trajectory.position(0) == trajectory.position(1000) == (12.0, 34.0)
 
 
 @given(
