@@ -231,7 +231,7 @@ int euph_es_u8(const uint8_t *cur, const uint8_t *prev, long height, long width,
     if (pad_frames(&f, cur, prev, height, width, L, d))
         return -1;
     long blocks = f.rows * f.cols, sums_w = f.pad_w - L + 1;
-    int64_t *work = calloc((size_t)(2 * blocks + 3 * n), sizeof(int64_t));
+    int64_t *work = calloc((size_t)(3 * n), sizeof(int64_t));
     int64_t *sums = window_sums(&f);
     uint8_t *zeros = calloc((size_t)L, 1);
     if (!work || !sums || !zeros) {
@@ -241,11 +241,9 @@ int euph_es_u8(const uint8_t *cur, const uint8_t *prev, long height, long width,
         free(f.buffer);
         return -1;
     }
-    /* Per block: its pixel sum and the index of its zero-offset window sum.
-     * Per candidate: its offsets into the window sums and into the padded
+    /* Per candidate: its offsets into the window sums and into the padded
      * previous frame, and how many blocks evaluated it. */
-    int64_t *block_sums = work, *block_at = block_sums + blocks, *sums_at = block_at + blocks;
-    int64_t *prev_at = sums_at + n, *evaluated = prev_at + n;
+    int64_t *sums_at = work, *prev_at = sums_at + n, *evaluated = prev_at + n;
     for (long k = 0; k < n; ++k) {
         sums_at[k] = dys[k] * sums_w + dxs[k];
         prev_at[k] = dys[k] * f.pad_w + dxs[k];
@@ -256,9 +254,10 @@ int euph_es_u8(const uint8_t *cur, const uint8_t *prev, long height, long width,
         for (long c = 0; c < f.cols; ++c) {
             long b = r * f.cols + c;
             const uint8_t *a = block(&f, r, c), *o = origin(&f, r, c);
-            /* A block's SAD against zeros is its pixel sum. */
-            block_sums[b] = block_sad(a, f.grid_w, zeros, 0, L, INT64_MAX);
-            block_at[b] = (d + r * L) * sums_w + d + c * L;
+            /* A block's SAD against zeros is its pixel sum; window points
+             * at the sum of its zero-offset reference. */
+            int64_t block_sum = block_sad(a, f.grid_w, zeros, 0, L, INT64_MAX);
+            const int64_t *window = sums + (d + r * L) * sums_w + d + c * L;
             int64_t best = block_sad(a, f.grid_w, o, f.pad_w, L, INT64_MAX);
             long best_k = 0, stop = n;
             ++evaluated[0];
@@ -267,7 +266,7 @@ int euph_es_u8(const uint8_t *cur, const uint8_t *prev, long height, long width,
                     stop = k;
                     break;
                 }
-                int64_t diff = block_sums[b] - sums[block_at[b] + sums_at[k]];
+                int64_t diff = block_sum - window[sums_at[k]];
                 if ((diff < 0 ? -diff : diff) >= best)
                     continue;
                 int64_t sad_here = block_sad(a, f.grid_w, o + prev_at[k], f.pad_w, L, best - 1);

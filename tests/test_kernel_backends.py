@@ -9,10 +9,10 @@ match both -- vectors, SADs, the exhaustive search's ``SearchStats`` and
 * resolution -- ``resolve_kernel_backend`` validates names and returns
   ``c`` where the library builds, and the matcher then runs C on every
   frame;
-* equivalence -- hypothesis drives TSS and ES over ragged
-  uint8 frames, with blocks of 4, 8, 16 and 24 pixels so the 16-byte,
-  8-byte and scalar tails of the SAD all run, at d = 0..7; once more
-  against a build without SSE2;
+* equivalence -- hypothesis drives TSS and ES over ragged uint8 frames,
+  with blocks of 4, 8, 16 and 24 pixels so the 16-byte, 8-byte and
+  scalar tails of the SAD all run, at d = 0..7; once more against a
+  build without SSE2;
 * ROI statistics -- ``euph_roi_stats`` equals
   ``MotionField.roi_statistics`` bit for bit on random fields and ROIs
   (off the frame, of zero area, on block edges, signed zeros, more than
