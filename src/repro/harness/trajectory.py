@@ -92,7 +92,7 @@ FLOORS: Tuple[Floor, ...] = (
     Floor(
         "max_es_pruned_evaluated_fraction_720p",
         "motion_estimation",
-        0.2,
+        0.16,
         _result("720p", "es_pruned_evaluated_fraction"),
     ),
     Floor(
