@@ -1,4 +1,4 @@
-"""Tests for the perf trajectory and its one floor checker (no bench runs)."""
+"""Tests for the perf trajectory and its one floor checker (no timed bench runs)."""
 
 from __future__ import annotations
 
@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.bench import BENCHES
+from repro.harness.bench import BENCHES, MOTION_PRESETS
 from repro.harness.cli import build_parser, main
+from repro.harness.perf import RESOLUTIONS, synthetic_luma_sequence
 from repro.harness.trajectory import (
     DEFAULT_FLOORS,
     FLOORS,
@@ -21,7 +22,8 @@ from repro.harness.trajectory import (
     load_trajectory,
     stamp,
 )
-from repro.motion.kernels import resolve_kernel_backend
+from repro.motion.block_matching import BlockMatcher, BlockMatchingConfig, SearchStrategy
+from repro.motion.kernels import KERNEL_BACKENDS, resolve_kernel_backend
 
 COMMITTED = Path(__file__).resolve().parents[1] / "BENCH_motion.json"
 
@@ -249,6 +251,26 @@ class TestFloorChecker:
         floors = dict(DEFAULT_FLOORS)
         del floors["min_tune_frontier_points"]
         assert check_floors(entry, floors) == []
+
+
+class TestEvaluatedFractionCeiling:
+    @pytest.mark.parametrize("preset", sorted(MOTION_PRESETS))
+    def test_the_bench_content_clears_the_committed_ceiling(self, preset):
+        """The share ``bench motion`` records is the last frame pair's, a
+        count of work rather than a timing: both backends report the same
+        share at every preset, under the committed ceiling."""
+        _resolutions, num_frames = MOTION_PRESETS[preset]
+        frames = synthetic_luma_sequence(*RESOLUTIONS["720p"], num_frames)
+        stats = []
+        for backend in KERNEL_BACKENDS:
+            matcher = BlockMatcher(
+                BlockMatchingConfig(strategy=SearchStrategy.EXHAUSTIVE, kernel_backend=backend)
+            )
+            matcher.estimate(frames[-1], frames[-2])
+            stats.append(matcher.last_search_stats)
+        assert stats[0] == stats[1]
+        ceiling = DEFAULT_FLOORS["max_es_pruned_evaluated_fraction_720p"]
+        assert 0.0 < stats[0].evaluated_fraction < ceiling
 
 
 class TestProvenance:

@@ -615,6 +615,26 @@ class TestPlacement:
         finally:
             executor.close()
 
+    def test_without_isolation_an_open_on_a_dead_worker_raises(self):
+        """Without isolation the open placed on a dead worker raises and
+        does not move on: the stream is opened nowhere, and the live
+        worker stays empty."""
+        pipeline = PipelineSpec().build(tracking_backend_for("mdnet"))
+        executor = ShardedExecutor(pipeline, workers=2)
+        first, second = executor._shards
+        try:
+            first.process.kill()
+            first.process.join(timeout=10.0)
+            with pytest.raises(ShardError, match="died unexpectedly"):
+                executor.open_stream("a", name="a", width=32, height=24)
+            with pytest.raises(KeyError):
+                executor.shard_of("a")
+            assert second.failure is None
+            executor.open_stream("b", name="b", width=32, height=24)
+            assert executor.shard_of("b") is second
+        finally:
+            executor.close()
+
 
 class TestCtrlC:
     def test_workers_ignore_sigint_and_the_drain_loses_no_frame(

@@ -281,6 +281,27 @@ class TestServerFaults:
                 assert "died unexpectedly" in idle.failure
         server.shutdown()
 
+    def test_hello_with_every_worker_dead_is_rejected(self):
+        """With no live worker left, a HELLO gets REJECT with the reason,
+        and the connection stays open for the next request."""
+        ingest = _make_ingest(workers=2)
+        executor = ingest.multiplexer._executor
+        with ServerThread(ingest) as server:
+            with ServeClient("127.0.0.1", server.port) as client:
+                # Pause the pump rounds, as above, so the HELLO finds both
+                # deaths itself.
+                ingest.pump = lambda: 0
+                client.stats()
+                for shard in executor._shards:
+                    shard.process.kill()
+                    shard.process.join(timeout=10.0)
+                for handle in (1, 2):
+                    with pytest.raises(AdmissionError, match="died unexpectedly"):
+                        client.hello(handle=handle, stream="cam", width=64, height=48)
+                assert all("died unexpectedly" in s.failure for s in executor._shards)
+                assert client.stats()["streams"] == {}
+        server.shutdown()
+
     def test_bye_on_failed_stream_raises_promptly(self):
         # A tracking stream poisoned mid-flight (no truth on the first
         # I-frame) is torn down server-side; a later BYE on that handle must

@@ -4,7 +4,8 @@ The contract under test: ``run(sequence)`` is a thin wrapper over
 ``open_session`` + per-frame ``submit`` (with the frame's ground truth) +
 ``finish``, so submitting the frames yourself must be *bit-identical* to
 the batch path — for detection and tracking, for constant and adaptive
-windows, and for three-step and exhaustive search.
+windows, and for three-step and exhaustive search (the latter on both
+kernel backends and under either window).
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ def run_streamed(spec, backend, sequence):
         PipelineSpec(extrapolation_window=4, sub_roi_grid=(1, 1)),
         PipelineSpec(extrapolation_window="adaptive"),
         PipelineSpec(extrapolation_window=2, exhaustive_search=True),
+        PipelineSpec(extrapolation_window=2, exhaustive_search=True, kernel_backend="numpy"),
+        PipelineSpec(extrapolation_window="adaptive", exhaustive_search=True),
     ],
     ids=lambda spec: spec.describe(),
 )
