@@ -40,7 +40,6 @@ from .experiments import (
     figure10a_tracking_success,
     figure10b_tracking_energy,
     figure10b_tracking_energy_measured,
-    fold_energy_breakdown,
     figure10c_per_sequence_success,
     figure11a_macroblock_sensitivity,
     figure11b_es_vs_tss,
@@ -77,7 +76,6 @@ __all__ = [
     "figure10a_tracking_success",
     "figure10b_tracking_energy",
     "figure10b_tracking_energy_measured",
-    "fold_energy_breakdown",
     "figure10c_per_sequence_success",
     "figure11a_macroblock_sensitivity",
     "figure11b_es_vs_tss",

@@ -33,6 +33,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
+from ..core.ingest import OVERLOAD_POLICIES
 from ..core.spec import PipelineSpec
 from .bench import add_bench_parser, cmd_bench
 from .reporting import format_artifact, write_artifact_json
@@ -73,7 +74,7 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="near-minimal 2-sequence datasets (CI smoke profile) instead of the full benchmark sizes",
     )
-    # The base pipeline configuration (block size, search range/policy, ...)
+    # The base pipeline configuration (block size, search range, ...)
     # is one shared PipelineSpec; experiments override only the dimensions
     # they sweep (which is why there is no --window flag here).
     PipelineSpec.add_cli_options(parser, include_window=False)
@@ -235,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--overload-policy",
-        choices=["drop-oldest", "degrade"],
+        choices=list(OVERLOAD_POLICIES),
         default="degrade",
         help="what a full ready queue does (default: degrade)",
     )

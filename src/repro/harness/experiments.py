@@ -255,42 +255,6 @@ def figure9b_detection_energy(
     return result
 
 
-def fold_energy_breakdown(
-    soc: VisionSoC,
-    network,
-    results,
-    *,
-    extrapolation_on_cpu: bool = False,
-    label: str,
-) -> EnergyBreakdown:
-    """Fold recorded per-frame telemetry into an :class:`EnergyBreakdown`.
-
-    This is the *measured* energy path: instead of collapsing a run into an
-    aggregate :class:`~repro.soc.soc.FrameSchedule`, every frame's recorded
-    :class:`~repro.core.types.FrameTelemetry` event (true frame kind, true
-    ROI count) is priced through the same
-    :class:`~repro.soc.frame_cost.CostMeter` core the analytic path uses.
-    Events are priced at the SoC's nominal capture setting so measured and
-    analytic tables are directly comparable — what is measured is the
-    schedule and the ROI counts, not the synthetic frames' tiny geometry.
-    """
-    meter = soc.open_meter(
-        network,
-        extrapolation_on_cpu=extrapolation_on_cpu,
-        assume_nominal_capture=True,
-        label=label,
-    )
-    recorded = 0
-    for result in results:
-        recorded += meter.record_all(result.telemetry)
-    if recorded == 0:
-        raise ValueError(
-            f"no telemetry recorded for '{label}' (results predate the "
-            "per-frame telemetry API?)"
-        )
-    return meter.breakdown(label)
-
-
 def figure9b_detection_energy_measured(
     dataset: Optional[Dataset] = None,
     ew_values: Sequence[int] = DEFAULT_EW_SWEEP,
@@ -322,9 +286,8 @@ def figure9b_detection_energy_measured(
 
     def measure(label, backend_name, network, window, on_cpu=host_on_cpu):
         run_result = runner.run("detection", backend_name, dataset, window, spec=spec, seed=seed)
-        result.breakdowns[label] = fold_energy_breakdown(
-            soc, network, run_result.sequences,
-            extrapolation_on_cpu=on_cpu, label=label,
+        result.breakdowns[label] = soc.evaluate_results(
+            network, run_result.sequences, extrapolation_on_cpu=on_cpu, label=label
         )
 
     measure("YOLOv2", "yolov2", yolo, 1)
@@ -363,8 +326,8 @@ def figure10b_tracking_energy_measured(
 
     def measure(label, window):
         run_result = runner.run("tracking", "mdnet", dataset, window, spec=spec, seed=seed)
-        result.breakdowns[label] = fold_energy_breakdown(
-            soc, mdnet, run_result.sequences,
+        result.breakdowns[label] = soc.evaluate_results(
+            mdnet, run_result.sequences,
             extrapolation_on_cpu=spec.extrapolation_on_cpu, label=label,
         )
 

@@ -7,9 +7,9 @@ component.  This module closes that loop: a search driver that explores
 strategy, block size, fixed-point format, sub-ROI grid, MV exposure,
 SoC capture preset, extrapolation host), scores each point with the **same** machinery
 every figure uses — the :class:`~repro.harness.runner.SweepRunner` for the
-vision run, :func:`~repro.harness.experiments.fold_energy_breakdown` /
-``open_meter`` for energy — and emits the measured accuracy-vs-energy-vs-
-throughput Pareto frontier (Fig. 1, but measured).
+vision run, :meth:`~repro.soc.soc.VisionSoC.evaluate_results` for energy —
+and emits the measured accuracy-vs-energy-vs-throughput Pareto frontier
+(Fig. 1, but measured).
 
 Design points:
 
@@ -25,7 +25,7 @@ Design points:
 * **One pricing core.**  A point's vision outputs are independent of its
   ``soc_config``/``extrapolation_host``, so the pipeline runs once under a
   normalized spec (shared through the runner cache across all SoC variants)
-  and each variant is priced separately through ``open_meter`` — exactly
+  and each variant is priced separately through ``evaluate_results`` — exactly
   the analytic-vs-measured contract of :mod:`repro.soc.frame_cost`.
 
 Surface: ``python -m repro.harness tune`` (see :mod:`repro.harness.cli`),
@@ -49,7 +49,6 @@ from ..core.spec import EXTRAPOLATION_HOSTS, PipelineSpec, normalize_window
 from ..eval.tracking import success_rate
 from ..nn.models import build_mdnet
 from ..video.datasets import build_tracking_dataset
-from .experiments import fold_energy_breakdown
 from .runner import ExperimentArtifact, SweepRunner
 
 #: Accuracy is scored at the IoU threshold the paper quotes.
@@ -395,8 +394,7 @@ class TuneEvaluator:
             "tracking", "mdnet", dataset, spec=run_spec, seed=self.seed
         )
         accuracy = success_rate(run.sequences, dataset, ACCURACY_IOU_THRESHOLD)
-        breakdown = fold_energy_breakdown(
-            spec.vision_soc(),
+        breakdown = spec.vision_soc().evaluate_results(
             self._network,
             run.sequences,
             extrapolation_on_cpu=spec.extrapolation_on_cpu,

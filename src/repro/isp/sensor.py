@@ -22,7 +22,6 @@ class SensorConfig:
     #: Capture resolution; the paper's nominal setting is 1920x1080 at 60 FPS.
     width: int = 1920
     height: int = 1080
-    frame_rate: float = 60.0
     #: Datasheet active power at 1080p60, in watts (Sec. 5.1).
     active_power_w: float = 0.180
     #: Standard deviation of read noise in digital numbers.
@@ -35,14 +34,6 @@ class SensorConfig:
     @property
     def pixels_per_frame(self) -> int:
         return self.width * self.height
-
-    @property
-    def frame_period_s(self) -> float:
-        return 1.0 / self.frame_rate
-
-    def energy_per_frame_j(self) -> float:
-        """Sensor energy per captured frame in joules."""
-        return self.active_power_w * self.frame_period_s
 
 
 @dataclass

@@ -63,10 +63,6 @@ class NetworkSpec:
     def weight_bytes(self) -> int:
         return self.total_parameters * self.bytes_per_value
 
-    @property
-    def activation_bytes_per_evaluation(self) -> int:
-        return sum(layer.output_activations for layer in self.layers) * self.bytes_per_value
-
     def conv_layers(self) -> List[ConvLayer]:
         return [layer for layer in self.layers if isinstance(layer, ConvLayer)]
 

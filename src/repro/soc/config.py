@@ -105,9 +105,6 @@ class CPUConfig:
     wake_latency_s: float = 0.0010
     #: Software motion-extrapolation time per frame (OpenCV-class code).
     extrapolation_time_s: float = 0.0025
-    #: Residual power when the CPU is parked and the vision pipeline is
-    #: task-autonomous.
-    idle_power_w: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -169,16 +166,6 @@ class SoCConfig:
                 f"{dram.capacity_gb} GB",
             ),
         ]
-
-    def summary(self) -> Dict[str, float]:
-        """Headline derived numbers used in tests and reports."""
-        return {
-            "frontend_power_w": self.frontend_power_w,
-            "nnx_peak_tops": self.nnx.peak_tops,
-            "nnx_tops_per_watt": self.nnx.tops_per_watt,
-            "mc_power_w": self.motion_controller.active_power_w,
-            "frame_period_s": self.frame_period_s,
-        }
 
 
 # ----------------------------------------------------------------------

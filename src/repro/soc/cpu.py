@@ -34,7 +34,3 @@ class CPUHost:
         active_time = self.config.wake_latency_s + self.config.extrapolation_time_s
         energy = self.config.active_power_w * active_time
         return CPUExtrapolationCost(latency_s=active_time, energy_j=energy)
-
-    def idle_energy_j(self, duration_s: float) -> float:
-        """Energy while the CPU is parked (zero in the autonomous design)."""
-        return self.config.idle_power_w * duration_s

@@ -1,4 +1,4 @@
-"""DRAM energy and bandwidth model (DRAMPower-style accounting).
+"""DRAM energy model (DRAMPower-style accounting).
 
 The model splits DRAM energy into a background component (standby +
 refresh, paid for as long as the system is on) and a dynamic component
@@ -9,69 +9,21 @@ the Jetson TX2 DDR power rail (Sec. 5.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import DRAMConfig
 
 
-@dataclass(frozen=True)
-class DRAMUsage:
-    """Energy/bandwidth summary for a simulated interval."""
-
-    duration_s: float
-    traffic_bytes: int
-    background_energy_j: float
-    dynamic_energy_j: float
-
-    @property
-    def total_energy_j(self) -> float:
-        return self.background_energy_j + self.dynamic_energy_j
-
-    @property
-    def average_bandwidth_gb_s(self) -> float:
-        if self.duration_s <= 0:
-            return 0.0
-        return self.traffic_bytes / self.duration_s / 1e9
-
-    @property
-    def average_power_w(self) -> float:
-        if self.duration_s <= 0:
-            return 0.0
-        return self.total_energy_j / self.duration_s
-
-
 class DRAMModel:
-    """Energy/bandwidth model of the LPDDR main memory."""
+    """Energy model of the LPDDR main memory."""
 
     def __init__(self, config: DRAMConfig | None = None) -> None:
         self.config = config or DRAMConfig()
 
     def energy_j(self, traffic_bytes: int, duration_s: float) -> float:
         """Total DRAM energy for ``traffic_bytes`` moved over ``duration_s``."""
-        return self.usage(traffic_bytes, duration_s).total_energy_j
-
-    def usage(self, traffic_bytes: int, duration_s: float) -> DRAMUsage:
-        """Detailed usage breakdown for an interval."""
         if traffic_bytes < 0:
             raise ValueError("traffic_bytes must be non-negative")
         if duration_s < 0:
             raise ValueError("duration_s must be non-negative")
         background = self.config.background_power_w * duration_s
         dynamic = traffic_bytes * self.config.energy_per_byte_pj * 1e-12
-        return DRAMUsage(
-            duration_s=duration_s,
-            traffic_bytes=traffic_bytes,
-            background_energy_j=background,
-            dynamic_energy_j=dynamic,
-        )
-
-    def bandwidth_utilization(self, traffic_bytes: int, duration_s: float) -> float:
-        """Fraction of peak bandwidth consumed over the interval."""
-        if duration_s <= 0:
-            return 0.0
-        achieved = traffic_bytes / duration_s / 1e9
-        return achieved / self.config.peak_bandwidth_gb_s
-
-    def exceeds_peak_bandwidth(self, traffic_bytes: int, duration_s: float) -> bool:
-        """True when the requested traffic cannot physically fit the interval."""
-        return self.bandwidth_utilization(traffic_bytes, duration_s) > 1.0
+        return background + dynamic

@@ -1,24 +1,24 @@
 """Per-frame SoC costing: one pricing core for analytic and measured energy.
 
-Historically the hardware model was closed-form arithmetic over an aggregate
-:class:`~repro.soc.soc.FrameSchedule` — fine for constant-EW sweeps, but the
-live pipeline (:class:`~repro.core.session.EuphratesSession`, the
-:class:`~repro.core.streaming.StreamMultiplexer`) never produced hardware
-cost, so adaptive-EW and multi-camera energy were approximations.  This
-module closes that gap with an event API:
+Hardware cost is priced per frame through an event API:
 
-* the pipeline emits one :class:`~repro.core.types.FrameTelemetry` record
-  per processed frame (observe-only — outputs are untouched);
+* the pipeline (:class:`~repro.core.session.EuphratesSession`, the
+  :class:`~repro.core.streaming.StreamMultiplexer`) emits one
+  :class:`~repro.core.types.FrameTelemetry` record per processed frame
+  (observe-only — outputs are untouched);
 * :meth:`CostMeter.price` turns one event into a :class:`FrameCost` — the
   frame's backend latency, active-unit times, DRAM traffic and compute ops;
 * :meth:`CostMeter.record` folds priced events into running totals, and
-  :meth:`CostMeter.breakdown` finalises the fold into the same
-  :class:`~repro.soc.soc.EnergyBreakdown` the analytic path reports.
+  :meth:`CostMeter.breakdown` finalises the fold into an
+  :class:`~repro.soc.soc.EnergyBreakdown`.
 
-``VisionSoC.evaluate*`` is itself implemented as a fold over synthetic
-events (one per schedule bucket, with a count multiplier), so the analytic
-constant-EW path and the measured path share exactly this costing core —
-property-tested for equivalence in ``tests/test_frame_cost.py``.
+``VisionSoC.evaluate`` (and ``evaluate_constant_ew``) folds synthetic
+events (one per schedule bucket, with a count multiplier), and
+``VisionSoC.evaluate_results`` folds a run's recorded events, so the
+analytic constant-EW path and the measured path share exactly this costing
+core — property-tested for equivalence in ``tests/test_frame_cost.py``.
+Admission control (:class:`CapacityModel`) reads its I-frame and E-frame
+latencies from :meth:`CostMeter.price` too.
 
 Energy that is *rate*-like (frontend capture power, DRAM background, NNX/MC
 idle leakage) can only be charged against an interval, so the fold carries
@@ -84,11 +84,6 @@ class QueueingEstimate:
     service_time_s: float
     utilization: float
     mean_wait_s: float
-
-    @property
-    def mean_latency_s(self) -> float:
-        """Mean queueing wait plus one service time."""
-        return self.mean_wait_s + self.service_time_s
 
 
 def _md1_wait_s(utilization: float, service_time_s: float) -> float:
@@ -480,9 +475,9 @@ class StreamDemand:
 class CapacityModel:
     """Backend capacity budget for stream admission, priced like the meter.
 
-    Uses exactly the per-frame latency constants :class:`CostMeter` prices
-    frames with (NNX inference latency for I-frames, MC/CPU extrapolation
-    latency for E-frames), so the admission projection and the measured
+    Takes each frame's backend latency from :meth:`CostMeter.price` (NNX
+    inference latency for I-frames, MC/CPU extrapolation latency for
+    E-frames), so the admission projection and the measured
     :meth:`SharedSoCPool.queueing_estimate` agree by construction.  A
     stream running extrapolation window *W* spends one inference plus
     ``W - 1`` extrapolations every *W* frames, hence a mean backend
@@ -499,27 +494,18 @@ class CapacityModel:
         *,
         extrapolation_on_cpu: bool = False,
     ) -> None:
-        self.soc = soc
-        self.network = network
-        self.extrapolation_on_cpu = extrapolation_on_cpu
-        self._inference_latency_s = soc.nnx.inference_latency_s(network)
-        self._cpu_cost = soc.cpu.extrapolation_cost()
-
-    # -- per-stream terms ----------------------------------------------
-    def inference_latency_s(self) -> float:
-        return self._inference_latency_s
-
-    def extrapolation_latency_s(self, rois: int = 1) -> float:
-        rois = max(0, int(rois))
-        if self.extrapolation_on_cpu:
-            return self._cpu_cost.latency_s if rois else 0.0
-        return self.soc.motion_controller.extrapolation_latency_s(rois)
+        self._meter = CostMeter(
+            soc, network, extrapolation_on_cpu=extrapolation_on_cpu
+        )
 
     def frame_service_time_s(self, window_size: int = 1, rois: int = 1) -> float:
         """Mean backend time per frame at extrapolation window ``W``."""
         window = max(1, int(window_size))
-        i_time = self._inference_latency_s
-        e_time = self.extrapolation_latency_s(rois)
+        price = self._meter.price
+        i_time = price(FrameTelemetry(0, FrameKind.INFERENCE)).latency_s
+        e_time = price(
+            FrameTelemetry(0, FrameKind.EXTRAPOLATION, rois=rois)
+        ).latency_s
         return (i_time + (window - 1) * e_time) / window
 
     def stream_utilization(self, demand: StreamDemand) -> float:

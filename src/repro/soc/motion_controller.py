@@ -10,23 +10,11 @@ without interrupting the CPU (task autonomy).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import MotionControllerConfig
 
 
 #: Bytes written back per ROI result (coordinates, label, score, object id).
 RESULT_BYTES_PER_ROI = 16
-
-
-@dataclass(frozen=True)
-class ExtrapolationCost:
-    """Cost of extrapolating one E-frame on the motion controller."""
-
-    latency_s: float
-    energy_j: float
-    dram_traffic_bytes: int
-    ops: float
 
 
 class MotionControllerIP:
@@ -53,23 +41,9 @@ class MotionControllerIP:
         cycles = ops / max(1, ops_per_cycle)
         return cycles / self.config.clock_hz
 
-    def supports_frame_rate(self, num_rois: int, frame_rate: float) -> bool:
-        """Whether the IP keeps up with ``num_rois`` per frame at ``frame_rate``."""
-        return self.extrapolation_latency_s(num_rois) <= 1.0 / frame_rate
-
     # ------------------------------------------------------------------
     # Energy and traffic
     # ------------------------------------------------------------------
-    def frame_energy_j(self, frame_period_s: float) -> float:
-        """Energy over one frame period at full active power.
-
-        Legacy aggregate view (the IP sequences both I- and E-frames); the
-        per-frame cost model now splits active extrapolation time from idle
-        sequencing via :meth:`idle_energy_j`.  At 2.2 mW either view is a
-        rounding error next to the NNX.
-        """
-        return self.config.active_power_w * frame_period_s
-
     def idle_energy_j(self, duration_s: float) -> float:
         """Energy while the sequencer waits between extrapolations."""
         return self.config.idle_power_w * duration_s
@@ -81,14 +55,3 @@ class MotionControllerIP:
         ROI results — true ROI counts are priced, with no phantom floor.
         """
         return int(motion_metadata_bytes + RESULT_BYTES_PER_ROI * max(0, num_rois))
-
-    def extrapolation_cost(
-        self, frame_period_s: float, motion_metadata_bytes: int, num_rois: int
-    ) -> ExtrapolationCost:
-        """Bundle the per-E-frame costs."""
-        return ExtrapolationCost(
-            latency_s=self.extrapolation_latency_s(num_rois),
-            energy_j=self.frame_energy_j(frame_period_s),
-            dram_traffic_bytes=self.extrapolation_traffic_bytes(motion_metadata_bytes, num_rois),
-            ops=self.extrapolation_ops(num_rois),
-        )

@@ -10,30 +10,11 @@ multiplies by the I-frame rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from ..nn.layers import ConvLayer, FullyConnectedLayer
 from ..nn.models import NetworkSpec
 from .config import NNXConfig
 from .systolic import SystolicArrayModel
-
-
-@dataclass(frozen=True)
-class InferenceCost:
-    """Cost of one full-frame inference pass on the NNX."""
-
-    network_name: str
-    latency_s: float
-    energy_j: float
-    dram_traffic_bytes: int
-    ops: int
-
-    @property
-    def achievable_fps(self) -> float:
-        """Frame rate the NNX alone could sustain running back-to-back."""
-        if self.latency_s == 0:
-            return float("inf")
-        return 1.0 / self.latency_s
 
 
 class NNXAccelerator:
@@ -50,10 +31,6 @@ class NNXAccelerator:
         """Latency of one full-frame inference (all evaluations)."""
         return self.array.latency_per_frame_s(network)
 
-    def inference_energy_j(self, network: NetworkSpec) -> float:
-        """Energy of one full-frame inference at the synthesised power."""
-        return self.config.active_power_w * self.inference_latency_s(network)
-
     def idle_energy_j(self, duration_s: float) -> float:
         """Leakage energy while the accelerator is clock-gated."""
         return self.config.idle_power_w * duration_s
@@ -61,23 +38,6 @@ class NNXAccelerator:
     # ------------------------------------------------------------------
     # DRAM traffic
     # ------------------------------------------------------------------
-    def inference_dram_traffic_bytes(
-        self, network: NetworkSpec, input_frame_bytes: int, batch_size: int = 1
-    ) -> int:
-        """Per-frame DRAM bytes moved by one full-frame inference.
-
-        ``batch_size > 1`` models a weight-resident batch: the scheduler
-        dispatched this inference back-to-back with ``batch_size - 1``
-        inferences of the same network, so the weight stream is fetched
-        once for the whole batch and amortised per frame.
-        """
-        input_traffic, weight_traffic, activation_traffic = self.inference_traffic_parts(
-            network, input_frame_bytes
-        )
-        return self.batched_traffic_bytes(
-            input_traffic, weight_traffic, activation_traffic, batch_size
-        )
-
     def inference_traffic_parts(
         self, network: NetworkSpec, input_frame_bytes: int
     ) -> tuple:
@@ -137,16 +97,3 @@ class NNXAccelerator:
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         return int(input_traffic + weight_traffic / batch_size + activation_traffic)
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def inference_cost(self, network: NetworkSpec, input_frame_bytes: int) -> InferenceCost:
-        """Bundle latency, energy and traffic for one inference pass."""
-        return InferenceCost(
-            network_name=network.name,
-            latency_s=self.inference_latency_s(network),
-            energy_j=self.inference_energy_j(network),
-            dram_traffic_bytes=self.inference_dram_traffic_bytes(network, input_frame_bytes),
-            ops=network.ops_per_frame,
-        )

@@ -1,8 +1,8 @@
 """SoC-level energy / performance model of the continuous-vision pipeline.
 
-This is the top of the hardware-modeling stack: given a CNN workload and an
-I-frame/E-frame schedule (produced either analytically or by running the
-actual Euphrates pipeline on video), it computes the frame rate the vision
+This is the top of the hardware-modeling stack: given a CNN workload and
+either an analytic I-frame/E-frame schedule or the per-frame telemetry of an
+actual Euphrates pipeline run, it computes the frame rate the vision
 subsystem achieves and the energy split between the frontend (sensor + ISP),
 main memory, and backend (NNX + motion controller, plus the CPU when
 extrapolation is hosted in software).  These are exactly the quantities
@@ -77,34 +77,6 @@ class FrameSchedule:
         if extrapolation_window < 1:
             raise ValueError("extrapolation_window must be >= 1")
         inference = (num_frames + extrapolation_window - 1) // extrapolation_window
-        return cls(
-            num_frames=num_frames,
-            inference_frames=inference,
-            extrapolation_frames=num_frames - inference,
-            rois_per_frame=rois_per_frame,
-            extrapolation_on_cpu=extrapolation_on_cpu,
-        )
-
-    @classmethod
-    def from_results(
-        cls,
-        results: Sequence[SequenceResult],
-        rois_per_frame: Optional[float] = None,
-        extrapolation_on_cpu: bool = False,
-    ) -> "FrameSchedule":
-        """Build a schedule from actual pipeline runs (adaptive-EW case).
-
-        ``rois_per_frame`` is the true mean detection count — an empty
-        scene prices as zero motion-controller work (the old behaviour
-        clamped it to at least 1.0, charging phantom MC cost).
-        """
-        num_frames = sum(len(r) for r in results)
-        inference = sum(r.inference_count for r in results)
-        if num_frames == 0:
-            raise ValueError("results contain no frames")
-        if rois_per_frame is None:
-            total_rois = sum(len(f.detections) for r in results for f in r.frames)
-            rois_per_frame = total_rois / num_frames
         return cls(
             num_frames=num_frames,
             inference_frames=inference,
@@ -339,8 +311,24 @@ class VisionSoC:
         extrapolation_on_cpu: bool = False,
         label: Optional[str] = None,
     ) -> EnergyBreakdown:
-        """Evaluate the schedule actually produced by a pipeline run."""
-        schedule = FrameSchedule.from_results(
-            results, extrapolation_on_cpu=extrapolation_on_cpu
+        """Energy of a pipeline run, pricing every frame it recorded.
+
+        Each result's :class:`~repro.core.types.FrameTelemetry` events (true
+        frame kind, true ROI count) are folded through one
+        :meth:`open_meter`.  Events are priced at the nominal capture
+        setting so measured and analytic tables are directly comparable:
+        what is measured is the schedule and the ROI counts, not the
+        synthetic frames' geometry.  Results that carry no telemetry raise
+        :class:`ValueError`.
+        """
+        label = label or network.name
+        meter = self.open_meter(
+            network,
+            extrapolation_on_cpu=extrapolation_on_cpu,
+            assume_nominal_capture=True,
+            label=label,
         )
-        return self.evaluate(network, schedule, label=label or network.name)
+        recorded = sum(meter.record_all(result.telemetry) for result in results)
+        if recorded == 0:
+            raise ValueError(f"no telemetry recorded for '{label}'")
+        return meter.breakdown()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 from ..nn.layers import ConvLayer, FullyConnectedLayer, LayerSpec, PoolLayer
 from ..nn.models import NetworkSpec
@@ -28,14 +28,6 @@ class LayerTiming:
 
     layer_name: str
     cycles: int
-    macs: int
-
-    @property
-    def utilization(self) -> float:
-        """Achieved MAC utilisation relative to a perfectly packed array."""
-        if self.cycles == 0:
-            return 0.0
-        return self.macs / self.cycles
 
 
 class SystolicArrayModel:
@@ -60,7 +52,7 @@ class SystolicArrayModel:
             tiles_channels = math.ceil(out_c / cols)
             output_pixels = out_h * out_w
             cycles = tiles_reduction * tiles_channels * (output_pixels + fill_drain)
-            return LayerTiming(layer.name, cycles, layer.macs)
+            return LayerTiming(layer.name, cycles)
 
         if isinstance(layer, FullyConnectedLayer):
             # Fully connected layers stream their weight tiles back-to-back,
@@ -69,13 +61,13 @@ class SystolicArrayModel:
             tiles_reduction = math.ceil(layer.in_features / rows)
             tiles_channels = math.ceil(layer.out_features / cols)
             cycles = tiles_reduction * tiles_channels + fill_drain
-            return LayerTiming(layer.name, cycles, layer.macs)
+            return LayerTiming(layer.name, cycles)
 
         if isinstance(layer, PoolLayer):
             # Pooling runs on the scalar/vector unit alongside the array; it
             # processes roughly one input element per lane per cycle.
             cycles = math.ceil(layer.ops / max(1, cols))
-            return LayerTiming(layer.name, cycles, 0)
+            return LayerTiming(layer.name, cycles)
 
         raise TypeError(f"unsupported layer type: {type(layer).__name__}")
 
@@ -95,23 +87,3 @@ class SystolicArrayModel:
     def latency_per_frame_s(self, network: NetworkSpec) -> float:
         """Wall-clock time of one full-frame inference pass."""
         return self.cycles_per_frame(network) / self.config.clock_hz
-
-    def utilization(self, network: NetworkSpec) -> float:
-        """Average MAC-array utilisation across the network."""
-        cycles = self.cycles_per_evaluation(network)
-        if cycles == 0:
-            return 0.0
-        peak = cycles * self.config.peak_macs_per_cycle
-        return network.macs_per_evaluation / peak
-
-    def effective_tops(self, network: NetworkSpec) -> float:
-        """Achieved throughput (ops/s) when running this network."""
-        latency = self.latency_per_frame_s(network)
-        if latency == 0:
-            return 0.0
-        return network.ops_per_frame / latency / 1e12
-
-    def utilization_report(self, network: NetworkSpec) -> Dict[str, float]:
-        """Per-layer utilisation, useful for the ablation benchmarks."""
-        return {t.layer_name: t.utilization / self.config.peak_macs_per_cycle
-                for t in self.network_timings(network)}

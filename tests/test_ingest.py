@@ -28,7 +28,7 @@ from repro.core.ingest import (
 )
 from repro.core.spec import PipelineSpec
 from repro.core.streaming import StreamMultiplexer
-from repro.core.types import Detection
+from repro.core.types import Detection, FrameKind, FrameTelemetry
 from repro.nn.models import build_mdnet
 from repro.soc.frame_cost import CapacityModel, StreamDemand, _md1_wait_s
 
@@ -186,6 +186,33 @@ class TestReorderWindow:
 # ----------------------------------------------------------------------
 # Admission control: pinned to the QueueingEstimate math
 # ----------------------------------------------------------------------
+#: Admission values for MDNet on the default SoC, keyed by
+#: ``(extrapolation host, window, rois)``: the mean service time, the
+#: utilization of one 30 fps stream, and whether a 60 fps stream is admitted
+#: next to it.  Pinned so the latency rule admission shares with metering
+#: cannot drift.
+PINNED_ADMISSION = {
+    ("mc", 1, 0): (0.013654479, 0.40963437, False),
+    ("mc", 1, 1): (0.013654479, 0.40963437, False),
+    ("mc", 1, 10): (0.013654479, 0.40963437, False),
+    ("mc", 2, 0): (0.0068272395, 0.204817185, True),
+    ("mc", 2, 1): (0.006839739500000001, 0.20519218500000003, True),
+    ("mc", 2, 10): (0.0069522395, 0.20856718500000002, True),
+    ("mc", 8, 0): (0.001706809875, 0.05120429625, True),
+    ("mc", 8, 1): (0.001728684875, 0.05186054625, True),
+    ("mc", 8, 10): (0.001925559875, 0.05776679625, True),
+    ("cpu", 1, 0): (0.013654479, 0.40963437, False),
+    ("cpu", 1, 1): (0.013654479, 0.40963437, False),
+    ("cpu", 1, 10): (0.013654479, 0.40963437, False),
+    ("cpu", 2, 0): (0.0068272395, 0.204817185, True),
+    ("cpu", 2, 1): (0.0085772395, 0.257317185, True),
+    ("cpu", 2, 10): (0.0085772395, 0.257317185, True),
+    ("cpu", 8, 0): (0.001706809875, 0.05120429625, True),
+    ("cpu", 8, 1): (0.004769309875000001, 0.14307929625000002, True),
+    ("cpu", 8, 10): (0.004769309875000001, 0.14307929625000002, True),
+}
+
+
 @pytest.fixture(scope="module")
 def capacity():
     spec = PipelineSpec(extrapolation_window=4)
@@ -194,8 +221,13 @@ def capacity():
 
 class TestCapacityModel:
     def test_service_time_mixes_i_and_e_frames(self, capacity):
-        i_time = capacity.inference_latency_s()
-        e_time = capacity.extrapolation_latency_s(1)
+        meter = PipelineSpec(extrapolation_window=4).vision_soc().open_meter(
+            build_mdnet()
+        )
+        i_time = meter.price(FrameTelemetry(0, FrameKind.INFERENCE)).latency_s
+        e_time = meter.price(
+            FrameTelemetry(0, FrameKind.EXTRAPOLATION, rois=1)
+        ).latency_s
         assert capacity.frame_service_time_s(1) == pytest.approx(i_time)
         assert capacity.frame_service_time_s(4) == pytest.approx(
             (i_time + 3 * e_time) / 4
@@ -247,6 +279,20 @@ class TestCapacityModel:
             StreamDemand(fps=0.0)
         with pytest.raises(ValueError, match="window_size"):
             StreamDemand(fps=30.0, window_size=0)
+
+    @pytest.mark.parametrize("host, window, rois", sorted(PINNED_ADMISSION), ids=str)
+    def test_pinned_values(self, host, window, rois):
+        service_s, utilization, admits = PINNED_ADMISSION[(host, window, rois)]
+        capacity = CapacityModel(
+            PipelineSpec().vision_soc(),
+            build_mdnet(),
+            extrapolation_on_cpu=host == "cpu",
+        )
+        stream = StreamDemand(fps=30.0, window_size=window, rois=rois)
+        candidate = StreamDemand(fps=60.0, window_size=window, rois=rois)
+        assert capacity.frame_service_time_s(window, rois) == service_s
+        assert capacity.projection([stream]).utilization == utilization
+        assert capacity.admits([stream], candidate) is admits
 
 
 class TestIngestAdmission:

@@ -19,13 +19,10 @@ gathered one.  Inputs also cover Q8.4 fixed-point frames, fractional float
 frames, ragged frame edges,
 ``search_range=0`` fields, non-contiguous output buffers and scratch-pool
 reuse across frames.  A pinned end-to-end run asserts the vectorization
-never moved the *energy model* (satellite requirement: ``fold_energy_breakdown``
-unchanged).
+never moved the *energy model* (``VisionSoC.evaluate_results`` unchanged).
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -380,7 +377,6 @@ class TestEnergyModelUnchanged:
     def test_fold_energy_breakdown_pinned(self):
         from repro.core.backends import tracking_backend_for
         from repro.core.spec import PipelineSpec
-        from repro.harness.experiments import fold_energy_breakdown
         from repro.nn.models import build_yolo_v2
         from repro.soc.soc import VisionSoC
         from repro.video.synthetic import SequenceConfig, SequenceGenerator
@@ -396,7 +392,8 @@ class TestEnergyModelUnchanged:
         ).generate()
         spec = PipelineSpec(extrapolation_window=4)
         pipeline = spec.build(tracking_backend_for("mdnet", seed=7))
-        telemetry = pipeline.run(sequence).telemetry
+        result = pipeline.run(sequence)
+        telemetry = result.telemetry
 
         kinds = "".join(
             "E" if record.kind.name == "EXTRAPOLATION" else "I"
@@ -416,11 +413,8 @@ class TestEnergyModelUnchanged:
         for record, pinned in zip(telemetry, pinned_extrapolation_ops):
             assert record.extrapolation_ops == pytest.approx(pinned, rel=1e-9)
 
-        breakdown = fold_energy_breakdown(
-            VisionSoC(),
-            build_yolo_v2(),
-            [SimpleNamespace(telemetry=telemetry)],
-            label="pinned",
+        breakdown = VisionSoC().evaluate_results(
+            build_yolo_v2(), [result], label="pinned"
         )
         assert breakdown.num_frames == 24
         assert breakdown.inference_rate == pytest.approx(0.25)

@@ -25,10 +25,6 @@ class TestBayerLayout:
 
 
 class TestSensorConfig:
-    def test_energy_per_frame(self):
-        config = SensorConfig()
-        assert config.energy_per_frame_j() == pytest.approx(0.180 / 60.0)
-
     def test_pixels_per_frame(self):
         assert SensorConfig().pixels_per_frame == 1920 * 1080
 

@@ -4,12 +4,25 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.types import FrameKind, FrameTelemetry
 from repro.nn.models import build_mdnet, build_tiny_yolo, build_yolo_v2
-from repro.soc.config import CPUConfig, DRAMConfig, NNXConfig, SoCConfig
+from repro.soc.config import CPUConfig, NNXConfig, SoCConfig
 from repro.soc.cpu import CPUHost
 from repro.soc.dram import DRAMModel
 from repro.soc.motion_controller import MotionControllerIP
 from repro.soc.nnx import NNXAccelerator
+from repro.soc.soc import VisionSoC
+
+INFERENCE = FrameTelemetry(frame_index=0, kind=FrameKind.INFERENCE)
+
+
+def extrapolation(rois: int) -> FrameTelemetry:
+    return FrameTelemetry(frame_index=0, kind=FrameKind.EXTRAPOLATION, rois=rois)
+
+
+def inference_traffic_bytes(nnx: NNXAccelerator, network, input_bytes: int) -> int:
+    """DRAM bytes one unbatched inference moves (input, weights, activations)."""
+    return nnx.batched_traffic_bytes(*nnx.inference_traffic_parts(network, input_bytes))
 
 
 class TestNNXConfig:
@@ -26,35 +39,30 @@ class TestNNXConfig:
 
 class TestNNXAccelerator:
     def test_inference_energy_scales_with_latency(self):
-        nnx = NNXAccelerator()
-        yolo_energy = nnx.inference_energy_j(build_yolo_v2())
-        tiny_energy = nnx.inference_energy_j(build_tiny_yolo())
-        assert yolo_energy > 3 * tiny_energy
+        soc = VisionSoC()
+        active_power_w = soc.config.nnx.active_power_w
+
+        def energy_per_inference_j(network):
+            return active_power_w * soc.open_meter(network).price(INFERENCE).nnx_active_s
+
+        assert energy_per_inference_j(build_yolo_v2()) > 3 * energy_per_inference_j(
+            build_tiny_yolo()
+        )
 
     def test_yolo_iframe_traffic_near_paper_value(self):
         """Each YOLOv2 I-frame moves ~646 MB of DRAM traffic (Sec. 6.1)."""
         nnx = NNXAccelerator()
-        network = build_yolo_v2()
-        input_bytes = 640 * 480 * 3
-        traffic = nnx.inference_dram_traffic_bytes(network, input_bytes)
+        traffic = inference_traffic_bytes(nnx, build_yolo_v2(), 640 * 480 * 3)
         assert traffic == pytest.approx(646e6, rel=0.15)
 
     def test_traffic_ordering(self):
         nnx = NNXAccelerator()
         traffic = {
-            net.name: nnx.inference_dram_traffic_bytes(net, 640 * 480 * 3)
+            net.name: inference_traffic_bytes(nnx, net, 640 * 480 * 3)
             for net in (build_yolo_v2(), build_tiny_yolo(), build_mdnet())
         }
         assert traffic["YOLOv2"] > traffic["TinyYOLO"] > 0
         assert traffic["YOLOv2"] > traffic["MDNet"] > 0
-
-    def test_inference_cost_bundle(self):
-        nnx = NNXAccelerator()
-        cost = nnx.inference_cost(build_tiny_yolo(), 640 * 480 * 3)
-        assert cost.network_name == "TinyYOLO"
-        assert cost.latency_s > 0
-        assert cost.achievable_fps == pytest.approx(1.0 / cost.latency_s)
-        assert cost.ops == build_tiny_yolo().ops_per_frame
 
     def test_idle_energy(self):
         nnx = NNXAccelerator()
@@ -71,7 +79,7 @@ class TestMotionController:
     def test_supports_ten_rois_at_60fps(self):
         """The IP is sized for 10 ROIs per frame at 60 FPS (Sec. 5.1)."""
         mc = MotionControllerIP()
-        assert mc.supports_frame_rate(num_rois=10, frame_rate=60.0)
+        assert mc.extrapolation_latency_s(10) <= 1.0 / 60.0
 
     def test_latency_scales_with_rois(self):
         mc = MotionControllerIP()
@@ -80,8 +88,11 @@ class TestMotionController:
         )
 
     def test_frame_energy_is_milliwatt_scale(self):
+        """The always-on MC costs 2.2 mW over a frame period, busy or not."""
         mc = MotionControllerIP()
-        energy = mc.frame_energy_j(1.0 / 60.0)
+        busy_s = mc.extrapolation_latency_s(6)
+        frame_s = 1.0 / 60.0
+        energy = mc.config.active_power_w * busy_s + mc.idle_energy_j(frame_s - busy_s)
         assert energy == pytest.approx(0.0022 / 60.0)
 
     def test_extrapolation_traffic_dominated_by_metadata(self):
@@ -89,25 +100,23 @@ class TestMotionController:
         traffic = mc.extrapolation_traffic_bytes(motion_metadata_bytes=16_200, num_rois=6)
         assert 16_200 < traffic < 17_000
 
-    def test_extrapolation_cost_bundle(self):
-        mc = MotionControllerIP()
-        cost = mc.extrapolation_cost(1.0 / 60.0, 16_200, 6)
-        assert cost.latency_s > 0
-        assert cost.energy_j > 0
-        assert cost.dram_traffic_bytes > 16_200
-        assert cost.ops == pytest.approx(60_000)
-
 
 class TestCPUHost:
     def test_software_extrapolation_is_far_more_expensive_than_mc(self):
-        cpu = CPUHost()
-        mc = MotionControllerIP()
-        cpu_energy = cpu.extrapolation_cost().energy_j
-        mc_energy = mc.frame_energy_j(1.0 / 60.0)
+        """An E-frame on the CPU costs >50x the MC's energy per frame."""
+        soc = VisionSoC()
+        network = build_mdnet()
+        cpu_energy = (
+            soc.open_meter(network, extrapolation_on_cpu=True)
+            .price(extrapolation(1))
+            .cpu_energy_j
+        )
+        mc = soc.motion_controller
+        busy_s = soc.open_meter(network).price(extrapolation(1)).mc_busy_s
+        mc_energy = mc.config.active_power_w * busy_s + mc.idle_energy_j(
+            soc.config.frame_period_s - busy_s
+        )
         assert cpu_energy > 50 * mc_energy
-
-    def test_idle_energy_zero_by_default(self):
-        assert CPUHost().idle_energy_j(10.0) == 0.0
 
     def test_cost_combines_wake_and_compute(self):
         config = CPUConfig(active_power_w=2.0, wake_latency_s=0.001, extrapolation_time_s=0.002)
@@ -119,38 +128,31 @@ class TestCPUHost:
 class TestDRAM:
     def test_energy_split(self):
         dram = DRAMModel()
-        usage = dram.usage(traffic_bytes=int(1e9), duration_s=1.0)
-        assert usage.background_energy_j == pytest.approx(0.140)
-        assert usage.dynamic_energy_j == pytest.approx(1e9 * 45e-12)
-        assert usage.total_energy_j == usage.background_energy_j + usage.dynamic_energy_j
+        background = dram.energy_j(0, 1.0)
+        dynamic = dram.energy_j(int(1e9), 0.0)
+        assert background == pytest.approx(0.140)
+        assert dynamic == pytest.approx(1e9 * 45e-12)
+        assert dram.energy_j(int(1e9), 1.0) == background + dynamic
 
     def test_capture_only_power_near_tx2_measurement(self):
         """1080p60 capture workload should land near the measured ~230 mW."""
         soc = SoCConfig()
         dram = DRAMModel(soc.dram)
         frontend_traffic_per_s = 60 * (1920 * 1080) * (2 + 2 + 3 + 3)
-        usage = dram.usage(int(frontend_traffic_per_s), 1.0)
-        assert 0.15 <= usage.average_power_w <= 0.30
+        average_power_w = dram.energy_j(int(frontend_traffic_per_s), 1.0)  # over 1 s
+        assert 0.15 <= average_power_w <= 0.30
 
     def test_validation(self):
         dram = DRAMModel()
         with pytest.raises(ValueError):
-            dram.usage(-1, 1.0)
+            dram.energy_j(-1, 1.0)
         with pytest.raises(ValueError):
-            dram.usage(1, -1.0)
-
-    def test_bandwidth_utilization(self):
-        dram = DRAMModel(DRAMConfig(peak_bandwidth_gb_s=25.6))
-        assert dram.bandwidth_utilization(int(25.6e9), 1.0) == pytest.approx(1.0)
-        assert not dram.exceeds_peak_bandwidth(int(10e9), 1.0)
-        assert dram.exceeds_peak_bandwidth(int(30e9), 1.0)
+            dram.energy_j(1, -1.0)
 
     def test_zero_duration(self):
         dram = DRAMModel()
-        assert dram.bandwidth_utilization(100, 0.0) == 0.0
-        usage = dram.usage(0, 0.0)
-        assert usage.average_power_w == 0.0
-        assert usage.average_bandwidth_gb_s == 0.0
+        assert dram.energy_j(0, 0.0) == 0.0
+        assert dram.energy_j(100, 0.0) == pytest.approx(100 * 45e-12)
 
 
 class TestSoCConfigTable1:
@@ -176,8 +178,3 @@ class TestSoCConfigTable1:
     def test_frontend_power(self):
         config = SoCConfig()
         assert config.frontend_power_w == pytest.approx(0.180 + 0.153 * 1.025)
-
-    def test_summary_keys(self):
-        summary = SoCConfig().summary()
-        assert summary["nnx_peak_tops"] == pytest.approx(1.152)
-        assert summary["mc_power_w"] == pytest.approx(0.0022)

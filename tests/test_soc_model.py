@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.types import FrameKind, FrameResult, SequenceResult
+from repro.core import PipelineSpec, detection_backend_for
+from repro.core.types import FrameKind, FrameResult, FrameTelemetry, SequenceResult
 from repro.nn.models import build_mdnet, build_tiny_yolo, build_yolo_v2
 from repro.soc.soc import FrameSchedule, VisionSoC
+from repro.video.datasets import build_detection_dataset
 
 
 @pytest.fixture(scope="module")
@@ -43,20 +45,6 @@ class TestFrameSchedule:
             FrameSchedule(num_frames=10, inference_frames=4, extrapolation_frames=4)
         with pytest.raises(ValueError):
             FrameSchedule.constant_ew(0)
-
-    def test_from_results(self):
-        frames = [
-            FrameResult(0, FrameKind.INFERENCE, []),
-            FrameResult(1, FrameKind.EXTRAPOLATION, []),
-            FrameResult(2, FrameKind.EXTRAPOLATION, []),
-            FrameResult(3, FrameKind.INFERENCE, []),
-        ]
-        results = [SequenceResult("a", frames), SequenceResult("b", frames)]
-        schedule = FrameSchedule.from_results(results)
-        assert schedule.num_frames == 8
-        assert schedule.inference_frames == 4
-        # True ROI counts, no phantom floor: empty scenes price zero MC work.
-        assert schedule.rois_per_frame == 0.0
 
     def test_empty_scene_prices_no_motion_controller_work(self, soc, mdnet):
         """An all-empty E-frame schedule must not charge extrapolation cost."""
@@ -204,10 +192,47 @@ class TestTrackingScenario:
         frames = [FrameResult(0, FrameKind.INFERENCE, [])] + [
             FrameResult(i, FrameKind.EXTRAPOLATION, []) for i in range(1, 10)
         ]
-        results = [SequenceResult("seq", frames)]
+        telemetry = [
+            FrameTelemetry(frame.frame_index, frame.kind, rois=0) for frame in frames
+        ]
+        results = [SequenceResult("seq", frames, telemetry)]
         breakdown = soc.evaluate_results(mdnet, results)
         assert breakdown.inference_rate == pytest.approx(0.1)
         assert breakdown.num_frames == 10
+
+
+class TestEvaluateResults:
+    """Measured energy: every recorded frame priced through one meter."""
+
+    def test_prices_every_recorded_frame(self, soc, yolo):
+        """Per-frame ROI counts are priced as recorded, not as a mean."""
+        pipeline = PipelineSpec(extrapolation_window=2).build(
+            detection_backend_for("yolov2", seed=1)
+        )
+        results = pipeline.run_dataset(build_detection_dataset())
+        e_frame_rois = {
+            event.rois
+            for result in results
+            for event in result.telemetry
+            if event.kind is FrameKind.EXTRAPOLATION
+        }
+        assert len(e_frame_rois) > 1
+
+        meter = soc.open_meter(yolo, assume_nominal_capture=True)
+        for result in results:
+            for event in result.telemetry:
+                meter.record(event)
+        assert soc.evaluate_results(yolo, results, label="EW-2") == meter.breakdown(
+            "EW-2"
+        )
+
+    def test_results_without_telemetry_raise(self, soc, mdnet):
+        frames = [FrameResult(0, FrameKind.INFERENCE, [])]
+        results = [SequenceResult("seq", frames)]
+        with pytest.raises(ValueError, match="'EW-4'"):
+            soc.evaluate_results(mdnet, results, label="EW-4")
+        with pytest.raises(ValueError, match="'MDNet'"):
+            soc.evaluate_results(mdnet, results)
 
 
 class TestEnergyBreakdownArithmetic:

@@ -21,7 +21,6 @@ class TestLayerTiming:
         timing = model.layer_timing(layer)
         # reduction = 24 -> 1 tile of rows; out_c = 24 -> 1 tile of cols.
         assert timing.cycles == 1 * 1 * (16 * 16 + 48)
-        assert timing.macs == layer.macs
 
     def test_larger_reduction_needs_more_tiles(self, model):
         small = ConvLayer("s", 16, 16, 24, 24, kernel_size=1)
@@ -35,9 +34,7 @@ class TestLayerTiming:
 
     def test_pool_timing(self, model):
         layer = PoolLayer("p", 32, 32, 64)
-        timing = model.layer_timing(layer)
-        assert timing.macs == 0
-        assert timing.cycles > 0
+        assert model.layer_timing(layer).cycles > 0
 
     def test_unsupported_layer_type(self, model):
         with pytest.raises(TypeError):
@@ -45,11 +42,6 @@ class TestLayerTiming:
 
 
 class TestNetworkTiming:
-    def test_utilization_bounded(self, model):
-        for network in (build_yolo_v2(), build_tiny_yolo(), build_mdnet()):
-            utilization = model.utilization(network)
-            assert 0.0 < utilization <= 1.0
-
     def test_yolo_latency_matches_paper_fps(self, model):
         """The paper reports baseline YOLOv2 at ~17 FPS on the 1.15 TOPS NNX."""
         latency = model.latency_per_frame_s(build_yolo_v2())
@@ -66,12 +58,8 @@ class TestNetworkTiming:
         ten = build_mdnet(candidates_per_frame=10)
         assert model.cycles_per_frame(ten) == 10 * model.cycles_per_frame(one)
 
-    def test_effective_tops_below_peak(self, model):
+    def test_throughput_at_or_below_peak(self, model):
         config = NNXConfig()
-        for network in (build_yolo_v2(), build_tiny_yolo()):
-            assert model.effective_tops(network) <= config.peak_tops
-
-    def test_utilization_report_has_all_layers(self, model):
-        network = build_tiny_yolo()
-        report = model.utilization_report(network)
-        assert len(report) == len(network.layers)
+        for network in (build_yolo_v2(), build_tiny_yolo(), build_mdnet()):
+            tops = network.ops_per_frame / model.latency_per_frame_s(network) / 1e12
+            assert 0.0 < tops <= config.peak_tops
